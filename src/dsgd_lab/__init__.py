@@ -48,7 +48,6 @@ from .engine import (
     dsgd_step,
     run_coupled,
     run_dsgd,
-    run_with_consensus_control,
 )
 from .analysis import (
     BoundInputs,

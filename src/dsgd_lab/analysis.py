@@ -52,6 +52,7 @@ from .models import (
     c_alpha_constant,
     dataset_risk,
     draw_dataset_arrays,
+    population_risk,
 )
 from .seeding import derive_seed
 from .topology import GossipMatrix, TopologyKind, build_gossip_matrix, eigenvalues_symmetric
@@ -534,10 +535,7 @@ def generalization_gap(
         for j in range(len(reference)):
             w = trace.consensus[j]
             if eval_data is None:
-                delta = w - task.w_star
-                population = float(
-                    0.5 * delta @ task.feature_cov @ delta + 0.5 * task.noise_std**2
-                )
+                population = population_risk(task, w)
             else:
                 population = dataset_risk(model, w, *eval_data)
             curves[i, j] = population - dataset_risk(model, w, xs_train, ys_train)
@@ -684,19 +682,10 @@ def spearman_rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    ranks[order] = np.arange(1, values.size + 1, dtype=float)
-    sorted_values = values[order]
-    start = 0
-    while start < values.size:
-        stop = start
-        while stop + 1 < values.size and sorted_values[stop + 1] == sorted_values[start]:
-            stop += 1
-        if stop > start:
-            ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
-    return ranks
+    """1-based ranks, tied values sharing the mean of their positions."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2.0)[inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,6 +720,8 @@ def consensus_control_sweep(
     """
     if replicates < 5:
         raise InputError(f"the control sweep needs replicates >= 5, got {replicates}")
+    if len(t_gamma_values) < 2:
+        raise InputError("t_gamma_values needs at least 2 onsets")
     if list(t_gamma_values) != sorted(t_gamma_values):
         raise InputError("t_gamma_values must be sorted ascending")
     finals = []
@@ -745,17 +736,13 @@ def consensus_control_sweep(
         finals.append(estimate.final)
         ses.append(estimate.final_se)
     finals_arr = np.array(finals)
-    if len(t_gamma_values) >= 2:
-        rank_corr = spearman_rank_correlation(
-            np.array(t_gamma_values, dtype=float), finals_arr
-        )
-    else:
-        rank_corr = float("nan")
     return ControlSweepResult(
         t_gammas=np.array(t_gamma_values, dtype=int),
         stability_final=finals_arr,
         stability_se=np.array(ses),
-        spearman=rank_corr,
+        spearman=spearman_rank_correlation(
+            np.array(t_gamma_values, dtype=float), finals_arr
+        ),
     )
 
 

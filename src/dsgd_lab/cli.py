@@ -33,7 +33,7 @@ defaults (not every experiment consumes every key):
     holder_pairs     probes for the Hoelder-constant estimate  [2000]
     holder_radius    probe ball radius                         [5.0]
     gamma_sq         consensus-distance target                 [1e-4]
-    t_gamma          control onsets for the sweep              [0, T/4, T/2, 3T/4, T]
+    t_gamma          control onsets for the sweep, at least 2  [0, T/4, T/2, 3T/4, T]
     max_rounds       gossip-round cap per control step         [200]
     mc_samples       Monte-Carlo draws for population risks    [100000]
     skew_tol         gaussianity skewness threshold            [0.5]
@@ -42,9 +42,10 @@ defaults (not every experiment consumes every key):
     seed             base seed                                 [0]
     jobs             parallel replicate workers                [env DSGD_LAB_JOBS or 1]
 
-Exit codes: 0 success, 1 rejected input, 2 numerical failure. Re-running
-with the same config and seed reproduces byte-identical numeric CSV content,
-at any --jobs value.
+Exit codes: 0 success, 1 rejected input, 2 numerical failure (a divergent
+run, or a NaN or infinity bound for a JSON artifact). Re-running with the
+same config and seed reproduces byte-identical numeric CSV content, at any
+--jobs value.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -224,7 +226,7 @@ _SPEC: dict[str, tuple[type | tuple[type, ...], Any]] = {
 }
 
 
-def _parse_kind(raw: str, key: str) -> TopologyKind:
+def _parse_kind(raw: Any, key: str) -> TopologyKind:
     try:
         return TopologyKind(raw)
     except ValueError:
@@ -263,6 +265,8 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
         accepted, constraint = _SPEC[key]
         if isinstance(value, bool) and accepted is not bool:
             raise InputError(f"config key {key!r}: boolean not accepted here")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"config key {key!r} must be finite, got {value}")
         if not isinstance(value, accepted):
             raise InputError(f"config key {key!r}: expected {accepted}, got {type(value).__name__}")
         if constraint == "positive" and not value > 0:
@@ -270,44 +274,32 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
         if constraint == "nonnegative" and value < 0:
             raise InputError(f"config key {key!r} must be nonnegative, got {value}")
 
-    config = ExperimentConfig(experiment=str(raw["experiment"]))
+    config = ExperimentConfig(**raw)
     if config.experiment not in EXPERIMENTS:
         raise InputError(
             f"config key 'experiment': unknown experiment {config.experiment!r} "
             f"(one of {', '.join(EXPERIMENTS)})"
         )
-    if "kind" in raw:
-        config.kind = _parse_kind(raw["kind"], "kind")
-    if "kinds" in raw:
-        config.kinds = [_parse_kind(str(k), "kinds") for k in raw["kinds"]]
-    if "family" in raw:
-        try:
-            config.family = ModelFamily(raw["family"])
-        except ValueError:
-            valid = ", ".join(f.value for f in ModelFamily)
-            raise InputError(f"config key 'family': unknown family {raw['family']!r} (one of {valid})")
-    if "mode" in raw:
-        try:
-            config.mode = PerturbationMode(raw["mode"])
-        except ValueError:
-            raise InputError("config key 'mode' must be 'synchronized' or 'single_worker'")
-    if "schedule" in raw:
-        if raw["schedule"] not in ("constant", "step_decay"):
-            raise InputError("config key 'schedule' must be 'constant' or 'step_decay'")
-        config.schedule = raw["schedule"]
-    if "t_gamma" in raw:
-        values = raw["t_gamma"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-            raise InputError("config key 't_gamma' must be a list of integers")
-        config.t_gamma = list(values)
-    for key in (
-        "m", "matrix_path", "d_x", "hidden_width", "feature_variance", "noise_std",
-        "w_star_scale", "n", "T", "eta", "snapshot_every", "R", "pairs", "alpha",
-        "p", "optimize_p", "holder_pairs", "holder_radius", "gamma_sq", "max_rounds",
-        "mc_samples", "skew_tol", "kurt_tol", "output_dir", "seed", "jobs",
+    # Normalise the string-valued keys in place; enum defaults pass through.
+    config.kind = _parse_kind(config.kind, "kind")
+    config.kinds = [_parse_kind(k, "kinds") for k in config.kinds]
+    try:
+        config.family = ModelFamily(config.family)
+    except ValueError:
+        valid = ", ".join(f.value for f in ModelFamily)
+        raise InputError(
+            f"config key 'family': unknown family {config.family!r} (one of {valid})"
+        )
+    try:
+        config.mode = PerturbationMode(config.mode)
+    except ValueError:
+        raise InputError("config key 'mode' must be 'synchronized' or 'single_worker'")
+    if config.schedule not in ("constant", "step_decay"):
+        raise InputError("config key 'schedule' must be 'constant' or 'step_decay'")
+    if config.t_gamma is not None and not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in config.t_gamma
     ):
-        if key in raw:
-            setattr(config, key, raw[key])
+        raise InputError("config key 't_gamma' must be a list of integers")
     _validate_config(config)
     return config
 
@@ -336,6 +328,8 @@ def _validate_config(config: ExperimentConfig) -> None:
             raise InputError("config key 'R' must be >= 2")
     if config.experiment == "consensus-control":
         values = config.t_gamma_values()
+        if len(values) < 2:
+            raise InputError(f"config key 't_gamma' needs at least 2 onsets, got {values}")
         if values != sorted(values):
             raise InputError("config key 't_gamma' must be sorted ascending")
         if any(v < 0 or v > config.T for v in values):
@@ -362,9 +356,17 @@ def emit_csv(rows: list[tuple], header: list[str], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_text(payload: dict[str, Any], name: str) -> str:
+    """Strict indented JSON; a NaN or infinity is a numerical failure."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{name} would hold a non-finite number: {exc}") from exc
+
+
 def emit_json_summary(summary: dict[str, Any], path: Path) -> None:
     """Write the experiment's headline numbers as indented JSON."""
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(summary, path.name))
 
 
 def _config_digest(config: ExperimentConfig) -> str:
@@ -398,7 +400,7 @@ class RunManifest:
         # always describe the final files.
         target = output_dir / "manifest.json"
         temp = output_dir / "manifest.json.tmp"
-        temp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        temp.write_text(_json_text(asdict(self), target.name))
         temp.replace(target)
 
 

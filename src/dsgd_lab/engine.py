@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .models import (
     LossModel,
     Shards,
@@ -52,7 +52,6 @@ __all__ = [
     "run_dsgd",
     "run_coupled",
     "consensus_control_step",
-    "run_with_consensus_control",
 ]
 
 
@@ -306,6 +305,10 @@ def run_dsgd(
     enumeration support). With control set, every step after t_gamma is
     followed by extra gossip rounds keeping the consensus distance at or below
     gamma_sq. Deterministic in (inputs, seed).
+
+    Raises:
+        InputError: control.t_gamma lies past the run length.
+        NumericalError: the run diverged (non-finite consensus distance).
     """
     trace, _ = _run_pair(P, shards, model, config, None, index_sequence, control)
     return trace
@@ -336,24 +339,6 @@ def run_coupled(
     )
 
 
-def run_with_consensus_control(
-    P: GossipMatrix,
-    shards: Shards,
-    model: LossModel,
-    config: TrainConfig,
-    gamma_sq: float,
-    t_gamma: int,
-    max_rounds: int = 200,
-) -> RunTrace:
-    """run_dsgd with consensus distance held below gamma_sq after step t_gamma."""
-    if not 0 <= t_gamma <= config.iterations:
-        raise InputError(
-            f"t_gamma must lie in [0, {config.iterations}], got {t_gamma}"
-        )
-    control = ConsensusControl(gamma_sq=gamma_sq, t_gamma=t_gamma, max_rounds=max_rounds)
-    return run_dsgd(P, shards, model, config, control=control)
-
-
 def _run_pair(
     P: GossipMatrix,
     shards: Shards,
@@ -369,6 +354,8 @@ def _run_pair(
     total = config.iterations
     if P.m != m:
         raise InputError(f"gossip matrix size {P.m} does not match {m} shards")
+    if control is not None and control.t_gamma > total:
+        raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
     if index_sequence is not None:
         index_sequence = np.asarray(index_sequence)
         if index_sequence.shape != (total, m):
@@ -383,9 +370,11 @@ def _run_pair(
     W = np.zeros((m, d))
     W2 = np.zeros((m, d)) if shards2 is not None else None
 
-    recorder = _TraceRecorder(model, shards, len(logged), m, d)
+    recorder = _TraceRecorder(model, shards, len(logged), m, d, config.seed)
     recorder2 = (
-        _TraceRecorder(model, shards2, len(logged), m, d) if shards2 is not None else None
+        _TraceRecorder(model, shards2, len(logged), m, d, config.seed)
+        if shards2 is not None
+        else None
     )
     sq_diffs = np.zeros((len(logged), m)) if shards2 is not None else None
 
@@ -430,11 +419,19 @@ def _run_pair(
 
 
 class _TraceRecorder:
-    """Accumulates snapshot rows for one trajectory."""
+    """Accumulates snapshot rows for one trajectory.
 
-    def __init__(self, model: LossModel, shards: Shards, slots: int, m: int, d: int):
+    Raises NumericalError at the first snapshot whose consensus distance is
+    not finite: a non-finite W stays non-finite under W' = P W - eta G, so a
+    divergent run is always caught by the final snapshot at the latest.
+    """
+
+    def __init__(
+        self, model: LossModel, shards: Shards, slots: int, m: int, d: int, seed: int
+    ):
         self.model = model
         self.shards = shards
+        self.seed = seed
         self.iterations = np.zeros(slots, dtype=int)
         self.consensus = np.zeros((slots, d))
         self.consensus_dist = np.zeros(slots)
@@ -444,7 +441,13 @@ class _TraceRecorder:
     def record(self, slot: int, t: int, W: np.ndarray) -> None:
         self.iterations[slot] = t
         self.consensus[slot] = consensus_model(W)
-        self.consensus_dist[slot] = consensus_distance(W)
+        distance = consensus_distance(W)
+        if not np.isfinite(distance):
+            raise NumericalError(
+                f"run with seed {self.seed} diverged: consensus distance is "
+                f"{distance} at step {t}"
+            )
+        self.consensus_dist[slot] = distance
         risks = worker_risks(self.model, W, self.shards)
         self.risks[slot] = risks
         self.mean_risk[slot] = risks.mean()

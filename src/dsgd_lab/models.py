@@ -15,10 +15,8 @@ closed-form population risk (w - w*)' Sigma (w - w*) / 2 + noise_std^2 / 2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "c_alpha_constant",
     "estimate_holder_constant",
     "self_bounding_check",
-    "load_dataset_csv",
 ]
 
 
@@ -160,10 +157,6 @@ class Shards:
     @property
     def d_x(self) -> int:
         return self.xs.shape[2]
-
-    def worker(self, k: int) -> list[Sample]:
-        """Shard k as a list of samples."""
-        return [Sample(self.xs[k, i].copy(), float(self.ys[k, i])) for i in range(self.n)]
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """All N samples as (N, d_x) features and (N,) labels."""
@@ -446,27 +439,3 @@ def self_bounding_check(
     else:
         max_ratio = 0.0 if np.all(grads <= 1e-12) else float("inf")
     return SelfBoundingReport(trials=trials, violations=violations, max_ratio=max_ratio)
-
-
-def load_dataset_csv(path: str | Path) -> list[Sample]:
-    """Load user-supplied samples from a CSV with header x1,...,xdx,y."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"dataset file not found: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[-1].strip() != "y":
-            raise InputError("dataset CSV must end its header row with column 'y'")
-        d_x = len(header) - 1
-        if d_x < 1 or [h.strip() for h in header[:-1]] != [f"x{i+1}" for i in range(d_x)]:
-            raise InputError("dataset CSV header must be x1,...,xdx,y")
-        samples: list[Sample] = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != d_x + 1:
-                raise InputError(f"row {line} has {len(row)} fields, expected {d_x + 1}")
-            values = [float(v) for v in row]
-            samples.append(Sample(np.array(values[:-1]), values[-1]))
-    if not samples:
-        raise InputError("dataset CSV holds no samples")
-    return samples

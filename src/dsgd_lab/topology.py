@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 
 __all__ = [
     "TopologyKind",
@@ -40,8 +40,8 @@ __all__ = [
 # matrices loaded from CSV get a looser gate to absorb decimal round-trips.
 BUILD_SUM_TOL = 1e-12
 LOAD_SUM_TOL = 1e-9
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+# lambda within this of 0 or 1 snaps to exactly 0 or 1.
+EIGEN_SNAP_TOL = 1e-12
 
 
 class TopologyKind(str, Enum):
@@ -216,67 +216,22 @@ def load_gossip_matrix(path: str | Path) -> GossipMatrix:
     return GossipMatrix(m=entries.shape[0], entries=entries, kind=TopologyKind.CUSTOM)
 
 
-def _jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate away every off-diagonal pair in turn until all off-diagonal
-    magnitudes fall below JACOBI_OFF_TOL. Dependency-free and adequate for
-    m <= 256.
-
-    Raises:
-        NumericalError: no convergence within JACOBI_MAX_SWEEPS sweeps
-            (unreachable for symmetric input in practice).
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    m = a.shape[0]
-    if m == 1:
-        return a.diagonal().copy()
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.max(np.abs(np.triu(a, k=1))))
-        if off < JACOBI_OFF_TOL:
-            return np.sort(a.diagonal())[::-1].copy()
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                aij = a[i, j]
-                if abs(aij) < JACOBI_OFF_TOL / m:
-                    continue
-                # Classical Givens rotation that annihilates a[i, j].
-                tau = (a[j, j] - a[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-    raise NumericalError(
-        f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
 def eigenvalues_symmetric(P: GossipMatrix) -> SpectrumReport:
     """Compute the full spectrum of a gossip matrix.
 
     lambda is taken over the descending-sorted eigenvalues excluding exactly
-    one leading eigenvalue. The solver only resolves eigenvalues down to its
-    off-diagonal tolerance, so magnitudes at or below it report as exactly 0
-    and values within it of 1 as exactly 1 (uniform averaging and identity
-    matrices then yield gaps of exactly 1 and 0).
+    one leading eigenvalue. Magnitudes at or below EIGEN_SNAP_TOL report as
+    exactly 0 and values within it of 1 as exactly 1 (uniform averaging and
+    identity matrices then yield gaps of exactly 1 and 0).
     """
-    eigenvalues = _jacobi_eigenvalues(P.entries)
+    eigenvalues = np.linalg.eigvalsh(P.entries)[::-1].copy()
     if P.m == 1:
         lam = 0.0
     else:
         lam = max(abs(float(eigenvalues[1])), abs(float(eigenvalues[-1])))
-        if lam <= JACOBI_OFF_TOL:
+        if lam <= EIGEN_SNAP_TOL:
             lam = 0.0
-        elif abs(lam - 1.0) <= JACOBI_OFF_TOL:
+        elif abs(lam - 1.0) <= EIGEN_SNAP_TOL:
             lam = 1.0
         lam = min(max(lam, 0.0), 1.0)
     return SpectrumReport(eigenvalues=eigenvalues, lam=lam, spectral_gap=1.0 - lam)
@@ -299,8 +254,7 @@ def mixing_error(P: GossipMatrix, k: int) -> float:
         raise InputError(f"power k must be >= 1, got {k}")
     uniform = np.full((P.m, P.m), 1.0 / P.m)
     deviation = np.linalg.matrix_power(P.entries, k) - uniform
-    eigenvalues = _jacobi_eigenvalues(deviation)
-    return float(np.max(np.abs(eigenvalues)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(deviation))))
 
 
 def analytic_gap_order(kind: TopologyKind, m: int) -> float:

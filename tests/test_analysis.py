@@ -523,6 +523,12 @@ def test_control_sweep_validates_inputs():
     with pytest.raises(InputError):
         consensus_control_sweep(P, task, LINEAR, config, n=4, gamma_sq=1e-4,
                                 t_gamma_values=[0, 6], replicates=4, pairs=2)
+    with pytest.raises(InputError, match="2 onsets"):
+        consensus_control_sweep(P, task, LINEAR, config, n=4, gamma_sq=1e-4,
+                                t_gamma_values=[6], replicates=5, pairs=2)
+    with pytest.raises(InputError, match="t_gamma"):
+        consensus_control_sweep(P, task, LINEAR, config, n=4, gamma_sq=1e-4,
+                                t_gamma_values=[0, 13], replicates=5, pairs=2)
 
 
 def test_topology_comparison_single_kind_row():

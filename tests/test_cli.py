@@ -1,12 +1,20 @@
 """Config parsing, experiment dispatch, artifact schemas, and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import dsgd_lab.cli as cli
-from dsgd_lab.cli import main, parse_config, run_experiment
+from dsgd_lab.cli import (
+    ExperimentConfig,
+    RunManifest,
+    emit_json_summary,
+    main,
+    parse_config,
+    run_experiment,
+)
 from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import ModelFamily
 from dsgd_lab.topology import TopologyKind
@@ -83,11 +91,16 @@ def test_missing_file_is_rejected(tmp_path):
         (dict(experiment="consensus-control", R=4), "R"),
         (dict(experiment="topology", kind="custom"), "matrix_path"),
         (dict(experiment="stability", jobs=0), "jobs"),
+        (dict(experiment="stability", eta=float("inf")), "eta"),
     ],
 )
 def test_constraint_violations_name_the_key(tmp_path, entries, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_config(write_config(tmp_path, **entries))
+
+
+def test_spec_lists_exactly_the_config_fields():
+    assert set(cli._SPEC) == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_overrides_replace_config_values(tmp_path):
@@ -289,6 +302,35 @@ def test_main_maps_numerical_errors_to_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", explode)
     assert main([str(path)]) == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_divergent_run_exits_two_without_summary(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, experiment="stability", kind="ring", m=4, eta=50,
+                        T=200, R=2, pairs=1, n=10, output_dir=str(out))
+    assert main([str(path), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "diverged" in err and "seed" in err and "step" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_single_onset_consensus_control_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, experiment="consensus-control", kind="ring", m=4,
+                        T=50, R=5, pairs=1, n=10, t_gamma=[10],
+                        output_dir=str(tmp_path / "out"))
+    assert main([str(path)]) == 1
+    assert "t_gamma" in capsys.readouterr().err
+
+
+def test_json_artifacts_reject_non_finite_numbers(tmp_path):
+    with pytest.raises(NumericalError, match="summary.json"):
+        emit_json_summary({"value": float("nan")}, tmp_path / "summary.json")
+    manifest = RunManifest(config={}, config_sha256="", tool_version="",
+                           wall_seconds=float("inf"), seeds={}, files={})
+    with pytest.raises(NumericalError, match="manifest.json"):
+        manifest.write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jobs_env_default(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dsgd_lab.engine import (
+    ConsensusControl,
     ConstantRate,
     Perturbation,
     PerturbationMode,
@@ -19,7 +20,6 @@ from dsgd_lab.engine import (
     dsgd_step,
     run_coupled,
     run_dsgd,
-    run_with_consensus_control,
 )
 from dsgd_lab.errors import InputError
 from dsgd_lab.models import (
@@ -377,7 +377,8 @@ def test_controlled_run_with_onset_at_end_matches_plain_run():
     shards = make_shards(task, 4, 4)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=21)
-    controlled = run_with_consensus_control(P, shards, LINEAR, config, gamma_sq=1e-8, t_gamma=30)
+    control = ConsensusControl(gamma_sq=1e-8, t_gamma=30)
+    controlled = run_dsgd(P, shards, LINEAR, config, control=control)
     plain = run_dsgd(P, shards, LINEAR, config)
     assert np.array_equal(controlled.final_weights, plain.final_weights)
     assert controlled.extra_gossip_rounds == 0
@@ -388,7 +389,8 @@ def test_controlled_run_with_infinite_target_matches_plain_run():
     shards = make_shards(task, 4, 4)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=23)
-    controlled = run_with_consensus_control(P, shards, LINEAR, config, gamma_sq=math.inf, t_gamma=0)
+    control = ConsensusControl(gamma_sq=math.inf, t_gamma=0)
+    controlled = run_dsgd(P, shards, LINEAR, config, control=control)
     plain = run_dsgd(P, shards, LINEAR, config)
     assert np.array_equal(controlled.final_weights, plain.final_weights)
 
@@ -399,7 +401,8 @@ def test_controlled_run_keeps_logged_distance_below_target():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=50, rate=ConstantRate(0.1), seed=25, snapshot_every=5)
     gamma_sq = 1e-5
-    trace = run_with_consensus_control(P, shards, LINEAR, config, gamma_sq, t_gamma=0, max_rounds=400)
+    control = ConsensusControl(gamma_sq=gamma_sq, t_gamma=0, max_rounds=400)
+    trace = run_dsgd(P, shards, LINEAR, config, control=control)
     assert np.all(trace.consensus_dist <= gamma_sq + 1e-15)
     assert trace.extra_gossip_rounds > 0
 
@@ -409,5 +412,9 @@ def test_controlled_run_rejects_bad_onset():
     shards = make_shards(task, 4, 4)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0)
-    with pytest.raises(InputError):
-        run_with_consensus_control(P, shards, LINEAR, config, gamma_sq=1e-4, t_gamma=11)
+    control = ConsensusControl(gamma_sq=1e-4, t_gamma=11)
+    with pytest.raises(InputError, match="t_gamma"):
+        run_dsgd(P, shards, LINEAR, config, control=control)
+    perturbation = draw_perturbation(task, 4, 4, PerturbationMode.SYNCHRONIZED, seed=1)
+    with pytest.raises(InputError, match="t_gamma"):
+        run_coupled(P, shards, LINEAR, config, perturbation, control=control)

@@ -14,7 +14,6 @@ from dsgd_lab.models import (
     c_alpha_constant,
     dataset_risk,
     estimate_holder_constant,
-    load_dataset_csv,
     loss_gradient,
     loss_gradients,
     loss_value,
@@ -93,14 +92,6 @@ def test_shard_iid_singletons():
     task = make_task(ModelFamily.LINEAR_REGRESSION)
     shards = shard_iid(sample_dataset(task, 6, seed=0), 6)
     assert shards.m == 6 and shards.n == 1
-
-
-def test_shards_worker_roundtrip():
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
-    data = sample_dataset(task, 6, seed=3)
-    shards = shard_iid(data, 3)
-    w1 = shards.worker(1)
-    assert np.array_equal(w1[0].x, data[2].x) and w1[1].y == data[3].y
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +312,3 @@ def test_self_bounding_flags_an_understated_constant():
     report = self_bounding_check(model, task, 1.0, L=1e-4, trials=300, seed=47)
     assert report.violations > 0
     assert report.max_ratio > 1.0
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion
-# ---------------------------------------------------------------------------
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("x1,x2,y\n1.0,2.0,3.0\n-1.5,0.25,0.0\n")
-    data = load_dataset_csv(path)
-    assert len(data) == 2
-    assert np.array_equal(data[0].x, [1.0, 2.0]) and data[0].y == 3.0
-    assert np.array_equal(data[1].x, [-1.5, 0.25]) and data[1].y == 0.0
-
-
-@pytest.mark.parametrize(
-    "content,fragment",
-    [
-        ("a,b,c\n1,2,3\n", "header"),
-        ("x1,x2,y\n1,2\n", "fields"),
-        ("x1,x2,y\n", "no samples"),
-    ],
-)
-def test_dataset_csv_rejects_malformed(tmp_path, content, fragment):
-    path = tmp_path / "data.csv"
-    path.write_text(content)
-    with pytest.raises(InputError, match=fragment):
-        load_dataset_csv(path)

@@ -1,9 +1,10 @@
-"""Gossip-matrix builders, the eigensolver, and mixing diagnostics."""
+"""Gossip-matrix builders, spectra, and mixing diagnostics."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsgd_lab.errors import InputError
 from dsgd_lab.topology import (
@@ -17,7 +18,7 @@ from dsgd_lab.topology import (
     mixing_error,
     spectral_gap,
 )
-from dsgd_lab.topology import _jacobi_eigenvalues, _neighbor_sets
+from dsgd_lab.topology import EIGEN_SNAP_TOL, _neighbor_sets
 
 ALL_BUILDABLE = list(CONNECTED_KINDS) + [TopologyKind.DISCONNECTED]
 
@@ -219,14 +220,29 @@ def test_spectrum_invariants_all_topologies():
             assert np.all(np.diff(report.eigenvalues) <= 1e-12)
 
 
-def test_jacobi_matches_numpy_on_random_symmetric_matrices():
-    rng = np.random.default_rng(7)
-    for m in (3, 8, 17):
-        A = rng.standard_normal((m, m))
-        A = (A + A.T) / 2
-        ours = _jacobi_eigenvalues(A)
-        reference = np.sort(np.linalg.eigvalsh(A))[::-1]
-        assert np.allclose(ours, reference, atol=1e-10)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(k, m) for k in ALL_BUILDABLE for m in range(1, 65) if allowed(k, m)]))
+def test_spectrum_properties_every_admissible_size(case):
+    kind, m = case
+    report = eigenvalues_symmetric(build_gossip_matrix(kind, m))
+    e = report.eigenvalues
+    assert e.shape == (m,)
+    assert np.all(np.diff(e) <= 0.0)
+    assert abs(e[0] - 1.0) <= 1e-12
+    # eigvalsh returns the unit eigenvalue up to ~1e-15 above 1.
+    assert np.all(np.abs(e) <= 1.0 + 1e-12)
+    assert 0.0 <= report.lam <= 1.0
+    assert report.spectral_gap == 1.0 - report.lam
+    if m == 1:
+        assert report.lam == 0.0
+        return
+    raw = max(abs(e[1]), abs(e[-1]))
+    if report.lam == 0.0:
+        assert raw <= EIGEN_SNAP_TOL
+    elif report.lam == 1.0:
+        assert abs(raw - 1.0) <= EIGEN_SNAP_TOL
+    else:
+        assert report.lam == raw
 
 
 def test_single_worker_spectrum():

@@ -514,10 +514,8 @@ def generalization_gap(
 ) -> GenGapReport:
     """Gap curve F(consensus) - F_S(consensus) for traces trained on `shards`.
 
-    The population risk uses the closed form for linear regression and a
-    fixed fresh holdout of mc_draws samples otherwise; the empirical risk is
-    the mean loss over the full training set. The standard error is over the
-    given traces.
+    Every (trace, snapshot) consensus model is evaluated in one stack by
+    _consensus_gaps. The standard error is over the given traces.
     """
     if not traces:
         raise InputError("at least one trace is required")
@@ -525,20 +523,9 @@ def generalization_gap(
     for trace in traces[1:]:
         if not np.array_equal(trace.iterations, reference):
             raise InputError("traces must share their snapshot iterations")
-    xs_train, ys_train = shards.flat()
-    eval_data: tuple[np.ndarray, np.ndarray] | None = None
-    if task.family is not ModelFamily.LINEAR_REGRESSION:
-        rng = np.random.default_rng(derive_seed(seed, "gengap-holdout"))
-        eval_data = draw_dataset_arrays(task, mc_draws, rng)
-    curves = np.zeros((len(traces), len(reference)))
-    for i, trace in enumerate(traces):
-        for j in range(len(reference)):
-            w = trace.consensus[j]
-            if eval_data is None:
-                population = population_risk(task, w)
-            else:
-                population = dataset_risk(model, w, *eval_data)
-            curves[i, j] = population - dataset_risk(model, w, xs_train, ys_train)
+    stack = np.concatenate([trace.consensus for trace in traces])
+    gaps = _consensus_gaps(stack, task, model, shards, mc_draws, seed)
+    curves = gaps.reshape(len(traces), len(reference))
     se = (
         curves.std(axis=0, ddof=1) / math.sqrt(len(traces))
         if len(traces) > 1
@@ -547,6 +534,28 @@ def generalization_gap(
     return GenGapReport(
         iterations=reference.copy(), mean=curves.mean(axis=0), se=se, traces=len(traces)
     )
+
+
+def _consensus_gaps(
+    W: np.ndarray,
+    task: SyntheticTask,
+    model: LossModel,
+    shards: Shards,
+    mc_draws: int,
+    seed: int,
+) -> np.ndarray:
+    """F(w) - F_S(w) for each row of W (S, d) trained on `shards`.
+
+    The population risk uses the closed form for linear regression and
+    otherwise a fixed fresh holdout of mc_draws samples, drawn from `seed`;
+    the empirical risk is the mean loss over the full training set.
+    """
+    if task.family is ModelFamily.LINEAR_REGRESSION:
+        population = population_risk(task, W)
+    else:
+        rng = np.random.default_rng(derive_seed(seed, "gengap-holdout"))
+        population = dataset_risk(model, W, *draw_dataset_arrays(task, mc_draws, rng))
+    return population - dataset_risk(model, W, *shards.flat())
 
 
 def _gengap_replicate(args: tuple) -> np.ndarray:
@@ -792,10 +801,10 @@ def topology_comparison(
     """Stability and generalization gap per topology on identical data.
 
     All topologies share the replicate seeds, hence the same shards,
-    perturbations and sampling sequences; the gap is computed from the base
-    trajectories of the coupled runs, averaged per replicate. Each row keeps
-    its per-replicate final stability and gap, from which paired differences
-    between kinds follow. With keep_traces, each estimate retains its coupled
+    perturbations and sampling sequences; the gap is that of the final
+    consensus model of each base trajectory, averaged per replicate. Each row
+    keeps its per-replicate final stability and gap, from which paired
+    differences between kinds follow. With keep_traces, each estimate retains its coupled
     traces for downstream bound evaluation.
     """
     rows = []
@@ -811,15 +820,12 @@ def topology_comparison(
         replicate_gaps = []
         for r in range(replicates):
             chunk = estimate.coupled[r * pairs : (r + 1) * pairs]
-            report = generalization_gap(
-                [trace.base for trace in chunk],
-                task,
-                model,
-                estimate.shards[r],
-                mc_draws=mc_draws,
-                seed=config.seed,
+            finals = np.stack([trace.base.consensus[-1] for trace in chunk])
+            replicate_gaps.append(
+                _consensus_gaps(
+                    finals, task, model, estimate.shards[r], mc_draws, config.seed
+                ).mean()
             )
-            replicate_gaps.append(report.final)
         gaps = np.array(replicate_gaps)
         rows.append(
             ComparisonRow(

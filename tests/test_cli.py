@@ -204,6 +204,20 @@ def test_gengap_experiment(tmp_path):
     assert rows[0][0] == "0"
 
 
+def test_mlp_gengap_csv_does_not_depend_on_jobs(tmp_path):
+    # 201 snapshots of width 3 give holdout blocks of 108 samples, so 1,001
+    # samples end in a partial block.
+    entries = dict(experiment="gengap", kind="ring", m=4, family="two_layer_mlp",
+                   hidden_width=3, d_x=3, n=5, T=200, R=3, mc_samples=1001)
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        path = write_config(tmp_path, output_dir=str(out), **entries)
+        assert main([str(path), "--jobs", jobs]) == 0
+        csvs.append((out / "gengap.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_bound_experiment_summary_and_domination_flag(tmp_path):
     out = tmp_path / "out"
     config = parse_config(
@@ -304,14 +318,19 @@ def test_main_maps_numerical_errors_to_exit_two(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+# A RuntimeWarning is an error here, so one raised in this process or in a
+# forked pool worker fails the test even where pytest would capture it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_divergent_run_exits_two_without_summary(tmp_path, capsys, jobs):
+def test_divergent_run_exits_two_without_summary(tmp_path, capfd, jobs):
     out = tmp_path / "out"
     path = write_config(tmp_path, experiment="stability", kind="ring", m=4, eta=50,
                         T=200, R=2, pairs=1, n=10, output_dir=str(out))
     assert main([str(path), "--jobs", jobs]) == 2
-    err = capsys.readouterr().err
+    # capfd, not capsys: pool workers write their warnings to file descriptor 2.
+    err = capfd.readouterr().err
     assert "diverged" in err and "seed" in err and "step" in err
+    assert "RuntimeWarning" not in err
     assert not (out / "summary.json").exists()
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsgd_lab.errors import InputError
 from dsgd_lab.models import (
@@ -13,6 +14,7 @@ from dsgd_lab.models import (
     SyntheticTask,
     c_alpha_constant,
     dataset_risk,
+    draw_dataset_arrays,
     estimate_holder_constant,
     loss_gradient,
     loss_gradients,
@@ -21,6 +23,8 @@ from dsgd_lab.models import (
     population_risk,
     population_risk_mc,
     sample_dataset,
+    _risk_block_rows,
+    _softplus,
     self_bounding_check,
     shard_iid,
     worker_risks,
@@ -184,8 +188,64 @@ def test_worker_risks_match_dataset_risk():
     W = rng.standard_normal((3, 3))
     risks = worker_risks(model, W, shards)
     for k in range(3):
-        expected = dataset_risk(model, W[k], shards.xs[k], shards.ys[k])
-        assert risks[k] == pytest.approx(expected, abs=1e-14)
+        expected = dataset_risk(model, W[k : k + 1], shards.xs[k], shards.ys[k])
+        assert risks[k] == pytest.approx(expected[0], abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    stack=st.integers(1, 30),
+    blocks=st.sampled_from([0, 1, 2]),
+    offset=st.sampled_from([-1, 0, 1, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_dataset_risk_matches_per_row_losses(family, stack, blocks, offset, seed):
+    model = LossModel(family=family, hidden_width=3, softplus_sharpness=2.0)
+    # Sample counts just below, at and past a whole number of blocks.
+    count = max(1, blocks * _risk_block_rows(model, stack) + offset)
+    task = make_task(family, d_x=4)
+    rng = np.random.default_rng(seed)
+    xs, ys = draw_dataset_arrays(task, count, rng)
+    W = rng.standard_normal((stack, model.dim(4)))
+    reference = [
+        loss_values(model, np.broadcast_to(w, (count, w.shape[0])), xs, ys).mean() for w in W
+    ]
+    risks = dataset_risk(model, W, xs, ys)
+    assert risks.shape == (stack,)
+    assert np.allclose(risks, reference, rtol=1e-12, atol=0.0)
+
+
+def test_dataset_risk_rejects_a_single_weight_vector():
+    model = make_model(ModelFamily.LINEAR_REGRESSION)
+    with pytest.raises(InputError, match="stack"):
+        dataset_risk(model, np.zeros(3), np.zeros((4, 3)), np.zeros(4))
+
+
+# Inputs where the two softplus forms must agree exactly, at every sharpness.
+SOFTPLUS_EXTREMES = [np.inf, -np.inf, 0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0]
+
+# np.exp and np.log1p each round to within an ulp of the libm results that
+# np.logaddexp uses, so the two compositions drift up to a few ulp apart: the
+# worst of 40 million draws over eight scales and five sharpnesses was 2.9 eps
+# relative.
+SOFTPLUS_RTOL = 4 * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-1e3, 1e3), sharpness=st.sampled_from([0.5, 1.0, 2.0, 5.0, 20.0]))
+def test_softplus_matches_logaddexp(t, sharpness):
+    value = _softplus(np.array([sharpness * t]))[0] / sharpness
+    expected = np.logaddexp(0.0, sharpness * t) / sharpness
+    assert value == pytest.approx(expected, rel=SOFTPLUS_RTOL, abs=0.0)
+
+
+def test_softplus_extremes_match_logaddexp_exactly():
+    t = np.array(SOFTPLUS_EXTREMES + [np.nan])
+    for sharpness in (1.0, 5.0):
+        with np.errstate(invalid="ignore"):
+            expected = np.logaddexp(0.0, sharpness * t) / sharpness
+        assert np.array_equal(_softplus(sharpness * t) / sharpness, expected, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +266,52 @@ def test_population_risk_unit_offset():
 
 def test_monte_carlo_risk_agrees_with_closed_form():
     task = make_task(ModelFamily.LINEAR_REGRESSION, d_x=4, noise_std=0.3)
+    model = make_model(ModelFamily.LINEAR_REGRESSION)
     rng = np.random.default_rng(29)
     for probe in range(20):
         w = task.w_star + 0.5 * rng.standard_normal(4)
         exact = population_risk(task, w)
-        estimate, stderr = population_risk_mc(task, w, draws=20_000, seed=probe)
+        estimate, stderr = population_risk_mc(task, model, w, draws=20_000, seed=probe)
         assert abs(estimate - exact) < 3 * stderr
+
+
+def test_population_risk_of_a_stack_is_per_row():
+    task = make_task(ModelFamily.LINEAR_REGRESSION, d_x=4, noise_std=0.3)
+    W = task.w_star + np.random.default_rng(31).standard_normal((5, 4))
+    assert np.allclose(population_risk(task, W), [population_risk(task, w) for w in W],
+                       rtol=1e-15, atol=0.0)
+
+
+def test_population_risk_has_no_closed_form_beyond_linear():
+    task = make_task(ModelFamily.TWO_LAYER_MLP)
+    with pytest.raises(InputError, match="population_risk_mc"):
+        population_risk(task, np.zeros(4 * 3 + 4))
+
+
+def test_monte_carlo_risk_uses_the_model_sharpness_and_width():
+    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3, softplus_sharpness=2.0)
+    task = make_task(ModelFamily.TWO_LAYER_MLP, d_x=3)
+    w = np.random.default_rng(37).standard_normal(model.dim(3))
+    estimate, _ = population_risk_mc(task, model, w, draws=500, seed=41)
+    xs, ys = draw_dataset_arrays(task, 500, np.random.default_rng(41))
+    assert estimate == pytest.approx(dataset_risk(model, w[None, :], xs, ys)[0], rel=1e-12)
 
 
 def test_monte_carlo_risk_rejects_tiny_draw_count():
     task = make_task(ModelFamily.LINEAR_REGRESSION)
+    model = make_model(ModelFamily.LINEAR_REGRESSION)
     with pytest.raises(InputError):
-        population_risk_mc(task, task.w_star, draws=1, seed=0)
+        population_risk_mc(task, model, task.w_star, draws=1, seed=0)
+
+
+def test_monte_carlo_risk_rejects_a_mismatched_model():
+    task = make_task(ModelFamily.LINEAR_REGRESSION)
+    model = make_model(ModelFamily.LINEAR_REGRESSION)
+    with pytest.raises(InputError, match="shape"):
+        population_risk_mc(task, model, np.zeros(4), draws=10, seed=0)
+    with pytest.raises(InputError, match="family"):
+        population_risk_mc(task, make_model(ModelFamily.TWO_LAYER_MLP), task.w_star,
+                           draws=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ from .analysis import (
     generalization_bound_from_stability,
     optimize_bound_p,
     replicated_generalization_gap,
-    run_iterations,
     stability_bound_curve,
     stability_bound_limit,
     topology_comparison,
@@ -639,18 +638,19 @@ def _run_compare(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
         path,
     )
     by_lam = sorted(result.rows, key=lambda r: r.lam)
-    stability_ordered = all(
-        by_lam[i].stability_final <= by_lam[i + 1].stability_final
-        for i in range(len(by_lam) - 1)
-    )
-    gengap_ordered = all(
-        by_lam[i].gengap_final <= by_lam[i + 1].gengap_final
-        for i in range(len(by_lam) - 1)
-    )
+    reference = by_lam[0]
     summary = {
         "kinds_by_lambda": [r.kind.value for r in by_lam],
-        "stability_ordered_by_lambda": stability_ordered,
-        "gengap_ordered_by_lambda": gengap_ordered,
+        "paired_reference_kind": reference.kind.value,
+        "paired_differences": {
+            r.kind.value: {
+                "stability": _paired_difference(
+                    r.stability_replicates, reference.stability_replicates
+                ),
+                "gengap": _paired_difference(r.gengap_replicates, reference.gengap_replicates),
+            }
+            for r in result.rows
+        },
         "rows": {
             r.kind.value: {
                 "lambda": r.lam,
@@ -661,6 +661,16 @@ def _run_compare(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
         },
     }
     return [path], summary, _replicate_seeds(config, "stability")
+
+
+def _paired_difference(values: np.ndarray, reference: np.ndarray) -> dict:
+    """Per-replicate differences from a reference kind, their mean and paired SE."""
+    diff = values - reference
+    return {
+        "replicates": diff.tolist(),
+        "mean": float(diff.mean()),
+        "se": float(diff.std(ddof=1) / math.sqrt(len(diff))),
+    }
 
 
 def _run_consensus_control(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:

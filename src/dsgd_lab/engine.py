@@ -15,6 +15,11 @@ A coupled run drives two trajectories, on a shard set S and on a neighboring
 set that differs in one sample per affected worker, with the same seed and
 hence identical sample-index sequences; per-worker squared weight differences
 are the raw material of the stability estimators.
+
+One loop serves single and coupled runs. It draws the sample indices of all
+T steps up front as one (T, m) block of the run's stream (the same indices as
+T draws of m), and steps a stack W (s, m, d): s = 1 for a single run, s = 2
+for a coupled pair, whose sides share one gossip product and gradient call.
 """
 
 from __future__ import annotations
@@ -219,15 +224,19 @@ def draw_perturbation(
 
 def apply_perturbation(shards: Shards, perturbation: Perturbation) -> Shards:
     """Neighboring shard set: shards with the perturbed positions replaced."""
-    if not 0 <= perturbation.index < shards.n:
+    neighbor = Shards(xs=shards.xs.copy(), ys=shards.ys.copy())
+    _replace_samples(neighbor.xs, neighbor.ys, perturbation)
+    return neighbor
+
+
+def _replace_samples(xs: np.ndarray, ys: np.ndarray, perturbation: Perturbation) -> None:
+    """Write the perturbation's replacement samples into shard arrays in place."""
+    if not 0 <= perturbation.index < xs.shape[1]:
         raise InputError(
-            f"perturbation index {perturbation.index} outside shard size {shards.n}"
+            f"perturbation index {perturbation.index} outside shard size {xs.shape[1]}"
         )
-    xs = shards.xs.copy()
-    ys = shards.ys.copy()
     xs[perturbation.workers, perturbation.index] = perturbation.replacement_xs
     ys[perturbation.workers, perturbation.index] = perturbation.replacement_ys
-    return Shards(xs=xs, ys=ys)
 
 
 def consensus_model(W: np.ndarray) -> np.ndarray:
@@ -244,25 +253,23 @@ def consensus_distance(W: np.ndarray) -> float:
 def dsgd_step(
     W: np.ndarray,
     P: GossipMatrix,
-    shards: Shards,
-    zeta: np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
     eta_t: float,
     model: LossModel,
 ) -> np.ndarray:
-    """One update: gossip with P, then per-worker gradient steps.
+    """One update of a stack of runs W (..., m, d): gossip with P, then gradient steps.
 
-    zeta[k] selects the sample of shard k used by worker k; the gradient is
-    evaluated at the pre-communication model w_k.
+    X (..., m, d_x) and Y (..., m) hold the sample each worker of each run
+    uses at this step; the gradient is evaluated at the pre-communication
+    model w_k.
     """
-    m = shards.m
-    if W.shape[0] != m or P.m != m:
-        raise InputError("worker counts of W, P and shards disagree")
-    zeta = np.asarray(zeta)
-    if zeta.shape != (m,) or zeta.min() < 0 or zeta.max() >= shards.n:
-        raise InputError("zeta must hold one in-range sample index per worker")
-    rows = np.arange(m)
-    grads = loss_gradients(model, W, shards.xs[rows, zeta], shards.ys[rows, zeta])
-    return P.entries @ W - eta_t * grads
+    if W.shape[-2] != P.m or X.shape[:-1] != W.shape[:-1] or Y.shape != W.shape[:-1]:
+        raise InputError("worker counts of W, P and the drawn samples disagree")
+    grads = loss_gradients(
+        model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1)
+    )
+    return P.entries @ W - eta_t * grads.reshape(W.shape)
 
 
 def consensus_control_step(
@@ -300,18 +307,19 @@ def run_dsgd(
 ) -> RunTrace:
     """Run a full trajectory from the all-zeros initialization.
 
-    Per-worker sample indices are drawn uniformly from the run's seeded stream,
-    or taken from index_sequence (iterations, m) when given (exhaustive
-    enumeration support). With control set, every step after t_gamma is
-    followed by extra gossip rounds keeping the consensus distance at or below
-    gamma_sq. Deterministic in (inputs, seed).
+    Per-worker sample indices come from index_sequence (iterations, m) when
+    given (exhaustive enumeration support), else from one such block drawn up
+    front from the run's seeded stream (equal to one draw of m per step). With
+    control set, every step after t_gamma is followed by extra gossip rounds
+    keeping the consensus distance at most gamma_sq. Deterministic in (inputs, seed).
 
     Raises:
-        InputError: control.t_gamma lies past the run length.
+        InputError: control.t_gamma lies past the run length, or
+            index_sequence has the wrong shape or an index outside the shards.
         NumericalError: the run diverged (non-finite consensus distance).
     """
-    trace, _ = _run_pair(P, shards, model, config, None, index_sequence, control)
-    return trace
+    traces, _, _ = _run_pair(P, shards, model, config, None, index_sequence, control)
+    return traces[0]
 
 
 def run_coupled(
@@ -329,13 +337,11 @@ def run_coupled(
     worker; the trace records per-worker squared weight differences at each
     snapshot and the final per-coordinate differences.
     """
-    base, coupled = _run_pair(
+    traces, sq_diffs, W = _run_pair(
         P, shards, model, config, perturbation, index_sequence, control
     )
-    assert coupled is not None
-    perturbed, sq_diffs, final_diffs = coupled
     return CoupledTrace(
-        base=base, perturbed=perturbed, sq_diffs=sq_diffs, final_diffs=final_diffs
+        base=traces[0], perturbed=traces[1], sq_diffs=sq_diffs, final_diffs=W[0] - W[1]
     )
 
 
@@ -347,120 +353,99 @@ def _run_pair(
     perturbation: Perturbation | None,
     index_sequence: np.ndarray | None,
     control: ConsensusControl | None,
-) -> tuple[RunTrace, tuple[RunTrace, np.ndarray, np.ndarray] | None]:
-    """Shared trajectory loop; drives one run, or two in lockstep when coupled."""
+) -> tuple[list[RunTrace], np.ndarray | None, np.ndarray]:
+    """The trajectory loop: steps S, and its neighbour when coupled, as one stack.
+
+    Returns one trace per side, the per-worker squared differences between
+    the sides at each snapshot (None for a single run), and the final stack.
+    """
     m, n = shards.m, shards.n
-    d = model.dim(shards.d_x)
     total = config.iterations
     if P.m != m:
         raise InputError(f"gossip matrix size {P.m} does not match {m} shards")
     if control is not None and control.t_gamma > total:
         raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
-    if index_sequence is not None:
-        index_sequence = np.asarray(index_sequence)
-        if index_sequence.shape != (total, m):
-            raise InputError("index_sequence must have shape (iterations, m)")
-        if total and (index_sequence.min() < 0 or index_sequence.max() >= n):
-            raise InputError("index_sequence entries outside shard size")
-    rng = np.random.default_rng(config.seed)
+    if index_sequence is None:
+        index_sequence = np.random.default_rng(config.seed).integers(0, n, size=(total, m))
+    index_sequence = np.asarray(index_sequence)
+    if index_sequence.shape != (total, m):
+        raise InputError("index_sequence must have shape (iterations, m)")
+    if total and (index_sequence.min() < 0 or index_sequence.max() >= n):
+        raise InputError("index_sequence entries outside shard size")
+
+    if perturbation is None:
+        xs, ys = shards.xs[None], shards.ys[None]
+    else:
+        xs, ys = np.stack([shards.xs, shards.xs]), np.stack([shards.ys, shards.ys])
+        _replace_samples(xs[1], ys[1], perturbation)
+    sides = xs.shape[0]
     logged = _snapshot_iterations(total, config.cadence)
-    log_at = set(logged)
-
-    shards2 = apply_perturbation(shards, perturbation) if perturbation else None
-    W = np.zeros((m, d))
-    W2 = np.zeros((m, d)) if shards2 is not None else None
-
-    recorder = _TraceRecorder(model, shards, len(logged), m, d, config.seed)
-    recorder2 = (
-        _TraceRecorder(model, shards2, len(logged), m, d, config.seed)
-        if shards2 is not None
-        else None
-    )
-    sq_diffs = np.zeros((len(logged), m)) if shards2 is not None else None
-
-    def log(slot: int, t: int) -> None:
-        recorder.record(slot, t, W)
-        if recorder2 is not None:
-            recorder2.record(slot, t, W2)
-            sq_diffs[slot] = np.sum((W - W2) ** 2, axis=1)
-
-    slot = 0
-    log(slot, 0)
-    slot += 1
-    extra_rounds = 0
-    extra_rounds2 = 0
-    for t in range(total):
-        zeta = (
-            index_sequence[t]
-            if index_sequence is not None
-            else rng.integers(0, n, size=m)
-        )
-        eta_t = config.rate.at(t, total)
-        W = dsgd_step(W, P, shards, zeta, eta_t, model)
-        if control is not None and t + 1 > control.t_gamma:
-            W, used = consensus_control_step(W, P, control.gamma_sq, control.max_rounds)
-            extra_rounds += used
-        if W2 is not None:
-            W2 = dsgd_step(W2, P, shards2, zeta, eta_t, model)
+    recorder = _TraceRecorder(model, xs, ys, logged, config.seed)
+    W = np.zeros((sides, m, model.dim(shards.d_x)))
+    extra_rounds = [0] * sides
+    workers = np.arange(m)
+    recorder.record(0, W)
+    for slot in range(1, len(logged)):
+        for t in range(logged[slot - 1], logged[slot]):
+            zeta = index_sequence[t]
+            eta_t = config.rate.at(t, total)
+            W = dsgd_step(W, P, xs[:, workers, zeta], ys[:, workers, zeta], eta_t, model)
             if control is not None and t + 1 > control.t_gamma:
-                W2, used2 = consensus_control_step(
-                    W2, P, control.gamma_sq, control.max_rounds
-                )
-                extra_rounds2 += used2
-        if t + 1 in log_at:
-            log(slot, t + 1)
-            slot += 1
-
-    base = recorder.finish(W, extra_rounds)
-    if recorder2 is None:
-        return base, None
-    perturbed = recorder2.finish(W2, extra_rounds2)
-    return base, (perturbed, sq_diffs, (W - W2).copy())
+                # Round counts depend on each side's data, so control acts per side.
+                for side in range(sides):
+                    W[side], used = consensus_control_step(
+                        W[side], P, control.gamma_sq, control.max_rounds
+                    )
+                    extra_rounds[side] += used
+        recorder.record(slot, W)
+    return recorder.finish(W, extra_rounds), recorder.sq_diffs, W
 
 
 class _TraceRecorder:
-    """Accumulates snapshot rows for one trajectory.
+    """Snapshot rows of every side of a stacked run, at the logged iterations.
 
     Raises NumericalError at the first snapshot whose consensus distance is
     not finite: a non-finite W stays non-finite under W' = P W - eta G, so a
     divergent run is always caught by the final snapshot at the latest.
     """
 
-    def __init__(
-        self, model: LossModel, shards: Shards, slots: int, m: int, d: int, seed: int
-    ):
-        self.model = model
-        self.shards = shards
-        self.seed = seed
-        self.iterations = np.zeros(slots, dtype=int)
-        self.consensus = np.zeros((slots, d))
-        self.consensus_dist = np.zeros(slots)
-        self.risks = np.zeros((slots, m))
-        self.mean_risk = np.zeros(slots)
+    def __init__(self, model: LossModel, xs: np.ndarray, ys: np.ndarray, logged: list, seed: int):
+        sides, m, n, d_x = xs.shape
+        self.model, self.logged, self.seed = model, logged, seed
+        # Every side's shards as one set of s*m shards, for one worker_risks call.
+        self.shards = Shards(xs=xs.reshape(sides * m, n, d_x), ys=ys.reshape(sides * m, n))
+        self.consensus = np.zeros((sides, len(logged), model.dim(d_x)))
+        self.consensus_dist = np.zeros((sides, len(logged)))
+        self.risks = np.zeros((sides, len(logged), m))
+        self.sq_diffs = np.zeros((len(logged), m)) if sides == 2 else None
 
-    def record(self, slot: int, t: int, W: np.ndarray) -> None:
-        self.iterations[slot] = t
-        self.consensus[slot] = consensus_model(W)
-        # A diverging W overflows the sum of squares; that is reported below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            distance = consensus_distance(W)
-        if not np.isfinite(distance):
-            raise NumericalError(
-                f"run with seed {self.seed} diverged: consensus distance is "
-                f"{distance} at step {t}"
+    def record(self, slot: int, W: np.ndarray) -> None:
+        for side, w in enumerate(W):
+            self.consensus[side, slot] = consensus_model(w)
+            # A diverging W overflows the sum of squares; that is reported below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                distance = consensus_distance(w)
+            if not np.isfinite(distance):
+                raise NumericalError(
+                    f"run with seed {self.seed} diverged: consensus distance is "
+                    f"{distance} at step {self.logged[slot]}"
+                )
+            self.consensus_dist[side, slot] = distance
+        risks = worker_risks(self.model, W.reshape(-1, W.shape[-1]), self.shards)
+        self.risks[:, slot] = risks.reshape(W.shape[:2])
+        if self.sq_diffs is not None:
+            self.sq_diffs[slot] = np.sum((W[0] - W[1]) ** 2, axis=1)
+
+    def finish(self, W: np.ndarray, extra_rounds: list[int]) -> list[RunTrace]:
+        return [
+            RunTrace(
+                iterations=np.array(self.logged),
+                consensus=self.consensus[side],
+                consensus_dist=self.consensus_dist[side],
+                risks=self.risks[side],
+                mean_risk=self.risks[side].mean(axis=1),
+                final_weights=W[side].copy(),
+                extra_gossip_rounds=extra_rounds[side],
             )
-        self.consensus_dist[slot] = distance
-        risks = worker_risks(self.model, W, self.shards)
-        self.risks[slot] = risks
-        self.mean_risk[slot] = risks.mean()
-
-    def finish(self, W: np.ndarray, extra_rounds: int) -> RunTrace:
-        return RunTrace(
-            iterations=self.iterations,
-            consensus=self.consensus,
-            consensus_dist=self.consensus_dist,
-            risks=self.risks,
-            mean_risk=self.mean_risk,
-            final_weights=W.copy(),
-            extra_gossip_rounds=extra_rounds,
-        )
+            for side in range(len(W))
+        ]

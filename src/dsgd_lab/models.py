@@ -352,10 +352,14 @@ def _risk_block_rows(model: LossModel, stack: int) -> int:
 
 def worker_risks(model: LossModel, W: np.ndarray, shards: Shards) -> np.ndarray:
     """Per-worker empirical risks: mean loss of w_k over shard k, for all k."""
-    m, n = shards.m, shards.n
-    flat_w = np.repeat(W, n, axis=0)
-    losses = loss_values(model, flat_w, shards.xs.reshape(m * n, -1), shards.ys.reshape(-1))
-    return losses.reshape(m, n).mean(axis=1)
+    if model.family is not ModelFamily.TWO_LAYER_MLP:
+        out = np.einsum("knd,kd->kn", shards.xs, W)
+    else:
+        beta = model.softplus_sharpness
+        V, a = _unpack_mlp(model, W, shards.d_x)
+        hidden = _softplus(beta * np.einsum("khd,knd->knh", V, shards.xs)) / beta
+        out = np.einsum("knh,kh->kn", hidden, a)
+    return _losses(model.family, out, shards.ys).mean(axis=1)
 
 
 def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 import dsgd_lab.cli as cli
+from dsgd_lab.analysis import topology_comparison
 from dsgd_lab.cli import (
     ExperimentConfig,
     RunManifest,
@@ -174,8 +176,29 @@ def test_compare_experiment_four_topologies(tmp_path):
     assert len(rows) == 4
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["rows"]) == {"fully_connected", "exponential", "grid", "ring"}
-    assert isinstance(summary["stability_ordered_by_lambda"], bool)
-    assert isinstance(summary["gengap_ordered_by_lambda"], bool)
+    assert "stability_ordered_by_lambda" not in summary
+    assert "gengap_ordered_by_lambda" not in summary
+    # Paired differences against the smallest-lambda kind, from the row arrays.
+    result = topology_comparison(
+        config.kinds, config.m, config.task(), config.loss_model(),
+        config.train_config(), n=config.n, replicates=config.R,
+        pairs=config.pairs, mc_draws=config.mc_samples,
+    )
+    reference = min(result.rows, key=lambda row: row.lam)
+    assert summary["paired_reference_kind"] == reference.kind.value == "fully_connected"
+    assert set(summary["paired_differences"]) == set(summary["rows"])
+    for row in result.rows:
+        entry = summary["paired_differences"][row.kind.value]
+        for key, values, ref in (
+            ("stability", row.stability_replicates, reference.stability_replicates),
+            ("gengap", row.gengap_replicates, reference.gengap_replicates),
+        ):
+            diff = values - ref
+            assert entry[key]["replicates"] == diff.tolist()
+            assert entry[key]["mean"] == float(diff.mean())
+            assert entry[key]["se"] == float(diff.std(ddof=1) / math.sqrt(config.R))
+    ring = summary["paired_differences"]["ring"]["stability"]["replicates"]
+    assert len(ring) == config.R and any(value != 0.0 for value in ring)
 
 
 def test_gaussianity_experiment_histogram_schema(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsgd_lab.engine import (
     ConsensusControl,
@@ -87,13 +88,19 @@ def test_train_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def drawn(shards, zeta):
+    """The samples (X, Y) that the index vector zeta picks, one per worker."""
+    rows = np.arange(shards.m)
+    return shards.xs[rows, zeta], shards.ys[rows, zeta]
+
+
 def test_step_hand_example_two_workers():
     # Uniform pair averaging, d = 1: gossip lands both on 1.0, then the
     # gradients (1, -1) at eta = 0.1 split them to (0.9, 1.1).
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 2)
     shards = Shards(xs=np.ones((2, 1, 1)), ys=np.ones((2, 1)))
     W = np.array([[2.0], [0.0]])
-    stepped = dsgd_step(W, P, shards, np.array([0, 0]), 0.1, LINEAR)
+    stepped = dsgd_step(W, P, *drawn(shards, np.array([0, 0])), 0.1, LINEAR)
     assert np.allclose(stepped.ravel(), [0.9, 1.1])
 
 
@@ -103,7 +110,7 @@ def test_step_zero_rate_is_pure_gossip():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     rng = np.random.default_rng(1)
     W = rng.standard_normal((3, 3))
-    stepped = dsgd_step(W, P, shards, np.array([0, 1, 2]), 0.0, LINEAR)
+    stepped = dsgd_step(W, P, *drawn(shards, np.array([0, 1, 2])), 0.0, LINEAR)
     assert np.allclose(stepped, P.entries @ W, atol=0)
 
 
@@ -114,19 +121,11 @@ def test_step_identity_matrix_is_independent_sgd():
     rng = np.random.default_rng(2)
     W = rng.standard_normal((3, 3))
     zeta = np.array([1, 2, 0])
-    stepped = dsgd_step(W, P, shards, zeta, 0.05, LINEAR)
+    stepped = dsgd_step(W, P, *drawn(shards, zeta), 0.05, LINEAR)
     for k in range(3):
         z = Sample(shards.xs[k, zeta[k]], float(shards.ys[k, zeta[k]]))
         expected = W[k] - 0.05 * loss_gradient(LINEAR, W[k], z)
         assert np.allclose(stepped[k], expected, atol=1e-15)
-
-
-def test_step_rejects_bad_indices():
-    task = make_task()
-    shards = make_shards(task, 4, 3)
-    P = build_gossip_matrix(TopologyKind.RING, 3)
-    with pytest.raises(InputError):
-        dsgd_step(np.zeros((3, 3)), P, shards, np.array([0, 1, 4]), 0.1, LINEAR)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +252,42 @@ def test_forced_index_sequence_is_honored():
         run_dsgd(P, shards, LINEAR, config, index_sequence=sequence[:2])
 
 
+def test_index_sequence_rejects_out_of_range_entries():
+    task = make_task()
+    shards = make_shards(task, 3, 2)
+    P = build_gossip_matrix(TopologyKind.RING, 2)
+    config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
+    for bad in (-1, 3):
+        sequence = np.array([[0, 1], [2, 2], [1, bad], [0, 0]])
+        with pytest.raises(InputError, match="outside shard size"):
+            run_dsgd(P, shards, LINEAR, config, index_sequence=sequence)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 5, 7, 16]),
+    n=st.integers(1, 12),
+    iterations=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unseeded_run_uses_the_seeds_per_step_index_stream(m, n, iterations, seed):
+    # The engine draws a run's indices as one (T, m) block; that block must be
+    # the stream of T draws of m each, which the run then follows exactly.
+    rng = np.random.default_rng(seed)
+    per_step = [rng.integers(0, n, size=m) for _ in range(iterations)]
+    block = np.random.default_rng(seed).integers(0, n, size=(iterations, m))
+    assert np.array_equal(block, np.reshape(per_step, (iterations, m)))
+    shards = make_shards(make_task(), n, m, seed=seed % 1000)
+    P = build_gossip_matrix(
+        TopologyKind.DISCONNECTED if m == 1 else TopologyKind.FULLY_CONNECTED, m
+    )
+    config = TrainConfig(iterations=iterations, rate=ConstantRate(0.1), seed=seed)
+    drawn_run = run_dsgd(P, shards, LINEAR, config)
+    given_run = run_dsgd(P, shards, LINEAR, config, index_sequence=block)
+    assert np.array_equal(drawn_run.final_weights, given_run.final_weights)
+    assert np.array_equal(drawn_run.risks, given_run.risks)
+
+
 # ---------------------------------------------------------------------------
 # Perturbations and coupled runs
 # ---------------------------------------------------------------------------
@@ -314,16 +349,44 @@ def test_coupled_disconnected_difference_stays_local():
     assert np.max(coupled.sq_diffs[:, 2]) > 0.0
 
 
-def test_coupled_base_equals_plain_run():
-    task = make_task()
+def assert_same_trace(a, b):
+    assert np.array_equal(a.iterations, b.iterations)
+    assert np.array_equal(a.consensus, b.consensus)
+    assert np.array_equal(a.consensus_dist, b.consensus_dist)
+    assert np.array_equal(a.risks, b.risks)
+    assert np.array_equal(a.mean_risk, b.mean_risk)
+    assert np.array_equal(a.final_weights, b.final_weights)
+    assert a.extra_gossip_rounds == b.extra_gossip_rounds
+
+
+@pytest.mark.parametrize(
+    "family, control",
+    [
+        (ModelFamily.LINEAR_REGRESSION, None),
+        (ModelFamily.LINEAR_REGRESSION, ConsensusControl(gamma_sq=1e-4, t_gamma=10)),
+        (ModelFamily.TWO_LAYER_MLP, None),
+        (ModelFamily.TWO_LAYER_MLP, ConsensusControl(gamma_sq=1e-4, t_gamma=10)),
+    ],
+    ids=["linear", "linear-control", "mlp", "mlp-control"],
+)
+def test_coupled_base_equals_plain_run(family, control):
+    # Each side of a coupled run is stepped in one stack with the other; it
+    # must equal a plain run on its own shards, bit for bit.
+    model = LossModel(family=family, hidden_width=3)
+    task = SyntheticTask.isotropic(family, 3, np.full(3, 1.0 / math.sqrt(3)), 0.1)
     shards = make_shards(task, 4, 3)
     pert = draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=2)
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=35, rate=ConstantRate(0.08), seed=19)
-    coupled = run_coupled(P, shards, LINEAR, config, pert)
-    plain = run_dsgd(P, shards, LINEAR, config)
-    assert np.array_equal(coupled.base.final_weights, plain.final_weights)
-    assert np.array_equal(coupled.base.risks, plain.risks)
+    coupled = run_coupled(P, shards, model, config, pert, control=control)
+    assert_same_trace(coupled.base, run_dsgd(P, shards, model, config, control=control))
+    perturbed = apply_perturbation(shards, pert)
+    assert_same_trace(
+        coupled.perturbed, run_dsgd(P, perturbed, model, config, control=control)
+    )
+    if control is not None:
+        assert coupled.base.extra_gossip_rounds > 0
+        assert coupled.perturbed.extra_gossip_rounds > 0
 
 
 def test_coupled_difference_snapshots_are_consistent():

@@ -180,12 +180,13 @@ def test_loss_rejects_dimension_mismatch():
         loss_value(model, np.zeros(3), Sample(np.zeros(2), 0.0))
 
 
-def test_worker_risks_match_dataset_risk():
-    model = make_model(ModelFamily.LINEAR_REGRESSION)
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_worker_risks_match_dataset_risk(family):
+    model = make_model(family)
+    task = make_task(family)
     shards = shard_iid(sample_dataset(task, 12, seed=21), 3)
     rng = np.random.default_rng(23)
-    W = rng.standard_normal((3, 3))
+    W = rng.standard_normal((3, model.dim(3)))
     risks = worker_risks(model, W, shards)
     for k in range(3):
         expected = dataset_risk(model, W[k : k + 1], shards.xs[k], shards.ys[k])

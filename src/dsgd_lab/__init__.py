@@ -18,22 +18,16 @@ from .topology import (
     eigenvalues_symmetric,
     load_gossip_matrix,
     mixing_error,
-    spectral_gap,
 )
 from .models import (
     LossModel,
     ModelFamily,
-    Sample,
     Shards,
     SyntheticTask,
     c_alpha_constant,
     estimate_holder_constant,
-    loss_gradient,
-    loss_value,
     population_risk,
-    sample_dataset,
     self_bounding_check,
-    shard_iid,
 )
 from .engine import (
     ConstantRate,

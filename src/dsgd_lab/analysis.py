@@ -38,7 +38,6 @@ from .engine import (
     RunTrace,
     Schedule,
     TrainConfig,
-    _snapshot_iterations,
     draw_perturbation,
     run_coupled,
     run_dsgd,
@@ -193,9 +192,8 @@ def estimate_stability(
     if keep_traces:
         coupled = [trace for _, kept, _ in results for trace in kept]
         shards = [sh for _, _, sh in results]
-    reference = run_iterations(config)
     return StabilityEstimate(
-        iterations=reference,
+        iterations=config.snapshot_iterations,
         mean=rep_curves.mean(axis=0),
         se=rep_curves.std(axis=0, ddof=1) / math.sqrt(replicates),
         replicate_means=rep_curves,
@@ -205,11 +203,6 @@ def estimate_stability(
         coupled=coupled,
         shards=shards,
     )
-
-
-def run_iterations(config: TrainConfig) -> np.ndarray:
-    """The snapshot iteration numbers a run with this config logs."""
-    return np.array(_snapshot_iterations(config.iterations, config.cadence), dtype=int)
 
 
 def stability_exhaustive(
@@ -306,7 +299,8 @@ def estimate_epsilon_s(traces: list[RunTrace], alpha: float) -> float:
 class BoundInputs:
     """Every constant the stability and generalization bounds consume.
 
-    L and alpha describe the gradient regularity, rate the learning-rate
+    L and alpha describe the gradient regularity (alpha > 0: at alpha = 0,
+    c_alpha would need a bound on the gradients at 0), rate the learning-rate
     schedule, (n, m, d) the system shape, lam the topology's eigenvalue
     envelope, sigma_sq and mu_sq the weight-difference moment envelopes,
     epsilon_s the risk envelope, and p the free splitting parameter.
@@ -323,13 +317,12 @@ class BoundInputs:
     mu_sq: float
     epsilon_s: float
     p: float = 1.0
-    grad_at_zero_sup: float | None = None
 
     def __post_init__(self) -> None:
         if self.L <= 0:
             raise InputError("L must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError("alpha must lie in [0, 1]")
+        if not 0.0 < self.alpha <= 1.0:
+            raise InputError("alpha must lie in (0, 1]")
         if self.n < 1 or self.m < 1 or self.d < 1:
             raise InputError("n, m and d must be positive integers")
         if not 0.0 <= self.lam <= 1.0:
@@ -340,16 +333,17 @@ class BoundInputs:
             raise InputError("p must be positive")
         limit = (1.0 - 2.0 / self.m) / (2.0 * self.L)
         if self.rate.initial > limit:
+            # stacklevel 3 skips the dataclass-generated __init__ to name the caller.
             warnings.warn(
                 f"initial learning rate {self.rate.initial:.4g} exceeds the "
                 f"fixed-rate validity limit {limit:.4g} = (1 - 2/m) / (2 L); "
                 "the evaluated bound may not apply",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
     def c_alpha(self) -> float:
-        return c_alpha_constant(self.alpha, self.L, self.grad_at_zero_sup)
+        return c_alpha_constant(self.alpha, self.L)
 
     @property
     def contraction(self) -> float:
@@ -454,18 +448,14 @@ def generalization_bound_closed(inputs: BoundInputs, t: int) -> float:
     )
 
 
-def optimize_bound_p(
-    inputs: BoundInputs, risk_curve: np.ndarray, t_max: int, p_max: float = 100.0
-) -> float:
-    """Golden-section minimizer of the final stability bound over p in (0, p_max]."""
-    if p_max <= 0:
-        raise InputError("p_max must be positive")
+def optimize_bound_p(inputs: BoundInputs, risk_curve: np.ndarray, t_max: int) -> float:
+    """Golden-section minimizer of the final stability bound over p in (0, 100]."""
 
     def value(p: float) -> float:
         return float(stability_bound_curve(replace(inputs, p=p), risk_curve, t_max)[-1])
 
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-6, p_max
+    lo, hi = 1e-6, 100.0
     a = hi - ratio * (hi - lo)
     b = lo + ratio * (hi - lo)
     fa, fb = value(a), value(b)
@@ -587,7 +577,7 @@ def replicated_generalization_gap(
     items = [(P, task, model, config, n, mc_draws, r) for r in range(replicates)]
     curves = np.stack(_parallel_map(_gengap_replicate, items, jobs))
     return GenGapReport(
-        iterations=run_iterations(config),
+        iterations=config.snapshot_iterations,
         mean=curves.mean(axis=0),
         se=curves.std(axis=0, ddof=1) / math.sqrt(replicates),
         traces=replicates,
@@ -607,8 +597,6 @@ class GaussianityReport:
     excess_kurtosis: float
     passed: bool | None
     degenerate: bool
-    worker_mean_norms: np.ndarray
-    worker_variances: np.ndarray
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
 
@@ -628,17 +616,11 @@ def gaussianity_report(
     """
     if not coupled:
         raise InputError("at least one coupled trace is required")
-    diffs = np.stack([trace.final_diffs for trace in coupled])  # (R, m, d)
-    pool = diffs.reshape(-1)
+    pool = np.stack([trace.final_diffs for trace in coupled]).reshape(-1)
     if pool.size < 100:
         raise InputError(
             f"pooled coordinate count {pool.size} is below the required 100"
         )
-    worker_mean_norms = np.linalg.norm(diffs.mean(axis=0), axis=1)
-    if len(coupled) > 1:
-        worker_variances = diffs.var(axis=0, ddof=1).mean(axis=1)
-    else:
-        worker_variances = np.full(diffs.shape[1], np.nan)
     centered = pool - pool.mean()
     variance = float(np.mean(centered**2))
     counts, edges = np.histogram(pool, bins=bins)
@@ -649,8 +631,6 @@ def gaussianity_report(
             excess_kurtosis=0.0,
             passed=None,
             degenerate=True,
-            worker_mean_norms=worker_mean_norms,
-            worker_variances=worker_variances,
             histogram_counts=counts,
             histogram_edges=edges,
         )
@@ -662,8 +642,6 @@ def gaussianity_report(
         excess_kurtosis=excess_kurtosis,
         passed=bool(abs(skewness) <= skew_tol and abs(excess_kurtosis) <= kurt_tol),
         degenerate=False,
-        worker_mean_norms=worker_mean_norms,
-        worker_variances=worker_variances,
         histogram_counts=counts,
         histogram_edges=edges,
     )

@@ -27,7 +27,7 @@ defaults (not every experiment consumes every key):
     R                replicates                                [20]
     pairs            perturbations per replicate               [8]
     mode             "synchronized" or "single_worker"         ["synchronized"]
-    alpha            Hoelder exponent fed to the bounds        [1.0]
+    alpha            Hoelder exponent of the bounds, in (0, 1] [1.0]
     p                free bound parameter                      [1.0]
     optimize_p       minimize the bound over p                 [false]
     holder_pairs     probes for the Hoelder-constant estimate  [2000]
@@ -57,7 +57,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
 from typing import Any
 
@@ -105,43 +108,53 @@ EXPERIMENTS = (
 FLOAT_FORMAT = "%.12g"
 
 
+# Sign constraints a config value must meet, kept in its field's metadata.
+POSITIVE = {"sign": "positive"}
+NONNEGATIVE = {"sign": "nonnegative"}
+
+
 @dataclass
 class ExperimentConfig:
-    """A fully validated, defaults-applied experiment description."""
+    """A fully validated, defaults-applied experiment description.
+
+    Each field is one config key. The JSON types a key accepts follow from
+    its annotation (see _accepted_types) and its sign constraint from its
+    metadata.
+    """
 
     experiment: str
     kind: TopologyKind = TopologyKind.RING
     kinds: list[TopologyKind] = field(default_factory=lambda: list(CONNECTED_KINDS))
-    m: int = 16
+    m: int = field(default=16, metadata=POSITIVE)
     matrix_path: str | None = None
     family: ModelFamily = ModelFamily.LINEAR_REGRESSION
-    d_x: int = 20
-    hidden_width: int = 8
-    feature_variance: float | None = None
-    noise_std: float = 0.1
-    w_star_scale: float = 1.0
-    n: int = 50
-    T: int = 2000
-    eta: float = 0.05
+    d_x: int = field(default=20, metadata=POSITIVE)
+    hidden_width: int = field(default=8, metadata=POSITIVE)
+    feature_variance: float | None = field(default=None, metadata=POSITIVE)
+    noise_std: float = field(default=0.1, metadata=NONNEGATIVE)
+    w_star_scale: float = field(default=1.0, metadata=NONNEGATIVE)
+    n: int = field(default=50, metadata=POSITIVE)
+    T: int = field(default=2000, metadata=NONNEGATIVE)
+    eta: float = field(default=0.05, metadata=NONNEGATIVE)
     schedule: str = "constant"
-    snapshot_every: int | None = None
-    R: int = 20
-    pairs: int = 8
+    snapshot_every: int | None = field(default=None, metadata=POSITIVE)
+    R: int = field(default=20, metadata=POSITIVE)
+    pairs: int = field(default=8, metadata=POSITIVE)
     mode: PerturbationMode = PerturbationMode.SYNCHRONIZED
     alpha: float = 1.0
-    p: float = 1.0
+    p: float = field(default=1.0, metadata=POSITIVE)
     optimize_p: bool = False
-    holder_pairs: int = 2000
-    holder_radius: float = 5.0
-    gamma_sq: float = 1e-4
+    holder_pairs: int = field(default=2000, metadata=POSITIVE)
+    holder_radius: float = field(default=5.0, metadata=POSITIVE)
+    gamma_sq: float = field(default=1e-4, metadata=POSITIVE)
     t_gamma: list[int] | None = None
-    max_rounds: int = 200
-    mc_samples: int = 100_000
-    skew_tol: float = 0.5
-    kurt_tol: float = 1.0
+    max_rounds: int = field(default=200, metadata=POSITIVE)
+    mc_samples: int = field(default=100_000, metadata=POSITIVE)
+    skew_tol: float = field(default=0.5, metadata=POSITIVE)
+    kurt_tol: float = field(default=1.0, metadata=POSITIVE)
     output_dir: str = "out"
     seed: int = 0
-    jobs: int = 1
+    jobs: int = field(default=1, metadata=POSITIVE)
 
     def resolved_feature_variance(self) -> float:
         return self.feature_variance if self.feature_variance is not None else 1.0 / self.d_x
@@ -173,11 +186,7 @@ class ExperimentConfig:
         )
 
     def loss_model(self) -> LossModel:
-        return LossModel(
-            family=self.family,
-            hidden_width=self.hidden_width,
-            declared_alpha=self.alpha,
-        )
+        return LossModel(family=self.family, hidden_width=self.hidden_width)
 
     def gossip_matrix(self):
         if self.kind is TopologyKind.CUSTOM:
@@ -187,41 +196,25 @@ class ExperimentConfig:
         return build_gossip_matrix(self.kind, self.m)
 
 
-_SPEC: dict[str, tuple[type | tuple[type, ...], Any]] = {
-    # key: (accepted JSON types, validator tag)
-    "experiment": (str, None),
-    "kind": (str, None),
-    "kinds": (list, None),
-    "m": (int, "positive"),
-    "matrix_path": (str, None),
-    "family": (str, None),
-    "d_x": (int, "positive"),
-    "hidden_width": (int, "positive"),
-    "feature_variance": ((int, float), "positive"),
-    "noise_std": ((int, float), "nonnegative"),
-    "w_star_scale": ((int, float), "nonnegative"),
-    "n": (int, "positive"),
-    "T": (int, "nonnegative"),
-    "eta": ((int, float), "nonnegative"),
-    "schedule": (str, None),
-    "snapshot_every": (int, "positive"),
-    "R": (int, "positive"),
-    "pairs": (int, "positive"),
-    "mode": (str, None),
-    "alpha": ((int, float), None),
-    "p": ((int, float), "positive"),
-    "optimize_p": (bool, None),
-    "holder_pairs": (int, "positive"),
-    "holder_radius": ((int, float), "positive"),
-    "gamma_sq": ((int, float), "positive"),
-    "t_gamma": (list, None),
-    "max_rounds": (int, "positive"),
-    "mc_samples": (int, "positive"),
-    "skew_tol": ((int, float), "positive"),
-    "kurt_tol": ((int, float), "positive"),
-    "output_dir": (str, None),
-    "seed": (int, None),
-    "jobs": (int, "positive"),
+def _accepted_types(hint: Any) -> type | tuple[type, ...]:
+    """The JSON value types a config field accepts, from its type annotation.
+
+    X | None accepts what X accepts (null is never a value), list[X] any list,
+    an enum its value string, and float an int as well.
+    """
+    if isinstance(hint, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    hint = typing.get_origin(hint) or hint
+    if issubclass(hint, Enum):
+        return str
+    return (int, float) if hint is float else hint
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# key: (accepted JSON types, sign constraint or None)
+_SPEC = {
+    f.name: (_accepted_types(_HINTS[f.name]), f.metadata.get("sign"))
+    for f in fields(ExperimentConfig)
 }
 
 
@@ -306,6 +299,8 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
 def _validate_config(config: ExperimentConfig) -> None:
     if not 0.0 <= config.alpha <= 1.0:
         raise InputError("config key 'alpha' must lie in [0, 1]")
+    if config.experiment == "bound" and config.alpha == 0.0:
+        raise InputError("config key 'alpha' must be positive for the bound experiment")
     if config.kind is not TopologyKind.CUSTOM:
         try:
             validate_worker_count(config.kind, config.m)

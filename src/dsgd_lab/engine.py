@@ -119,6 +119,14 @@ class TrainConfig:
             return self.snapshot_every
         return max(1, self.iterations // 200)
 
+    @property
+    def snapshot_iterations(self) -> np.ndarray:
+        """Completed-step counts a run logs: every cadence steps, and the last."""
+        logged = np.arange(0, self.iterations + 1, self.cadence)
+        if logged[-1] != self.iterations:
+            logged = np.append(logged, self.iterations)
+        return logged
+
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
@@ -191,31 +199,19 @@ class ConsensusControl:
 
 
 def draw_perturbation(
-    task: SyntheticTask,
-    n: int,
-    m: int,
-    mode: PerturbationMode,
-    seed: int,
-    index: int | None = None,
-    worker: int | None = None,
+    task: SyntheticTask, n: int, m: int, mode: PerturbationMode, seed: int
 ) -> Perturbation:
     """Draw a random perturbation: position (k, i) and fresh replacement samples.
 
     Synchronized mode replaces index i on every worker, each with its own fresh
-    draw; single-worker mode replaces index i on one worker only. Position
-    arguments override the random choice when given.
+    draw; single-worker mode replaces index i on one worker only.
     """
     rng = np.random.default_rng(seed)
-    i = int(rng.integers(n)) if index is None else index
-    if not 0 <= i < n:
-        raise InputError(f"perturbation index {i} outside shard size {n}")
+    i = int(rng.integers(n))
     if mode is PerturbationMode.SYNCHRONIZED:
         workers = np.arange(m)
     else:
-        k = int(rng.integers(m)) if worker is None else worker
-        if not 0 <= k < m:
-            raise InputError(f"perturbation worker {k} outside worker count {m}")
-        workers = np.array([k])
+        workers = np.array([int(rng.integers(m))])
     xs, ys = draw_dataset_arrays(task, len(workers), rng)
     return Perturbation(
         mode=mode, index=i, workers=workers, replacement_xs=xs, replacement_ys=ys
@@ -288,13 +284,6 @@ def consensus_control_step(
         W = P.entries @ W
         rounds += 1
     return W, rounds
-
-
-def _snapshot_iterations(iterations: int, cadence: int) -> list[int]:
-    logged = list(range(0, iterations + 1, cadence))
-    if logged[-1] != iterations:
-        logged.append(iterations)
-    return logged
 
 
 def run_dsgd(
@@ -379,7 +368,7 @@ def _run_pair(
         xs, ys = np.stack([shards.xs, shards.xs]), np.stack([shards.ys, shards.ys])
         _replace_samples(xs[1], ys[1], perturbation)
     sides = xs.shape[0]
-    logged = _snapshot_iterations(total, config.cadence)
+    logged = config.snapshot_iterations
     recorder = _TraceRecorder(model, xs, ys, logged, config.seed)
     W = np.zeros((sides, m, model.dim(shards.d_x)))
     extra_rounds = [0] * sides
@@ -409,7 +398,9 @@ class _TraceRecorder:
     divergent run is always caught by the final snapshot at the latest.
     """
 
-    def __init__(self, model: LossModel, xs: np.ndarray, ys: np.ndarray, logged: list, seed: int):
+    def __init__(
+        self, model: LossModel, xs: np.ndarray, ys: np.ndarray, logged: np.ndarray, seed: int
+    ):
         sides, m, n, d_x = xs.shape
         self.model, self.logged, self.seed = model, logged, seed
         # Every side's shards as one set of s*m shards, for one worker_risks call.

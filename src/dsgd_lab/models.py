@@ -24,21 +24,16 @@ from .errors import InputError
 
 __all__ = [
     "ModelFamily",
-    "Sample",
     "SyntheticTask",
     "LossModel",
     "Shards",
     "SelfBoundingReport",
-    "sample_dataset",
-    "shard_iid",
-    "loss_value",
-    "loss_gradient",
+    "draw_dataset_arrays",
     "loss_values",
     "loss_gradients",
     "dataset_risk",
     "worker_risks",
     "population_risk",
-    "population_risk_mc",
     "c_alpha_constant",
     "estimate_holder_constant",
     "self_bounding_check",
@@ -49,14 +44,6 @@ class ModelFamily(str, Enum):
     LINEAR_REGRESSION = "linear_regression"
     LOGISTIC_REGRESSION = "logistic_regression"
     TWO_LAYER_MLP = "two_layer_mlp"
-
-
-@dataclass
-class Sample:
-    """One labelled example: feature vector x, scalar label y."""
-
-    x: np.ndarray
-    y: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +98,11 @@ class SyntheticTask:
 
 @dataclass(frozen=True)
 class LossModel:
-    """A loss family plus its declared gradient-regularity constants.
-
-    declared_alpha is the Hoelder exponent of the gradient (1 for the smooth
-    linear/logistic losses); declared_L, when set, is an empirical Hoelder
-    constant on a bounded ball, estimated by estimate_holder_constant.
-    """
+    """A loss family with its MLP shape: hidden width and softplus sharpness."""
 
     family: ModelFamily
     hidden_width: int = 8
     softplus_sharpness: float = 5.0
-    declared_alpha: float = 1.0
-    declared_L: float | None = None
 
     def dim(self, d_x: int) -> int:
         """Model dimension d for feature dimension d_x."""
@@ -226,32 +206,6 @@ def draw_dataset_arrays(
     return xs, ys
 
 
-def sample_dataset(task: SyntheticTask, count: int, seed: int) -> list[Sample]:
-    """Draw `count` i.i.d. samples from the task; deterministic in the seed."""
-    if count < 1:
-        raise InputError(f"sample count must be >= 1, got {count}")
-    xs, ys = draw_dataset_arrays(task, count, np.random.default_rng(seed))
-    return [Sample(xs[i], float(ys[i])) for i in range(count)]
-
-
-def shard_iid(dataset: list[Sample], m: int) -> Shards:
-    """Partition a dataset contiguously into m equal shards.
-
-    Raises:
-        InputError: if the dataset size is not divisible by m.
-    """
-    total = len(dataset)
-    if m < 1:
-        raise InputError(f"worker count must be positive, got {m}")
-    if total % m != 0:
-        raise InputError(f"dataset size {total} is not divisible by {m} workers")
-    n = total // m
-    d_x = dataset[0].x.shape[0]
-    xs = np.stack([s.x for s in dataset]).reshape(m, n, d_x)
-    ys = np.array([s.y for s in dataset], dtype=float).reshape(m, n)
-    return Shards(xs=xs, ys=ys)
-
-
 def _unpack_mlp(model: LossModel, W: np.ndarray, d_x: int) -> tuple[np.ndarray, np.ndarray]:
     h = model.hidden_width
     V = W[:, : h * d_x].reshape(W.shape[0], h, d_x)
@@ -294,24 +248,6 @@ def loss_gradients(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray
     grad_a = residual[:, None] * hidden
     grad_V = (residual[:, None] * a * _sigmoid(pre))[:, :, None] * X[:, None, :]
     return np.concatenate([grad_V.reshape(W.shape[0], -1), grad_a], axis=1)
-
-
-def loss_value(model: LossModel, w: np.ndarray, z: Sample) -> float:
-    """Loss of weights w at a single sample; nonnegative by construction."""
-    _check_dim(model, w, z)
-    return float(loss_values(model, w[None, :], z.x[None, :], np.array([z.y]))[0])
-
-
-def loss_gradient(model: LossModel, w: np.ndarray, z: Sample) -> np.ndarray:
-    """Exact analytic gradient of loss_value in w."""
-    _check_dim(model, w, z)
-    return loss_gradients(model, w[None, :], z.x[None, :], np.array([z.y]))[0]
-
-
-def _check_dim(model: LossModel, w: np.ndarray, z: Sample) -> None:
-    expected = model.dim(z.x.shape[0])
-    if w.shape != (expected,):
-        raise InputError(f"weights must have shape ({expected},), got {w.shape}")
 
 
 def dataset_risk(model: LossModel, W: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -366,30 +302,16 @@ def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:
     """Closed-form linear-regression risk of w (d,), or of each row of W (S, d).
 
     F(w) = (w - w*)' Sigma (w - w*) / 2 + noise_std^2 / 2. Other families have
-    no closed form; estimate theirs with population_risk_mc.
+    no closed form; estimate theirs with dataset_risk on a holdout drawn by
+    draw_dataset_arrays.
     """
     if task.family is not ModelFamily.LINEAR_REGRESSION:
         raise InputError(
             f"closed-form population risk exists only for linear regression, not "
-            f"{task.family.value}; use population_risk_mc"
+            f"{task.family.value}; use dataset_risk on a draw_dataset_arrays holdout"
         )
     delta = W - task.w_star
     return 0.5 * np.sum((delta @ task.feature_cov) * delta, axis=-1) + 0.5 * task.noise_std**2
-
-
-def population_risk_mc(
-    task: SyntheticTask, model: LossModel, w: np.ndarray, draws: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo population risk: (mean loss over fresh draws, standard error)."""
-    if draws < 2:
-        raise InputError(f"Monte-Carlo draws must be >= 2, got {draws}")
-    if model.family is not task.family:
-        raise InputError(f"model family {model.family.value} does not match the task's")
-    if w.shape != (model.dim(task.d_x),):
-        raise InputError(f"weights must have shape ({model.dim(task.d_x)},), got {w.shape}")
-    xs, ys = draw_dataset_arrays(task, draws, np.random.default_rng(seed))
-    losses = loss_values(model, np.broadcast_to(w, (draws, w.shape[0])), xs, ys)
-    return float(losses.mean()), float(losses.std(ddof=1) / np.sqrt(draws))
 
 
 def c_alpha_constant(alpha: float, L: float, grad_at_zero_sup: float | None = None) -> float:
@@ -432,8 +354,8 @@ def estimate_holder_constant(
     Probes are `pairs` triples (w, w', z) with ||w||, ||w'|| <= radius; the
     estimate is the max of ||grad f(w;z) - grad f(w';z)|| / ||w - w'||^alpha.
     This is a lower bound on the true restricted constant. The probe samples
-    are exactly sample_dataset(task, pairs, seed); weight pairs are drawn
-    afterwards from the same stream.
+    are the rows of draw_dataset_arrays(task, pairs, default_rng(seed)); weight
+    pairs are drawn afterwards from the same stream.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
@@ -476,9 +398,10 @@ def self_bounding_check(
 ) -> SelfBoundingReport:
     """Audit ||grad f|| <= c_alpha * f^(alpha/(1+alpha)) on random (w, z) probes.
 
-    Probe samples are sample_dataset(task, trials, seed) and weights are drawn
-    uniformly from the radius ball, mirroring estimate_holder_constant so the
-    two share probe pools when called with equal counts and seeds. A probe
+    Probe samples are the rows of draw_dataset_arrays(task, trials,
+    default_rng(seed)) and weights are drawn uniformly from the radius ball,
+    mirroring estimate_holder_constant so the two share probe pools when
+    called with equal counts and seeds. A probe
     violates if the left side exceeds the right by more than 1e-9; max_ratio
     is the largest lhs/rhs over probes with rhs > 0.
     """

@@ -31,7 +31,6 @@ __all__ = [
     "build_gossip_matrix",
     "load_gossip_matrix",
     "eigenvalues_symmetric",
-    "spectral_gap",
     "mixing_error",
     "analytic_gap_order",
 ]
@@ -235,11 +234,6 @@ def eigenvalues_symmetric(P: GossipMatrix) -> SpectrumReport:
             lam = 1.0
         lam = min(max(lam, 0.0), 1.0)
     return SpectrumReport(eigenvalues=eigenvalues, lam=lam, spectral_gap=1.0 - lam)
-
-
-def spectral_gap(P: GossipMatrix) -> float:
-    """1 - lambda of the gossip matrix; 0 disconnected, 1 fully connected."""
-    return eigenvalues_symmetric(P).spectral_gap
 
 
 def mixing_error(P: GossipMatrix, k: int) -> float:

@@ -26,6 +26,7 @@ from dsgd_lab.analysis import (
     stability_bound_curve,
     stability_exhaustive,
     topology_comparison,
+    _make_shards,
 )
 from dsgd_lab.cli import main, parse_config
 from dsgd_lab.engine import (
@@ -39,12 +40,11 @@ from dsgd_lab.models import (
     LossModel,
     ModelFamily,
     SyntheticTask,
+    draw_dataset_arrays,
     estimate_holder_constant,
-    loss_gradient,
-    loss_value,
-    sample_dataset,
+    loss_gradients,
+    loss_values,
     self_bounding_check,
-    shard_iid,
 )
 from dsgd_lab.seeding import derive_seed
 from dsgd_lab.topology import (
@@ -53,7 +53,6 @@ from dsgd_lab.topology import (
     build_gossip_matrix,
     eigenvalues_symmetric,
     mixing_error,
-    spectral_gap,
 )
 
 JOBS = min(8, os.cpu_count() or 1)
@@ -157,8 +156,10 @@ def test_criterion_01_matrix_invariants():
 
 def test_criterion_02_spectral_exactness():
     start = time.time()
-    gap_fc = spectral_gap(build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 8))
-    gap_disc = spectral_gap(build_gossip_matrix(TopologyKind.DISCONNECTED, 8))
+    gap_fc = eigenvalues_symmetric(
+        build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 8)
+    ).spectral_gap
+    gap_disc = eigenvalues_symmetric(build_gossip_matrix(TopologyKind.DISCONNECTED, 8)).spectral_gap
     worst = 0.0
     for m in (4, 8, 16):
         spectrum = eigenvalues_symmetric(build_gossip_matrix(TopologyKind.RING, m)).eigenvalues
@@ -184,9 +185,13 @@ def test_criterion_02_spectral_exactness():
 def test_criterion_03_gap_scaling_laws():
     start = time.time()
     sizes = (8, 16, 32, 64)
-    ring = [spectral_gap(build_gossip_matrix(TopologyKind.RING, m)) * m**2 for m in sizes]
+    ring = [
+        eigenvalues_symmetric(build_gossip_matrix(TopologyKind.RING, m)).spectral_gap * m**2
+        for m in sizes
+    ]
     expo = [
-        spectral_gap(build_gossip_matrix(TopologyKind.STATIC_EXPONENTIAL, m)) * math.log2(m)
+        eigenvalues_symmetric(build_gossip_matrix(TopologyKind.STATIC_EXPONENTIAL, m)).spectral_gap
+        * math.log2(m)
         for m in sizes
     ]
     ring_ratio = max(ring) / min(ring)
@@ -237,14 +242,18 @@ def test_criterion_05_gradient_fidelity():
     for model, task in cases:
         rng = np.random.default_rng(5)
         d = model.dim(task.d_x)
-        for z in sample_dataset(task, 100, seed=55):
+        xs, ys = draw_dataset_arrays(task, 100, np.random.default_rng(55))
+        for x, y in zip(xs[:, None], ys[:, None]):
             w = rng.standard_normal(d)
-            grad = loss_gradient(model, w, z)
+            grad = loss_gradients(model, w[None], x, y)[0]
             fd = np.zeros(d)
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = step
-                fd[i] = (loss_value(model, w + e, z) - loss_value(model, w - e, z)) / (2 * step)
+                fd[i] = (
+                    loss_values(model, (w + e)[None], x, y)[0]
+                    - loss_values(model, (w - e)[None], x, y)[0]
+                ) / (2 * step)
             worst = max(worst, float(np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)))
     elapsed = time.time() - start
     ok = worst < 1e-5 and elapsed < 5.0
@@ -325,8 +334,8 @@ def _oracle_curve(P, shards, replacements, eta, iterations):
 def test_criterion_07_brute_force_oracle():
     start = time.time()
     task = unit_task(ModelFamily.LINEAR_REGRESSION, 1, noise_std=0.5)
-    shards = shard_iid(sample_dataset(task, 4, seed=70), 2)
-    replacements = shard_iid(sample_dataset(task, 4, seed=71), 2)
+    shards = _make_shards(task, 2, 2, 70)
+    replacements = _make_shards(task, 2, 2, 71)
     P = build_gossip_matrix(TopologyKind.RING, 2)
     config = TrainConfig(iterations=3, rate=ConstantRate(0.1), seed=0, snapshot_every=1)
     ours = stability_exhaustive(

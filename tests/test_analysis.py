@@ -23,6 +23,7 @@ from dsgd_lab.analysis import (
     stability_bound_limit,
     stability_exhaustive,
     topology_comparison,
+    _make_shards,
 )
 from dsgd_lab.engine import (
     ConstantRate,
@@ -33,14 +34,7 @@ from dsgd_lab.engine import (
     TrainConfig,
 )
 from dsgd_lab.errors import InputError
-from dsgd_lab.models import (
-    LossModel,
-    ModelFamily,
-    Shards,
-    SyntheticTask,
-    sample_dataset,
-    shard_iid,
-)
+from dsgd_lab.models import LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
 from dsgd_lab.topology import TopologyKind, build_gossip_matrix
 
 LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
@@ -80,6 +74,19 @@ def dummy_coupled(final_diffs):
 # ---------------------------------------------------------------------------
 # Stability estimation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (1, 6)])
+def test_make_shards_splits_one_draw_contiguously(n, m):
+    # Replicate r of every estimator draws its data this way, which is what
+    # makes stability and gap replicates share their shards.
+    task = make_task()
+    shards = _make_shards(task, n, m, seed=0)
+    xs, ys = draw_dataset_arrays(task, n * m, np.random.default_rng(0))
+    assert shards.m == m and shards.n == n
+    assert np.array_equal(shards.xs[1, 0], xs[n]) and shards.ys[1, 0] == ys[n]
+    assert np.array_equal(shards.xs.reshape(-1, task.d_x), xs)
+    assert np.array_equal(shards.ys.reshape(-1), ys)
 
 
 def test_zero_rate_stability_is_identically_zero():
@@ -186,8 +193,8 @@ def _bf_step(w, P, xs, ys, zeta, eta):
 def test_exhaustive_stability_matches_brute_force_oracle():
     task = make_task(d_x=1)
     P = build_gossip_matrix(TopologyKind.RING, 2)
-    shards = shard_iid(sample_dataset(task, 4, seed=11), 2)
-    replacements = shard_iid(sample_dataset(task, 4, seed=12), 2)
+    shards = _make_shards(task, 2, 2, 11)
+    replacements = _make_shards(task, 2, 2, 12)
     config = TrainConfig(iterations=2, rate=ConstantRate(0.1), seed=0, snapshot_every=1)
     ours = stability_exhaustive(P, shards, LINEAR, config, PerturbationMode.SYNCHRONIZED, replacements)
     oracle = brute_force_curve(P, shards, replacements, eta=0.1, iterations=2)
@@ -197,8 +204,8 @@ def test_exhaustive_stability_matches_brute_force_oracle():
 def test_exhaustive_stability_guards_against_explosion():
     task = make_task(d_x=1)
     P = build_gossip_matrix(TopologyKind.RING, 4)
-    shards = shard_iid(sample_dataset(task, 40, seed=1), 4)
-    replacements = shard_iid(sample_dataset(task, 40, seed=2), 4)
+    shards = _make_shards(task, 10, 4, 1)
+    replacements = _make_shards(task, 10, 4, 2)
     config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0)
     with pytest.raises(InputError, match="enumeration limit"):
         stability_exhaustive(P, shards, LINEAR, config, PerturbationMode.SYNCHRONIZED, replacements)
@@ -283,7 +290,8 @@ def test_stability_bound_zero_lambda_keeps_only_uniform_share():
 
 
 def test_stability_bound_degenerate_constants_vanish():
-    inputs = make_inputs(lam=0.0, m=1, sigma_sq=0.0, mu_sq=0.0)
+    with pytest.warns(UserWarning, match="validity limit"):
+        inputs = make_inputs(lam=0.0, m=1, sigma_sq=0.0, mu_sq=0.0)
     curve = stability_bound_curve(inputs, np.zeros(10), 10)
     assert np.max(curve) == 0.0
 
@@ -316,8 +324,10 @@ def test_stability_bound_limit_matches_long_horizon():
 
 
 def test_stability_bound_limit_rejects_divergent_contraction():
+    with pytest.warns(UserWarning, match="validity limit"):
+        divergent = make_inputs(rate=ConstantRate(10.0))
     with pytest.raises(InputError, match="diverges"):
-        stability_bound_limit(make_inputs(rate=ConstantRate(10.0)))
+        stability_bound_limit(divergent)
     with pytest.raises(InputError, match="constant"):
         stability_bound_limit(make_inputs(rate=StepDecayRate(0.1)))
 
@@ -329,8 +339,16 @@ def test_bound_inputs_validation():
         make_inputs(lam=1.5)
     with pytest.raises(InputError):
         make_inputs(p=0.0)
+    with pytest.raises(InputError, match="alpha"):
+        make_inputs(alpha=0.0)
     with pytest.warns(UserWarning, match="validity limit"):
         make_inputs(rate=ConstantRate(0.9))
+
+
+def test_validity_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="validity limit") as record:
+        make_inputs(rate=ConstantRate(0.9))
+    assert record[0].filename == __file__
 
 
 def test_generalization_bound_from_stability_values():
@@ -340,7 +358,8 @@ def test_generalization_bound_from_stability_values():
 
 
 def test_generalization_bound_closed_degenerate_zero():
-    inputs = make_inputs(lam=0.0, m=1, sigma_sq=0.0, mu_sq=0.0, epsilon_s=0.0)
+    with pytest.warns(UserWarning, match="validity limit"):
+        inputs = make_inputs(lam=0.0, m=1, sigma_sq=0.0, mu_sq=0.0, epsilon_s=0.0)
     assert generalization_bound_closed(inputs, 20) == 0.0
 
 
@@ -394,7 +413,7 @@ def test_optimize_bound_p_does_not_increase_value():
 
 def test_gap_is_zero_at_truth_for_noiseless_task():
     task = make_task(noise_std=0.0)
-    shards = shard_iid(sample_dataset(task, 8, seed=19), 2)
+    shards = _make_shards(task, 4, 2, 19)
     trace = dummy_trace(m=2, d=2)
     trace.consensus[:] = task.w_star
     report = generalization_gap([trace], task, LINEAR, shards)
@@ -403,7 +422,7 @@ def test_gap_is_zero_at_truth_for_noiseless_task():
 
 def test_gap_at_initialization_matches_direct_computation():
     task = make_task(noise_std=0.4)
-    shards = shard_iid(sample_dataset(task, 10, seed=23), 2)
+    shards = _make_shards(task, 5, 2, 23)
     trace = dummy_trace(m=2, d=2)
     report = generalization_gap([trace], task, LINEAR, shards)
     xs, ys = shards.flat()
@@ -413,7 +432,7 @@ def test_gap_at_initialization_matches_direct_computation():
 
 def test_gap_concentrates_with_many_samples():
     task = make_task(d_x=5, noise_std=0.5)
-    shards = shard_iid(sample_dataset(task, 10_000, seed=29), 4)
+    shards = _make_shards(task, 2500, 4, 29)
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 4)
     config = TrainConfig(iterations=800, rate=ConstantRate(0.1), seed=31, snapshot_every=800)
     from dsgd_lab.engine import run_dsgd
@@ -425,7 +444,7 @@ def test_gap_concentrates_with_many_samples():
 
 def test_gap_rejects_mismatched_traces():
     task = make_task()
-    shards = shard_iid(sample_dataset(task, 8, seed=1), 2)
+    shards = _make_shards(task, 4, 2, 1)
     with pytest.raises(InputError):
         generalization_gap([dummy_trace(logs=1), dummy_trace(logs=2)], task, LINEAR, shards)
 

@@ -23,16 +23,7 @@ from dsgd_lab.engine import (
     run_dsgd,
 )
 from dsgd_lab.errors import InputError
-from dsgd_lab.models import (
-    LossModel,
-    ModelFamily,
-    Shards,
-    SyntheticTask,
-    loss_gradient,
-    Sample,
-    sample_dataset,
-    shard_iid,
-)
+from dsgd_lab.models import LossModel, ModelFamily, Shards, SyntheticTask, draw_dataset_arrays
 from dsgd_lab.topology import TopologyKind, build_gossip_matrix, eigenvalues_symmetric
 
 LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
@@ -46,7 +37,14 @@ def make_task(d_x=3, noise_std=0.1):
 
 
 def make_shards(task, n, m, seed=0):
-    return shard_iid(sample_dataset(task, n * m, seed), m)
+    """m shards of n samples: one draw of n * m from the seed, split contiguously."""
+    xs, ys = draw_dataset_arrays(task, n * m, np.random.default_rng(seed))
+    return Shards(xs=xs.reshape(m, n, task.d_x), ys=ys.reshape(m, n))
+
+
+def linear_gradient(w, x, y):
+    """Gradient (x.w - y) x of the squared loss, written out as the oracle."""
+    return (x @ w - y) * x
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +121,8 @@ def test_step_identity_matrix_is_independent_sgd():
     zeta = np.array([1, 2, 0])
     stepped = dsgd_step(W, P, *drawn(shards, zeta), 0.05, LINEAR)
     for k in range(3):
-        z = Sample(shards.xs[k, zeta[k]], float(shards.ys[k, zeta[k]]))
-        expected = W[k] - 0.05 * loss_gradient(LINEAR, W[k], z)
+        x, y = shards.xs[k, zeta[k]], shards.ys[k, zeta[k]]
+        expected = W[k] - 0.05 * linear_gradient(W[k], x, y)
         assert np.allclose(stepped[k], expected, atol=1e-15)
 
 
@@ -198,10 +196,10 @@ def test_identical_shards_and_indices_keep_workers_in_consensus():
     # Symmetry: equal data and equal sample indices make every worker follow
     # the same trajectory under any doubly stochastic mixing.
     task = make_task()
-    base = sample_dataset(task, 6, seed=5)
+    base_xs, base_ys = draw_dataset_arrays(task, 6, np.random.default_rng(5))
     m = 4
-    xs = np.tile(np.stack([z.x for z in base]), (m, 1, 1))
-    ys = np.tile(np.array([z.y for z in base]), (m, 1))
+    xs = np.tile(base_xs, (m, 1, 1))
+    ys = np.tile(base_ys, (m, 1))
     shards = Shards(xs=xs, ys=ys)
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, m)
     rng = np.random.default_rng(7)
@@ -234,8 +232,7 @@ def test_single_worker_run_reduces_to_plain_sgd():
     w = np.zeros(2)
     for _ in range(25):
         idx = int(rng.integers(0, 6, size=1)[0])
-        z = Sample(shards.xs[0, idx], float(shards.ys[0, idx]))
-        w = w - 0.1 * loss_gradient(LINEAR, w, z)
+        w = w - 0.1 * linear_gradient(w, shards.xs[0, idx], shards.ys[0, idx])
     assert np.array_equal(trace.final_weights[0], w)
 
 
@@ -293,6 +290,12 @@ def test_unseeded_run_uses_the_seeds_per_step_index_stream(m, n, iterations, see
 # ---------------------------------------------------------------------------
 
 
+def single_worker_perturbation(task, worker, index, seed):
+    """Replace sample `index` of one worker by a fresh draw from the seed."""
+    xs, ys = draw_dataset_arrays(task, 1, np.random.default_rng(seed))
+    return Perturbation(PerturbationMode.SINGLE_WORKER, index, np.array([worker]), xs, ys)
+
+
 def test_draw_perturbation_modes_and_bounds():
     task = make_task()
     sync = draw_perturbation(task, n=5, m=3, mode=PerturbationMode.SYNCHRONIZED, seed=1)
@@ -300,14 +303,14 @@ def test_draw_perturbation_modes_and_bounds():
     assert 0 <= sync.index < 5
     single = draw_perturbation(task, n=5, m=3, mode=PerturbationMode.SINGLE_WORKER, seed=1)
     assert len(single.workers) == 1
-    with pytest.raises(InputError):
-        draw_perturbation(task, n=5, m=3, mode=PerturbationMode.SYNCHRONIZED, seed=1, index=5)
+    with pytest.raises(InputError, match="outside shard size"):
+        apply_perturbation(make_shards(task, 5, 3), single_worker_perturbation(task, 0, 5, 1))
 
 
 def test_apply_perturbation_changes_only_target_positions():
     task = make_task()
     shards = make_shards(task, 4, 3)
-    pert = draw_perturbation(task, n=4, m=3, mode=PerturbationMode.SINGLE_WORKER, seed=3, worker=1, index=2)
+    pert = single_worker_perturbation(task, worker=1, index=2, seed=3)
     perturbed = apply_perturbation(shards, pert)
     mask = np.zeros((3, 4), dtype=bool)
     mask[1, 2] = True
@@ -341,7 +344,7 @@ def test_coupled_zero_rate_gives_zero_difference():
 def test_coupled_disconnected_difference_stays_local():
     task = make_task()
     shards = make_shards(task, 5, 4)
-    pert = draw_perturbation(task, 5, 4, PerturbationMode.SINGLE_WORKER, seed=7, worker=2)
+    pert = single_worker_perturbation(task, worker=2, index=3, seed=7)
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
     coupled = run_coupled(P, shards, LINEAR, TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=3), pert)
     others = [k for k in range(4) if k != 2]

@@ -10,23 +10,18 @@ from dsgd_lab.errors import InputError
 from dsgd_lab.models import (
     LossModel,
     ModelFamily,
-    Sample,
+    Shards,
     SyntheticTask,
     c_alpha_constant,
     dataset_risk,
     draw_dataset_arrays,
     estimate_holder_constant,
-    loss_gradient,
     loss_gradients,
-    loss_value,
     loss_values,
     population_risk,
-    population_risk_mc,
-    sample_dataset,
     _risk_block_rows,
     _softplus,
     self_bounding_check,
-    shard_iid,
     worker_risks,
 )
 
@@ -46,56 +41,44 @@ def make_model(family):
     return LossModel(family=family, hidden_width=4)
 
 
+def draw(task, count, seed):
+    """`count` samples of the task as (count, d_x) features and (count,) labels."""
+    return draw_dataset_arrays(task, count, np.random.default_rng(seed))
+
+
+def one_row(w, x, y):
+    """A single sample as the 1-row stack (W, X, Y) that loss_values/loss_gradients take."""
+    return np.atleast_2d(w), np.atleast_2d(x), np.atleast_1d(y)
+
+
 # ---------------------------------------------------------------------------
-# Sampling and sharding
+# Sampling
 # ---------------------------------------------------------------------------
 
 
 def test_noiseless_regression_labels_are_exact():
     task = make_task(ModelFamily.LINEAR_REGRESSION, noise_std=0.0)
-    for z in sample_dataset(task, 50, seed=1):
-        assert z.y == pytest.approx(float(z.x @ task.w_star), abs=1e-12)
+    xs, ys = draw(task, 50, seed=1)
+    assert np.allclose(ys, xs @ task.w_star, rtol=0.0, atol=1e-12)
 
 
 def test_sampling_is_deterministic():
     task = make_task(ModelFamily.LINEAR_REGRESSION)
-    a = sample_dataset(task, 100, seed=9)
-    b = sample_dataset(task, 100, seed=9)
-    assert all(np.array_equal(x.x, y.x) and x.y == y.y for x, y in zip(a, b))
+    (xs_a, ys_a), (xs_b, ys_b) = draw(task, 100, seed=9), draw(task, 100, seed=9)
+    assert np.array_equal(xs_a, xs_b) and np.array_equal(ys_a, ys_b)
 
 
 def test_sample_covariance_approaches_identity():
     task = make_task(ModelFamily.LINEAR_REGRESSION, d_x=3)
-    data = sample_dataset(task, 100_000, seed=4)
-    xs = np.stack([z.x for z in data])
-    cov = xs.T @ xs / len(data)
+    xs, _ = draw(task, 100_000, seed=4)
+    cov = xs.T @ xs / len(xs)
     assert np.max(np.abs(cov - np.eye(3))) < 0.05
 
 
 def test_logistic_labels_are_binary():
     task = make_task(ModelFamily.LOGISTIC_REGRESSION)
-    ys = {z.y for z in sample_dataset(task, 200, seed=2)}
-    assert ys <= {0.0, 1.0}
-
-
-def test_shard_iid_splits_contiguously():
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
-    data = sample_dataset(task, 8, seed=0)
-    shards = shard_iid(data, 2)
-    assert shards.m == 2 and shards.n == 4
-    assert np.array_equal(shards.xs[1, 0], data[4].x)
-
-
-def test_shard_iid_rejects_indivisible():
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
-    with pytest.raises(InputError, match="divisible"):
-        shard_iid(sample_dataset(task, 9, seed=0), 2)
-
-
-def test_shard_iid_singletons():
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
-    shards = shard_iid(sample_dataset(task, 6, seed=0), 6)
-    assert shards.m == 6 and shards.n == 1
+    _, ys = draw(task, 200, seed=2)
+    assert set(ys) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +88,24 @@ def test_shard_iid_singletons():
 
 def test_linear_loss_perfect_fit_is_zero():
     model = make_model(ModelFamily.LINEAR_REGRESSION)
-    z = Sample(np.array([2.0, -1.0]), 3.0)
-    w = np.array([1.0, -1.0])  # x.w = 3 = y
-    assert loss_value(model, w, z) == 0.0
-    assert np.array_equal(loss_gradient(model, w, z), np.zeros(2))
+    row = one_row([1.0, -1.0], [2.0, -1.0], 3.0)  # x.w = 3 = y
+    assert loss_values(model, *row)[0] == 0.0
+    assert np.array_equal(loss_gradients(model, *row)[0], np.zeros(2))
 
 
 def test_linear_loss_hand_value():
     model = make_model(ModelFamily.LINEAR_REGRESSION)
-    z = Sample(np.array([1.0, 0.0]), 0.0)
-    w = np.array([2.0, 5.0])
-    assert loss_value(model, w, z) == pytest.approx(2.0)
-    assert np.allclose(loss_gradient(model, w, z), [2.0, 0.0])
+    row = one_row([2.0, 5.0], [1.0, 0.0], 0.0)
+    assert loss_values(model, *row)[0] == pytest.approx(2.0)
+    assert np.allclose(loss_gradients(model, *row)[0], [2.0, 0.0])
 
 
 def test_logistic_loss_at_zero_margin():
     model = make_model(ModelFamily.LOGISTIC_REGRESSION)
-    z = Sample(np.array([1.0, 2.0]), 1.0)
-    w = np.zeros(2)
-    assert loss_value(model, w, z) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert np.allclose(loss_gradient(model, w, z), -z.x / 2)
+    x = np.array([1.0, 2.0])
+    row = one_row(np.zeros(2), x, 1.0)
+    assert loss_values(model, *row)[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert np.allclose(loss_gradients(model, *row)[0], -x / 2)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -133,28 +114,36 @@ def test_losses_are_nonnegative(family):
     task = make_task(family)
     rng = np.random.default_rng(11)
     d = model.dim(task.d_x)
-    for z in sample_dataset(task, 50, seed=5):
+    for x, y in zip(*draw(task, 50, seed=5)):
         w = rng.standard_normal(d)
-        assert loss_value(model, w, z) >= 0.0
+        assert loss_values(model, *one_row(w, x, y))[0] >= 0.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_gradients_match_central_differences(family):
-    model = make_model(family)
-    task = make_task(family)
-    rng = np.random.default_rng(13)
-    d = model.dim(task.d_x)
+@settings(max_examples=60, deadline=None)
+@given(
+    d_x=st.integers(1, 6),
+    hidden_width=st.integers(1, 6),
+    sharpness=st.sampled_from([0.5, 1.0, 2.0, 5.0, 20.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradients_match_central_differences(family, d_x, hidden_width, sharpness, seed):
+    model = LossModel(family=family, hidden_width=hidden_width, softplus_sharpness=sharpness)
+    task = make_task(family, d_x=d_x)
+    rng = np.random.default_rng(seed)
+    d = model.dim(d_x)
     step = 1e-6
-    for z in sample_dataset(task, 20, seed=6):
+    # Row i of the stack moves coordinate i by +step, row d + i by -step.
+    shifts = np.concatenate([np.eye(d), -np.eye(d)]) * step
+    for x, y in zip(*draw(task, 5, seed)):
         w = rng.standard_normal(d)
-        grad = loss_gradient(model, w, z)
-        fd = np.zeros(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = step
-            fd[i] = (loss_value(model, w + e, z) - loss_value(model, w - e, z)) / (2 * step)
-        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
-        assert rel < 1e-5
+        grad = loss_gradients(model, *one_row(w, x, y))[0]
+        X, Y = np.tile(x, (2 * d, 1)), np.full(2 * d, y)
+        values = loss_values(model, w + shifts, X, Y)
+        fd = (values[:d] - values[d:]) / (2 * step)
+        # Differencing rounds off about eps * loss / step = 2e-10 * loss per
+        # coordinate, so a tiny gradient (a saturated unit) gets an absolute floor.
+        assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad) + 1e-7
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -162,29 +151,22 @@ def test_batched_losses_match_single_sample_calls(family):
     model = make_model(family)
     task = make_task(family)
     rng = np.random.default_rng(17)
-    data = sample_dataset(task, 10, seed=8)
-    d = model.dim(task.d_x)
-    W = rng.standard_normal((10, d))
-    X = np.stack([z.x for z in data])
-    Y = np.array([z.y for z in data])
+    X, Y = draw(task, 10, seed=8)
+    W = rng.standard_normal((10, model.dim(task.d_x)))
     values = loss_values(model, W, X, Y)
     grads = loss_gradients(model, W, X, Y)
-    for k, z in enumerate(data):
-        assert values[k] == pytest.approx(loss_value(model, W[k], z), abs=1e-14)
-        assert np.allclose(grads[k], loss_gradient(model, W[k], z), atol=1e-14)
-
-
-def test_loss_rejects_dimension_mismatch():
-    model = make_model(ModelFamily.LINEAR_REGRESSION)
-    with pytest.raises(InputError):
-        loss_value(model, np.zeros(3), Sample(np.zeros(2), 0.0))
+    for k in range(10):
+        row = one_row(W[k], X[k], Y[k])
+        assert values[k] == pytest.approx(loss_values(model, *row)[0], abs=1e-14)
+        assert np.allclose(grads[k], loss_gradients(model, *row)[0], atol=1e-14)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_worker_risks_match_dataset_risk(family):
     model = make_model(family)
     task = make_task(family)
-    shards = shard_iid(sample_dataset(task, 12, seed=21), 3)
+    xs, ys = draw(task, 12, seed=21)
+    shards = Shards(xs=xs.reshape(3, 4, 3), ys=ys.reshape(3, 4))
     rng = np.random.default_rng(23)
     W = rng.standard_normal((3, model.dim(3)))
     risks = worker_risks(model, W, shards)
@@ -272,7 +254,10 @@ def test_monte_carlo_risk_agrees_with_closed_form():
     for probe in range(20):
         w = task.w_star + 0.5 * rng.standard_normal(4)
         exact = population_risk(task, w)
-        estimate, stderr = population_risk_mc(task, model, w, draws=20_000, seed=probe)
+        xs, ys = draw(task, 20_000, seed=probe)
+        estimate = dataset_risk(model, w[None, :], xs, ys)[0]
+        losses = loss_values(model, np.broadcast_to(w, (20_000, 4)), xs, ys)
+        stderr = losses.std(ddof=1) / math.sqrt(20_000)
         assert abs(estimate - exact) < 3 * stderr
 
 
@@ -285,34 +270,8 @@ def test_population_risk_of_a_stack_is_per_row():
 
 def test_population_risk_has_no_closed_form_beyond_linear():
     task = make_task(ModelFamily.TWO_LAYER_MLP)
-    with pytest.raises(InputError, match="population_risk_mc"):
+    with pytest.raises(InputError, match="draw_dataset_arrays holdout"):
         population_risk(task, np.zeros(4 * 3 + 4))
-
-
-def test_monte_carlo_risk_uses_the_model_sharpness_and_width():
-    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3, softplus_sharpness=2.0)
-    task = make_task(ModelFamily.TWO_LAYER_MLP, d_x=3)
-    w = np.random.default_rng(37).standard_normal(model.dim(3))
-    estimate, _ = population_risk_mc(task, model, w, draws=500, seed=41)
-    xs, ys = draw_dataset_arrays(task, 500, np.random.default_rng(41))
-    assert estimate == pytest.approx(dataset_risk(model, w[None, :], xs, ys)[0], rel=1e-12)
-
-
-def test_monte_carlo_risk_rejects_tiny_draw_count():
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
-    model = make_model(ModelFamily.LINEAR_REGRESSION)
-    with pytest.raises(InputError):
-        population_risk_mc(task, model, task.w_star, draws=1, seed=0)
-
-
-def test_monte_carlo_risk_rejects_a_mismatched_model():
-    task = make_task(ModelFamily.LINEAR_REGRESSION)
-    model = make_model(ModelFamily.LINEAR_REGRESSION)
-    with pytest.raises(InputError, match="shape"):
-        population_risk_mc(task, model, np.zeros(4), draws=10, seed=0)
-    with pytest.raises(InputError, match="family"):
-        population_risk_mc(task, make_model(ModelFamily.TWO_LAYER_MLP), task.w_star,
-                           draws=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +302,11 @@ def test_holder_ratio_for_fixed_sample_is_bounded_by_feature_norm():
     # with x = (1, 0) every ratio is at most 1 and the supremum is attained
     # along the feature direction.
     model = make_model(ModelFamily.LINEAR_REGRESSION)
-    z = Sample(np.array([1.0, 0.0]), 0.0)
-    rng = np.random.default_rng(31)
-    ratios = []
-    for _ in range(2000):
-        w_a = rng.standard_normal(2)
-        w_b = rng.standard_normal(2)
-        gap = np.linalg.norm(loss_gradient(model, w_a, z) - loss_gradient(model, w_b, z))
-        ratios.append(gap / np.linalg.norm(w_a - w_b))
+    X, Y = np.tile([1.0, 0.0], (2000, 1)), np.zeros(2000)
+    # Probe j is the pair (w_a, w_b) = W[j], drawn in turn from one stream.
+    W = np.random.default_rng(31).standard_normal((2000, 2, 2))
+    gaps = loss_gradients(model, W[:, 0], X, Y) - loss_gradients(model, W[:, 1], X, Y)
+    ratios = np.linalg.norm(gaps, axis=1) / np.linalg.norm(W[:, 0] - W[:, 1], axis=1)
     assert max(ratios) <= 1.0 + 1e-12
     assert max(ratios) > 0.999
 
@@ -359,16 +315,16 @@ def test_holder_estimate_scalar_linear_is_max_feature_square():
     task = make_task(ModelFamily.LINEAR_REGRESSION, d_x=1)
     model = make_model(ModelFamily.LINEAR_REGRESSION)
     estimate = estimate_holder_constant(model, task, 1.0, pairs=500, radius=5.0, seed=37)
-    pool = sample_dataset(task, 500, seed=37)
-    assert estimate == pytest.approx(max(float(z.x[0]) ** 2 for z in pool), abs=1e-12)
+    xs, _ = draw(task, 500, seed=37)
+    assert estimate == pytest.approx(float(np.max(xs[:, 0] ** 2)), abs=1e-12)
 
 
 def test_holder_estimate_logistic_bounded_by_curvature():
     task = make_task(ModelFamily.LOGISTIC_REGRESSION, d_x=3)
     model = make_model(ModelFamily.LOGISTIC_REGRESSION)
     estimate = estimate_holder_constant(model, task, 1.0, pairs=400, radius=5.0, seed=41)
-    pool = sample_dataset(task, 400, seed=41)
-    assert estimate <= max(float(z.x @ z.x) for z in pool) / 4 + 1e-9
+    xs, _ = draw(task, 400, seed=41)
+    assert estimate <= float(np.max(np.sum(xs**2, axis=1))) / 4 + 1e-9
 
 
 def test_holder_estimate_rejects_bad_inputs():
@@ -382,10 +338,9 @@ def test_holder_estimate_rejects_bad_inputs():
 
 def test_self_bounding_zero_loss_has_zero_gradient():
     model = make_model(ModelFamily.LINEAR_REGRESSION)
-    z = Sample(np.array([1.0, 2.0]), 5.0)
-    w = np.array([1.0, 2.0])  # x.w = 5 = y, loss exactly 0
-    assert loss_value(model, w, z) == 0.0
-    assert np.linalg.norm(loss_gradient(model, w, z)) == 0.0
+    row = one_row([1.0, 2.0], [1.0, 2.0], 5.0)  # x.w = 5 = y, loss exactly 0
+    assert loss_values(model, *row)[0] == 0.0
+    assert np.linalg.norm(loss_gradients(model, *row)[0]) == 0.0
 
 
 def test_self_bounding_holds_with_shared_probe_pool():

@@ -16,7 +16,6 @@ from dsgd_lab.topology import (
     eigenvalues_symmetric,
     load_gossip_matrix,
     mixing_error,
-    spectral_gap,
 )
 from dsgd_lab.topology import EIGEN_SNAP_TOL, _neighbor_sets
 
@@ -129,7 +128,7 @@ def test_load_accepts_identity(tmp_path):
     P = load_gossip_matrix(path)
     assert P.kind is TopologyKind.CUSTOM
     assert np.array_equal(P.entries, np.eye(2))
-    assert spectral_gap(P) == 0.0
+    assert eigenvalues_symmetric(P).spectral_gap == 0.0
 
 
 def test_load_accepts_pair_averaging(tmp_path):
@@ -317,14 +316,15 @@ def test_analytic_gap_orders():
 
 
 def test_ring_gap_scales_inverse_square():
-    values = [spectral_gap(build_gossip_matrix(TopologyKind.RING, m)) * m**2
+    values = [eigenvalues_symmetric(build_gossip_matrix(TopologyKind.RING, m)).spectral_gap * m**2
               for m in (8, 16, 32, 64)]
     assert max(values) / min(values) < 4.0
 
 
 def test_exponential_gap_scales_inverse_log():
     values = [
-        spectral_gap(build_gossip_matrix(TopologyKind.STATIC_EXPONENTIAL, m)) * math.log2(m)
+        eigenvalues_symmetric(build_gossip_matrix(TopologyKind.STATIC_EXPONENTIAL, m)).spectral_gap
+        * math.log2(m)
         for m in (8, 16, 32, 64)
     ]
     assert max(values) / min(values) < 4.0
@@ -332,7 +332,7 @@ def test_exponential_gap_scales_inverse_log():
 
 def test_gap_ordering_at_m64():
     gaps = {
-        kind: spectral_gap(build_gossip_matrix(kind, 64))
+        kind: eigenvalues_symmetric(build_gossip_matrix(kind, 64)).spectral_gap
         for kind in ALL_BUILDABLE
     }
     assert (

@@ -40,7 +40,9 @@ from .engine import (
     TrainConfig,
     draw_perturbation,
     run_coupled,
-    run_dsgd,
+    run_coupled_stack,
+    run_dsgd,  # unused here; benchmark/tracer.py wraps analysis.run_dsgd
+    run_dsgd_stack,
 )
 from .errors import InputError
 from .models import (
@@ -127,24 +129,41 @@ def _make_shards(task: SyntheticTask, n: int, m: int, seed: int) -> Shards:
     return Shards(xs=xs.reshape(m, n, task.d_x), ys=ys.reshape(m, n))
 
 
-def _stability_replicate(
+def _stability_group(
     args: tuple,
-) -> tuple[np.ndarray, list[CoupledTrace] | None, Shards | None]:
-    """One replicate: fresh shards, `pairs` sampled perturbations, coupled runs."""
-    (P, task, model, config, n, pairs, mode, control, r, keep) = args
-    shards = _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r))
-    curves = []
-    kept: list[CoupledTrace] | None = [] if keep else None
-    for j in range(pairs):
-        perturbation = draw_perturbation(
-            task, n, P.m, mode, derive_seed(config.seed, "stability-pert", r, j)
-        )
-        run_config = replace(config, seed=derive_seed(config.seed, "stability-run", r, j))
-        coupled = run_coupled(P, shards, model, run_config, perturbation, control=control)
-        curves.append(coupled.sq_diffs.mean(axis=1))
-        if kept is not None:
-            kept.append(coupled)
-    return np.mean(curves, axis=0), kept, (shards if keep else None)
+) -> tuple[np.ndarray, list[CoupledTrace] | None, list[Shards] | None]:
+    """Replicates `group`, each with fresh shards and `pairs` sampled perturbations.
+
+    Every coupled run of the group is stepped in one stack.
+    """
+    (P, task, model, config, n, pairs, mode, control, group, keep) = args
+    shards = [
+        _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r)) for r in group
+    ]
+    runs = [(r, j) for r in group for j in range(pairs)]
+    coupled = run_coupled_stack(
+        P,
+        [shards[r - group.start] for r, _ in runs],
+        model,
+        config,
+        [
+            draw_perturbation(task, n, P.m, mode, derive_seed(config.seed, "stability-pert", r, j))
+            for r, j in runs
+        ],
+        [derive_seed(config.seed, "stability-run", r, j) for r, j in runs],
+        control,
+    )
+    curves = np.stack([trace.sq_diffs.mean(axis=1) for trace in coupled])
+    replicate_curves = curves.reshape(len(group), pairs, -1).mean(axis=1)
+    return replicate_curves, (coupled if keep else None), (shards if keep else None)
+
+
+def _replicate_groups(replicates: int, jobs: int) -> list[range]:
+    """Replicates 0..replicates-1 split into min(jobs, replicates) contiguous groups."""
+    groups = max(1, min(jobs, replicates))
+    return [
+        range(replicates * g // groups, replicates * (g + 1) // groups) for g in range(groups)
+    ]
 
 
 def _parallel_map(fn, items: list, jobs: int) -> list:
@@ -173,25 +192,27 @@ def estimate_stability(
     Each of `replicates` replicates draws fresh shards (n samples per worker),
     samples `pairs` perturbations of the given mode, and averages the coupled
     squared weight differences; the standard error is taken over replicate
-    means. Replicate seeds derive from config.seed with fixed labels, so
-    results are independent of `jobs`, and two estimates with the same base
-    seed see identical data across topologies.
+    means. The replicates are split into `jobs` contiguous groups, one per
+    worker process, and each group's 2 x replicates x pairs trajectories are
+    stepped as one stack. Replicate and run seeds derive from config.seed with
+    fixed labels, so results are independent of `jobs`, and two estimates
+    with the same base seed see identical data across topologies.
     """
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
     items = [
-        (P, task, model, config, n, pairs, mode, control, r, keep_traces)
-        for r in range(replicates)
+        (P, task, model, config, n, pairs, mode, control, group, keep_traces)
+        for group in _replicate_groups(replicates, jobs)
     ]
-    results = _parallel_map(_stability_replicate, items, jobs)
-    rep_curves = np.stack([curve for curve, _, _ in results])
+    results = _parallel_map(_stability_group, items, jobs)
+    rep_curves = np.concatenate([curves for curves, _, _ in results])
     coupled: list[CoupledTrace] | None = None
     shards: list[Shards] | None = None
     if keep_traces:
         coupled = [trace for _, kept, _ in results for trace in kept]
-        shards = [sh for _, _, sh in results]
+        shards = [sh for _, _, kept in results for sh in kept]
     return StabilityEstimate(
         iterations=config.snapshot_iterations,
         mean=rep_curves.mean(axis=0),
@@ -501,11 +522,14 @@ def generalization_gap(
     shards: Shards,
     mc_draws: int = 100_000,
     seed: int = 0,
+    holdout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GenGapReport:
     """Gap curve F(consensus) - F_S(consensus) for traces trained on `shards`.
 
     Every (trace, snapshot) consensus model is evaluated in one stack by
-    _consensus_gaps. The standard error is over the given traces.
+    _consensus_gaps. Without a closed-form population risk, F is estimated on
+    `holdout` (xs, ys), or when none is given on mc_draws samples drawn from
+    seed. The standard error is over the given traces.
     """
     if not traces:
         raise InputError("at least one trace is required")
@@ -513,8 +537,10 @@ def generalization_gap(
     for trace in traces[1:]:
         if not np.array_equal(trace.iterations, reference):
             raise InputError("traces must share their snapshot iterations")
+    if holdout is None:
+        holdout = _draw_holdout(task, mc_draws, seed)
     stack = np.concatenate([trace.consensus for trace in traces])
-    gaps = _consensus_gaps(stack, task, model, shards, mc_draws, seed)
+    gaps = _consensus_gaps(stack, task, model, shards, holdout)
     curves = gaps.reshape(len(traces), len(reference))
     se = (
         curves.std(axis=0, ddof=1) / math.sqrt(len(traces))
@@ -526,35 +552,48 @@ def generalization_gap(
     )
 
 
+def _draw_holdout(
+    task: SyntheticTask, mc_draws: int, seed: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The fixed Monte-Carlo holdout of a gap estimate; None where F has a closed form."""
+    if task.family is ModelFamily.LINEAR_REGRESSION:
+        return None
+    rng = np.random.default_rng(derive_seed(seed, "gengap-holdout"))
+    return draw_dataset_arrays(task, mc_draws, rng)
+
+
 def _consensus_gaps(
     W: np.ndarray,
     task: SyntheticTask,
     model: LossModel,
     shards: Shards,
-    mc_draws: int,
-    seed: int,
+    holdout: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
     """F(w) - F_S(w) for each row of W (S, d) trained on `shards`.
 
     The population risk uses the closed form for linear regression and
-    otherwise a fixed fresh holdout of mc_draws samples, drawn from `seed`;
-    the empirical risk is the mean loss over the full training set.
+    otherwise the mean loss on the holdout from _draw_holdout; the empirical
+    risk is the mean loss over the full training set.
     """
     if task.family is ModelFamily.LINEAR_REGRESSION:
         population = population_risk(task, W)
     else:
-        rng = np.random.default_rng(derive_seed(seed, "gengap-holdout"))
-        population = dataset_risk(model, W, *draw_dataset_arrays(task, mc_draws, rng))
+        population = dataset_risk(model, W, *holdout)
     return population - dataset_risk(model, W, *shards.flat())
 
 
-def _gengap_replicate(args: tuple) -> np.ndarray:
-    (P, task, model, config, n, mc_draws, r) = args
-    shards = _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r))
-    run_config = replace(config, seed=derive_seed(config.seed, "gengap-run", r))
-    trace = run_dsgd(P, shards, model, run_config)
-    report = generalization_gap([trace], task, model, shards, mc_draws, config.seed)
-    return report.mean
+def _gengap_group(args: tuple) -> list[np.ndarray]:
+    """Replicates `group`: fresh shards and one run each, stepped as one stack."""
+    (P, task, model, config, n, holdout, group) = args
+    shards = [
+        _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r)) for r in group
+    ]
+    seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
+    traces = run_dsgd_stack(P, shards, model, config, seeds)
+    return [
+        generalization_gap([trace], task, model, replicate_shards, holdout=holdout).mean
+        for trace, replicate_shards in zip(traces, shards)
+    ]
 
 
 def replicated_generalization_gap(
@@ -570,12 +609,18 @@ def replicated_generalization_gap(
     """Gap curve averaged over replicate datasets, each with its own run.
 
     Data seeds match estimate_stability's, so gap and stability replicates
-    see identical shards for a given base seed.
+    see identical shards for a given base seed. As there, the replicates'
+    runs are stepped as one stack per contiguous group, one group per job;
+    every replicate is scored on one holdout, drawn once per call.
     """
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
-    items = [(P, task, model, config, n, mc_draws, r) for r in range(replicates)]
-    curves = np.stack(_parallel_map(_gengap_replicate, items, jobs))
+    holdout = _draw_holdout(task, mc_draws, config.seed)
+    items = [
+        (P, task, model, config, n, holdout, group)
+        for group in _replicate_groups(replicates, jobs)
+    ]
+    curves = np.stack([c for group in _parallel_map(_gengap_group, items, jobs) for c in group])
     return GenGapReport(
         iterations=config.snapshot_iterations,
         mean=curves.mean(axis=0),
@@ -787,6 +832,7 @@ def topology_comparison(
     """
     rows = []
     estimates: dict[TopologyKind, StabilityEstimate] = {}
+    holdout = _draw_holdout(task, mc_draws, config.seed)
     for kind in kinds:
         P = build_gossip_matrix(kind, m)
         lam = eigenvalues_symmetric(P).lam
@@ -800,9 +846,7 @@ def topology_comparison(
             chunk = estimate.coupled[r * pairs : (r + 1) * pairs]
             finals = np.stack([trace.base.consensus[-1] for trace in chunk])
             replicate_gaps.append(
-                _consensus_gaps(
-                    finals, task, model, estimate.shards[r], mc_draws, config.seed
-                ).mean()
+                _consensus_gaps(finals, task, model, estimate.shards[r], holdout).mean()
             )
         gaps = np.array(replicate_gaps)
         rows.append(

@@ -16,10 +16,16 @@ set that differs in one sample per affected worker, with the same seed and
 hence identical sample-index sequences; per-worker squared weight differences
 are the raw material of the stability estimators.
 
-One loop serves single and coupled runs. It draws the sample indices of all
-T steps up front as one (T, m) block of the run's stream (the same indices as
-T draws of m), and steps a stack W (s, m, d): s = 1 for a single run, s = 2
-for a coupled pair, whose sides share one gossip product and gradient call.
+One loop serves every run. It steps a stack W (K, s, m, d) of K runs with s
+sides each (s = 1 for single runs, s = 2 for coupled pairs), on one
+(K, s, m, n, d_x) stack of shards, with one gossip product, one gradient call
+and one risk evaluation per step or snapshot. Each run keeps its own seed and
+index stream: its indices are drawn from its own generator in blocks of at
+most INDEX_DRAW_STEPS steps per snapshot interval, which are the same indices
+as one draw of m per step; the two sides of a pair share them. Consensus
+control gossips the stack masked, so each side keeps gossiping only while its
+own consensus distance is above the target and takes the rounds it would take
+alone.
 """
 
 from __future__ import annotations
@@ -56,8 +62,15 @@ __all__ = [
     "dsgd_step",
     "run_dsgd",
     "run_coupled",
+    "run_dsgd_stack",
+    "run_coupled_stack",
     "consensus_control_step",
 ]
+
+# Most steps of sample indices drawn from a run's stream at once. A sparse
+# snapshot cadence (criterion 9 logs only t = 0 and T) would otherwise draw
+# a whole (T, m) block per run before the first step.
+INDEX_DRAW_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -236,14 +249,14 @@ def _replace_samples(xs: np.ndarray, ys: np.ndarray, perturbation: Perturbation)
 
 
 def consensus_model(W: np.ndarray) -> np.ndarray:
-    """Average of the local models: column-wise mean of W."""
-    return W.mean(axis=0)
+    """Average of the local models, per run of W (m, d) or of a stack W (..., m, d)."""
+    return W.mean(axis=-2)
 
 
-def consensus_distance(W: np.ndarray) -> float:
-    """Mean squared deviation of local models from the consensus model."""
-    deviation = W - W.mean(axis=0, keepdims=True)
-    return float(np.sum(deviation**2) / W.shape[0])
+def consensus_distance(W: np.ndarray) -> float | np.ndarray:
+    """Mean squared deviation of the local models from their average, per run of W (..., m, d)."""
+    deviation = W - W.mean(axis=-2, keepdims=True)
+    return np.sum(deviation**2, axis=(-2, -1)) / W.shape[-2]
 
 
 def dsgd_step(
@@ -269,21 +282,36 @@ def dsgd_step(
 
 
 def consensus_control_step(
-    W: np.ndarray, P: GossipMatrix, gamma_sq: float, max_rounds: int
+    W: np.ndarray,
+    P: GossipMatrix,
+    gamma_sq: float,
+    max_rounds: int,
+    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Extra pure-gossip rounds until consensus distance <= gamma_sq.
 
-    Returns the (possibly unchanged) worker matrix and the rounds used. If the
-    target is unreachable (disconnected components with disagreeing means), the
-    loop reports max_rounds exhaustion instead of raising.
+    W is one run (m, d) or a stack of runs (..., m, d). Each run gossips only
+    while its own distance exceeds gamma_sq, for at most max_rounds rounds, so
+    it takes the rounds it would take alone. Returns the (possibly unchanged)
+    models and the rounds the loop took, the most that any run used; with
+    counts (shape W.shape[:-2]) given, each run's own rounds are added to it.
+    If the target is unreachable (disconnected components with disagreeing
+    means), a run reports max_rounds exhaustion instead of raising.
     """
     if not gamma_sq > 0:
         raise InputError("gamma_sq must be positive")
+    runs = W.reshape(-1, *W.shape[-2:]).copy()
+    used = np.zeros(len(runs), dtype=int)
+    active = consensus_distance(runs) > gamma_sq
     rounds = 0
-    while consensus_distance(W) > gamma_sq and rounds < max_rounds:
-        W = P.entries @ W
+    while rounds < max_rounds and active.any():
+        runs[active] = P.entries @ runs[active]
+        used += active
         rounds += 1
-    return W, rounds
+        active = consensus_distance(runs) > gamma_sq
+    if counts is not None:
+        counts += used.reshape(counts.shape)
+    return runs.reshape(W.shape), rounds
 
 
 def run_dsgd(
@@ -297,18 +325,18 @@ def run_dsgd(
     """Run a full trajectory from the all-zeros initialization.
 
     Per-worker sample indices come from index_sequence (iterations, m) when
-    given (exhaustive enumeration support), else from one such block drawn up
-    front from the run's seeded stream (equal to one draw of m per step). With
-    control set, every step after t_gamma is followed by extra gossip rounds
-    keeping the consensus distance at most gamma_sq. Deterministic in (inputs, seed).
+    given (exhaustive enumeration support), else from the run's seeded
+    stream, one draw of m per step. With control set, every step after
+    t_gamma is followed by extra gossip rounds keeping the consensus distance
+    at most gamma_sq. Deterministic in (inputs, seed); the one-run case of
+    run_dsgd_stack, which steps many runs at once.
 
     Raises:
         InputError: control.t_gamma lies past the run length, or
             index_sequence has the wrong shape or an index outside the shards.
         NumericalError: the run diverged (non-finite consensus distance).
     """
-    traces, _, _ = _run_pair(P, shards, model, config, None, index_sequence, control)
-    return traces[0]
+    return _run_stack(P, [shards], model, config, [config.seed], None, index_sequence, control)[0]
 
 
 def run_coupled(
@@ -324,119 +352,192 @@ def run_coupled(
 
     Both trajectories share the seed, hence the same zeta sequence on every
     worker; the trace records per-worker squared weight differences at each
-    snapshot and the final per-coordinate differences.
+    snapshot and the final per-coordinate differences. The one-pair case of
+    run_coupled_stack.
     """
-    traces, sq_diffs, W = _run_pair(
-        P, shards, model, config, perturbation, index_sequence, control
-    )
-    return CoupledTrace(
-        base=traces[0], perturbed=traces[1], sq_diffs=sq_diffs, final_diffs=W[0] - W[1]
-    )
+    return _run_stack(
+        P, [shards], model, config, [config.seed], [perturbation], index_sequence, control
+    )[0]
 
 
-def _run_pair(
+def run_dsgd_stack(
     P: GossipMatrix,
-    shards: Shards,
+    shards: list[Shards],
     model: LossModel,
     config: TrainConfig,
-    perturbation: Perturbation | None,
+    seeds: list[int],
+    control: ConsensusControl | None = None,
+) -> list[RunTrace]:
+    """Runs on shards[k] with seeds[k], stepped as one stack; equal to run_dsgd run by run.
+
+    config supplies the length, schedule and cadence; its seed is not used.
+    A NumericalError names the seed and step of the first run found diverged.
+    """
+    return _run_stack(P, shards, model, config, seeds, None, None, control)
+
+
+def run_coupled_stack(
+    P: GossipMatrix,
+    shards: list[Shards],
+    model: LossModel,
+    config: TrainConfig,
+    perturbations: list[Perturbation],
+    seeds: list[int],
+    control: ConsensusControl | None = None,
+) -> list[CoupledTrace]:
+    """Coupled runs of shards[k] against perturbations[k] with seeds[k], as one stack.
+
+    Equal to run_coupled pair by pair; the K pairs' 2K trajectories share
+    every gossip product, gradient call and risk evaluation. config supplies
+    the length, schedule and cadence; its seed is not used.
+    """
+    return _run_stack(P, shards, model, config, seeds, perturbations, None, control)
+
+
+def _run_stack(
+    P: GossipMatrix,
+    shards: list[Shards],
+    model: LossModel,
+    config: TrainConfig,
+    seeds: list[int],
+    perturbations: list[Perturbation] | None,
     index_sequence: np.ndarray | None,
     control: ConsensusControl | None,
-) -> tuple[list[RunTrace], np.ndarray | None, np.ndarray]:
-    """The trajectory loop: steps S, and its neighbour when coupled, as one stack.
+) -> list[RunTrace] | list[CoupledTrace]:
+    """The trajectory loop: steps K runs of s sides each as one stack W (K, s, m, d).
 
-    Returns one trace per side, the per-worker squared differences between
-    the sides at each snapshot (None for a single run), and the final stack.
+    Run k trains on shards[k] from seed seeds[k]; with perturbations, its
+    second side trains on shards[k] with perturbations[k] applied. An
+    index_sequence (iterations, m) replaces the drawn indices of a single run.
+    Returns one RunTrace per run, or with perturbations one CoupledTrace.
     """
-    m, n = shards.m, shards.n
+    m, n, d_x = shards[0].xs.shape
     total = config.iterations
     if P.m != m:
         raise InputError(f"gossip matrix size {P.m} does not match {m} shards")
     if control is not None and control.t_gamma > total:
         raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
-    if index_sequence is None:
-        index_sequence = np.random.default_rng(config.seed).integers(0, n, size=(total, m))
-    index_sequence = np.asarray(index_sequence)
-    if index_sequence.shape != (total, m):
-        raise InputError("index_sequence must have shape (iterations, m)")
-    if total and (index_sequence.min() < 0 or index_sequence.max() >= n):
-        raise InputError("index_sequence entries outside shard size")
+    if index_sequence is not None:
+        index_sequence = np.asarray(index_sequence)
+        if index_sequence.shape != (total, m):
+            raise InputError("index_sequence must have shape (iterations, m)")
+        if total and (index_sequence.min() < 0 or index_sequence.max() >= n):
+            raise InputError("index_sequence entries outside shard size")
 
-    if perturbation is None:
-        xs, ys = shards.xs[None], shards.ys[None]
-    else:
-        xs, ys = np.stack([shards.xs, shards.xs]), np.stack([shards.ys, shards.ys])
-        _replace_samples(xs[1], ys[1], perturbation)
-    sides = xs.shape[0]
+    sides = 1 if perturbations is None else 2
+    xs = np.empty((len(shards), sides, m, n, d_x))
+    ys = np.empty((len(shards), sides, m, n))
+    for k, run_shards in enumerate(shards):
+        if run_shards.xs.shape != (m, n, d_x):
+            raise InputError("every run of a stack needs shards of one shape")
+        xs[k], ys[k] = run_shards.xs, run_shards.ys
+        if perturbations is not None:
+            _replace_samples(xs[k, 1], ys[k, 1], perturbations[k])
+    # Flat row of worker w's sample 0 in run k, side s: zeta is added per step.
+    first_rows = np.arange(xs.shape[0] * sides * m).reshape(xs.shape[:3]) * n
+    flat_xs, flat_ys = xs.reshape(-1, d_x), ys.reshape(-1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
     logged = config.snapshot_iterations
-    recorder = _TraceRecorder(model, xs, ys, logged, config.seed)
-    W = np.zeros((sides, m, model.dim(shards.d_x)))
-    extra_rounds = [0] * sides
-    workers = np.arange(m)
+    recorder = _TraceRecorder(model, xs, ys, logged, seeds)
+    W = np.zeros((*xs.shape[:3], model.dim(d_x)))
+    extra_rounds = np.zeros(xs.shape[:2], dtype=int)
     recorder.record(0, W)
+    t = 0
     for slot in range(1, len(logged)):
-        for t in range(logged[slot - 1], logged[slot]):
-            zeta = index_sequence[t]
-            eta_t = config.rate.at(t, total)
-            W = dsgd_step(W, P, xs[:, workers, zeta], ys[:, workers, zeta], eta_t, model)
-            if control is not None and t + 1 > control.t_gamma:
-                # Round counts depend on each side's data, so control acts per side.
-                for side in range(sides):
-                    W[side], used = consensus_control_step(
-                        W[side], P, control.gamma_sq, control.max_rounds
+        while t < logged[slot]:
+            steps = min(INDEX_DRAW_STEPS, logged[slot] - t)
+            if index_sequence is None:
+                zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
+            else:
+                zeta = index_sequence[t : t + steps, None]
+            # (steps, K, s, m): both sides of a run read the run's indices.
+            rows = first_rows + zeta[:, :, None, :]
+            for step_rows in rows:
+                W = dsgd_step(
+                    W, P, flat_xs[step_rows], flat_ys[step_rows], config.rate.at(t, total), model
+                )
+                if control is not None and t + 1 > control.t_gamma:
+                    W, _ = consensus_control_step(
+                        W, P, control.gamma_sq, control.max_rounds, extra_rounds
                     )
-                    extra_rounds[side] += used
+                t += 1
         recorder.record(slot, W)
-    return recorder.finish(W, extra_rounds), recorder.sq_diffs, W
+    return recorder.finish(W, extra_rounds)
 
 
 class _TraceRecorder:
-    """Snapshot rows of every side of a stacked run, at the logged iterations.
+    """Snapshot rows of every run and side of a stack, at the logged iterations.
 
-    Raises NumericalError at the first snapshot whose consensus distance is
-    not finite: a non-finite W stays non-finite under W' = P W - eta G, so a
-    divergent run is always caught by the final snapshot at the latest.
+    Raises NumericalError at the first snapshot where some consensus distance
+    is not finite, naming the first such run's seed: a non-finite W stays
+    non-finite under W' = P W - eta G, so a divergent run is always caught by
+    the final snapshot at the latest.
     """
 
     def __init__(
-        self, model: LossModel, xs: np.ndarray, ys: np.ndarray, logged: np.ndarray, seed: int
+        self,
+        model: LossModel,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        logged: np.ndarray,
+        seeds: list[int],
     ):
-        sides, m, n, d_x = xs.shape
-        self.model, self.logged, self.seed = model, logged, seed
-        # Every side's shards as one set of s*m shards, for one worker_risks call.
-        self.shards = Shards(xs=xs.reshape(sides * m, n, d_x), ys=ys.reshape(sides * m, n))
-        self.consensus = np.zeros((sides, len(logged), model.dim(d_x)))
-        self.consensus_dist = np.zeros((sides, len(logged)))
-        self.risks = np.zeros((sides, len(logged), m))
-        self.sq_diffs = np.zeros((len(logged), m)) if sides == 2 else None
+        runs, sides, m, n, d_x = xs.shape
+        self.model, self.logged, self.seeds = model, logged, seeds
+        # Every run's and side's shards as one set of K*s*m shards, for one worker_risks call.
+        self.shards = Shards(xs=xs.reshape(-1, n, d_x), ys=ys.reshape(-1, n))
+        self.consensus = np.zeros((runs, sides, len(logged), model.dim(d_x)))
+        self.consensus_dist = np.zeros((runs, sides, len(logged)))
+        self.risks = np.zeros((runs, sides, len(logged), m))
+        self.sq_diffs = np.zeros((runs, len(logged), m)) if sides == 2 else None
 
     def record(self, slot: int, W: np.ndarray) -> None:
-        for side, w in enumerate(W):
-            self.consensus[side, slot] = consensus_model(w)
-            # A diverging W overflows the sum of squares; that is reported below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                distance = consensus_distance(w)
-            if not np.isfinite(distance):
-                raise NumericalError(
-                    f"run with seed {self.seed} diverged: consensus distance is "
-                    f"{distance} at step {self.logged[slot]}"
-                )
-            self.consensus_dist[side, slot] = distance
-        risks = worker_risks(self.model, W.reshape(-1, W.shape[-1]), self.shards)
-        self.risks[:, slot] = risks.reshape(W.shape[:2])
-        if self.sq_diffs is not None:
-            self.sq_diffs[slot] = np.sum((W[0] - W[1]) ** 2, axis=1)
-
-    def finish(self, W: np.ndarray, extra_rounds: list[int]) -> list[RunTrace]:
-        return [
-            RunTrace(
-                iterations=np.array(self.logged),
-                consensus=self.consensus[side],
-                consensus_dist=self.consensus_dist[side],
-                risks=self.risks[side],
-                mean_risk=self.risks[side].mean(axis=1),
-                final_weights=W[side].copy(),
-                extra_gossip_rounds=extra_rounds[side],
+        # A diverging W overflows the sum of squares; that is reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            distances = consensus_distance(W)
+        diverged = np.argwhere(~np.isfinite(distances))
+        if len(diverged):
+            run, side = diverged[0]
+            raise NumericalError(
+                f"run with seed {self.seeds[run]} diverged: consensus distance is "
+                f"{distances[run, side]} at step {self.logged[slot]}"
             )
-            for side in range(len(W))
+        self.consensus[:, :, slot] = consensus_model(W)
+        self.consensus_dist[:, :, slot] = distances
+        risks = worker_risks(self.model, W.reshape(-1, W.shape[-1]), self.shards)
+        self.risks[:, :, slot] = risks.reshape(W.shape[:-1])
+        if self.sq_diffs is not None:
+            self.sq_diffs[:, slot] = np.sum((W[:, 0] - W[:, 1]) ** 2, axis=-1)
+
+    def finish(
+        self, W: np.ndarray, extra_rounds: np.ndarray
+    ) -> list[RunTrace] | list[CoupledTrace]:
+        """Each run's trace, or coupled trace, as views into the stacked arrays."""
+        mean_risk = self.risks.mean(axis=-1)
+        sides = [
+            [
+                RunTrace(
+                    iterations=np.array(self.logged),
+                    consensus=self.consensus[run, side],
+                    consensus_dist=self.consensus_dist[run, side],
+                    risks=self.risks[run, side],
+                    mean_risk=mean_risk[run, side],
+                    final_weights=W[run, side].copy(),
+                    extra_gossip_rounds=int(extra_rounds[run, side]),
+                )
+                for side in range(W.shape[1])
+            ]
+            for run in range(W.shape[0])
+        ]
+        if self.sq_diffs is None:
+            return [base for base, in sides]
+        return [
+            CoupledTrace(
+                base=base,
+                perturbed=perturbed,
+                sq_diffs=self.sq_diffs[run],
+                final_diffs=W[run, 0] - W[run, 1],
+            )
+            for run, (base, perturbed) in enumerate(sides)
         ]

@@ -187,6 +187,21 @@ def _softplus(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _softplus_and_sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_softplus(s) and _sigmoid(s), bit for bit, from one exp(-|s|).
+
+    With e = exp(-|s|), the sigmoid is 1/(1 + e) where s >= 0 and e/(1 + e)
+    elsewhere: the same operations _sigmoid applies to the same exp, without
+    its masked reads and writes.
+    """
+    e = np.exp(-np.abs(s))
+    softplus = np.log1p(e)
+    softplus += np.maximum(s, 0.0)
+    sigmoid = np.where(s >= 0, 1.0, e)
+    sigmoid /= 1.0 + e
+    return softplus, sigmoid
+
+
 def draw_dataset_arrays(
     task: SyntheticTask, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -243,10 +258,11 @@ def loss_gradients(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray
     beta = model.softplus_sharpness
     V, a = _unpack_mlp(model, W, X.shape[1])
     pre = beta * np.einsum("khd,kd->kh", V, X)
-    hidden = _softplus(pre) / beta
+    softplus, sigmoid = _softplus_and_sigmoid(pre)
+    hidden = softplus / beta
     residual = np.einsum("kh,kh->k", a, hidden) - Y
     grad_a = residual[:, None] * hidden
-    grad_V = (residual[:, None] * a * _sigmoid(pre))[:, :, None] * X[:, None, :]
+    grad_V = (residual[:, None] * a * sigmoid)[:, :, None] * X[:, None, :]
     return np.concatenate([grad_V.reshape(W.shape[0], -1), grad_a], axis=1)
 
 
@@ -401,16 +417,21 @@ def self_bounding_check(
     Probe samples are the rows of draw_dataset_arrays(task, trials,
     default_rng(seed)) and weights are drawn uniformly from the radius ball,
     mirroring estimate_holder_constant so the two share probe pools when
-    called with equal counts and seeds. A probe
+    called with equal counts and seeds. At alpha = 0 the constant's
+    sup ||grad f(0; z)|| is taken over the probe samples. A probe
     violates if the left side exceeds the right by more than 1e-9; max_ratio
     is the largest lhs/rhs over probes with rhs > 0.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    c = c_alpha_constant(alpha, L, grad_at_zero_sup=0.0 if alpha == 0.0 else None)
     rng = np.random.default_rng(seed)
     xs, ys = draw_dataset_arrays(task, trials, rng)
     ws = _ball_points(rng, trials, model.dim(task.d_x), radius)
+    grad_at_zero_sup = None
+    if alpha == 0.0:
+        at_zero = loss_gradients(model, np.zeros_like(ws), xs, ys)
+        grad_at_zero_sup = float(np.max(np.linalg.norm(at_zero, axis=1)))
+    c = c_alpha_constant(alpha, L, grad_at_zero_sup)
     grads = np.linalg.norm(loss_gradients(model, ws, xs, ys), axis=1)
     losses = loss_values(model, ws, xs, ys)
     rhs = c * losses ** (alpha / (1.0 + alpha))

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dsgd_lab import analysis
 from dsgd_lab.analysis import (
     BoundInputs,
     estimate_epsilon_s,
@@ -17,15 +19,20 @@ from dsgd_lab.analysis import (
     generalization_bound_from_stability,
     generalization_gap,
     optimize_bound_p,
+    replicated_generalization_gap,
     risk_exponent_curve,
     spearman_rank_correlation,
     stability_bound_curve,
     stability_bound_limit,
     stability_exhaustive,
     topology_comparison,
+    _draw_holdout,
+    _gengap_group,
     _make_shards,
+    _stability_group,
 )
 from dsgd_lab.engine import (
+    ConsensusControl,
     ConstantRate,
     CoupledTrace,
     PerturbationMode,
@@ -120,6 +127,68 @@ def test_stability_estimate_is_deterministic_and_jobs_invariant():
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.mean, c.mean)
     assert np.array_equal(a.se, c.se)
+
+
+@settings(max_examples=20, deadline=None)
+@given(replicates=st.integers(2, 5), data=st.data())
+def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
+    # Each pool worker steps one contiguous group of replicates as one stack.
+    # Any split must give the arrays of the one-group (jobs = 1) estimate, bit
+    # for bit; the group functions are called directly, so no pool starts.
+    cuts = sorted(data.draw(st.sets(st.integers(1, replicates - 1))))
+    bounds = [0, *cuts, replicates]
+    groups = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=24, rate=ConstantRate(0.1), seed=17)
+    control = ConsensusControl(gamma_sq=1e-3, t_gamma=12)
+    task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
+    estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
+                                  pairs=pairs, mode=mode, keep_traces=True, control=control)
+    results = [
+        _stability_group((P, task, LINEAR, config, 5, pairs, mode, control, group, True))
+        for group in groups
+    ]
+    assert np.array_equal(np.concatenate([c for c, _, _ in results]), estimate.replicate_means)
+    coupled = [trace for _, kept, _ in results for trace in kept]
+    assert len(coupled) == len(estimate.coupled) == replicates * pairs
+    for a, b in zip(coupled, estimate.coupled):
+        assert np.array_equal(a.sq_diffs, b.sq_diffs)
+        assert np.array_equal(a.base.risks, b.base.risks)
+        assert a.base.extra_gossip_rounds == b.base.extra_gossip_rounds
+    shards = [sh for _, _, kept in results for sh in kept]
+    assert all(np.array_equal(a.xs, b.xs) for a, b in zip(shards, estimate.shards))
+
+    mlp_task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+    mlp = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
+    report = replicated_generalization_gap(
+        P, mlp_task, mlp, config, n=5, replicates=replicates, mc_draws=300
+    )
+    holdout = _draw_holdout(mlp_task, 300, config.seed)
+    curves = np.stack([
+        curve
+        for group in groups
+        for curve in _gengap_group((P, mlp_task, mlp, config, 5, holdout, group))
+    ])
+    assert np.array_equal(curves.mean(axis=0), report.mean)
+    assert np.array_equal(curves.std(axis=0, ddof=1) / math.sqrt(replicates), report.se)
+
+
+def test_replicated_gap_draws_one_holdout_per_call(monkeypatch):
+    # The Monte-Carlo holdout is drawn once, not once per replicate.
+    drawn = []
+
+    def counting_draw(task, count, rng):
+        drawn.append(count)
+        return draw_dataset_arrays(task, count, rng)
+
+    monkeypatch.setattr(analysis, "draw_dataset_arrays", counting_draw)
+    task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=2)
+    replicated_generalization_gap(P, task, model, config, n=5, replicates=3,
+                                           mc_draws=700)
+    assert sorted(drawn) == [20, 20, 20, 700]
 
 
 def test_single_worker_mode_is_strictly_below_synchronized():

@@ -1,6 +1,7 @@
 """Decentralized SGD dynamics: the update map, traces, and coupled runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from dsgd_lab.engine import (
     draw_perturbation,
     dsgd_step,
     run_coupled,
+    run_coupled_stack,
     run_dsgd,
+    run_dsgd_stack,
 )
-from dsgd_lab.errors import InputError
+from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import LossModel, ModelFamily, Shards, SyntheticTask, draw_dataset_arrays
 from dsgd_lab.topology import TopologyKind, build_gossip_matrix, eigenvalues_symmetric
 
@@ -143,6 +146,23 @@ def test_consensus_distance_examples():
     assert consensus_distance(np.array([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(1.0)
     W = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     assert consensus_distance(W) == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 70),
+                    st.integers(1, 70)),
+    log_scale=st.integers(-5, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_reductions_equal_per_run_reductions(shape, log_scale, seed):
+    # The engine records every run of a stack with one reduction; each run's
+    # entry must be the value the run alone gives, bit for bit.
+    W = np.random.default_rng(seed).standard_normal(shape) * 10.0**log_scale
+    means, distances = consensus_model(W), consensus_distance(W)
+    for k, side in np.ndindex(shape[:2]):
+        assert np.array_equal(means[k, side], consensus_model(W[k, side]))
+        assert distances[k, side] == consensus_distance(W[k, side])
 
 
 def test_gossip_preserves_consensus_mean():
@@ -352,13 +372,16 @@ def test_coupled_disconnected_difference_stays_local():
     assert np.max(coupled.sq_diffs[:, 2]) > 0.0
 
 
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
 def assert_same_trace(a, b):
-    assert np.array_equal(a.iterations, b.iterations)
-    assert np.array_equal(a.consensus, b.consensus)
-    assert np.array_equal(a.consensus_dist, b.consensus_dist)
-    assert np.array_equal(a.risks, b.risks)
-    assert np.array_equal(a.mean_risk, b.mean_risk)
-    assert np.array_equal(a.final_weights, b.final_weights)
+    for name in ("iterations", "consensus", "consensus_dist", "risks", "mean_risk",
+                 "final_weights"):
+        assert_same_array(getattr(a, name), getattr(b, name))
+    assert type(a.extra_gossip_rounds) is type(b.extra_gossip_rounds)
     assert a.extra_gossip_rounds == b.extra_gossip_rounds
 
 
@@ -406,6 +429,97 @@ def test_coupled_difference_snapshots_are_consistent():
         coupled.base.final_weights - coupled.perturbed.final_weights,
         atol=0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Stacks of runs
+# ---------------------------------------------------------------------------
+
+
+def stack_inputs(family, runs=3, m=4, n=5, d_x=3):
+    """Per-run shards, perturbations and seeds, each run on its own data."""
+    task = SyntheticTask.isotropic(family, d_x, np.full(d_x, 1.0 / math.sqrt(d_x)), 0.1)
+    shards = [make_shards(task, n, m, seed=30 + k) for k in range(runs)]
+    perturbations = [
+        draw_perturbation(task, n, m, PerturbationMode.SYNCHRONIZED, seed=40 + k)
+        for k in range(runs)
+    ]
+    return shards, perturbations, [50 + k for k in range(runs)]
+
+
+@pytest.mark.parametrize("family", [ModelFamily.LINEAR_REGRESSION,
+                                    ModelFamily.LOGISTIC_REGRESSION,
+                                    ModelFamily.TWO_LAYER_MLP])
+@pytest.mark.parametrize("control", [None, ConsensusControl(gamma_sq=1e-4, t_gamma=12)],
+                         ids=["plain", "control"])
+@pytest.mark.parametrize("rate", [ConstantRate(0.08), StepDecayRate(0.08)],
+                         ids=["constant", "step-decay"])
+def test_stacked_runs_equal_single_runs(family, control, rate):
+    # Each run of a stack must equal the same run made alone, bit for bit, in
+    # every trace field. A 100-step snapshot interval makes the index draws
+    # span more than one block of INDEX_DRAW_STEPS.
+    model = LossModel(family=family, hidden_width=3)
+    shards, perturbations, seeds = stack_inputs(family)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=130, rate=rate, seed=0, snapshot_every=100)
+    coupled = run_coupled_stack(P, shards, model, config, perturbations, seeds, control)
+    single = run_dsgd_stack(P, shards, model, config, seeds, control)
+    assert len(coupled) == len(single) == len(seeds)
+    for k, seed in enumerate(seeds):
+        own = replace(config, seed=seed)
+        alone = run_coupled(P, shards[k], model, own, perturbations[k], control=control)
+        assert_same_trace(coupled[k].base, alone.base)
+        assert_same_trace(coupled[k].perturbed, alone.perturbed)
+        assert_same_array(coupled[k].sq_diffs, alone.sq_diffs)
+        assert_same_array(coupled[k].final_diffs, alone.final_diffs)
+        assert_same_trace(single[k], run_dsgd(P, shards[k], model, own, control=control))
+        if control is not None:
+            assert alone.base.extra_gossip_rounds > 0
+
+
+def test_sparse_snapshots_follow_the_per_step_index_stream():
+    # One snapshot interval of 150 steps is drawn in blocks of at most
+    # INDEX_DRAW_STEPS; together they must be the seed's (T, m) stream.
+    shards = make_shards(make_task(), 6, 3)
+    P = build_gossip_matrix(TopologyKind.RING, 3)
+    config = TrainConfig(iterations=150, rate=ConstantRate(0.05), seed=8, snapshot_every=150)
+    block = np.random.default_rng(8).integers(0, 6, size=(150, 3))
+    assert_same_trace(
+        run_dsgd(P, shards, LINEAR, config),
+        run_dsgd(P, shards, LINEAR, config, index_sequence=block),
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stack_with_a_later_divergent_run_names_that_run():
+    # Only the last run's data make eta = 0.9 unstable; the stack must stop
+    # with the error that run raises alone: its seed, its step, its distance.
+    shards, _, seeds = stack_inputs(ModelFamily.LINEAR_REGRESSION)
+    shards[-1] = Shards(xs=shards[-1].xs * 10.0, ys=shards[-1].ys)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=200, rate=ConstantRate(0.9), seed=0, snapshot_every=3)
+    with pytest.raises(NumericalError) as alone:
+        run_dsgd(P, shards[-1], LINEAR, replace(config, seed=seeds[-1]))
+    run_dsgd(P, shards[0], LINEAR, replace(config, seed=seeds[0]))
+    with pytest.raises(NumericalError) as stacked:
+        run_dsgd_stack(P, shards, LINEAR, config, seeds)
+    assert str(stacked.value) == str(alone.value)
+    assert f"seed {seeds[-1]} diverged" in str(stacked.value)
+
+
+def test_stacked_control_counts_each_runs_rounds():
+    # A stack's masked control gives each run the rounds it takes alone, and
+    # reports the most that any run used.
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    rng = np.random.default_rng(3)
+    W = rng.standard_normal((3, 4, 2)) * np.array([1e-4, 1.0, 10.0])[:, None, None]
+    counts = np.zeros(3, dtype=int)
+    out, rounds = consensus_control_step(W, P, gamma_sq=1e-6, max_rounds=50, counts=counts)
+    for k in range(3):
+        alone, used = consensus_control_step(W[k], P, gamma_sq=1e-6, max_rounds=50)
+        assert counts[k] == used
+        assert_same_array(out[k], alone)
+    assert counts[0] == 0 and rounds == counts.max() > 0
 
 
 # ---------------------------------------------------------------------------

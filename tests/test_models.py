@@ -20,7 +20,9 @@ from dsgd_lab.models import (
     loss_values,
     population_risk,
     _risk_block_rows,
+    _sigmoid,
     _softplus,
+    _softplus_and_sigmoid,
     self_bounding_check,
     worker_risks,
 )
@@ -231,6 +233,27 @@ def test_softplus_extremes_match_logaddexp_exactly():
         assert np.array_equal(_softplus(sharpness * t) / sharpness, expected, equal_nan=True)
 
 
+def assert_same_bits(a, b):
+    """Equal bit for bit, except that a NaN only has to meet a NaN: the fused
+    form's exp(-|NaN|) carries the sign bit that _sigmoid's exp(NaN) lacks."""
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    draws=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 5.0, 40.0, 700.0, 1e300]),
+)
+def test_fused_softplus_and_sigmoid_are_bit_equal_to_the_separate_forms(draws, scale):
+    s = np.array(draws + SOFTPLUS_EXTREMES + [np.nan])
+    s[: len(draws)] *= scale
+    softplus, sigmoid = _softplus_and_sigmoid(s)
+    assert_same_bits(softplus, _softplus(s))
+    assert_same_bits(sigmoid, _sigmoid(s))
+
+
 # ---------------------------------------------------------------------------
 # Population risk
 # ---------------------------------------------------------------------------
@@ -354,6 +377,21 @@ def test_self_bounding_holds_with_shared_probe_pool():
         report = self_bounding_check(model, task, 1.0, L, trials=400, seed=43, radius=radius)
         assert report.violations == 0
         assert report.max_ratio <= 1.0 + 1e-9
+
+
+def test_self_bounding_at_alpha_zero_adds_the_gradient_at_zero():
+    # For linear regression grad f(w; z) - grad f(0; z) = (x.w) x, so
+    # L = 2 radius max ||x||^2 over the probe samples bounds every gradient
+    # difference on the ball. The alpha = 0 constant sup ||grad f(0; z)|| + L
+    # must then hold on every probe; c = L alone fails on most of them.
+    task = make_task(ModelFamily.LINEAR_REGRESSION, d_x=3)
+    model = make_model(ModelFamily.LINEAR_REGRESSION)
+    trials, seed, radius = 400, 43, 0.05
+    xs, _ = draw_dataset_arrays(task, trials, np.random.default_rng(seed))
+    L = 2.0 * radius * float(np.max(np.sum(xs**2, axis=1)))
+    report = self_bounding_check(model, task, 0.0, L, trials=trials, seed=seed, radius=radius)
+    assert report.violations == 0
+    assert report.max_ratio <= 1.0
 
 
 def test_self_bounding_flags_an_understated_constant():

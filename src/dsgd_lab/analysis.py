@@ -40,7 +40,7 @@ from .engine import (
     TrainConfig,
     draw_perturbation,
     run_coupled,
-    run_coupled_stack,
+    run_coupled_arms,
     run_dsgd,  # unused here; benchmark/tracer.py wraps analysis.run_dsgd
     run_dsgd_stack,
 )
@@ -131,31 +131,54 @@ def _make_shards(task: SyntheticTask, n: int, m: int, seed: int) -> Shards:
 
 def _stability_group(
     args: tuple,
-) -> tuple[np.ndarray, list[CoupledTrace] | None, list[Shards] | None]:
-    """Replicates `group`, each with fresh shards and `pairs` sampled perturbations.
+) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None, list[Shards] | None]:
+    """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
-    Every coupled run of the group is stepped in one stack.
+    Each replicate draws fresh shards and `pairs` sampled perturbations once;
+    every arm x run x side of the group is stepped in one stack. Returns each
+    arm's replicate curves (A, len(group), snapshots); with `gaps`, each arm's
+    final consensus-model gap per replicate (A, len(group)), scored on
+    `holdout`; with `keep`, each arm's coupled traces and the shards. Only
+    kept traces record per-worker risks: nothing else reads them.
     """
-    (P, task, model, config, n, pairs, mode, control, group, keep) = args
+    (arms, task, model, config, n, pairs, mode, group, gaps, holdout, keep) = args
+    m = arms[0][0].m
     shards = [
-        _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r)) for r in group
+        _make_shards(task, n, m, derive_seed(config.seed, "stability-data", r)) for r in group
     ]
     runs = [(r, j) for r in group for j in range(pairs)]
-    coupled = run_coupled_stack(
-        P,
+    coupled = run_coupled_arms(
+        arms,
         [shards[r - group.start] for r, _ in runs],
         model,
         config,
         [
-            draw_perturbation(task, n, P.m, mode, derive_seed(config.seed, "stability-pert", r, j))
+            draw_perturbation(task, n, m, mode, derive_seed(config.seed, "stability-pert", r, j))
             for r, j in runs
         ],
         [derive_seed(config.seed, "stability-run", r, j) for r, j in runs],
-        control,
+        risks=keep,
     )
-    curves = np.stack([trace.sq_diffs.mean(axis=1) for trace in coupled])
-    replicate_curves = curves.reshape(len(group), pairs, -1).mean(axis=1)
-    return replicate_curves, (coupled if keep else None), (shards if keep else None)
+    curves = np.stack([
+        np.stack([trace.sq_diffs.mean(axis=1) for trace in traces])
+        .reshape(len(group), pairs, -1)
+        .mean(axis=1)
+        for traces in coupled
+    ])
+    replicate_gaps = None
+    if gaps:
+        replicate_gaps = np.array([
+            [
+                _consensus_gaps(finals, task, model, replicate_shards, holdout).mean()
+                for finals, replicate_shards in zip(
+                    np.stack([trace.base.consensus[-1] for trace in traces])
+                    .reshape(len(group), pairs, -1),
+                    shards,
+                )
+            ]
+            for traces in coupled
+        ])
+    return curves, replicate_gaps, (coupled if keep else None), (shards if keep else None)
 
 
 def _replicate_groups(replicates: int, jobs: int) -> list[range]:
@@ -172,6 +195,57 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def _stability_sweep(
+    arms: list[tuple[GossipMatrix, ConsensusControl | None]],
+    task: SyntheticTask,
+    model: LossModel,
+    config: TrainConfig,
+    n: int,
+    replicates: int,
+    pairs: int,
+    mode: PerturbationMode,
+    jobs: int,
+    keep_traces: bool = False,
+    gaps: bool = False,
+    holdout: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[list[StabilityEstimate], np.ndarray | None]:
+    """One stability estimate per arm (P, control), every arm on the same replicate data.
+
+    The replicates are split into `jobs` contiguous groups, mapped once over
+    one pool; each group draws its replicates' data once and steps every
+    arm x run x side as one stack (_stability_group). With `gaps`, also
+    returns each arm's final consensus-model gap per replicate, (A, replicates).
+    """
+    if replicates < 2:
+        raise InputError(f"replicates must be >= 2, got {replicates}")
+    if pairs < 1:
+        raise InputError(f"pairs must be >= 1, got {pairs}")
+    items = [
+        (arms, task, model, config, n, pairs, mode, group, gaps, holdout, keep_traces)
+        for group in _replicate_groups(replicates, jobs)
+    ]
+    results = _parallel_map(_stability_group, items, jobs)
+    rep_curves = np.concatenate([curves for curves, _, _, _ in results], axis=1)
+    estimates = [
+        StabilityEstimate(
+            iterations=config.snapshot_iterations,
+            mean=curves.mean(axis=0),
+            se=curves.std(axis=0, ddof=1) / math.sqrt(replicates),
+            replicate_means=curves,
+            replicates=replicates,
+            pairs=pairs,
+            mode=mode,
+            coupled=(
+                [trace for _, _, kept, _ in results for trace in kept[arm]] if keep_traces else None
+            ),
+            shards=[sh for _, _, _, kept in results for sh in kept] if keep_traces else None,
+        )
+        for arm, curves in enumerate(rep_curves)
+    ]
+    replicate_gaps = np.concatenate([g for _, g, _, _ in results], axis=1) if gaps else None
+    return estimates, replicate_gaps
 
 
 def estimate_stability(
@@ -196,34 +270,14 @@ def estimate_stability(
     worker process, and each group's 2 x replicates x pairs trajectories are
     stepped as one stack. Replicate and run seeds derive from config.seed with
     fixed labels, so results are independent of `jobs`, and two estimates
-    with the same base seed see identical data across topologies.
+    with the same base seed see identical data across topologies. The
+    one-arm case of the sweep that topology_comparison and
+    consensus_control_sweep run.
     """
-    if replicates < 2:
-        raise InputError(f"replicates must be >= 2, got {replicates}")
-    if pairs < 1:
-        raise InputError(f"pairs must be >= 1, got {pairs}")
-    items = [
-        (P, task, model, config, n, pairs, mode, control, group, keep_traces)
-        for group in _replicate_groups(replicates, jobs)
-    ]
-    results = _parallel_map(_stability_group, items, jobs)
-    rep_curves = np.concatenate([curves for curves, _, _ in results])
-    coupled: list[CoupledTrace] | None = None
-    shards: list[Shards] | None = None
-    if keep_traces:
-        coupled = [trace for _, kept, _ in results for trace in kept]
-        shards = [sh for _, _, kept in results for sh in kept]
-    return StabilityEstimate(
-        iterations=config.snapshot_iterations,
-        mean=rep_curves.mean(axis=0),
-        se=rep_curves.std(axis=0, ddof=1) / math.sqrt(replicates),
-        replicate_means=rep_curves,
-        replicates=replicates,
-        pairs=pairs,
-        mode=mode,
-        coupled=coupled,
-        shards=shards,
+    estimates, _ = _stability_sweep(
+        [(P, control)], task, model, config, n, replicates, pairs, mode, jobs, keep_traces
     )
+    return estimates[0]
 
 
 def stability_exhaustive(
@@ -747,8 +801,9 @@ def consensus_control_sweep(
     """Final-iteration stability as a function of the control onset t_gamma.
 
     Both coupled runs apply consensus control (distance kept at or below
-    gamma_sq) from step t_gamma on. Replicate seeds are shared across onsets,
-    making the sweep a paired comparison.
+    gamma_sq) from step t_gamma on. Every onset is one arm of one stability
+    sweep: the onsets share the replicate data, making the sweep a paired
+    comparison, and each replicate group steps every onset as one stack.
     """
     if replicates < 5:
         raise InputError(f"the control sweep needs replicates >= 5, got {replicates}")
@@ -756,22 +811,16 @@ def consensus_control_sweep(
         raise InputError("t_gamma_values needs at least 2 onsets")
     if list(t_gamma_values) != sorted(t_gamma_values):
         raise InputError("t_gamma_values must be sorted ascending")
-    finals = []
-    ses = []
-    for t_gamma in t_gamma_values:
-        control = ConsensusControl(
-            gamma_sq=gamma_sq, t_gamma=int(t_gamma), max_rounds=max_rounds
-        )
-        estimate = estimate_stability(
-            P, task, model, config, n, replicates, pairs, mode, jobs=jobs, control=control
-        )
-        finals.append(estimate.final)
-        ses.append(estimate.final_se)
-    finals_arr = np.array(finals)
+    arms = [
+        (P, ConsensusControl(gamma_sq=gamma_sq, t_gamma=int(t_gamma), max_rounds=max_rounds))
+        for t_gamma in t_gamma_values
+    ]
+    estimates, _ = _stability_sweep(arms, task, model, config, n, replicates, pairs, mode, jobs)
+    finals_arr = np.array([estimate.final for estimate in estimates])
     return ControlSweepResult(
         t_gammas=np.array(t_gamma_values, dtype=int),
         stability_final=finals_arr,
-        stability_se=np.array(ses),
+        stability_se=np.array([estimate.final_se for estimate in estimates]),
         spearman=spearman_rank_correlation(
             np.array(t_gamma_values, dtype=float), finals_arr
         ),
@@ -823,46 +872,38 @@ def topology_comparison(
 ) -> ComparisonResult:
     """Stability and generalization gap per topology on identical data.
 
-    All topologies share the replicate seeds, hence the same shards,
-    perturbations and sampling sequences; the gap is that of the final
-    consensus model of each base trajectory, averaged per replicate. Each row
-    keeps its per-replicate final stability and gap, from which paired
-    differences between kinds follow. With keep_traces, each estimate retains its coupled
+    Every kind is one arm of one stability sweep: all topologies share the
+    replicate seeds, hence the same shards, perturbations and sampling
+    sequences, and each replicate group steps every kind as one stack. The
+    gap is that of the final consensus model of each base trajectory,
+    averaged per replicate and computed inside the group. Each row keeps its
+    per-replicate final stability and gap, from which paired differences
+    between kinds follow. With keep_traces, each estimate retains its coupled
     traces for downstream bound evaluation.
+
+    Raises:
+        InputError: a kind is listed twice.
     """
-    rows = []
-    estimates: dict[TopologyKind, StabilityEstimate] = {}
-    holdout = _draw_holdout(task, mc_draws, config.seed)
-    for kind in kinds:
-        P = build_gossip_matrix(kind, m)
-        lam = eigenvalues_symmetric(P).lam
-        estimate = estimate_stability(
-            P, task, model, config, n, replicates, pairs, mode,
-            jobs=jobs, keep_traces=True,
+    repeated = sorted({kind.value for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise InputError(f"kinds must be distinct; repeated: {', '.join(repeated)}")
+    matrices = [build_gossip_matrix(kind, m) for kind in kinds]
+    estimates, gaps = _stability_sweep(
+        [(P, None) for P in matrices], task, model, config, n, replicates, pairs, mode, jobs,
+        keep_traces, gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed),
+    )
+    rows = [
+        ComparisonRow(
+            kind=kind,
+            m=m,
+            lam=eigenvalues_symmetric(P).lam,
+            stability_final=estimate.final,
+            stability_se=estimate.final_se,
+            gengap_final=float(kind_gaps.mean()),
+            gengap_se=float(kind_gaps.std(ddof=1) / math.sqrt(replicates)),
+            stability_replicates=estimate.replicate_means[:, -1].copy(),
+            gengap_replicates=kind_gaps,
         )
-        assert estimate.coupled is not None and estimate.shards is not None
-        replicate_gaps = []
-        for r in range(replicates):
-            chunk = estimate.coupled[r * pairs : (r + 1) * pairs]
-            finals = np.stack([trace.base.consensus[-1] for trace in chunk])
-            replicate_gaps.append(
-                _consensus_gaps(finals, task, model, estimate.shards[r], holdout).mean()
-            )
-        gaps = np.array(replicate_gaps)
-        rows.append(
-            ComparisonRow(
-                kind=kind,
-                m=m,
-                lam=lam,
-                stability_final=estimate.final,
-                stability_se=estimate.final_se,
-                gengap_final=float(gaps.mean()),
-                gengap_se=float(gaps.std(ddof=1) / math.sqrt(replicates)),
-                stability_replicates=estimate.replicate_means[:, -1].copy(),
-                gengap_replicates=gaps,
-            )
-        )
-        if not keep_traces:
-            estimate = replace(estimate, coupled=None, shards=None)
-        estimates[kind] = estimate
-    return ComparisonResult(rows=rows, estimates=estimates)
+        for kind, P, estimate, kind_gaps in zip(kinds, matrices, estimates, gaps)
+    ]
+    return ComparisonResult(rows=rows, estimates=dict(zip(kinds, estimates)))

@@ -10,7 +10,7 @@ defaults (not every experiment consumes every key):
     experiment       one of topology, stability, gengap, bound, compare,
                      consensus-control, gaussianity            (required)
     kind             topology kind                             ["ring"]
-    kinds            kinds for the compare experiment          [all four connected]
+    kinds            distinct kinds for the compare experiment [all four connected]
     m                worker count                              [16]
     matrix_path      CSV path for kind "custom"                [null]
     family           task/loss family                          ["linear_regression"]
@@ -309,6 +309,9 @@ def _validate_config(config: ExperimentConfig) -> None:
     elif config.matrix_path is None:
         raise InputError("config key 'matrix_path' is required for kind 'custom'")
     if config.experiment == "compare":
+        repeated = sorted({k.value for k in config.kinds if config.kinds.count(k) > 1})
+        if repeated:
+            raise InputError(f"config key 'kinds' repeats {', '.join(repeated)}")
         for kind in config.kinds:
             if kind is TopologyKind.CUSTOM:
                 raise InputError("config key 'kinds' cannot include 'custom'")

@@ -16,16 +16,19 @@ set that differs in one sample per affected worker, with the same seed and
 hence identical sample-index sequences; per-worker squared weight differences
 are the raw material of the stability estimators.
 
-One loop serves every run. It steps a stack W (K, s, m, d) of K runs with s
-sides each (s = 1 for single runs, s = 2 for coupled pairs), on one
-(K, s, m, n, d_x) stack of shards, with one gossip product, one gradient call
-and one risk evaluation per step or snapshot. Each run keeps its own seed and
-index stream: its indices are drawn from its own generator in blocks of at
-most INDEX_DRAW_STEPS steps per snapshot interval, which are the same indices
-as one draw of m per step; the two sides of a pair share them. Consensus
-control gossips the stack masked, so each side keeps gossiping only while its
-own consensus distance is above the target and takes the rounds it would take
-alone.
+One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
+with its own gossip matrix and consensus control, times K runs with s sides
+each (s = 1 for single runs, s = 2 for coupled pairs). Every arm trains on
+the same (K, s, m, n, d_x) stack of shards, so a step makes one gather of
+sampled rows, one broadcast gossip product and one gradient call for the
+whole stack, and a snapshot one per-worker risk evaluation per arm (skipped
+where the caller has no use for the risks). Each run keeps its
+own seed and index stream, shared by its sides and by every arm: its indices
+are drawn from its own generator in blocks of at most INDEX_DRAW_STEPS steps
+per snapshot interval, which are the same indices as one draw of m per step.
+Consensus control gossips a compacted stack of the runs whose arm's onset
+has passed and whose distance is still above the target, so each side takes
+the rounds it would take alone.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ __all__ = [
     "run_coupled",
     "run_dsgd_stack",
     "run_coupled_stack",
+    "run_coupled_arms",
     "consensus_control_step",
 ]
 
@@ -147,14 +151,16 @@ class RunTrace:
 
     iterations[j] is the number of completed steps at snapshot j; consensus[j]
     is the average model, consensus_dist[j] the mean squared deviation of the
-    workers from it, and risks[j, k] worker k's empirical risk on its shard.
+    workers from it, and risks[j, k] worker k's empirical risk on its shard;
+    risks and mean_risk are None for runs made without risk recording
+    (run_coupled_arms with risks=False).
     """
 
     iterations: np.ndarray
     consensus: np.ndarray
     consensus_dist: np.ndarray
-    risks: np.ndarray
-    mean_risk: np.ndarray
+    risks: np.ndarray | None
+    mean_risk: np.ndarray | None
     final_weights: np.ndarray
     extra_gossip_rounds: int = 0
 
@@ -259,9 +265,13 @@ def consensus_distance(W: np.ndarray) -> float | np.ndarray:
     return np.sum(deviation**2, axis=(-2, -1)) / W.shape[-2]
 
 
+def _entries(P: GossipMatrix | np.ndarray) -> np.ndarray:
+    return P.entries if isinstance(P, GossipMatrix) else P
+
+
 def dsgd_step(
     W: np.ndarray,
-    P: GossipMatrix,
+    P: GossipMatrix | np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
     eta_t: float,
@@ -269,46 +279,74 @@ def dsgd_step(
 ) -> np.ndarray:
     """One update of a stack of runs W (..., m, d): gossip with P, then gradient steps.
 
-    X (..., m, d_x) and Y (..., m) hold the sample each worker of each run
-    uses at this step; the gradient is evaluated at the pre-communication
-    model w_k.
+    P is one gossip matrix, or a stack of entries (..., m, m) broadcast
+    against the runs of W. X (..., m, d_x) and Y (..., m) hold the sample
+    each worker of each run uses at this step; the gradient is evaluated at
+    the pre-communication model w_k.
     """
-    if W.shape[-2] != P.m or X.shape[:-1] != W.shape[:-1] or Y.shape != W.shape[:-1]:
+    entries = _entries(P)
+    m = entries.shape[-1]
+    if W.shape[-2] != m or X.shape[:-1] != W.shape[:-1] or Y.shape != W.shape[:-1]:
         raise InputError("worker counts of W, P and the drawn samples disagree")
     grads = loss_gradients(
         model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1)
     )
-    return P.entries @ W - eta_t * grads.reshape(W.shape)
+    # In place: a step of a large stack keeps no more temporaries than needed.
+    mixed = entries @ W
+    grads *= eta_t
+    mixed -= grads.reshape(W.shape)
+    return mixed
 
 
 def consensus_control_step(
     W: np.ndarray,
-    P: GossipMatrix,
-    gamma_sq: float,
+    P: GossipMatrix | np.ndarray,
+    gamma_sq: float | np.ndarray,
     max_rounds: int,
     counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Extra pure-gossip rounds until consensus distance <= gamma_sq.
 
-    W is one run (m, d) or a stack of runs (..., m, d). Each run gossips only
-    while its own distance exceeds gamma_sq, for at most max_rounds rounds, so
-    it takes the rounds it would take alone. Returns the (possibly unchanged)
-    models and the rounds the loop took, the most that any run used; with
-    counts (shape W.shape[:-2]) given, each run's own rounds are added to it.
-    If the target is unreachable (disconnected components with disagreeing
-    means), a run reports max_rounds exhaustion instead of raising.
+    W is one run (m, d) or a stack of runs (..., m, d); P is one gossip
+    matrix or a stack of entries (..., m, m), and gamma_sq one target or an
+    array of targets, each broadcast against the runs (an infinite target
+    leaves its runs untouched). Each run gossips only while its own distance
+    exceeds its target, for at most max_rounds rounds, so it takes the rounds
+    it would take alone: the rounds gossip a compacted stack of the runs
+    still above target, which a run leaves once it reaches it. Returns the
+    (possibly unchanged) models and the rounds the loop took, the most that
+    any run used; with counts (shape W.shape[:-2]) given, each run's own
+    rounds are added to it. If the target is unreachable (disconnected
+    components with disagreeing means), a run reports max_rounds exhaustion
+    instead of raising.
     """
-    if not gamma_sq > 0:
+    targets = np.broadcast_to(np.asarray(gamma_sq, dtype=float), W.shape[:-2]).reshape(-1)
+    if not np.all(targets > 0):
         raise InputError("gamma_sq must be positive")
     runs = W.reshape(-1, *W.shape[-2:]).copy()
     used = np.zeros(len(runs), dtype=int)
-    active = consensus_distance(runs) > gamma_sq
+    live = np.flatnonzero(consensus_distance(runs) > targets)
+    block, goal = runs[live], targets[live]
+    # One matrix gossips every run as it is; a stack gives each live run its own.
+    mixing = _entries(P)
+    stacked = mixing.ndim > 2
+    if stacked:
+        per_run = np.broadcast_to(mixing, (*W.shape[:-2], *mixing.shape[-2:]))
+        mixing = per_run[np.unravel_index(live, W.shape[:-2])]
     rounds = 0
-    while rounds < max_rounds and active.any():
-        runs[active] = P.entries @ runs[active]
-        used += active
+    while rounds < max_rounds and len(live):
+        block = mixing @ block
         rounds += 1
-        active = consensus_distance(runs) > gamma_sq
+        above = consensus_distance(block) > goal
+        if not above.all():
+            done = ~above
+            runs[live[done]] = block[done]
+            used[live[done]] = rounds
+            live, block, goal = live[above], block[above], goal[above]
+            if stacked:
+                mixing = mixing[above]
+    runs[live] = block
+    used[live] = rounds
     if counts is not None:
         counts += used.reshape(counts.shape)
     return runs.reshape(W.shape), rounds
@@ -336,7 +374,9 @@ def run_dsgd(
             index_sequence has the wrong shape or an index outside the shards.
         NumericalError: the run diverged (non-finite consensus distance).
     """
-    return _run_stack(P, [shards], model, config, [config.seed], None, index_sequence, control)[0]
+    return _run_stack(
+        [(P, control)], [shards], model, config, [config.seed], None, index_sequence
+    )[0][0]
 
 
 def run_coupled(
@@ -356,8 +396,8 @@ def run_coupled(
     run_coupled_stack.
     """
     return _run_stack(
-        P, [shards], model, config, [config.seed], [perturbation], index_sequence, control
-    )[0]
+        [(P, control)], [shards], model, config, [config.seed], [perturbation], index_sequence
+    )[0][0]
 
 
 def run_dsgd_stack(
@@ -373,7 +413,7 @@ def run_dsgd_stack(
     config supplies the length, schedule and cadence; its seed is not used.
     A NumericalError names the seed and step of the first run found diverged.
     """
-    return _run_stack(P, shards, model, config, seeds, None, None, control)
+    return _run_stack([(P, control)], shards, model, config, seeds, None, None)[0]
 
 
 def run_coupled_stack(
@@ -389,34 +429,61 @@ def run_coupled_stack(
 
     Equal to run_coupled pair by pair; the K pairs' 2K trajectories share
     every gossip product, gradient call and risk evaluation. config supplies
-    the length, schedule and cadence; its seed is not used.
+    the length, schedule and cadence; its seed is not used. The one-arm case
+    of run_coupled_arms.
     """
-    return _run_stack(P, shards, model, config, seeds, perturbations, None, control)
+    return run_coupled_arms([(P, control)], shards, model, config, perturbations, seeds)[0]
+
+
+def run_coupled_arms(
+    arms: list[tuple[GossipMatrix, ConsensusControl | None]],
+    shards: list[Shards],
+    model: LossModel,
+    config: TrainConfig,
+    perturbations: list[Perturbation],
+    seeds: list[int],
+    risks: bool = True,
+) -> list[list[CoupledTrace]]:
+    """run_coupled_stack for each arm (P, control), every arm stepped in one stack.
+
+    Returns one list of coupled traces per arm, each equal to that arm's
+    run_coupled_stack. The arms share one copy of the shards and each step's
+    sampled rows; the controlled arms may differ in gamma_sq and t_gamma but
+    must share max_rounds. With risks=False no per-worker risks are
+    evaluated or stored, and the traces' risks and mean_risk are None.
+    """
+    return _run_stack(arms, shards, model, config, seeds, perturbations, None, risks)
 
 
 def _run_stack(
-    P: GossipMatrix,
+    arms: list[tuple[GossipMatrix, ConsensusControl | None]],
     shards: list[Shards],
     model: LossModel,
     config: TrainConfig,
     seeds: list[int],
     perturbations: list[Perturbation] | None,
     index_sequence: np.ndarray | None,
-    control: ConsensusControl | None,
-) -> list[RunTrace] | list[CoupledTrace]:
-    """The trajectory loop: steps K runs of s sides each as one stack W (K, s, m, d).
+    risks: bool = True,
+) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
+    """The trajectory loop: steps A arms of K runs of s sides as one stack W (A, K, s, m, d).
 
-    Run k trains on shards[k] from seed seeds[k]; with perturbations, its
-    second side trains on shards[k] with perturbations[k] applied. An
-    index_sequence (iterations, m) replaces the drawn indices of a single run.
-    Returns one RunTrace per run, or with perturbations one CoupledTrace.
+    Arm a gossips with its own matrix and control; run k trains on shards[k]
+    from seed seeds[k] in every arm, and with perturbations its second side
+    trains on shards[k] with perturbations[k] applied. An index_sequence
+    (iterations, m) replaces the drawn indices of a single run. Returns, per
+    arm, one RunTrace per run, or with perturbations one CoupledTrace; their
+    per-worker risks are recorded only with risks set.
     """
     m, n, d_x = shards[0].xs.shape
     total = config.iterations
-    if P.m != m:
-        raise InputError(f"gossip matrix size {P.m} does not match {m} shards")
-    if control is not None and control.t_gamma > total:
-        raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
+    caps = {control.max_rounds for _, control in arms if control is not None}
+    for P, control in arms:
+        if P.m != m:
+            raise InputError(f"gossip matrix size {P.m} does not match {m} shards")
+        if control is not None and control.t_gamma > total:
+            raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
+    if len(caps) > 1:
+        raise InputError("the controlled arms of one stack must share max_rounds")
     if index_sequence is not None:
         index_sequence = np.asarray(index_sequence)
         if index_sequence.shape != (total, m):
@@ -437,11 +504,23 @@ def _run_stack(
     first_rows = np.arange(xs.shape[0] * sides * m).reshape(xs.shape[:3]) * n
     flat_xs, flat_ys = xs.reshape(-1, d_x), ys.reshape(-1)
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    # The one matrix every arm shares, or (A, 1, 1, m, m): arm a's matrix,
+    # broadcast over its runs and sides.
+    matrices = [P for P, _ in arms]
+    if all(P is matrices[0] for P in matrices):
+        mixing = matrices[0].entries
+    else:
+        mixing = np.stack([P.entries for P in matrices])[:, None, None]
+    # Arm a is controlled after step t once t > onsets[a]; an uncontrolled arm never is.
+    onsets = np.array([np.inf if c is None else c.t_gamma for _, c in arms])
+    targets = np.array([np.inf if c is None else c.gamma_sq for _, c in arms])
+    first_onset = onsets.min()
+    max_rounds = max(caps, default=0)
 
     logged = config.snapshot_iterations
-    recorder = _TraceRecorder(model, xs, ys, logged, seeds)
-    W = np.zeros((*xs.shape[:3], model.dim(d_x)))
-    extra_rounds = np.zeros(xs.shape[:2], dtype=int)
+    recorder = _TraceRecorder(model, xs, ys, logged, seeds, len(arms), risks)
+    W = np.zeros((len(arms), *xs.shape[:3], model.dim(d_x)))
+    extra_rounds = np.zeros(W.shape[:3], dtype=int)
     recorder.record(0, W)
     t = 0
     for slot in range(1, len(logged)):
@@ -451,23 +530,22 @@ def _run_stack(
                 zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
             else:
                 zeta = index_sequence[t : t + steps, None]
-            # (steps, K, s, m): both sides of a run read the run's indices.
+            # (steps, K, s, m): both sides of a run, in every arm, read the run's indices.
             rows = first_rows + zeta[:, :, None, :]
             for step_rows in rows:
-                W = dsgd_step(
-                    W, P, flat_xs[step_rows], flat_ys[step_rows], config.rate.at(t, total), model
-                )
-                if control is not None and t + 1 > control.t_gamma:
-                    W, _ = consensus_control_step(
-                        W, P, control.gamma_sq, control.max_rounds, extra_rounds
-                    )
+                X = np.broadcast_to(flat_xs[step_rows], (*W.shape[:-1], d_x))
+                Y = np.broadcast_to(flat_ys[step_rows], W.shape[:-1])
+                W = dsgd_step(W, mixing, X, Y, config.rate.at(t, total), model)
                 t += 1
+                if t > first_onset:
+                    now = np.where(onsets < t, targets, np.inf)[:, None, None]
+                    W, _ = consensus_control_step(W, mixing, now, max_rounds, extra_rounds)
         recorder.record(slot, W)
     return recorder.finish(W, extra_rounds)
 
 
 class _TraceRecorder:
-    """Snapshot rows of every run and side of a stack, at the logged iterations.
+    """Snapshot rows of every arm, run and side of a stack, at the logged iterations.
 
     Raises NumericalError at the first snapshot where some consensus distance
     is not finite, naming the first such run's seed: a non-finite W stays
@@ -482,15 +560,18 @@ class _TraceRecorder:
         ys: np.ndarray,
         logged: np.ndarray,
         seeds: list[int],
+        arms: int,
+        risks: bool,
     ):
         runs, sides, m, n, d_x = xs.shape
         self.model, self.logged, self.seeds = model, logged, seeds
-        # Every run's and side's shards as one set of K*s*m shards, for one worker_risks call.
+        # Every run's and side's shards as one set of K*s*m shards, for one
+        # worker_risks call per arm; the arms share them.
         self.shards = Shards(xs=xs.reshape(-1, n, d_x), ys=ys.reshape(-1, n))
-        self.consensus = np.zeros((runs, sides, len(logged), model.dim(d_x)))
-        self.consensus_dist = np.zeros((runs, sides, len(logged)))
-        self.risks = np.zeros((runs, sides, len(logged), m))
-        self.sq_diffs = np.zeros((runs, len(logged), m)) if sides == 2 else None
+        self.consensus = np.zeros((arms, runs, sides, len(logged), model.dim(d_x)))
+        self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
+        self.risks = np.zeros((arms, runs, sides, len(logged), m)) if risks else None
+        self.sq_diffs = np.zeros((arms, runs, len(logged), m)) if sides == 2 else None
 
     def record(self, slot: int, W: np.ndarray) -> None:
         # A diverging W overflows the sum of squares; that is reported below.
@@ -498,46 +579,48 @@ class _TraceRecorder:
             distances = consensus_distance(W)
         diverged = np.argwhere(~np.isfinite(distances))
         if len(diverged):
-            run, side = diverged[0]
+            arm, run, side = diverged[0]
             raise NumericalError(
                 f"run with seed {self.seeds[run]} diverged: consensus distance is "
-                f"{distances[run, side]} at step {self.logged[slot]}"
+                f"{distances[arm, run, side]} at step {self.logged[slot]}"
             )
-        self.consensus[:, :, slot] = consensus_model(W)
-        self.consensus_dist[:, :, slot] = distances
-        risks = worker_risks(self.model, W.reshape(-1, W.shape[-1]), self.shards)
-        self.risks[:, :, slot] = risks.reshape(W.shape[:-1])
+        self.consensus[..., slot, :] = consensus_model(W)
+        self.consensus_dist[..., slot] = distances
+        if self.risks is not None:
+            for arm, arm_W in enumerate(W):
+                risks = worker_risks(self.model, arm_W.reshape(-1, W.shape[-1]), self.shards)
+                self.risks[arm, :, :, slot] = risks.reshape(arm_W.shape[:-1])
         if self.sq_diffs is not None:
-            self.sq_diffs[:, slot] = np.sum((W[:, 0] - W[:, 1]) ** 2, axis=-1)
+            self.sq_diffs[:, :, slot] = np.sum((W[:, :, 0] - W[:, :, 1]) ** 2, axis=-1)
 
     def finish(
         self, W: np.ndarray, extra_rounds: np.ndarray
-    ) -> list[RunTrace] | list[CoupledTrace]:
-        """Each run's trace, or coupled trace, as views into the stacked arrays."""
-        mean_risk = self.risks.mean(axis=-1)
-        sides = [
-            [
-                RunTrace(
-                    iterations=np.array(self.logged),
-                    consensus=self.consensus[run, side],
-                    consensus_dist=self.consensus_dist[run, side],
-                    risks=self.risks[run, side],
-                    mean_risk=mean_risk[run, side],
-                    final_weights=W[run, side].copy(),
-                    extra_gossip_rounds=int(extra_rounds[run, side]),
-                )
-                for side in range(W.shape[1])
-            ]
-            for run in range(W.shape[0])
-        ]
-        if self.sq_diffs is None:
-            return [base for base, in sides]
-        return [
-            CoupledTrace(
-                base=base,
-                perturbed=perturbed,
-                sq_diffs=self.sq_diffs[run],
-                final_diffs=W[run, 0] - W[run, 1],
+    ) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
+        """Per arm, each run's trace, or coupled trace, as views into the stacked arrays."""
+        risks = self.risks
+        mean_risk = None if risks is None else risks.mean(axis=-1)
+        traces = np.empty(W.shape[:3], dtype=object)
+        for index in np.ndindex(traces.shape):
+            traces[index] = RunTrace(
+                iterations=np.array(self.logged),
+                consensus=self.consensus[index],
+                consensus_dist=self.consensus_dist[index],
+                risks=None if risks is None else risks[index],
+                mean_risk=None if risks is None else mean_risk[index],
+                final_weights=W[index].copy(),
+                extra_gossip_rounds=int(extra_rounds[index]),
             )
-            for run, (base, perturbed) in enumerate(sides)
+        if self.sq_diffs is None:
+            return [list(arm_traces[:, 0]) for arm_traces in traces]
+        return [
+            [
+                CoupledTrace(
+                    base=base,
+                    perturbed=perturbed,
+                    sq_diffs=self.sq_diffs[arm, run],
+                    final_diffs=W[arm, run, 0] - W[arm, run, 1],
+                )
+                for run, (base, perturbed) in enumerate(arm_traces)
+            ]
+            for arm, arm_traces in enumerate(traces)
         ]

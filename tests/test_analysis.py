@@ -132,42 +132,57 @@ def test_stability_estimate_is_deterministic_and_jobs_invariant():
 @settings(max_examples=20, deadline=None)
 @given(replicates=st.integers(2, 5), data=st.data())
 def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
-    # Each pool worker steps one contiguous group of replicates as one stack.
-    # Any split must give the arrays of the one-group (jobs = 1) estimate, bit
-    # for bit; the group functions are called directly, so no pool starts.
+    # Each pool worker steps one contiguous group of replicates, every arm in
+    # one stack. Any split must give the arrays of the one-group (jobs = 1)
+    # call, bit for bit, and each arm those of its own one-arm estimate; the
+    # group functions are called directly, so no pool starts.
     cuts = sorted(data.draw(st.sets(st.integers(1, replicates - 1))))
     bounds = [0, *cuts, replicates]
     groups = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=24, rate=ConstantRate(0.1), seed=17)
-    control = ConsensusControl(gamma_sq=1e-3, t_gamma=12)
-    task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
-    estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
-                                  pairs=pairs, mode=mode, keep_traces=True, control=control)
-    results = [
-        _stability_group((P, task, LINEAR, config, 5, pairs, mode, control, group, True))
-        for group in groups
+    ring = build_gossip_matrix(TopologyKind.RING, 4)
+    arms = [
+        (ring, ConsensusControl(gamma_sq=1e-3, t_gamma=12)),
+        (build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 4), None),
     ]
-    assert np.array_equal(np.concatenate([c for c, _, _ in results]), estimate.replicate_means)
-    coupled = [trace for _, kept, _ in results for trace in kept]
-    assert len(coupled) == len(estimate.coupled) == replicates * pairs
-    for a, b in zip(coupled, estimate.coupled):
-        assert np.array_equal(a.sq_diffs, b.sq_diffs)
-        assert np.array_equal(a.base.risks, b.base.risks)
-        assert a.base.extra_gossip_rounds == b.base.extra_gossip_rounds
-    shards = [sh for _, _, kept in results for sh in kept]
-    assert all(np.array_equal(a.xs, b.xs) for a, b in zip(shards, estimate.shards))
+    task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
+    common = (arms, task, LINEAR, config, 5, pairs, mode)
+    whole = _stability_group((*common, range(replicates), True, None, True))
+    results = [_stability_group((*common, group, True, None, True)) for group in groups]
+    assert np.array_equal(np.concatenate([c for c, _, _, _ in results], axis=1), whole[0])
+    assert np.array_equal(np.concatenate([g for _, g, _, _ in results], axis=1), whole[1])
+    shards = [sh for _, _, _, kept in results for sh in kept]
+    assert all(np.array_equal(a.xs, b.xs) for a, b in zip(shards, whole[3]))
+    for arm, (P, control) in enumerate(arms):
+        estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
+                                      pairs=pairs, mode=mode, keep_traces=True, control=control)
+        assert np.array_equal(whole[0][arm], estimate.replicate_means)
+        coupled = [trace for _, _, kept, _ in results for trace in kept[arm]]
+        assert len(coupled) == len(estimate.coupled) == replicates * pairs
+        for a, b in zip(coupled, estimate.coupled):
+            assert np.array_equal(a.sq_diffs, b.sq_diffs)
+            assert np.array_equal(a.base.risks, b.base.risks)
+            assert a.base.extra_gossip_rounds == b.base.extra_gossip_rounds
+        chunks = [estimate.coupled[r * pairs : (r + 1) * pairs] for r in range(replicates)]
+        finals = [
+            analysis._consensus_gaps(
+                np.stack([trace.base.consensus[-1] for trace in chunk]),
+                task, LINEAR, replicate_shards, None,
+            ).mean()
+            for chunk, replicate_shards in zip(chunks, estimate.shards)
+        ]
+        assert np.array_equal(whole[1][arm], finals)
 
     mlp_task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
     mlp = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
     report = replicated_generalization_gap(
-        P, mlp_task, mlp, config, n=5, replicates=replicates, mc_draws=300
+        ring, mlp_task, mlp, config, n=5, replicates=replicates, mc_draws=300
     )
     holdout = _draw_holdout(mlp_task, 300, config.seed)
     curves = np.stack([
         curve
         for group in groups
-        for curve in _gengap_group((P, mlp_task, mlp, config, 5, holdout, group))
+        for curve in _gengap_group((ring, mlp_task, mlp, config, 5, holdout, group))
     ])
     assert np.array_equal(curves.mean(axis=0), report.mean)
     assert np.array_equal(curves.std(axis=0, ddof=1) / math.sqrt(replicates), report.se)
@@ -189,6 +204,70 @@ def test_replicated_gap_draws_one_holdout_per_call(monkeypatch):
     replicated_generalization_gap(P, task, model, config, n=5, replicates=3,
                                            mc_draws=700)
     assert sorted(drawn) == [20, 20, 20, 700]
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: counts constructions, maps in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("sweep", ["compare", "control"])
+def test_sweep_draws_each_replicate_once_in_one_pool(monkeypatch, sweep):
+    # Every arm of a sweep is stepped on its replicates' data drawn once, by
+    # one pool, and gives the arrays of its own one-arm estimate.
+    drawn = []
+
+    def counting_shards(task, n, m, seed):
+        drawn.append(seed)
+        return _make_shards(task, n, m, seed)
+
+    monkeypatch.setattr(analysis, "_make_shards", counting_shards)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "made", [])
+    task = make_task()
+    config = TrainConfig(iterations=12, rate=ConstantRate(0.1), seed=43)
+    ring = build_gossip_matrix(TopologyKind.RING, 4)
+    kwargs = dict(n=4, replicates=5, pairs=2, jobs=2)
+    if sweep == "compare":
+        kinds = [TopologyKind.FULLY_CONNECTED, TopologyKind.RING, TopologyKind.DISCONNECTED]
+        result = topology_comparison(kinds, 4, task, LINEAR, config, mc_draws=100, **kwargs)
+        finals = [row.stability_final for row in result.rows]
+        arms = [(build_gossip_matrix(kind, 4), None) for kind in kinds]
+    else:
+        onsets = [0, 6, 12]
+        result = consensus_control_sweep(ring, task, LINEAR, config, gamma_sq=1e-4,
+                                          t_gamma_values=onsets, **kwargs)
+        finals = list(result.stability_final)
+        arms = [(ring, ConsensusControl(gamma_sq=1e-4, t_gamma=t)) for t in onsets]
+    assert InProcessPool.made == [2]
+    assert sorted(drawn) == sorted(
+        analysis.derive_seed(config.seed, "stability-data", r) for r in range(5)
+    )
+    for (P, control), final in zip(arms, finals):
+        alone = estimate_stability(P, task, LINEAR, config, control=control, **kwargs)
+        assert final == alone.final
+
+
+def test_topology_comparison_rejects_repeated_kinds():
+    with pytest.raises(InputError, match="ring"):
+        topology_comparison(
+            [TopologyKind.RING, TopologyKind.RING, TopologyKind.FULLY_CONNECTED], 4,
+            make_task(), LINEAR, TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=1),
+            n=4, replicates=2, pairs=1, mc_draws=100,
+        )
 
 
 def test_single_worker_mode_is_strictly_below_synchronized():

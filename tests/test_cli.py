@@ -93,6 +93,7 @@ def test_missing_file_is_rejected(tmp_path):
         (dict(experiment="stability", jobs=0), "jobs"),
         (dict(experiment="stability", eta=float("inf")), "eta"),
         (dict(experiment="bound", alpha=0.0), "alpha"),
+        (dict(experiment="compare", kinds=["ring", "ring", "fully_connected"]), "kinds"),
     ],
 )
 def test_constraint_violations_name_the_key(tmp_path, entries, fragment):
@@ -359,6 +360,15 @@ def test_single_onset_consensus_control_exits_one(tmp_path, capsys):
                         output_dir=str(tmp_path / "out"))
     assert main([str(path)]) == 1
     assert "t_gamma" in capsys.readouterr().err
+
+
+def test_repeated_compare_kind_exits_one_without_artifacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, experiment="compare", kinds=["ring", "ring", "fully_connected"],
+                        m=4, T=10, R=2, pairs=1, n=4, output_dir=str(out))
+    assert main([str(path)]) == 1
+    assert "repeats ring" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
 
 
 def test_json_artifacts_reject_non_finite_numbers(tmp_path):

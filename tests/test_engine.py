@@ -21,13 +21,19 @@ from dsgd_lab.engine import (
     draw_perturbation,
     dsgd_step,
     run_coupled,
+    run_coupled_arms,
     run_coupled_stack,
     run_dsgd,
     run_dsgd_stack,
 )
 from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import LossModel, ModelFamily, Shards, SyntheticTask, draw_dataset_arrays
-from dsgd_lab.topology import TopologyKind, build_gossip_matrix, eigenvalues_symmetric
+from dsgd_lab.topology import (
+    GossipMatrix,
+    TopologyKind,
+    build_gossip_matrix,
+    eigenvalues_symmetric,
+)
 
 LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
 
@@ -380,7 +386,10 @@ def assert_same_array(a, b):
 def assert_same_trace(a, b):
     for name in ("iterations", "consensus", "consensus_dist", "risks", "mean_risk",
                  "final_weights"):
-        assert_same_array(getattr(a, name), getattr(b, name))
+        if getattr(b, name) is None:
+            assert getattr(a, name) is None
+        else:
+            assert_same_array(getattr(a, name), getattr(b, name))
     assert type(a.extra_gossip_rounds) is type(b.extra_gossip_rounds)
     assert a.extra_gossip_rounds == b.extra_gossip_rounds
 
@@ -436,14 +445,11 @@ def test_coupled_difference_snapshots_are_consistent():
 # ---------------------------------------------------------------------------
 
 
-def stack_inputs(family, runs=3, m=4, n=5, d_x=3):
+def stack_inputs(family, runs=3, m=4, n=5, d_x=3, mode=PerturbationMode.SYNCHRONIZED):
     """Per-run shards, perturbations and seeds, each run on its own data."""
     task = SyntheticTask.isotropic(family, d_x, np.full(d_x, 1.0 / math.sqrt(d_x)), 0.1)
     shards = [make_shards(task, n, m, seed=30 + k) for k in range(runs)]
-    perturbations = [
-        draw_perturbation(task, n, m, PerturbationMode.SYNCHRONIZED, seed=40 + k)
-        for k in range(runs)
-    ]
+    perturbations = [draw_perturbation(task, n, m, mode, seed=40 + k) for k in range(runs)]
     return shards, perturbations, [50 + k for k in range(runs)]
 
 
@@ -505,6 +511,141 @@ def test_stack_with_a_later_divergent_run_names_that_run():
         run_dsgd_stack(P, shards, LINEAR, config, seeds)
     assert str(stacked.value) == str(alone.value)
     assert f"seed {seeds[-1]} diverged" in str(stacked.value)
+
+
+def two_islands(m=4):
+    """A custom disconnected matrix: two fully connected halves that never mix."""
+    entries = np.kron(np.eye(2), np.full((m // 2, m // 2), 2.0 / m))
+    return GossipMatrix(m=m, entries=entries, kind=TopologyKind.CUSTOM)
+
+
+ARM_MATRICES = {
+    "ring": build_gossip_matrix(TopologyKind.RING, 4),
+    "fully_connected": build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 4),
+    "islands": two_islands(),
+}
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+@pytest.mark.parametrize("mode", list(PerturbationMode))
+@settings(max_examples=6, deadline=None)
+@given(arms=st.lists(
+    st.tuples(st.sampled_from(sorted(ARM_MATRICES)), st.sampled_from([None, 0, 40, 80]),
+              st.sampled_from([1e-4, 1e-2])),
+    min_size=1, max_size=4,
+))
+def test_arms_equal_each_arm_run_alone(family, mode, arms):
+    # Every arm of a stack shares the shards and the sampled rows of each
+    # step, but must give the traces it gives run alone, bit for bit. The
+    # onsets include 0 and T (never controlled); the 70-step first snapshot
+    # interval spans two index blocks of INDEX_DRAW_STEPS; the islands
+    # matrix makes some control targets unreachable, so those runs hit the cap.
+    model = LossModel(family=family, hidden_width=3)
+    shards, perturbations, seeds = stack_inputs(family, runs=2, mode=mode)
+    config = TrainConfig(iterations=80, rate=ConstantRate(0.08), seed=0, snapshot_every=70)
+    arms = [
+        (ARM_MATRICES[name], None if onset is None else
+         ConsensusControl(gamma_sq=gamma_sq, t_gamma=onset, max_rounds=20))
+        for name, onset, gamma_sq in arms
+    ]
+    stacked = run_coupled_arms(arms, shards, model, config, perturbations, seeds)
+    # Without risk recording every other field is the same.
+    lean = run_coupled_arms(arms, shards, model, config, perturbations, seeds, risks=False)
+    assert len(stacked) == len(lean) == len(arms)
+    for (P, control), traces, lean_traces in zip(arms, stacked, lean):
+        alone = run_coupled_stack(P, shards, model, config, perturbations, seeds, control)
+        assert len(traces) == len(lean_traces) == len(alone) == len(seeds)
+        for a, b, c in zip(traces, alone, lean_traces):
+            for side in ("base", "perturbed"):
+                assert_same_trace(getattr(a, side), getattr(b, side))
+                unrisked = replace(getattr(b, side), risks=None, mean_risk=None)
+                assert_same_trace(getattr(c, side), unrisked)
+            for trace in (a, c):
+                assert_same_array(trace.sq_diffs, b.sq_diffs)
+                assert_same_array(trace.final_diffs, b.final_diffs)
+
+
+def test_arms_must_share_the_round_cap():
+    shards, perturbations, seeds = stack_inputs(ModelFamily.LINEAR_REGRESSION)
+    P = ARM_MATRICES["ring"]
+    arms = [(P, ConsensusControl(1e-4, 0, max_rounds=5)), (P, ConsensusControl(1e-4, 0))]
+    config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
+    with pytest.raises(InputError, match="max_rounds"):
+        run_coupled_arms(arms, shards, LINEAR, config, perturbations, seeds)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_arms_with_a_divergent_run_in_the_last_arm_name_that_run():
+    # One worker's data make the last run unstable at eta = 0.3; it diverges
+    # first under fully connected gossip, the last arm. The stack must stop
+    # with the error that arm raises alone: that run's seed, step and distance.
+    shards, perturbations, seeds = stack_inputs(ModelFamily.LINEAR_REGRESSION)
+    xs = shards[-1].xs.copy()
+    xs[0] *= 5.0
+    shards[-1] = Shards(xs=xs, ys=shards[-1].ys)
+    arms = [(build_gossip_matrix(kind, 4), None) for kind in (
+        TopologyKind.RING, TopologyKind.DISCONNECTED, TopologyKind.FULLY_CONNECTED)]
+    config = TrainConfig(iterations=300, rate=ConstantRate(0.3), seed=0, snapshot_every=3)
+    with pytest.raises(NumericalError) as alone:
+        run_coupled_stack(arms[-1][0], shards, LINEAR, config, perturbations, seeds)
+    with pytest.raises(NumericalError) as stacked:
+        run_coupled_arms(arms, shards, LINEAR, config, perturbations, seeds)
+    assert str(stacked.value) == str(alone.value)
+    assert f"seed {seeds[-1]} diverged" in str(stacked.value)
+
+
+def masked_control_reference(W, P, gamma_sq, max_rounds):
+    """Consensus control as a masked loop over the whole stack, the form
+    that gossiped every round's active runs in place before compaction."""
+    runs = W.reshape(-1, *W.shape[-2:]).copy()
+    used = np.zeros(len(runs), dtype=int)
+    active = consensus_distance(runs) > gamma_sq
+    rounds = 0
+    while rounds < max_rounds and active.any():
+        runs[active] = P.entries @ runs[active]
+        used += active
+        rounds += 1
+        active = consensus_distance(runs) > gamma_sq
+    return runs.reshape(W.shape), rounds, used.reshape(W.shape[:-2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(ARM_MATRICES)), min_size=1, max_size=4),
+    shared=st.booleans(),
+    runs=st.integers(1, 5),
+    max_rounds=st.integers(1, 30),
+    data=st.data(),
+)
+def test_compacted_control_equals_the_masked_loop(names, shared, runs, max_rounds, data):
+    # Per arm: its own matrix, or one matrix for the whole stack, and its own
+    # target, or an infinite target for an arm whose onset has not passed.
+    # Runs span scales from already below the target to ones that need more
+    # rounds than the cap allows; the islands matrix leaves some targets
+    # unreachable.
+    if shared:
+        names = [names[0]] * len(names)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.integers(-5, 3, size=(len(names), runs, 2))
+    W = rng.standard_normal((len(names), runs, 2, 4, 3)) * scales[..., None, None]
+    targets = np.array([
+        data.draw(st.sampled_from([math.inf, 1e-6, 1e-3])) for _ in names
+    ])
+    mixing = (
+        ARM_MATRICES[names[0]] if shared
+        else np.stack([ARM_MATRICES[name].entries for name in names])[:, None, None]
+    )
+    counts = np.zeros(W.shape[:3], dtype=int)
+    out, rounds = consensus_control_step(W, mixing, targets[:, None, None], max_rounds, counts)
+    expected_rounds = 0
+    for arm, name in enumerate(names):
+        ref, ref_rounds, used = masked_control_reference(
+            W[arm], ARM_MATRICES[name], targets[arm], max_rounds
+        )
+        assert_same_array(out[arm], ref)
+        assert_same_array(counts[arm], used)
+        expected_rounds = max(expected_rounds, ref_rounds)
+    assert rounds == expected_rounds
 
 
 def test_stacked_control_counts_each_runs_rounds():

@@ -26,6 +26,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,18 +34,16 @@ from .engine import (
     ConsensusControl,
     ConstantRate,
     CoupledTrace,
-    Perturbation,
     PerturbationMode,
     RunTrace,
     Schedule,
     TrainConfig,
     draw_perturbation,
+    dsgd_step,
     run_coupled,
-    run_coupled_arms,
-    run_dsgd,  # unused here; benchmark/tracer.py wraps analysis.run_dsgd
-    run_dsgd_stack,
+    run_dsgd,
 )
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .models import (
     LossModel,
     ModelFamily,
@@ -66,6 +65,7 @@ __all__ = [
     "ControlSweepResult",
     "ComparisonRow",
     "ComparisonResult",
+    "mean_and_se",
     "estimate_stability",
     "stability_exhaustive",
     "estimate_sigma_mu",
@@ -129,8 +129,42 @@ def _make_shards(task: SyntheticTask, n: int, m: int, seed: int) -> Shards:
     return Shards(xs=xs.reshape(m, n, task.d_x), ys=ys.reshape(m, n))
 
 
+def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and its standard error std(ddof=1) / sqrt(count).
+
+    One row has no spread to measure: its SE is 0.
+
+    Raises:
+        NumericalError: finite values too large for their spread to be
+            squared, so the SE overflows.
+    """
+    values = np.asarray(values)
+    mean = values.mean(axis=0)
+    if len(values) < 2:
+        return mean, np.zeros_like(mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = values.std(axis=0, ddof=1) / math.sqrt(len(values))
+    if not np.all(np.isfinite(se)):
+        raise NumericalError(
+            f"standard error over {len(values)} replicates overflows: values reach "
+            f"{np.max(np.abs(values)):.4g}"
+        )
+    return mean, se
+
+
 def _stability_group(
-    args: tuple,
+    group: range,
+    *,
+    arms: list[tuple[GossipMatrix, ConsensusControl | None]],
+    task: SyntheticTask,
+    model: LossModel,
+    config: TrainConfig,
+    n: int,
+    pairs: int,
+    mode: PerturbationMode,
+    gaps: bool,
+    holdout: tuple[np.ndarray, np.ndarray] | None,
+    keep: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None, list[Shards] | None]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
@@ -141,13 +175,12 @@ def _stability_group(
     `holdout`; with `keep`, each arm's coupled traces and the shards. Only
     kept traces record per-worker risks: nothing else reads them.
     """
-    (arms, task, model, config, n, pairs, mode, group, gaps, holdout, keep) = args
     m = arms[0][0].m
     shards = [
         _make_shards(task, n, m, derive_seed(config.seed, "stability-data", r)) for r in group
     ]
     runs = [(r, j) for r in group for j in range(pairs)]
-    coupled = run_coupled_arms(
+    coupled = run_coupled(
         arms,
         [shards[r - group.start] for r, _ in runs],
         model,
@@ -190,7 +223,10 @@ def _replicate_groups(replicates: int, jobs: int) -> list[range]:
 
 
 def _parallel_map(fn, items: list, jobs: int) -> list:
-    """Order-preserving map, optionally fanned out over worker processes."""
+    """Order-preserving map, optionally fanned out over worker processes.
+
+    fn is pickled with each item: pass the shared arguments as a partial.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
@@ -222,17 +258,16 @@ def _stability_sweep(
         raise InputError(f"replicates must be >= 2, got {replicates}")
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
-    items = [
-        (arms, task, model, config, n, pairs, mode, group, gaps, holdout, keep_traces)
-        for group in _replicate_groups(replicates, jobs)
-    ]
-    results = _parallel_map(_stability_group, items, jobs)
+    group_fn = partial(
+        _stability_group, arms=arms, task=task, model=model, config=config, n=n,
+        pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, keep=keep_traces,
+    )
+    results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
     rep_curves = np.concatenate([curves for curves, _, _, _ in results], axis=1)
     estimates = [
         StabilityEstimate(
-            iterations=config.snapshot_iterations,
-            mean=curves.mean(axis=0),
-            se=curves.std(axis=0, ddof=1) / math.sqrt(replicates),
+            config.snapshot_iterations,
+            *mean_and_se(curves),
             replicate_means=curves,
             replicates=replicates,
             pairs=pairs,
@@ -292,8 +327,10 @@ def stability_exhaustive(
 
     Averages (1/m) sum_k ||w_k - w~_k||^2 uniformly over every sampling
     sequence (n^(m*T) of them) and every perturbation position, with the
-    replacement for position (k, i) fixed to replacement_shards[k, i]. Only
-    feasible for tiny systems; guarded by EXHAUSTIVE_SEQUENCE_LIMIT.
+    replacement for position (k, i) fixed to replacement_shards[k, i]. Each
+    position steps all its sequences, both sides, as one (S, 2, m, d) stack
+    through dsgd_step. Only feasible for tiny systems; S is guarded by
+    EXHAUSTIVE_SEQUENCE_LIMIT.
     """
     m, n = shards.m, shards.n
     total = config.iterations
@@ -309,22 +346,26 @@ def stability_exhaustive(
         positions = [(np.arange(m), i) for i in range(n)]
     else:
         positions = [(np.array([k]), i) for k in range(m) for i in range(n)]
-    curves = []
+    # sequences[s, 0, t, k]: worker k's sample index at step t of sequence s;
+    # axis 1 broadcasts over the two sides.
+    sequences = np.array(list(itertools.product(range(n), repeat=m * total)), dtype=int)
+    sequences = sequences.reshape(count, 1, total, m)
+    side, worker = np.arange(2)[:, None], np.arange(m)
+    slots = {int(t): slot for slot, t in enumerate(config.snapshot_iterations)}
+    curve = np.zeros(len(slots))
     for workers, index in positions:
-        perturbation = Perturbation(
-            mode=mode,
-            index=index,
-            workers=workers,
-            replacement_xs=replacement_shards.xs[workers, index],
-            replacement_ys=replacement_shards.ys[workers, index],
-        )
-        for flat in itertools.product(range(n), repeat=m * total):
-            sequence = np.array(flat, dtype=int).reshape(total, m)
-            coupled = run_coupled(
-                P, shards, model, config, perturbation, index_sequence=sequence
-            )
-            curves.append(coupled.sq_diffs.mean(axis=1))
-    return np.mean(curves, axis=0)
+        # Side 0 trains on the shards, side 1 on the shards with the position replaced.
+        xs = np.stack([shards.xs, shards.xs])
+        ys = np.stack([shards.ys, shards.ys])
+        xs[1, workers, index] = replacement_shards.xs[workers, index]
+        ys[1, workers, index] = replacement_shards.ys[workers, index]
+        W = np.zeros((count, 2, m, model.dim(shards.d_x)))
+        for t in range(total):
+            rows = (side, worker, sequences[:, :, t])  # (S, 2, m)
+            W = dsgd_step(W, P, xs[rows], ys[rows], config.rate.at(t, total), model)
+            if t + 1 in slots:
+                curve[slots[t + 1]] += np.sum((W[:, 0] - W[:, 1]) ** 2, axis=-1).mean(axis=1).sum()
+    return curve / (len(positions) * count)
 
 
 def estimate_sigma_mu(coupled: list[CoupledTrace]) -> tuple[float, float]:
@@ -340,10 +381,17 @@ def estimate_sigma_mu(coupled: list[CoupledTrace]) -> tuple[float, float]:
         raise InputError("at least 2 coupled traces are required")
     diffs = np.stack([trace.final_diffs for trace in coupled])  # (R, m, d)
     d = diffs.shape[2]
-    worker_means = diffs.mean(axis=0)  # (m, d)
-    worker_vars = diffs.var(axis=0, ddof=1).mean(axis=1)  # (m,)
-    mu_sq = float(np.max(np.sum(worker_means**2, axis=1)) / d)
-    sigma_sq = float(np.max(worker_vars))
+    # Differences of a run that blew up but stayed finite overflow the squares.
+    with np.errstate(over="ignore", invalid="ignore"):
+        worker_means = diffs.mean(axis=0)  # (m, d)
+        worker_vars = diffs.var(axis=0, ddof=1).mean(axis=1)  # (m,)
+        mu_sq = float(np.max(np.sum(worker_means**2, axis=1)) / d)
+        sigma_sq = float(np.max(worker_vars))
+    if not (math.isfinite(sigma_sq) and math.isfinite(mu_sq)):
+        raise NumericalError(
+            f"final weight differences reach {np.max(np.abs(diffs)):.4g}: their moments "
+            "overflow, so the coupled runs diverged"
+        )
     return sigma_sq, mu_sq
 
 
@@ -436,6 +484,12 @@ def _risk_coefficient(inputs: BoundInputs) -> float:
     return 2.0 / inputs.n * (1.0 + 1.0 / inputs.p) * inputs.c_alpha**2
 
 
+def _overflow(name: str, C: float, steps: int) -> NumericalError:
+    return NumericalError(
+        f"{name} overflows: contraction C = {C:.4g} compounded over {steps} steps"
+    )
+
+
 def stability_bound_curve(
     inputs: BoundInputs, risk_curve: np.ndarray, t_max: int
 ) -> np.ndarray:
@@ -455,10 +509,13 @@ def stability_bound_curve(
     C = inputs.contraction
     risk_coeff = _risk_coefficient(inputs)
     bound = np.zeros(t_max + 1)
-    for t in range(t_max):
-        eta = inputs.rate.at(t, t_max)
-        fresh = _topology_term(inputs, eta) + risk_coeff * eta**2 * risk_curve[t]
-        bound[t + 1] = C * bound[t] + fresh
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t_max):
+            eta = inputs.rate.at(t, t_max)
+            fresh = _topology_term(inputs, eta) + risk_coeff * eta**2 * risk_curve[t]
+            bound[t + 1] = C * bound[t] + fresh
+    if not np.all(np.isfinite(bound)):
+        raise _overflow("stability bound", C, t_max)
     return bound
 
 
@@ -510,17 +567,23 @@ def generalization_bound_closed(inputs: BoundInputs, t: int) -> float:
     risk_coeff_full = inputs.n * _risk_coefficient(inputs)  # 2 (1+1/p) c^2
     sum_risk = 0.0
     sum_topology = 0.0
-    for tau in range(t):
-        eta = inputs.rate.at(tau, t)
-        weight = C ** (t - 1 - tau)
-        sum_risk += weight * risk_coeff_full * eta**2 * inputs.epsilon_s
-        sum_topology += weight * _topology_term(inputs, eta)
+    try:
+        for tau in range(t):
+            eta = inputs.rate.at(tau, t)
+            weight = C ** (t - 1 - tau)
+            sum_risk += weight * risk_coeff_full * eta**2 * inputs.epsilon_s
+            sum_topology += weight * _topology_term(inputs, eta)
+    except OverflowError as exc:
+        raise _overflow("closed-form generalization bound", C, t) from exc
     N = inputs.n * inputs.m
     half = inputs.alpha / 2.0
-    return (
+    value = (
         inputs.L / N * sum_risk**half
         + inputs.L * inputs.n**half / N * sum_topology**half
     )
+    if not math.isfinite(value):
+        raise _overflow("closed-form generalization bound", C, t)
+    return value
 
 
 def optimize_bound_p(inputs: BoundInputs, risk_curve: np.ndarray, t_max: int) -> float:
@@ -596,14 +659,7 @@ def generalization_gap(
     stack = np.concatenate([trace.consensus for trace in traces])
     gaps = _consensus_gaps(stack, task, model, shards, holdout)
     curves = gaps.reshape(len(traces), len(reference))
-    se = (
-        curves.std(axis=0, ddof=1) / math.sqrt(len(traces))
-        if len(traces) > 1
-        else np.zeros(len(reference))
-    )
-    return GenGapReport(
-        iterations=reference.copy(), mean=curves.mean(axis=0), se=se, traces=len(traces)
-    )
+    return GenGapReport(reference.copy(), *mean_and_se(curves), traces=len(traces))
 
 
 def _draw_holdout(
@@ -636,14 +692,22 @@ def _consensus_gaps(
     return population - dataset_risk(model, W, *shards.flat())
 
 
-def _gengap_group(args: tuple) -> list[np.ndarray]:
+def _gengap_group(
+    group: range,
+    *,
+    P: GossipMatrix,
+    task: SyntheticTask,
+    model: LossModel,
+    config: TrainConfig,
+    n: int,
+    holdout: tuple[np.ndarray, np.ndarray] | None,
+) -> list[np.ndarray]:
     """Replicates `group`: fresh shards and one run each, stepped as one stack."""
-    (P, task, model, config, n, holdout, group) = args
     shards = [
         _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r)) for r in group
     ]
     seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
-    traces = run_dsgd_stack(P, shards, model, config, seeds)
+    (traces,) = run_dsgd([(P, None)], shards, model, config, seeds)
     return [
         generalization_gap([trace], task, model, replicate_shards, holdout=holdout).mean
         for trace, replicate_shards in zip(traces, shards)
@@ -669,18 +733,13 @@ def replicated_generalization_gap(
     """
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
-    holdout = _draw_holdout(task, mc_draws, config.seed)
-    items = [
-        (P, task, model, config, n, holdout, group)
-        for group in _replicate_groups(replicates, jobs)
-    ]
-    curves = np.stack([c for group in _parallel_map(_gengap_group, items, jobs) for c in group])
-    return GenGapReport(
-        iterations=config.snapshot_iterations,
-        mean=curves.mean(axis=0),
-        se=curves.std(axis=0, ddof=1) / math.sqrt(replicates),
-        traces=replicates,
+    group_fn = partial(
+        _gengap_group, P=P, task=task, model=model, config=config, n=n,
+        holdout=_draw_holdout(task, mc_draws, config.seed),
     )
+    groups = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
+    curves = np.stack([curve for group in groups for curve in group])
+    return GenGapReport(config.snapshot_iterations, *mean_and_se(curves), traces=replicates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -892,18 +951,18 @@ def topology_comparison(
         [(P, None) for P in matrices], task, model, config, n, replicates, pairs, mode, jobs,
         keep_traces, gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed),
     )
-    rows = [
-        ComparisonRow(
+    rows = []
+    for kind, P, estimate, kind_gaps in zip(kinds, matrices, estimates, gaps):
+        gap_mean, gap_se = mean_and_se(kind_gaps)
+        rows.append(ComparisonRow(
             kind=kind,
             m=m,
             lam=eigenvalues_symmetric(P).lam,
             stability_final=estimate.final,
             stability_se=estimate.final_se,
-            gengap_final=float(kind_gaps.mean()),
-            gengap_se=float(kind_gaps.std(ddof=1) / math.sqrt(replicates)),
+            gengap_final=float(gap_mean),
+            gengap_se=float(gap_se),
             stability_replicates=estimate.replicate_means[:, -1].copy(),
             gengap_replicates=kind_gaps,
-        )
-        for kind, P, estimate, kind_gaps in zip(kinds, matrices, estimates, gaps)
-    ]
+        ))
     return ComparisonResult(rows=rows, estimates=dict(zip(kinds, estimates)))

@@ -76,6 +76,7 @@ from .analysis import (
     gaussianity_report,
     generalization_bound_closed,
     generalization_bound_from_stability,
+    mean_and_se,
     optimize_bound_p,
     replicated_generalization_gap,
     stability_bound_curve,
@@ -664,11 +665,8 @@ def _run_compare(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
 def _paired_difference(values: np.ndarray, reference: np.ndarray) -> dict:
     """Per-replicate differences from a reference kind, their mean and paired SE."""
     diff = values - reference
-    return {
-        "replicates": diff.tolist(),
-        "mean": float(diff.mean()),
-        "se": float(diff.std(ddof=1) / math.sqrt(len(diff))),
-    }
+    mean, se = mean_and_se(diff)
+    return {"replicates": diff.tolist(), "mean": float(mean), "se": float(se)}
 
 
 def _run_consensus_control(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:

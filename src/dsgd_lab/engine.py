@@ -21,11 +21,12 @@ with its own gossip matrix and consensus control, times K runs with s sides
 each (s = 1 for single runs, s = 2 for coupled pairs). Every arm trains on
 the same (K, s, m, n, d_x) stack of shards, so a step makes one gather of
 sampled rows, one broadcast gossip product and one gradient call for the
-whole stack, and a snapshot one per-worker risk evaluation per arm (skipped
-where the caller has no use for the risks). Each run keeps its
-own seed and index stream, shared by its sides and by every arm: its indices
-are drawn from its own generator in blocks of at most INDEX_DRAW_STEPS steps
-per snapshot interval, which are the same indices as one draw of m per step.
+whole stack; run_dsgd and run_coupled are its two entry points. Only
+run_coupled with risks set evaluates per-worker risks, once per arm and
+snapshot. Each run keeps its own seed and index stream, shared by its sides
+and by every arm: its indices are drawn from its own generator in blocks of
+at most INDEX_DRAW_STEPS steps per snapshot interval, which are the same
+indices as one draw of m per step.
 Consensus control gossips a compacted stack of the runs whose arm's onset
 has passed and whose distance is still above the target, so each side takes
 the rounds it would take alone.
@@ -65,9 +66,6 @@ __all__ = [
     "dsgd_step",
     "run_dsgd",
     "run_coupled",
-    "run_dsgd_stack",
-    "run_coupled_stack",
-    "run_coupled_arms",
     "consensus_control_step",
 ]
 
@@ -152,15 +150,13 @@ class RunTrace:
     iterations[j] is the number of completed steps at snapshot j; consensus[j]
     is the average model, consensus_dist[j] the mean squared deviation of the
     workers from it, and risks[j, k] worker k's empirical risk on its shard;
-    risks and mean_risk are None for runs made without risk recording
-    (run_coupled_arms with risks=False).
+    risks is None unless the run recorded them (run_coupled with risks set).
     """
 
     iterations: np.ndarray
     consensus: np.ndarray
     consensus_dist: np.ndarray
     risks: np.ndarray | None
-    mean_risk: np.ndarray | None
     final_weights: np.ndarray
     extra_gossip_rounds: int = 0
 
@@ -353,106 +349,48 @@ def consensus_control_step(
 
 
 def run_dsgd(
-    P: GossipMatrix,
-    shards: Shards,
+    arms: list[tuple[GossipMatrix, ConsensusControl | None]],
+    shards: list[Shards],
     model: LossModel,
     config: TrainConfig,
-    index_sequence: np.ndarray | None = None,
-    control: ConsensusControl | None = None,
-) -> RunTrace:
-    """Run a full trajectory from the all-zeros initialization.
+    seeds: list[int],
+) -> list[list[RunTrace]]:
+    """Runs from the all-zeros initialization, every arm and run stepped as one stack.
 
-    Per-worker sample indices come from index_sequence (iterations, m) when
-    given (exhaustive enumeration support), else from the run's seeded
-    stream, one draw of m per step. With control set, every step after
-    t_gamma is followed by extra gossip rounds keeping the consensus distance
-    at most gamma_sq. Deterministic in (inputs, seed); the one-run case of
-    run_dsgd_stack, which steps many runs at once.
+    Run k trains on shards[k] from seed seeds[k] under every arm (P, control);
+    with control set, every step after t_gamma is followed by extra gossip
+    rounds keeping the consensus distance at most gamma_sq. Returns one list
+    of traces per arm; each trace equals that of a one-arm, one-run call, bit
+    for bit. config's seed is not used. Single runs record no risks.
 
     Raises:
-        InputError: control.t_gamma lies past the run length, or
-            index_sequence has the wrong shape or an index outside the shards.
-        NumericalError: the run diverged (non-finite consensus distance).
+        InputError: a matrix does not fit the shards, a control onset lies
+            past the run length, or the controlled arms differ in max_rounds.
+        NumericalError: a run diverged; names the seed and step of the first
+            run found.
     """
-    return _run_stack(
-        [(P, control)], [shards], model, config, [config.seed], None, index_sequence
-    )[0][0]
+    return _run_stack(arms, shards, model, config, seeds, None, False)
 
 
 def run_coupled(
-    P: GossipMatrix,
-    shards: Shards,
-    model: LossModel,
-    config: TrainConfig,
-    perturbation: Perturbation,
-    index_sequence: np.ndarray | None = None,
-    control: ConsensusControl | None = None,
-) -> CoupledTrace:
-    """Run on S and on the perturbed shards with identical sampling randomness.
-
-    Both trajectories share the seed, hence the same zeta sequence on every
-    worker; the trace records per-worker squared weight differences at each
-    snapshot and the final per-coordinate differences. The one-pair case of
-    run_coupled_stack.
-    """
-    return _run_stack(
-        [(P, control)], [shards], model, config, [config.seed], [perturbation], index_sequence
-    )[0][0]
-
-
-def run_dsgd_stack(
-    P: GossipMatrix,
-    shards: list[Shards],
-    model: LossModel,
-    config: TrainConfig,
-    seeds: list[int],
-    control: ConsensusControl | None = None,
-) -> list[RunTrace]:
-    """Runs on shards[k] with seeds[k], stepped as one stack; equal to run_dsgd run by run.
-
-    config supplies the length, schedule and cadence; its seed is not used.
-    A NumericalError names the seed and step of the first run found diverged.
-    """
-    return _run_stack([(P, control)], shards, model, config, seeds, None, None)[0]
-
-
-def run_coupled_stack(
-    P: GossipMatrix,
-    shards: list[Shards],
-    model: LossModel,
-    config: TrainConfig,
-    perturbations: list[Perturbation],
-    seeds: list[int],
-    control: ConsensusControl | None = None,
-) -> list[CoupledTrace]:
-    """Coupled runs of shards[k] against perturbations[k] with seeds[k], as one stack.
-
-    Equal to run_coupled pair by pair; the K pairs' 2K trajectories share
-    every gossip product, gradient call and risk evaluation. config supplies
-    the length, schedule and cadence; its seed is not used. The one-arm case
-    of run_coupled_arms.
-    """
-    return run_coupled_arms([(P, control)], shards, model, config, perturbations, seeds)[0]
-
-
-def run_coupled_arms(
     arms: list[tuple[GossipMatrix, ConsensusControl | None]],
     shards: list[Shards],
     model: LossModel,
     config: TrainConfig,
     perturbations: list[Perturbation],
     seeds: list[int],
-    risks: bool = True,
+    risks: bool = False,
 ) -> list[list[CoupledTrace]]:
-    """run_coupled_stack for each arm (P, control), every arm stepped in one stack.
+    """Coupled runs of shards[k] against perturbations[k] under every arm, as one stack.
 
-    Returns one list of coupled traces per arm, each equal to that arm's
-    run_coupled_stack. The arms share one copy of the shards and each step's
-    sampled rows; the controlled arms may differ in gamma_sq and t_gamma but
-    must share max_rounds. With risks=False no per-worker risks are
-    evaluated or stored, and the traces' risks and mean_risk are None.
+    Both sides of a pair share the seed, hence the same zeta sequence on
+    every worker; each coupled trace records per-worker squared weight
+    differences at each snapshot and the final per-coordinate differences.
+    Returns one list of coupled traces per arm, as run_dsgd does; with risks
+    set, both sides also record each worker's empirical risk at every
+    snapshot, and a non-finite risk is a divergence.
     """
-    return _run_stack(arms, shards, model, config, seeds, perturbations, None, risks)
+    return _run_stack(arms, shards, model, config, seeds, perturbations, risks)
 
 
 def _run_stack(
@@ -462,17 +400,12 @@ def _run_stack(
     config: TrainConfig,
     seeds: list[int],
     perturbations: list[Perturbation] | None,
-    index_sequence: np.ndarray | None,
-    risks: bool = True,
+    risks: bool,
 ) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
     """The trajectory loop: steps A arms of K runs of s sides as one stack W (A, K, s, m, d).
 
-    Arm a gossips with its own matrix and control; run k trains on shards[k]
-    from seed seeds[k] in every arm, and with perturbations its second side
-    trains on shards[k] with perturbations[k] applied. An index_sequence
-    (iterations, m) replaces the drawn indices of a single run. Returns, per
-    arm, one RunTrace per run, or with perturbations one CoupledTrace; their
-    per-worker risks are recorded only with risks set.
+    With perturbations, run k's second side trains on shards[k] with
+    perturbations[k] applied, and each run returns one CoupledTrace.
     """
     m, n, d_x = shards[0].xs.shape
     total = config.iterations
@@ -484,12 +417,6 @@ def _run_stack(
             raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
     if len(caps) > 1:
         raise InputError("the controlled arms of one stack must share max_rounds")
-    if index_sequence is not None:
-        index_sequence = np.asarray(index_sequence)
-        if index_sequence.shape != (total, m):
-            raise InputError("index_sequence must have shape (iterations, m)")
-        if total and (index_sequence.min() < 0 or index_sequence.max() >= n):
-            raise InputError("index_sequence entries outside shard size")
 
     sides = 1 if perturbations is None else 2
     xs = np.empty((len(shards), sides, m, n, d_x))
@@ -526,10 +453,7 @@ def _run_stack(
     for slot in range(1, len(logged)):
         while t < logged[slot]:
             steps = min(INDEX_DRAW_STEPS, logged[slot] - t)
-            if index_sequence is None:
-                zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
-            else:
-                zeta = index_sequence[t : t + steps, None]
+            zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
             # (steps, K, s, m): both sides of a run, in every arm, read the run's indices.
             rows = first_rows + zeta[:, :, None, :]
             for step_rows in rows:
@@ -547,10 +471,10 @@ def _run_stack(
 class _TraceRecorder:
     """Snapshot rows of every arm, run and side of a stack, at the logged iterations.
 
-    Raises NumericalError at the first snapshot where some consensus distance
-    is not finite, naming the first such run's seed: a non-finite W stays
-    non-finite under W' = P W - eta G, so a divergent run is always caught by
-    the final snapshot at the latest.
+    Raises NumericalError at the first snapshot where some consensus distance,
+    or some recorded risk, is not finite, naming the first such run's seed: a
+    non-finite W stays non-finite under W' = P W - eta G, so a divergent run
+    is always caught by the final snapshot at the latest.
     """
 
     def __init__(
@@ -574,31 +498,38 @@ class _TraceRecorder:
         self.sq_diffs = np.zeros((arms, runs, len(logged), m)) if sides == 2 else None
 
     def record(self, slot: int, W: np.ndarray) -> None:
-        # A diverging W overflows the sum of squares; that is reported below.
+        # A diverging W overflows the sums of squares; that is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
             distances = consensus_distance(W)
-        diverged = np.argwhere(~np.isfinite(distances))
-        if len(diverged):
-            arm, run, side = diverged[0]
-            raise NumericalError(
-                f"run with seed {self.seeds[run]} diverged: consensus distance is "
-                f"{distances[arm, run, side]} at step {self.logged[slot]}"
-            )
+        self._check(distances, "consensus distance", slot)
         self.consensus[..., slot, :] = consensus_model(W)
         self.consensus_dist[..., slot] = distances
         if self.risks is not None:
-            for arm, arm_W in enumerate(W):
-                risks = worker_risks(self.model, arm_W.reshape(-1, W.shape[-1]), self.shards)
-                self.risks[arm, :, :, slot] = risks.reshape(arm_W.shape[:-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                risks = np.stack([
+                    worker_risks(self.model, arm_W.reshape(-1, W.shape[-1]), self.shards)
+                    for arm_W in W
+                ]).reshape(W.shape[:-1])
+            self._check(risks, "a worker risk", slot)
+            self.risks[..., slot, :] = risks
         if self.sq_diffs is not None:
             self.sq_diffs[:, :, slot] = np.sum((W[:, :, 0] - W[:, :, 1]) ** 2, axis=-1)
+
+    def _check(self, values: np.ndarray, name: str, slot: int) -> None:
+        """NumericalError naming the first run with a non-finite value, index (arm, run, ...)."""
+        diverged = np.argwhere(~np.isfinite(values))
+        if len(diverged):
+            index = tuple(diverged[0])
+            raise NumericalError(
+                f"run with seed {self.seeds[index[1]]} diverged: {name} is "
+                f"{values[index]} at step {self.logged[slot]}"
+            )
 
     def finish(
         self, W: np.ndarray, extra_rounds: np.ndarray
     ) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
         """Per arm, each run's trace, or coupled trace, as views into the stacked arrays."""
         risks = self.risks
-        mean_risk = None if risks is None else risks.mean(axis=-1)
         traces = np.empty(W.shape[:3], dtype=object)
         for index in np.ndindex(traces.shape):
             traces[index] = RunTrace(
@@ -606,7 +537,6 @@ class _TraceRecorder:
                 consensus=self.consensus[index],
                 consensus_dist=self.consensus_dist[index],
                 risks=None if risks is None else risks[index],
-                mean_risk=None if risks is None else mean_risk[index],
                 final_weights=W[index].copy(),
                 extra_gossip_rounds=int(extra_rounds[index]),
             )

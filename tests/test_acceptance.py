@@ -555,7 +555,6 @@ def _synthetic_coupled(diffs):
         consensus=np.zeros((1, d)),
         consensus_dist=np.zeros(1),
         risks=np.zeros((1, m)),
-        mean_risk=np.zeros(1),
         final_weights=np.zeros((m, d)),
     )
     return CoupledTrace(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dsgd_lab.analysis import (
     generalization_bound_closed,
     generalization_bound_from_stability,
     generalization_gap,
+    mean_and_se,
     optimize_bound_p,
     replicated_generalization_gap,
     risk_exponent_curve,
@@ -40,7 +42,7 @@ from dsgd_lab.engine import (
     StepDecayRate,
     TrainConfig,
 )
-from dsgd_lab.errors import InputError
+from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
 from dsgd_lab.topology import TopologyKind, build_gossip_matrix
 
@@ -61,7 +63,6 @@ def dummy_trace(m=2, d=1, logs=1):
         consensus=np.zeros((logs, d)),
         consensus_dist=np.zeros(logs),
         risks=zeros,
-        mean_risk=np.zeros(logs),
         final_weights=np.zeros((m, d)),
     )
 
@@ -146,9 +147,10 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
         (build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 4), None),
     ]
     task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
-    common = (arms, task, LINEAR, config, 5, pairs, mode)
-    whole = _stability_group((*common, range(replicates), True, None, True))
-    results = [_stability_group((*common, group, True, None, True)) for group in groups]
+    group_fn = partial(_stability_group, arms=arms, task=task, model=LINEAR, config=config,
+                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, keep=True)
+    whole = group_fn(range(replicates))
+    results = [group_fn(group) for group in groups]
     assert np.array_equal(np.concatenate([c for c, _, _, _ in results], axis=1), whole[0])
     assert np.array_equal(np.concatenate([g for _, g, _, _ in results], axis=1), whole[1])
     shards = [sh for _, _, _, kept in results for sh in kept]
@@ -182,7 +184,8 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     curves = np.stack([
         curve
         for group in groups
-        for curve in _gengap_group((ring, mlp_task, mlp, config, 5, holdout, group))
+        for curve in _gengap_group(group, P=ring, task=mlp_task, model=mlp, config=config,
+                                   n=5, holdout=holdout)
     ])
     assert np.array_equal(curves.mean(axis=0), report.mean)
     assert np.array_equal(curves.std(axis=0, ddof=1) / math.sqrt(replicates), report.se)
@@ -292,24 +295,25 @@ def test_keep_traces_returns_replicate_major_traces():
     assert len(estimate.shards) == 2
 
 
-def brute_force_curve(P, shards, replacements, eta, iterations):
+def brute_force_curve(P, shards, replacements, rate, iterations, positions):
     """Plain-Python enumeration oracle: averages the per-iteration mean squared
-    per-worker weight difference over all perturbation positions and all
-    per-worker index sequences."""
+    per-worker weight difference over the given perturbation positions
+    (workers, index) and all per-worker index sequences, at rate.at(t, T)."""
     m, n = shards.m, shards.n
     d = shards.d_x
     curves = []
-    for i in range(n):
+    for workers, i in positions:
         xs2 = shards.xs.copy()
         ys2 = shards.ys.copy()
-        xs2[:, i] = replacements.xs[:, i]
-        ys2[:, i] = replacements.ys[:, i]
+        xs2[workers, i] = replacements.xs[workers, i]
+        ys2[workers, i] = replacements.ys[workers, i]
         for flat in itertools.product(range(n), repeat=m * iterations):
             w = [[0.0] * d for _ in range(m)]
             w2 = [[0.0] * d for _ in range(m)]
             curve = [0.0]
             for t in range(iterations):
                 zeta = flat[t * m : (t + 1) * m]
+                eta = rate.at(t, iterations)
                 w = _bf_step(w, P, shards.xs, shards.ys, zeta, eta)
                 w2 = _bf_step(w2, P, xs2, ys2, zeta, eta)
                 curve.append(
@@ -339,14 +343,22 @@ def _bf_step(w, P, xs, ys, zeta, eta):
 
 
 def test_exhaustive_stability_matches_brute_force_oracle():
+    # Inputs (mode, positions, rate, iterations): every synchronized position
+    # at a constant rate, and every single-worker position under step decay.
     task = make_task(d_x=1)
     P = build_gossip_matrix(TopologyKind.RING, 2)
     shards = _make_shards(task, 2, 2, 11)
     replacements = _make_shards(task, 2, 2, 12)
-    config = TrainConfig(iterations=2, rate=ConstantRate(0.1), seed=0, snapshot_every=1)
-    ours = stability_exhaustive(P, shards, LINEAR, config, PerturbationMode.SYNCHRONIZED, replacements)
-    oracle = brute_force_curve(P, shards, replacements, eta=0.1, iterations=2)
-    assert np.allclose(ours, oracle, atol=1e-12)
+    cases = [
+        (PerturbationMode.SYNCHRONIZED, [([0, 1], i) for i in range(2)], ConstantRate(0.1), 2),
+        (PerturbationMode.SINGLE_WORKER, [([k], i) for k in range(2) for i in range(2)],
+         StepDecayRate(0.5), 3),
+    ]
+    for mode, positions, rate, iterations in cases:
+        config = TrainConfig(iterations=iterations, rate=rate, seed=0, snapshot_every=1)
+        ours = stability_exhaustive(P, shards, LINEAR, config, mode, replacements)
+        oracle = brute_force_curve(P, shards, replacements, rate, iterations, positions)
+        assert np.allclose(ours, oracle, atol=1e-12)
 
 
 def test_exhaustive_stability_guards_against_explosion():
@@ -480,6 +492,35 @@ def test_stability_bound_limit_rejects_divergent_contraction():
         stability_bound_limit(make_inputs(rate=StepDecayRate(0.1)))
 
 
+def test_bound_evaluators_name_the_contraction_on_overflow():
+    # C = 2 * 10 * 1 * (1 - 1/10) = 18 compounds past the float range within
+    # 400 steps: a numerical failure, not an overflow warning or OverflowError.
+    with pytest.warns(UserWarning, match="validity limit"):
+        divergent = make_inputs(rate=ConstantRate(10.0))
+    with pytest.raises(NumericalError, match="contraction C = 18 compounded over 400 steps"):
+        stability_bound_curve(divergent, np.ones(400), t_max=400)
+    with pytest.raises(NumericalError, match="contraction C = 18 compounded over 400 steps"):
+        generalization_bound_closed(divergent, 400)
+    assert np.isfinite(stability_bound_curve(divergent, np.ones(200), t_max=200)[-1])
+
+
+def test_sigma_mu_overflow_is_a_numerical_failure():
+    # Each difference squares to a float; their deviations from the mean do not.
+    coupled = [dummy_coupled(np.full((2, 1), sign * 1.3e154)) for sign in (1.0, -1.0, 1.0)]
+    with pytest.raises(NumericalError, match="moments overflow"):
+        estimate_sigma_mu(coupled)
+
+
+def test_mean_and_se_is_the_replicate_standard_error():
+    values = np.random.default_rng(3).standard_normal((5, 4))
+    mean, se = mean_and_se(values)
+    assert np.array_equal(mean, values.mean(axis=0))
+    assert np.array_equal(se, values.std(axis=0, ddof=1) / math.sqrt(5))
+    assert np.array_equal(mean_and_se(values[:1])[1], np.zeros(4))
+    with pytest.raises(NumericalError, match="standard error over 2 replicates overflows"):
+        mean_and_se(np.array([1e200, -1e200]))
+
+
 def test_bound_inputs_validation():
     with pytest.raises(InputError):
         make_inputs(L=0.0)
@@ -585,7 +626,7 @@ def test_gap_concentrates_with_many_samples():
     config = TrainConfig(iterations=800, rate=ConstantRate(0.1), seed=31, snapshot_every=800)
     from dsgd_lab.engine import run_dsgd
 
-    trace = run_dsgd(P, shards, LINEAR, config)
+    ((trace,),) = run_dsgd([(P, None)], [shards], LINEAR, config, [config.seed])
     report = generalization_gap([trace], task, LINEAR, shards)
     assert abs(report.final) < 0.05
 

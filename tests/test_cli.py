@@ -354,6 +354,20 @@ def test_divergent_run_exits_two_without_summary(tmp_path, capfd, jobs):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bound_overflow_exits_two(tmp_path, capfd):
+    # eta = 8 blows the coupled runs up to finite but huge weights (stability
+    # near 1e178) within 300 steps, and the bound's contraction C compounds
+    # past the float range: one numerical failure line, no traceback.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, experiment="bound", kind="ring", m=4, eta=8, T=300, R=2,
+                        pairs=1, n=10, alpha=1.0, output_dir=str(out))
+    assert main([str(path), "--jobs", "1"]) == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    assert not (out / "summary.json").exists()
+
+
 def test_single_onset_consensus_control_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, experiment="consensus-control", kind="ring", m=4,
                         T=50, R=5, pairs=1, n=10, t_gamma=[10],

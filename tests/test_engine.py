@@ -21,10 +21,7 @@ from dsgd_lab.engine import (
     draw_perturbation,
     dsgd_step,
     run_coupled,
-    run_coupled_arms,
-    run_coupled_stack,
     run_dsgd,
-    run_dsgd_stack,
 )
 from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import LossModel, ModelFamily, Shards, SyntheticTask, draw_dataset_arrays
@@ -54,6 +51,18 @@ def make_shards(task, n, m, seed=0):
 def linear_gradient(w, x, y):
     """Gradient (x.w - y) x of the squared loss, written out as the oracle."""
     return (x @ w - y) * x
+
+
+def run_one(P, shards, model, config, control=None):
+    """One run alone: a one-arm, one-run run_dsgd call from the config's seed."""
+    return run_dsgd([(P, control)], [shards], model, config, [config.seed])[0][0]
+
+
+def coupled_one(P, shards, model, config, perturbation, control=None, risks=False):
+    """One coupled pair alone: a one-arm, one-pair run_coupled call."""
+    return run_coupled(
+        [(P, control)], [shards], model, config, [perturbation], [config.seed], risks
+    )[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ def test_zero_iterations_logs_only_initialization():
     task = make_task()
     shards = make_shards(task, 4, 3)
     P = build_gossip_matrix(TopologyKind.RING, 3)
-    trace = run_dsgd(P, shards, LINEAR, TrainConfig(iterations=0, rate=ConstantRate(0.1), seed=0))
+    trace = run_one(P, shards, LINEAR, TrainConfig(iterations=0, rate=ConstantRate(0.1), seed=0))
     assert list(trace.iterations) == [0]
     assert trace.consensus_dist[0] == 0.0
     assert np.array_equal(trace.final_weights, np.zeros((3, 3)))
@@ -211,11 +220,13 @@ def test_runs_are_bit_deterministic():
     shards = make_shards(task, 5, 4)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=60, rate=ConstantRate(0.05), seed=11, snapshot_every=7)
-    a = run_dsgd(P, shards, LINEAR, config)
-    b = run_dsgd(P, shards, LINEAR, config)
+    a = run_one(P, shards, LINEAR, config)
+    b = run_one(P, shards, LINEAR, config)
     assert np.array_equal(a.final_weights, b.final_weights)
     assert np.array_equal(a.consensus, b.consensus)
-    assert np.array_equal(a.risks, b.risks)
+    assert np.array_equal(a.consensus_dist, b.consensus_dist)
+    # Single runs never record per-worker risks.
+    assert a.risks is None
 
 
 def test_identical_shards_and_indices_keep_workers_in_consensus():
@@ -229,21 +240,18 @@ def test_identical_shards_and_indices_keep_workers_in_consensus():
     shards = Shards(xs=xs, ys=ys)
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, m)
     rng = np.random.default_rng(7)
-    sequence = np.repeat(rng.integers(0, 6, size=(40, 1)), m, axis=1)
-    trace = run_dsgd(
-        P, shards, LINEAR,
-        TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=7),
-        index_sequence=sequence,
-    )
-    assert np.max(trace.consensus_dist) < 1e-28
+    W = np.zeros((m, task.d_x))
+    for index in rng.integers(0, 6, size=40):
+        W = dsgd_step(W, P, *drawn(shards, np.full(m, index)), 0.1, LINEAR)
+        assert consensus_distance(W) < 1e-28
 
 
 def test_snapshot_cadence_and_final_log():
     task = make_task()
     shards = make_shards(task, 4, 3)
     P = build_gossip_matrix(TopologyKind.RING, 3)
-    trace = run_dsgd(P, shards, LINEAR,
-                     TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0, snapshot_every=4))
+    trace = run_one(P, shards, LINEAR,
+                    TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0, snapshot_every=4))
     assert list(trace.iterations) == [0, 4, 8, 10]
 
 
@@ -252,7 +260,7 @@ def test_single_worker_run_reduces_to_plain_sgd():
     shards = make_shards(task, 6, 1)
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 1)
     config = TrainConfig(iterations=25, rate=ConstantRate(0.1), seed=13)
-    trace = run_dsgd(P, shards, LINEAR, config)
+    trace = run_one(P, shards, LINEAR, config)
     # Plain SGD oracle with the identical index stream.
     rng = np.random.default_rng(13)
     w = np.zeros(2)
@@ -260,30 +268,6 @@ def test_single_worker_run_reduces_to_plain_sgd():
         idx = int(rng.integers(0, 6, size=1)[0])
         w = w - 0.1 * linear_gradient(w, shards.xs[0, idx], shards.ys[0, idx])
     assert np.array_equal(trace.final_weights[0], w)
-
-
-def test_forced_index_sequence_is_honored():
-    task = make_task()
-    shards = make_shards(task, 3, 2)
-    P = build_gossip_matrix(TopologyKind.RING, 2)
-    config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
-    sequence = np.array([[0, 1], [2, 2], [1, 0], [0, 0]])
-    a = run_dsgd(P, shards, LINEAR, config, index_sequence=sequence)
-    b = run_dsgd(P, shards, LINEAR, config, index_sequence=sequence)
-    assert np.array_equal(a.final_weights, b.final_weights)
-    with pytest.raises(InputError):
-        run_dsgd(P, shards, LINEAR, config, index_sequence=sequence[:2])
-
-
-def test_index_sequence_rejects_out_of_range_entries():
-    task = make_task()
-    shards = make_shards(task, 3, 2)
-    P = build_gossip_matrix(TopologyKind.RING, 2)
-    config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
-    for bad in (-1, 3):
-        sequence = np.array([[0, 1], [2, 2], [1, bad], [0, 0]])
-        with pytest.raises(InputError, match="outside shard size"):
-            run_dsgd(P, shards, LINEAR, config, index_sequence=sequence)
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,8 +278,9 @@ def test_index_sequence_rejects_out_of_range_entries():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_unseeded_run_uses_the_seeds_per_step_index_stream(m, n, iterations, seed):
-    # The engine draws a run's indices as one (T, m) block; that block must be
-    # the stream of T draws of m each, which the run then follows exactly.
+    # The engine draws a run's indices in (steps, m) blocks; a block must be
+    # the stream of draws of m each, which the run then follows exactly: it
+    # equals a dsgd_step loop on one draw of m per step.
     rng = np.random.default_rng(seed)
     per_step = [rng.integers(0, n, size=m) for _ in range(iterations)]
     block = np.random.default_rng(seed).integers(0, n, size=(iterations, m))
@@ -305,10 +290,18 @@ def test_unseeded_run_uses_the_seeds_per_step_index_stream(m, n, iterations, see
         TopologyKind.DISCONNECTED if m == 1 else TopologyKind.FULLY_CONNECTED, m
     )
     config = TrainConfig(iterations=iterations, rate=ConstantRate(0.1), seed=seed)
-    drawn_run = run_dsgd(P, shards, LINEAR, config)
-    given_run = run_dsgd(P, shards, LINEAR, config, index_sequence=block)
-    assert np.array_equal(drawn_run.final_weights, given_run.final_weights)
-    assert np.array_equal(drawn_run.risks, given_run.risks)
+    run = run_one(P, shards, LINEAR, config)
+    assert_same_array(run.final_weights, per_step_loop(P, shards, config))
+
+
+def per_step_loop(P, shards, config):
+    """Final weights of a plain dsgd_step loop drawing m indices per step from the seed."""
+    rng = np.random.default_rng(config.seed)
+    W = np.zeros((shards.m, shards.d_x))
+    for t in range(config.iterations):
+        zeta = rng.integers(0, shards.n, size=shards.m)
+        W = dsgd_step(W, P, *drawn(shards, zeta), config.rate.at(t, config.iterations), LINEAR)
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +346,7 @@ def test_coupled_identical_replacement_gives_zero_difference():
         replacement_xs=shards.xs[:, 1].copy(), replacement_ys=shards.ys[:, 1].copy(),
     )
     P = build_gossip_matrix(TopologyKind.RING, 3)
-    coupled = run_coupled(P, shards, LINEAR, TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=5), pert)
+    coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=5), pert)
     assert np.max(coupled.sq_diffs) == 0.0
     assert np.max(np.abs(coupled.final_diffs)) == 0.0
 
@@ -363,7 +356,7 @@ def test_coupled_zero_rate_gives_zero_difference():
     shards = make_shards(task, 4, 3)
     pert = draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=9)
     P = build_gossip_matrix(TopologyKind.RING, 3)
-    coupled = run_coupled(P, shards, LINEAR, TrainConfig(iterations=20, rate=ConstantRate(0.0), seed=5), pert)
+    coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=20, rate=ConstantRate(0.0), seed=5), pert)
     assert np.max(coupled.sq_diffs) == 0.0
 
 
@@ -372,7 +365,7 @@ def test_coupled_disconnected_difference_stays_local():
     shards = make_shards(task, 5, 4)
     pert = single_worker_perturbation(task, worker=2, index=3, seed=7)
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
-    coupled = run_coupled(P, shards, LINEAR, TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=3), pert)
+    coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=3), pert)
     others = [k for k in range(4) if k != 2]
     assert np.max(coupled.sq_diffs[:, others]) == 0.0
     assert np.max(coupled.sq_diffs[:, 2]) > 0.0
@@ -384,8 +377,7 @@ def assert_same_array(a, b):
 
 
 def assert_same_trace(a, b):
-    for name in ("iterations", "consensus", "consensus_dist", "risks", "mean_risk",
-                 "final_weights"):
+    for name in ("iterations", "consensus", "consensus_dist", "risks", "final_weights"):
         if getattr(b, name) is None:
             assert getattr(a, name) is None
         else:
@@ -413,12 +405,10 @@ def test_coupled_base_equals_plain_run(family, control):
     pert = draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=2)
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=35, rate=ConstantRate(0.08), seed=19)
-    coupled = run_coupled(P, shards, model, config, pert, control=control)
-    assert_same_trace(coupled.base, run_dsgd(P, shards, model, config, control=control))
+    coupled = coupled_one(P, shards, model, config, pert, control)
+    assert_same_trace(coupled.base, run_one(P, shards, model, config, control))
     perturbed = apply_perturbation(shards, pert)
-    assert_same_trace(
-        coupled.perturbed, run_dsgd(P, perturbed, model, config, control=control)
-    )
+    assert_same_trace(coupled.perturbed, run_one(P, perturbed, model, config, control))
     if control is not None:
         assert coupled.base.extra_gossip_rounds > 0
         assert coupled.perturbed.extra_gossip_rounds > 0
@@ -430,7 +420,7 @@ def test_coupled_difference_snapshots_are_consistent():
     pert = draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=4)
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=16, rate=ConstantRate(0.1), seed=6, snapshot_every=16)
-    coupled = run_coupled(P, shards, LINEAR, config, pert)
+    coupled = coupled_one(P, shards, LINEAR, config, pert)
     final_sq = np.sum(coupled.final_diffs**2, axis=1)
     assert np.allclose(coupled.sq_diffs[-1], final_sq, atol=1e-15)
     assert np.allclose(
@@ -462,38 +452,39 @@ def stack_inputs(family, runs=3, m=4, n=5, d_x=3, mode=PerturbationMode.SYNCHRON
                          ids=["constant", "step-decay"])
 def test_stacked_runs_equal_single_runs(family, control, rate):
     # Each run of a stack must equal the same run made alone, bit for bit, in
-    # every trace field. A 100-step snapshot interval makes the index draws
-    # span more than one block of INDEX_DRAW_STEPS.
+    # every trace field, risks included. A 100-step snapshot interval makes
+    # the index draws span more than one block of INDEX_DRAW_STEPS.
     model = LossModel(family=family, hidden_width=3)
     shards, perturbations, seeds = stack_inputs(family)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=130, rate=rate, seed=0, snapshot_every=100)
-    coupled = run_coupled_stack(P, shards, model, config, perturbations, seeds, control)
-    single = run_dsgd_stack(P, shards, model, config, seeds, control)
+    (coupled,) = run_coupled([(P, control)], shards, model, config, perturbations, seeds,
+                             risks=True)
+    (single,) = run_dsgd([(P, control)], shards, model, config, seeds)
     assert len(coupled) == len(single) == len(seeds)
     for k, seed in enumerate(seeds):
         own = replace(config, seed=seed)
-        alone = run_coupled(P, shards[k], model, own, perturbations[k], control=control)
+        alone = coupled_one(P, shards[k], model, own, perturbations[k], control, risks=True)
         assert_same_trace(coupled[k].base, alone.base)
         assert_same_trace(coupled[k].perturbed, alone.perturbed)
         assert_same_array(coupled[k].sq_diffs, alone.sq_diffs)
         assert_same_array(coupled[k].final_diffs, alone.final_diffs)
-        assert_same_trace(single[k], run_dsgd(P, shards[k], model, own, control=control))
+        assert_same_trace(single[k], run_one(P, shards[k], model, own, control))
         if control is not None:
             assert alone.base.extra_gossip_rounds > 0
 
 
 def test_sparse_snapshots_follow_the_per_step_index_stream():
     # One snapshot interval of 150 steps is drawn in blocks of at most
-    # INDEX_DRAW_STEPS; together they must be the seed's (T, m) stream.
+    # INDEX_DRAW_STEPS; together they must be the seed's per-step stream.
     shards = make_shards(make_task(), 6, 3)
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=150, rate=ConstantRate(0.05), seed=8, snapshot_every=150)
-    block = np.random.default_rng(8).integers(0, 6, size=(150, 3))
-    assert_same_trace(
-        run_dsgd(P, shards, LINEAR, config),
-        run_dsgd(P, shards, LINEAR, config, index_sequence=block),
-    )
+    trace = run_one(P, shards, LINEAR, config)
+    W = per_step_loop(P, shards, config)
+    assert list(trace.iterations) == [0, 150]
+    assert_same_array(trace.final_weights, W)
+    assert_same_array(trace.consensus[-1], consensus_model(W))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -505,12 +496,34 @@ def test_stack_with_a_later_divergent_run_names_that_run():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=200, rate=ConstantRate(0.9), seed=0, snapshot_every=3)
     with pytest.raises(NumericalError) as alone:
-        run_dsgd(P, shards[-1], LINEAR, replace(config, seed=seeds[-1]))
-    run_dsgd(P, shards[0], LINEAR, replace(config, seed=seeds[0]))
+        run_one(P, shards[-1], LINEAR, replace(config, seed=seeds[-1]))
+    run_one(P, shards[0], LINEAR, replace(config, seed=seeds[0]))
     with pytest.raises(NumericalError) as stacked:
-        run_dsgd_stack(P, shards, LINEAR, config, seeds)
+        run_dsgd([(P, None)], shards, LINEAR, config, seeds)
     assert str(stacked.value) == str(alone.value)
     assert f"seed {seeds[-1]} diverged" in str(stacked.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recorded_risks_are_checked_for_divergence():
+    # One worker's features x5 make these runs blow up at eta = 0.3. For
+    # seeds 1 and 2 the weights are still finite, and so is their consensus
+    # distance, when the squared residuals of the worker risks overflow: the
+    # run has diverged, and the error names its seed and step.
+    task = make_task()
+    shards = make_shards(task, 5, 4, seed=2)
+    xs = shards.xs.copy()
+    xs[0] *= 5.0
+    shards = Shards(xs=xs, ys=shards.ys)
+    pert = draw_perturbation(task, 5, 4, PerturbationMode.SYNCHRONIZED, seed=2)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=300, rate=ConstantRate(0.3), seed=0, snapshot_every=3)
+    for seed in (1, 2):
+        with pytest.raises(NumericalError, match=rf"seed {seed} diverged: a worker risk is inf"):
+            coupled_one(P, shards, LINEAR, replace(config, seed=seed), pert, risks=True)
+    # Without risk recording the same run is caught later, by its distance.
+    with pytest.raises(NumericalError, match="seed 1 diverged: consensus distance is inf"):
+        coupled_one(P, shards, LINEAR, replace(config, seed=1), pert)
 
 
 def two_islands(m=4):
@@ -548,17 +561,21 @@ def test_arms_equal_each_arm_run_alone(family, mode, arms):
          ConsensusControl(gamma_sq=gamma_sq, t_gamma=onset, max_rounds=20))
         for name, onset, gamma_sq in arms
     ]
-    stacked = run_coupled_arms(arms, shards, model, config, perturbations, seeds)
+    stacked = run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
     # Without risk recording every other field is the same.
-    lean = run_coupled_arms(arms, shards, model, config, perturbations, seeds, risks=False)
+    lean = run_coupled(arms, shards, model, config, perturbations, seeds)
     assert len(stacked) == len(lean) == len(arms)
     for (P, control), traces, lean_traces in zip(arms, stacked, lean):
-        alone = run_coupled_stack(P, shards, model, config, perturbations, seeds, control)
-        assert len(traces) == len(lean_traces) == len(alone) == len(seeds)
+        alone = [
+            coupled_one(P, run_shards, model, replace(config, seed=seed), perturbation,
+                        control, risks=True)
+            for run_shards, perturbation, seed in zip(shards, perturbations, seeds)
+        ]
+        assert len(traces) == len(lean_traces) == len(seeds)
         for a, b, c in zip(traces, alone, lean_traces):
             for side in ("base", "perturbed"):
                 assert_same_trace(getattr(a, side), getattr(b, side))
-                unrisked = replace(getattr(b, side), risks=None, mean_risk=None)
+                unrisked = replace(getattr(b, side), risks=None)
                 assert_same_trace(getattr(c, side), unrisked)
             for trace in (a, c):
                 assert_same_array(trace.sq_diffs, b.sq_diffs)
@@ -571,7 +588,7 @@ def test_arms_must_share_the_round_cap():
     arms = [(P, ConsensusControl(1e-4, 0, max_rounds=5)), (P, ConsensusControl(1e-4, 0))]
     config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
     with pytest.raises(InputError, match="max_rounds"):
-        run_coupled_arms(arms, shards, LINEAR, config, perturbations, seeds)
+        run_coupled(arms, shards, LINEAR, config, perturbations, seeds)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -587,9 +604,10 @@ def test_arms_with_a_divergent_run_in_the_last_arm_name_that_run():
         TopologyKind.RING, TopologyKind.DISCONNECTED, TopologyKind.FULLY_CONNECTED)]
     config = TrainConfig(iterations=300, rate=ConstantRate(0.3), seed=0, snapshot_every=3)
     with pytest.raises(NumericalError) as alone:
-        run_coupled_stack(arms[-1][0], shards, LINEAR, config, perturbations, seeds)
+        coupled_one(arms[-1][0], shards[-1], LINEAR, replace(config, seed=seeds[-1]),
+                    perturbations[-1])
     with pytest.raises(NumericalError) as stacked:
-        run_coupled_arms(arms, shards, LINEAR, config, perturbations, seeds)
+        run_coupled(arms, shards, LINEAR, config, perturbations, seeds)
     assert str(stacked.value) == str(alone.value)
     assert f"seed {seeds[-1]} diverged" in str(stacked.value)
 
@@ -699,8 +717,8 @@ def test_controlled_run_with_onset_at_end_matches_plain_run():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=21)
     control = ConsensusControl(gamma_sq=1e-8, t_gamma=30)
-    controlled = run_dsgd(P, shards, LINEAR, config, control=control)
-    plain = run_dsgd(P, shards, LINEAR, config)
+    controlled = run_one(P, shards, LINEAR, config, control)
+    plain = run_one(P, shards, LINEAR, config)
     assert np.array_equal(controlled.final_weights, plain.final_weights)
     assert controlled.extra_gossip_rounds == 0
 
@@ -711,8 +729,8 @@ def test_controlled_run_with_infinite_target_matches_plain_run():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=23)
     control = ConsensusControl(gamma_sq=math.inf, t_gamma=0)
-    controlled = run_dsgd(P, shards, LINEAR, config, control=control)
-    plain = run_dsgd(P, shards, LINEAR, config)
+    controlled = run_one(P, shards, LINEAR, config, control)
+    plain = run_one(P, shards, LINEAR, config)
     assert np.array_equal(controlled.final_weights, plain.final_weights)
 
 
@@ -723,7 +741,7 @@ def test_controlled_run_keeps_logged_distance_below_target():
     config = TrainConfig(iterations=50, rate=ConstantRate(0.1), seed=25, snapshot_every=5)
     gamma_sq = 1e-5
     control = ConsensusControl(gamma_sq=gamma_sq, t_gamma=0, max_rounds=400)
-    trace = run_dsgd(P, shards, LINEAR, config, control=control)
+    trace = run_one(P, shards, LINEAR, config, control)
     assert np.all(trace.consensus_dist <= gamma_sq + 1e-15)
     assert trace.extra_gossip_rounds > 0
 
@@ -735,7 +753,7 @@ def test_controlled_run_rejects_bad_onset():
     config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0)
     control = ConsensusControl(gamma_sq=1e-4, t_gamma=11)
     with pytest.raises(InputError, match="t_gamma"):
-        run_dsgd(P, shards, LINEAR, config, control=control)
+        run_one(P, shards, LINEAR, config, control)
     perturbation = draw_perturbation(task, 4, 4, PerturbationMode.SYNCHRONIZED, seed=1)
     with pytest.raises(InputError, match="t_gamma"):
-        run_coupled(P, shards, LINEAR, config, perturbation, control=control)
+        coupled_one(P, shards, LINEAR, config, perturbation, control)

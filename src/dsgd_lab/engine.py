@@ -21,12 +21,15 @@ with its own gossip matrix and consensus control, times K runs with s sides
 each (s = 1 for single runs, s = 2 for coupled pairs). Every arm trains on
 the same (K, s, m, n, d_x) stack of shards, so a step makes one gather of
 sampled rows, one broadcast gossip product and one gradient call for the
-whole stack; run_dsgd and run_coupled are its two entry points. Only
-run_coupled with risks set evaluates per-worker risks, once per arm and
-snapshot. Each run keeps its own seed and index stream, shared by its sides
-and by every arm: its indices are drawn from its own generator in blocks of
-at most INDEX_DRAW_STEPS steps per snapshot interval, which are the same
-indices as one draw of m per step.
+whole stack; run_dsgd and run_coupled are its two entry points. Every
+array a step writes (the next W, the gathered samples, the gradients) is a
+buffer allocated once per stack; of the loop's stack-sized arrays only
+consensus control's result is new. Only run_coupled with risks set
+evaluates per-worker risks, once per arm and snapshot. Each run keeps its
+own seed and index stream, shared by its sides and by every arm: its
+indices are drawn from its own generator in blocks of at most
+INDEX_DRAW_STEPS steps per snapshot interval, which are the same indices as
+one draw of m per step.
 Consensus control gossips a compacted stack of the runs whose arm's onset
 has passed and whose distance is still above the target, so each side takes
 the rounds it would take alone.
@@ -60,7 +63,6 @@ __all__ = [
     "CoupledTrace",
     "ConsensusControl",
     "draw_perturbation",
-    "apply_perturbation",
     "consensus_model",
     "consensus_distance",
     "dsgd_step",
@@ -233,13 +235,6 @@ def draw_perturbation(
     )
 
 
-def apply_perturbation(shards: Shards, perturbation: Perturbation) -> Shards:
-    """Neighboring shard set: shards with the perturbed positions replaced."""
-    neighbor = Shards(xs=shards.xs.copy(), ys=shards.ys.copy())
-    _replace_samples(neighbor.xs, neighbor.ys, perturbation)
-    return neighbor
-
-
 def _replace_samples(xs: np.ndarray, ys: np.ndarray, perturbation: Perturbation) -> None:
     """Write the perturbation's replacement samples into shard arrays in place."""
     if not 0 <= perturbation.index < xs.shape[1]:
@@ -257,8 +252,17 @@ def consensus_model(W: np.ndarray) -> np.ndarray:
 
 def consensus_distance(W: np.ndarray) -> float | np.ndarray:
     """Mean squared deviation of the local models from their average, per run of W (..., m, d)."""
-    deviation = W - W.mean(axis=-2, keepdims=True)
-    return np.sum(deviation**2, axis=(-2, -1)) / W.shape[-2]
+    mean = W.mean(axis=-2, keepdims=True)
+    return _distance_from_mean(W, mean, np.empty_like(W, dtype=mean.dtype))
+
+
+def _distance_from_mean(
+    W: np.ndarray, mean: np.ndarray, scratch: np.ndarray
+) -> float | np.ndarray:
+    """consensus_distance(W) from W's consensus mean (keepdims), squaring in scratch."""
+    np.subtract(W, mean, out=scratch)
+    np.square(scratch, out=scratch)
+    return scratch.sum(axis=(-2, -1)) / W.shape[-2]
 
 
 def _entries(P: GossipMatrix | np.ndarray) -> np.ndarray:
@@ -272,23 +276,33 @@ def dsgd_step(
     Y: np.ndarray,
     eta_t: float,
     model: LossModel,
+    out: np.ndarray | None = None,
+    grads: np.ndarray | None = None,
 ) -> np.ndarray:
     """One update of a stack of runs W (..., m, d): gossip with P, then gradient steps.
 
     P is one gossip matrix, or a stack of entries (..., m, m) broadcast
     against the runs of W. X (..., m, d_x) and Y (..., m) hold the sample
     each worker of each run uses at this step; the gradient is evaluated at
-    the pre-communication model w_k.
+    the pre-communication model w_k. The updated stack is written into out
+    (W's shape, sharing no memory with W) and the (W[..., 0].size, d)
+    gradients into grads (sharing no memory with W or out); each is allocated
+    when not given, and the values are the same either way.
     """
     entries = _entries(P)
     m = entries.shape[-1]
     if W.shape[-2] != m or X.shape[:-1] != W.shape[:-1] or Y.shape != W.shape[:-1]:
         raise InputError("worker counts of W, P and the drawn samples disagree")
+    if out is not None and (out.shape != W.shape or np.may_share_memory(out, W)):
+        raise InputError(f"out must be an array of shape {W.shape} apart from W")
+    if grads is not None and (
+        np.may_share_memory(grads, W) or out is not None and np.may_share_memory(grads, out)
+    ):
+        raise InputError("grads must share no memory with W or out")
     grads = loss_gradients(
-        model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1)
+        model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads
     )
-    # In place: a step of a large stack keeps no more temporaries than needed.
-    mixed = entries @ W
+    mixed = np.matmul(entries, W, out=out)
     grads *= eta_t
     mixed -= grads.reshape(W.shape)
     return mixed
@@ -447,6 +461,12 @@ def _run_stack(
     logged = config.snapshot_iterations
     recorder = _TraceRecorder(model, xs, ys, logged, seeds, len(arms), risks)
     W = np.zeros((len(arms), *xs.shape[:3], model.dim(d_x)))
+    # Every array a step writes is allocated once here: stack-sized arrays
+    # freed each step would go back to the OS and be faulted in again.
+    spare = np.empty_like(W)
+    X = np.empty((*W.shape[:-1], d_x))
+    Y = np.empty(W.shape[:-1])
+    grads = np.empty((Y.size, W.shape[-1]))
     extra_rounds = np.zeros(W.shape[:3], dtype=int)
     recorder.record(0, W)
     t = 0
@@ -457,9 +477,13 @@ def _run_stack(
             # (steps, K, s, m): both sides of a run, in every arm, read the run's indices.
             rows = first_rows + zeta[:, :, None, :]
             for step_rows in rows:
-                X = np.broadcast_to(flat_xs[step_rows], (*W.shape[:-1], d_x))
-                Y = np.broadcast_to(flat_ys[step_rows], W.shape[:-1])
-                W = dsgd_step(W, mixing, X, Y, config.rate.at(t, total), model)
+                # The rows are in range, so "clip" never clips; unlike "raise",
+                # it writes into out without an intermediate buffer.
+                np.take(flat_xs, step_rows, axis=0, out=X[0], mode="clip")
+                np.take(flat_ys, step_rows, out=Y[0], mode="clip")
+                X[1:], Y[1:] = X[0], Y[0]
+                rate = config.rate.at(t, total)
+                W, spare = dsgd_step(W, mixing, X, Y, rate, model, out=spare, grads=grads), W
                 t += 1
                 if t > first_onset:
                     now = np.where(onsets < t, targets, np.inf)[:, None, None]
@@ -496,13 +520,19 @@ class _TraceRecorder:
         self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
         self.risks = np.zeros((arms, runs, sides, len(logged), m)) if risks else None
         self.sq_diffs = np.zeros((arms, runs, len(logged), m)) if sides == 2 else None
+        # Scratch for the deviations from the consensus model and the pair
+        # differences, reused at every snapshot.
+        d = model.dim(d_x)
+        self.deviation = np.empty((arms, runs, sides, m, d))
+        self.pair_diff = np.empty((arms, runs, m, d)) if sides == 2 else None
 
     def record(self, slot: int, W: np.ndarray) -> None:
         # A diverging W overflows the sums of squares; that is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            distances = consensus_distance(W)
+            mean = W.mean(axis=-2, keepdims=True)
+            distances = _distance_from_mean(W, mean, self.deviation)
         self._check(distances, "consensus distance", slot)
-        self.consensus[..., slot, :] = consensus_model(W)
+        self.consensus[..., slot, :] = mean[..., 0, :]
         self.consensus_dist[..., slot] = distances
         if self.risks is not None:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -512,8 +542,10 @@ class _TraceRecorder:
                 ]).reshape(W.shape[:-1])
             self._check(risks, "a worker risk", slot)
             self.risks[..., slot, :] = risks
-        if self.sq_diffs is not None:
-            self.sq_diffs[:, :, slot] = np.sum((W[:, :, 0] - W[:, :, 1]) ** 2, axis=-1)
+        if self.pair_diff is not None:
+            np.subtract(W[:, :, 0], W[:, :, 1], out=self.pair_diff)
+            np.square(self.pair_diff, out=self.pair_diff)
+            self.sq_diffs[:, :, slot] = self.pair_diff.sum(axis=-1)
 
     def _check(self, values: np.ndarray, name: str, slot: int) -> None:
         """NumericalError naming the first run with a non-finite value, index (arm, run, ...)."""

@@ -246,24 +246,41 @@ def loss_values(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -
     return _losses(model.family, np.einsum("kh,kh->k", a, hidden), Y)
 
 
-def loss_gradients(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Exact gradients matching loss_values, stacked as an (m, d) matrix."""
+def loss_gradients(
+    model: LossModel,
+    W: np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact gradients matching loss_values, stacked as an (m, d) matrix.
+
+    With out given (a C-contiguous array of W's shape), the gradients are
+    written into it and it is returned; the values are those of the
+    allocating call.
+    """
+    if out is not None and (out.shape != W.shape or not out.flags.c_contiguous):
+        raise InputError(f"out must be a C-contiguous array of shape {W.shape}")
     if model.family is ModelFamily.LINEAR_REGRESSION:
         residual = np.einsum("kd,kd->k", X, W) - Y
-        return residual[:, None] * X
+        return np.multiply(residual[:, None], X, out=out)
     if model.family is ModelFamily.LOGISTIC_REGRESSION:
         sign = 2.0 * Y - 1.0
         margin = sign * np.einsum("kd,kd->k", X, W)
-        return (-sign * _sigmoid(-margin))[:, None] * X
+        return np.multiply((-sign * _sigmoid(-margin))[:, None], X, out=out)
     beta = model.softplus_sharpness
     V, a = _unpack_mlp(model, W, X.shape[1])
     pre = beta * np.einsum("khd,kd->kh", V, X)
     softplus, sigmoid = _softplus_and_sigmoid(pre)
     hidden = softplus / beta
     residual = np.einsum("kh,kh->k", a, hidden) - Y
-    grad_a = residual[:, None] * hidden
-    grad_V = (residual[:, None] * a * sigmoid)[:, :, None] * X[:, None, :]
-    return np.concatenate([grad_V.reshape(W.shape[0], -1), grad_a], axis=1)
+    if out is None:
+        out = np.empty(W.shape)
+    # Views of out's V and a blocks: the writes below fill out.
+    grad_V, grad_a = _unpack_mlp(model, out, X.shape[1])
+    np.multiply((residual[:, None] * a * sigmoid)[:, :, None], X[:, None, :], out=grad_V)
+    np.multiply(residual[:, None], hidden, out=grad_a)
+    return out
 
 
 def dataset_risk(model: LossModel, W: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

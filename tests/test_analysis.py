@@ -130,7 +130,7 @@ def test_stability_estimate_is_deterministic_and_jobs_invariant():
     assert np.array_equal(a.se, c.se)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(replicates=st.integers(2, 5), data=st.data())
 def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     # Each pool worker steps one contiguous group of replicates, every arm in

@@ -14,7 +14,7 @@ from dsgd_lab.engine import (
     PerturbationMode,
     StepDecayRate,
     TrainConfig,
-    apply_perturbation,
+    _replace_samples,
     consensus_control_step,
     consensus_distance,
     consensus_model,
@@ -24,7 +24,14 @@ from dsgd_lab.engine import (
     run_dsgd,
 )
 from dsgd_lab.errors import InputError, NumericalError
-from dsgd_lab.models import LossModel, ModelFamily, Shards, SyntheticTask, draw_dataset_arrays
+from dsgd_lab.models import (
+    LossModel,
+    ModelFamily,
+    Shards,
+    SyntheticTask,
+    draw_dataset_arrays,
+    loss_gradients,
+)
 from dsgd_lab.topology import (
     GossipMatrix,
     TopologyKind,
@@ -144,6 +151,52 @@ def test_step_identity_matrix_is_independent_sgd():
         assert np.allclose(stepped[k], expected, atol=1e-15)
 
 
+@settings(max_examples=60)
+@given(
+    family=st.sampled_from(list(ModelFamily)),
+    stack=st.lists(st.integers(1, 3), max_size=3),
+    m=st.integers(1, 5),
+    d_x=st.integers(1, 4),
+    eta=st.sampled_from([0.0, 0.05, 0.5]),
+    stacked_mixing=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_and_gradients_fill_given_buffers(family, stack, m, d_x, eta, stacked_mixing, seed):
+    # The trajectory loop passes buffers it allocated once per stack; what
+    # lands in them must be the allocating calls' values, bit for bit, and a
+    # buffer that would read W while it is written is refused.
+    model = LossModel(family=family, hidden_width=3)
+    rng = np.random.default_rng(seed)
+    d = model.dim(d_x)
+    W = rng.standard_normal((*stack, m, d))
+    X = rng.standard_normal((*stack, m, d_x))
+    Y = rng.standard_normal((*stack, m))
+    if family is ModelFamily.LOGISTIC_REGRESSION:
+        Y = (Y > 0).astype(float)
+    P = rng.random((*stack, m, m) if stacked_mixing else (m, m))
+    before = W.copy()
+    flat = (W.reshape(-1, d), X.reshape(-1, d_x), Y.reshape(-1))
+    buffer = np.full((Y.size, d), np.nan)
+    assert loss_gradients(model, *flat, out=buffer) is buffer
+    assert_same_array(buffer, loss_gradients(model, *flat))
+    out, grads = np.full(W.shape, np.nan), np.full((Y.size, d), np.nan)
+    assert dsgd_step(W, P, X, Y, eta, model, out=out, grads=grads) is out
+    assert_same_array(out, dsgd_step(W, P, X, Y, eta, model))
+    assert_same_array(W, before)
+    for bad in (W, W[...], W[..., ::-1, :], np.empty((*stack, m, d + 1)), np.empty(m * d)):
+        with pytest.raises(InputError, match="out"):
+            dsgd_step(W, P, X, Y, eta, model, out=bad)
+    for bad in (W.reshape(-1, d), out.reshape(-1, d)):
+        with pytest.raises(InputError, match="grads"):
+            dsgd_step(W, P, X, Y, eta, model, out=out, grads=bad)
+    bad_outs = [np.empty((Y.size, d + 1)), np.empty((Y.size + 1, d))]
+    if Y.size * d > 1:
+        bad_outs.append(np.empty((Y.size, d, 2))[..., 0])
+    for bad in bad_outs:
+        with pytest.raises(InputError, match="out"):
+            loss_gradients(model, *flat, out=bad)
+
+
 # ---------------------------------------------------------------------------
 # Consensus quantities
 # ---------------------------------------------------------------------------
@@ -163,7 +216,7 @@ def test_consensus_distance_examples():
     assert consensus_distance(W) == pytest.approx(1.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 70),
                     st.integers(1, 70)),
@@ -270,7 +323,7 @@ def test_single_worker_run_reduces_to_plain_sgd():
     assert np.array_equal(trace.final_weights[0], w)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     m=st.sampled_from([1, 2, 3, 5, 7, 16]),
     n=st.integers(1, 12),
@@ -291,17 +344,35 @@ def test_unseeded_run_uses_the_seeds_per_step_index_stream(m, n, iterations, see
     )
     config = TrainConfig(iterations=iterations, rate=ConstantRate(0.1), seed=seed)
     run = run_one(P, shards, LINEAR, config)
-    assert_same_array(run.final_weights, per_step_loop(P, shards, config))
+    weights, _ = step_loop_snapshots(P, None, [shards], LINEAR, config, seed)
+    assert_same_array(run.final_weights, weights[-1, 0])
 
 
-def per_step_loop(P, shards, config):
-    """Final weights of a plain dsgd_step loop drawing m indices per step from the seed."""
-    rng = np.random.default_rng(config.seed)
-    W = np.zeros((shards.m, shards.d_x))
+def step_loop_snapshots(P, control, side_shards, model, config, seed):
+    """Weights at the logged iterations, (snapshots, sides, m, d), and each side's extra rounds.
+
+    Every side is stepped alone with allocating dsgd_step calls on the seed's
+    per-step index draws, followed by consensus control once the onset has
+    passed: the loop the trajectory engine stacks and buffers.
+    """
+    rng = np.random.default_rng(seed)
+    m, n, d_x = side_shards[0].xs.shape
+    Ws = [np.zeros((m, model.dim(d_x))) for _ in side_shards]
+    rounds = [0 for _ in side_shards]
+    snapshots = [[W.copy() for W in Ws]]
     for t in range(config.iterations):
-        zeta = rng.integers(0, shards.n, size=shards.m)
-        W = dsgd_step(W, P, *drawn(shards, zeta), config.rate.at(t, config.iterations), LINEAR)
-    return W
+        zeta = rng.integers(0, n, size=m)
+        rate = config.rate.at(t, config.iterations)
+        for side, shards in enumerate(side_shards):
+            Ws[side] = dsgd_step(Ws[side], P, *drawn(shards, zeta), rate, model)
+            if control is not None and control.t_gamma < t + 1:
+                Ws[side], used = consensus_control_step(
+                    Ws[side], P, control.gamma_sq, control.max_rounds
+                )
+                rounds[side] += used
+        if t + 1 in config.snapshot_iterations:
+            snapshots.append([W.copy() for W in Ws])
+    return np.array(snapshots), rounds
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +393,25 @@ def test_draw_perturbation_modes_and_bounds():
     assert 0 <= sync.index < 5
     single = draw_perturbation(task, n=5, m=3, mode=PerturbationMode.SINGLE_WORKER, seed=1)
     assert len(single.workers) == 1
+    P = build_gossip_matrix(TopologyKind.RING, 3)
+    config = TrainConfig(iterations=2, rate=ConstantRate(0.1), seed=0)
     with pytest.raises(InputError, match="outside shard size"):
-        apply_perturbation(make_shards(task, 5, 3), single_worker_perturbation(task, 0, 5, 1))
+        coupled_one(P, make_shards(task, 5, 3), LINEAR, config,
+                    single_worker_perturbation(task, 0, 5, 1))
 
 
-def test_apply_perturbation_changes_only_target_positions():
+def neighbor_shards(shards, perturbation):
+    """A copy of shards with the perturbation's samples written in."""
+    xs, ys = shards.xs.copy(), shards.ys.copy()
+    _replace_samples(xs, ys, perturbation)
+    return Shards(xs=xs, ys=ys)
+
+
+def test_replace_samples_changes_only_target_positions():
     task = make_task()
     shards = make_shards(task, 4, 3)
     pert = single_worker_perturbation(task, worker=1, index=2, seed=3)
-    perturbed = apply_perturbation(shards, pert)
+    perturbed = neighbor_shards(shards, pert)
     mask = np.zeros((3, 4), dtype=bool)
     mask[1, 2] = True
     assert np.array_equal(perturbed.ys[~mask], shards.ys[~mask])
@@ -407,7 +488,7 @@ def test_coupled_base_equals_plain_run(family, control):
     config = TrainConfig(iterations=35, rate=ConstantRate(0.08), seed=19)
     coupled = coupled_one(P, shards, model, config, pert, control)
     assert_same_trace(coupled.base, run_one(P, shards, model, config, control))
-    perturbed = apply_perturbation(shards, pert)
+    perturbed = neighbor_shards(shards, pert)
     assert_same_trace(coupled.perturbed, run_one(P, perturbed, model, config, control))
     if control is not None:
         assert coupled.base.extra_gossip_rounds > 0
@@ -481,7 +562,7 @@ def test_sparse_snapshots_follow_the_per_step_index_stream():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=150, rate=ConstantRate(0.05), seed=8, snapshot_every=150)
     trace = run_one(P, shards, LINEAR, config)
-    W = per_step_loop(P, shards, config)
+    W = step_loop_snapshots(P, None, [shards], LINEAR, config, config.seed)[0][-1, 0]
     assert list(trace.iterations) == [0, 150]
     assert_same_array(trace.final_weights, W)
     assert_same_array(trace.consensus[-1], consensus_model(W))
@@ -541,7 +622,7 @@ ARM_MATRICES = {
 
 @pytest.mark.parametrize("family", list(ModelFamily))
 @pytest.mark.parametrize("mode", list(PerturbationMode))
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6)
 @given(arms=st.lists(
     st.tuples(st.sampled_from(sorted(ARM_MATRICES)), st.sampled_from([None, 0, 40, 80]),
               st.sampled_from([1e-4, 1e-2])),
@@ -627,7 +708,7 @@ def masked_control_reference(W, P, gamma_sq, max_rounds):
     return runs.reshape(W.shape), rounds, used.reshape(W.shape[:-2])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     names=st.lists(st.sampled_from(sorted(ARM_MATRICES)), min_size=1, max_size=4),
     shared=st.booleans(),
@@ -757,3 +838,65 @@ def test_controlled_run_rejects_bad_onset():
     perturbation = draw_perturbation(task, 4, 4, PerturbationMode.SYNCHRONIZED, seed=1)
     with pytest.raises(InputError, match="t_gamma"):
         coupled_one(P, shards, LINEAR, config, perturbation, control)
+
+
+# ---------------------------------------------------------------------------
+# The trajectory loop against an independent step loop
+# ---------------------------------------------------------------------------
+
+
+def assert_trace_follows(trace, weights, rounds):
+    """A trace's fields against the weights (snapshots, m, d) of a step loop."""
+    assert_same_array(trace.consensus, consensus_model(weights))
+    assert_same_array(trace.consensus_dist, consensus_distance(weights))
+    assert_same_array(trace.final_weights, weights[-1])
+    assert trace.extra_gossip_rounds == rounds
+
+
+@pytest.mark.parametrize("family", [ModelFamily.LINEAR_REGRESSION, ModelFamily.TWO_LAYER_MLP])
+@pytest.mark.parametrize("iterations", [7, 8], ids=["odd-T", "even-T"])
+@pytest.mark.parametrize("cadence", [1, 5], ids=["every-step", "sparse"])
+def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
+    # The loop alternates two weight buffers and refills its sample and
+    # gradient buffers every step; a control onset in mid-run swaps in the
+    # new array consensus_control_step returns. Every trace of every arm
+    # must still be the allocating step loop's, bit for bit, and must not
+    # change when another call reuses buffers of the same sizes.
+    model = LossModel(family=family, hidden_width=3)
+    shards, perturbations, seeds = stack_inputs(family, runs=2)
+    arms = [
+        (ARM_MATRICES["ring"], ConsensusControl(1e-8, t_gamma=iterations // 2, max_rounds=20)),
+        (ARM_MATRICES["fully_connected"], None),
+        (ARM_MATRICES["islands"], ConsensusControl(1e-6, t_gamma=2, max_rounds=20)),
+    ]
+    config = TrainConfig(iterations=iterations, rate=StepDecayRate(0.1), seed=0,
+                         snapshot_every=cadence)
+    coupled = run_coupled(arms, shards, model, config, perturbations, seeds)
+    single = run_dsgd(arms, shards, model, config, seeds)
+    # (arm, run) -> the step loop's weights (snapshots, sides, m, d) and rounds per side.
+    expected = {
+        (arm, k): step_loop_snapshots(
+            P, control, [shards[k], neighbor_shards(shards[k], perturbations[k])],
+            model, config, seed,
+        )
+        for arm, (P, control) in enumerate(arms)
+        for k, seed in enumerate(seeds)
+    }
+
+    def assert_traces_follow_the_step_loop():
+        for (arm, k), (weights, rounds) in expected.items():
+            pair = coupled[arm][k]
+            assert_same_array(pair.base.iterations, config.snapshot_iterations)
+            assert_trace_follows(pair.base, weights[:, 0], rounds[0])
+            assert_trace_follows(pair.perturbed, weights[:, 1], rounds[1])
+            assert_trace_follows(single[arm][k], weights[:, 0], rounds[0])
+            assert_same_array(pair.sq_diffs, np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1))
+            assert_same_array(pair.final_diffs, weights[-1, 0] - weights[-1, 1])
+
+    assert_traces_follow_the_step_loop()
+    # The mid-run onset and the islands arm did gossip extra rounds.
+    for arm in (0, 2):
+        assert sum(sum(expected[arm, k][1]) for k in range(len(seeds))) > 0
+    run_coupled(arms, shards, model, config, perturbations, [seed + 1 for seed in seeds])
+    run_dsgd(arms, shards, model, config, [seed + 1 for seed in seeds])
+    assert_traces_follow_the_step_loop()

@@ -122,7 +122,7 @@ def test_losses_are_nonnegative(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     d_x=st.integers(1, 6),
     hidden_width=st.integers(1, 6),
@@ -177,7 +177,7 @@ def test_worker_risks_match_dataset_risk(family):
         assert risks[k] == pytest.approx(expected[0], abs=1e-14)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     family=st.sampled_from(FAMILIES),
     stack=st.integers(1, 30),
@@ -217,7 +217,7 @@ SOFTPLUS_EXTREMES = [np.inf, -np.inf, 0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0]
 SOFTPLUS_RTOL = 4 * np.finfo(float).eps
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(t=st.floats(-1e3, 1e3), sharpness=st.sampled_from([0.5, 1.0, 2.0, 5.0, 20.0]))
 def test_softplus_matches_logaddexp(t, sharpness):
     value = _softplus(np.array([sharpness * t]))[0] / sharpness
@@ -241,7 +241,7 @@ def assert_same_bits(a, b):
     assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     draws=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
     scale=st.sampled_from([1e-300, 1e-8, 1.0, 5.0, 40.0, 700.0, 1e300]),

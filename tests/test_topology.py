@@ -219,7 +219,7 @@ def test_spectrum_invariants_all_topologies():
             assert np.all(np.diff(report.eigenvalues) <= 1e-12)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from([(k, m) for k in ALL_BUILDABLE for m in range(1, 65) if allowed(k, m)]))
 def test_spectrum_properties_every_admissible_size(case):
     kind, m = case

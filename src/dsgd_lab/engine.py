@@ -20,23 +20,47 @@ One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
 with its own gossip matrix and consensus control, times K runs with s sides
 each (s = 1 for single runs, s = 2 for coupled pairs). Every arm trains on
 the same (K, s, m, n, d_x) stack of shards, so a step makes one gather of
-sampled rows, one broadcast gossip product and one gradient call for the
-whole stack; run_dsgd and run_coupled are its two entry points. Every
-array a step writes (the next W, the gathered samples, the gradients) is a
-buffer allocated once per stack; of the loop's stack-sized arrays only
-consensus control's result is new. Only run_coupled with risks set
-evaluates per-worker risks, once per arm and snapshot. Each run keeps its
-own seed and index stream, shared by its sides and by every arm: its
-indices are drawn from its own generator in blocks of at most
-INDEX_DRAW_STEPS steps per snapshot interval, which are the same indices as
-one draw of m per step.
-Consensus control gossips a compacted stack of the runs whose arm's onset
+sampled rows, one gossip per arm and one gradient call for the whole stack;
+run_dsgd and run_coupled are its two entry points. Every stack-sized
+array a step writes (the next W, the gathered samples, the gradients,
+consensus control's result) is a buffer allocated once per stack; control
+allocates only two buffers of its live runs per call. Only run_coupled
+with risks set evaluates per-worker risks, once per arm and snapshot, in
+scratch the recorder owns. Each run keeps its own seed and index stream,
+shared by its sides and by every arm: its indices are drawn from its own
+generator in blocks of at most INDEX_DRAW_STEPS steps per snapshot
+interval, which are the same indices as one draw of m per step.
+Consensus control gossips a compacted block of the runs whose arm's onset
 has passed and whose distance is still above the target, so each side takes
 the rounds it would take alone.
+
+An arm gossips in one of three forms, chosen once per matrix from its
+entries (topology.GossipMatrix.circulant):
+- the worker mean, when every entry is equal (fully connected);
+- shifted slices, when the matrix is a single-weight circulant over the
+  worker cycle (ring, exponential, disconnected) or over the torus (grid):
+  each shift's slices are added into the output, which is then scaled once;
+- the dense product, for every other matrix and for every matrix of fewer
+  than DENSE_GOSSIP_BELOW workers. Below the crossover the outputs are
+  bit-equal to one broadcast product of the stacked matrices.
+tools/gossip_crossover.py times one gossip of a (8, 2, m, 20) stack in each
+form (microseconds, dense / structured; 2-core box, numpy 2.4.6, one BLAS
+thread):
+
+    m      fully connected   exponential     grid           ring
+    64     51 / 54           72 / 398        70 / 178       70 / 87
+    128    239 / 104         233 / 443       -              240 / 65
+    256    1573 / 213        1633 / 560      1573 / 430     1578 / 106
+    1024   28644 / 893       29683 / 5292    29242 / 2147   29409 / 856
+
+256 is the first of these sizes at which the structured form wins for every
+kind, at (2, 2, m, 20) stacks too.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,6 +99,11 @@ __all__ = [
 # snapshot cadence (criterion 9 logs only t = 0 and T) would otherwise draw
 # a whole (T, m) block per run before the first step.
 INDEX_DRAW_STEPS = 64
+
+# Worker count below which every gossip matrix is a dense product; from it
+# on, a circulant matrix gossips as the worker mean or as shifted slices.
+# The crossover that tools/gossip_crossover.py measured (module docstring).
+DENSE_GOSSIP_BELOW = 256
 
 
 @dataclass(frozen=True)
@@ -265,13 +294,89 @@ def _distance_from_mean(
     return scratch.sum(axis=(-2, -1)) / W.shape[-2]
 
 
-def _entries(P: GossipMatrix | np.ndarray) -> np.ndarray:
-    return P.entries if isinstance(P, GossipMatrix) else P
+Mixing = GossipMatrix | list[GossipMatrix]
+
+
+def _arm_groups(P: Mixing, W: np.ndarray) -> list[tuple[GossipMatrix, slice]]:
+    """(matrix, arms) pairs covering W: one matrix mixes all of W, or each run of
+    consecutive arms W[a] with one matrix P[a] is mixed at once."""
+    if isinstance(P, GossipMatrix):
+        return [(P, slice(None))]
+    if W.ndim < 3 or len(P) != len(W):
+        raise InputError(f"{len(P)} gossip matrices do not match a stack of shape {W.shape}")
+    starts = [a for a in range(len(P)) if a == 0 or P[a] is not P[a - 1]]
+    return [(P[a], slice(a, end)) for a, end in zip(starts, starts[1:] + [len(P)])]
+
+
+def _output(W: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """out, checked to be C-contiguous, of W's shape and apart from W; or a new array."""
+    if out is None:
+        return np.empty(W.shape)
+    if out.shape != W.shape or not out.flags.c_contiguous or np.may_share_memory(out, W):
+        raise InputError(f"out must be a C-contiguous array of shape {W.shape} apart from W")
+    return out
+
+
+def _dense_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P W as a matrix product per run of W (..., m, d), into out."""
+    return np.matmul(P.entries, W, out=out)
+
+
+def _mean_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P W for a P whose entries all equal 1/m: every worker takes its run's mean."""
+    out[...] = W.mean(axis=-2, keepdims=True)
+    return out
+
+
+def _shifted_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P W for a circulant P: its weight times the sum of W's shifted slices, into out.
+
+    out must be C-contiguous, so that it reshapes to the worker grid as a view.
+    """
+    circulant = P.circulant
+    grid_shape = (*W.shape[:-2], *circulant.grid, W.shape[-1])
+    source, target = W.reshape(grid_shape), out.reshape(grid_shape)
+    for into, read, add in _shift_terms(circulant.grid, circulant.shifts):
+        if add:
+            np.add(target[into], source[read], out=target[into])
+        else:
+            target[into] = source[read]
+    out *= circulant.weight
+    return out
+
+
+@functools.cache
+def _shift_terms(grid: tuple[int, ...], shifts: tuple[tuple[int, ...], ...]) -> tuple:
+    """(into, read, add) slice pairs that sum W shifted by each shift over the cyclic grid.
+
+    Each shift's pairs place W at position + shift at every position of the
+    grid; the first shift's pairs tile it (add False), and the others add on.
+    """
+    terms = []
+    for term, shift in enumerate(shifts):
+        per_axis = [
+            [(slice(None), slice(None))] if s == 0
+            else [(slice(0, size - s), slice(s, size)), (slice(size - s, size), slice(0, s))]
+            for s, size in zip(shift, grid)
+        ]
+        for pieces in itertools.product(*per_axis):
+            into, read = zip(*pieces)
+            terms.append(((..., *into, slice(None)), (..., *read, slice(None)), term > 0))
+    return tuple(terms)
+
+
+def _gossip_form(P: GossipMatrix):
+    """The function that gossips with P: the dense product below DENSE_GOSSIP_BELOW
+    workers and for non-circulant P, else the worker mean when every entry is
+    equal and the shifted slices otherwise."""
+    if P.m < DENSE_GOSSIP_BELOW or P.circulant is None:
+        return _dense_gossip
+    return _mean_gossip if len(P.circulant.shifts) == P.m else _shifted_gossip
 
 
 def dsgd_step(
     W: np.ndarray,
-    P: GossipMatrix | np.ndarray,
+    P: Mixing,
     X: np.ndarray,
     Y: np.ndarray,
     eta_t: float,
@@ -281,85 +386,106 @@ def dsgd_step(
 ) -> np.ndarray:
     """One update of a stack of runs W (..., m, d): gossip with P, then gradient steps.
 
-    P is one gossip matrix, or a stack of entries (..., m, m) broadcast
-    against the runs of W. X (..., m, d_x) and Y (..., m) hold the sample
-    each worker of each run uses at this step; the gradient is evaluated at
-    the pre-communication model w_k. The updated stack is written into out
-    (W's shape, sharing no memory with W) and the (W[..., 0].size, d)
-    gradients into grads (sharing no memory with W or out); each is allocated
-    when not given, and the values are the same either way.
+    P is one gossip matrix for every run, or a list with one matrix per arm:
+    W[a]'s runs gossip with P[a], each arm in its matrix's own form. X
+    (..., m, d_x) and Y (..., m) hold the sample each worker of each run
+    uses at this step; the gradient is evaluated at the pre-communication
+    model w_k. The updated stack is written into out (C-contiguous, W's
+    shape, sharing no memory with W) and the (W[..., 0].size, d) gradients
+    into grads (sharing no memory with W or out); each is allocated when not
+    given, and the values are the same either way.
     """
-    entries = _entries(P)
-    m = entries.shape[-1]
-    if W.shape[-2] != m or X.shape[:-1] != W.shape[:-1] or Y.shape != W.shape[:-1]:
-        raise InputError("worker counts of W, P and the drawn samples disagree")
-    if out is not None and (out.shape != W.shape or np.may_share_memory(out, W)):
-        raise InputError(f"out must be an array of shape {W.shape} apart from W")
-    if grads is not None and (
-        np.may_share_memory(grads, W) or out is not None and np.may_share_memory(grads, out)
+    groups = _arm_groups(P, W)
+    if (
+        any(P_a.m != W.shape[-2] for P_a, _ in groups)
+        or X.shape[:-1] != W.shape[:-1]
+        or Y.shape != W.shape[:-1]
     ):
+        raise InputError("worker counts of W, P and the drawn samples disagree")
+    out = _output(W, out)
+    if grads is not None and (np.may_share_memory(grads, W) or np.may_share_memory(grads, out)):
         raise InputError("grads must share no memory with W or out")
     grads = loss_gradients(
         model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads
     )
-    mixed = np.matmul(entries, W, out=out)
+    for P_a, arms in groups:
+        _gossip_form(P_a)(P_a, W[arms], out[arms])
     grads *= eta_t
-    mixed -= grads.reshape(W.shape)
-    return mixed
+    out -= grads.reshape(W.shape)
+    return out
 
 
 def consensus_control_step(
     W: np.ndarray,
-    P: GossipMatrix | np.ndarray,
+    P: Mixing,
     gamma_sq: float | np.ndarray,
     max_rounds: int,
     counts: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Extra pure-gossip rounds until consensus distance <= gamma_sq.
 
     W is one run (m, d) or a stack of runs (..., m, d); P is one gossip
-    matrix or a stack of entries (..., m, m), and gamma_sq one target or an
+    matrix or one per arm, as in dsgd_step, and gamma_sq one target or an
     array of targets, each broadcast against the runs (an infinite target
     leaves its runs untouched). Each run gossips only while its own distance
     exceeds its target, for at most max_rounds rounds, so it takes the rounds
-    it would take alone: the rounds gossip a compacted stack of the runs
-    still above target, which a run leaves once it reaches it. Returns the
-    (possibly unchanged) models and the rounds the loop took, the most that
-    any run used; with counts (shape W.shape[:-2]) given, each run's own
-    rounds are added to it. If the target is unreachable (disconnected
-    components with disagreeing means), a run reports max_rounds exhaustion
-    instead of raising.
+    it would take alone: the rounds gossip a compacted block of the runs
+    still above target, each arm's runs in its matrix's form, and a run
+    leaves the block once it reaches its target. Returns the models, written
+    into out (checked as dsgd_step's; a new array when not given), and the
+    rounds the loop took, the most that any run used; with counts (shape
+    W.shape[:-2]) given, each run's own rounds are added to it. If the
+    target is unreachable (disconnected components with disagreeing means),
+    a run reports max_rounds exhaustion instead of raising.
     """
     targets = np.broadcast_to(np.asarray(gamma_sq, dtype=float), W.shape[:-2]).reshape(-1)
     if not np.all(targets > 0):
         raise InputError("gamma_sq must be positive")
-    runs = W.reshape(-1, *W.shape[-2:]).copy()
+    arm_count = 1 if isinstance(P, GossipMatrix) else len(P)
+    # Each group of arms as (matrix, form, first arm, end arm).
+    groups = [
+        (P_a, _gossip_form(P_a), *arms.indices(arm_count)[:2])
+        for P_a, arms in _arm_groups(P, W)
+    ]
+    out = _output(W, out)
+    # out is the deviations' scratch before it takes the models.
+    distances = _distance_from_mean(W, W.mean(axis=-2, keepdims=True), out).reshape(-1)
+    np.copyto(out, W)
+    runs = out.reshape(-1, *W.shape[-2:])
+    per_arm = len(runs) // arm_count
     used = np.zeros(len(runs), dtype=int)
-    live = np.flatnonzero(consensus_distance(runs) > targets)
-    block, goal = runs[live], targets[live]
-    # One matrix gossips every run as it is; a stack gives each live run its own.
-    mixing = _entries(P)
-    stacked = mixing.ndim > 2
-    if stacked:
-        per_run = np.broadcast_to(mixing, (*W.shape[:-2], *mixing.shape[-2:]))
-        mixing = per_run[np.unravel_index(live, W.shape[:-2])]
-    rounds = 0
+    live = np.flatnonzero(distances > targets)
+    goal = targets[live]
+    # The rounds alternate two buffers: one holds the live block, in arm
+    # order, and the other takes its gossip, then its compaction.
+    buffers = np.empty((2, len(live), *runs.shape[1:]))
+    current = 0
+    np.take(runs, live, axis=0, out=buffers[current], mode="clip")
+    rounds, bounds = 0, None
     while rounds < max_rounds and len(live):
-        block = mixing @ block
+        block, other = buffers[current, : len(live)], buffers[1 - current, : len(live)]
+        if bounds is None:
+            # Arm a's live runs are block[bounds[a]:bounds[a + 1]].
+            bounds = np.searchsorted(live // per_arm, np.arange(arm_count + 1)).tolist()
+        for P_a, gossip, first, end in groups:
+            if bounds[first] < bounds[end]:
+                span = slice(bounds[first], bounds[end])
+                gossip(P_a, block[span], other[span])
+        block, other, current = other, block, 1 - current
         rounds += 1
-        above = consensus_distance(block) > goal
+        above = _distance_from_mean(block, block.mean(axis=-2, keepdims=True), other) > goal
         if not above.all():
-            done = ~above
+            done, keep = ~above, np.flatnonzero(above)
             runs[live[done]] = block[done]
             used[live[done]] = rounds
-            live, block, goal = live[above], block[above], goal[above]
-            if stacked:
-                mixing = mixing[above]
-    runs[live] = block
+            np.take(block, keep, axis=0, out=other[: len(keep)], mode="clip")
+            live, goal, current, bounds = live[keep], goal[keep], 1 - current, None
+    runs[live] = buffers[current, : len(live)]
     used[live] = rounds
     if counts is not None:
         counts += used.reshape(counts.shape)
-    return runs.reshape(W.shape), rounds
+    return out, rounds
 
 
 def run_dsgd(
@@ -445,13 +571,7 @@ def _run_stack(
     first_rows = np.arange(xs.shape[0] * sides * m).reshape(xs.shape[:3]) * n
     flat_xs, flat_ys = xs.reshape(-1, d_x), ys.reshape(-1)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    # The one matrix every arm shares, or (A, 1, 1, m, m): arm a's matrix,
-    # broadcast over its runs and sides.
     matrices = [P for P, _ in arms]
-    if all(P is matrices[0] for P in matrices):
-        mixing = matrices[0].entries
-    else:
-        mixing = np.stack([P.entries for P in matrices])[:, None, None]
     # Arm a is controlled after step t once t > onsets[a]; an uncontrolled arm never is.
     onsets = np.array([np.inf if c is None else c.t_gamma for _, c in arms])
     targets = np.array([np.inf if c is None else c.gamma_sq for _, c in arms])
@@ -483,11 +603,14 @@ def _run_stack(
                 np.take(flat_ys, step_rows, out=Y[0], mode="clip")
                 X[1:], Y[1:] = X[0], Y[0]
                 rate = config.rate.at(t, total)
-                W, spare = dsgd_step(W, mixing, X, Y, rate, model, out=spare, grads=grads), W
+                W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=grads), W
                 t += 1
                 if t > first_onset:
                     now = np.where(onsets < t, targets, np.inf)[:, None, None]
-                    W, _ = consensus_control_step(W, mixing, now, max_rounds, extra_rounds)
+                    controlled, _ = consensus_control_step(
+                        W, matrices, now, max_rounds, extra_rounds, out=spare
+                    )
+                    W, spare = controlled, W
         recorder.record(slot, W)
     return recorder.finish(W, extra_rounds)
 
@@ -520,11 +643,12 @@ class _TraceRecorder:
         self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
         self.risks = np.zeros((arms, runs, sides, len(logged), m)) if risks else None
         self.sq_diffs = np.zeros((arms, runs, len(logged), m)) if sides == 2 else None
-        # Scratch for the deviations from the consensus model and the pair
-        # differences, reused at every snapshot.
+        # Scratch for the deviations from the consensus model, the pair
+        # differences and each arm's per-sample losses, reused at every snapshot.
         d = model.dim(d_x)
         self.deviation = np.empty((arms, runs, sides, m, d))
         self.pair_diff = np.empty((arms, runs, m, d)) if sides == 2 else None
+        self.losses = np.empty((runs * sides * m, n)) if risks else None
 
     def record(self, slot: int, W: np.ndarray) -> None:
         # A diverging W overflows the sums of squares; that is reported below.
@@ -537,7 +661,9 @@ class _TraceRecorder:
         if self.risks is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 risks = np.stack([
-                    worker_risks(self.model, arm_W.reshape(-1, W.shape[-1]), self.shards)
+                    worker_risks(
+                        self.model, arm_W.reshape(-1, W.shape[-1]), self.shards, self.losses
+                    )
                     for arm_W in W
                 ]).reshape(W.shape[:-1])
             self._check(risks, "a worker risk", slot)

@@ -228,12 +228,20 @@ def _unpack_mlp(model: LossModel, W: np.ndarray, d_x: int) -> tuple[np.ndarray, 
     return V, a
 
 
-def _losses(family: ModelFamily, out: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Losses from model outputs: x.w for the linear families, a.softplus(Vx) for the MLP."""
+def _losses(
+    family: ModelFamily, out: np.ndarray, Y: np.ndarray, into: np.ndarray | None = None
+) -> np.ndarray:
+    """Losses from model outputs: x.w for the linear families, a.softplus(Vx) for the MLP.
+
+    The squared losses are computed in into (which may be out) when given;
+    the logistic loss always allocates.
+    """
     if family is ModelFamily.LOGISTIC_REGRESSION:
         return _softplus(-((2.0 * Y - 1.0) * out))
-    residual = out - Y
-    return 0.5 * residual**2
+    residual = np.subtract(out, Y, out=into)
+    np.square(residual, out=residual)
+    residual *= 0.5
+    return residual
 
 
 def loss_values(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -319,16 +327,23 @@ def _risk_block_rows(model: LossModel, stack: int) -> int:
     return max(1, RISK_BLOCK_ELEMENTS // per_sample)
 
 
-def worker_risks(model: LossModel, W: np.ndarray, shards: Shards) -> np.ndarray:
-    """Per-worker empirical risks: mean loss of w_k over shard k, for all k."""
+def worker_risks(
+    model: LossModel, W: np.ndarray, shards: Shards, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-worker empirical risks: mean loss of w_k over shard k, for all k.
+
+    With scratch given (a (k, n) array like shards.ys), each worker's outputs
+    on its shard, and their squared losses, are computed in it rather than in
+    new arrays; the risks are the same.
+    """
     if model.family is not ModelFamily.TWO_LAYER_MLP:
-        out = np.einsum("knd,kd->kn", shards.xs, W)
+        out = np.einsum("knd,kd->kn", shards.xs, W, out=scratch)
     else:
         beta = model.softplus_sharpness
         V, a = _unpack_mlp(model, W, shards.d_x)
         hidden = _softplus(beta * np.einsum("khd,knd->knh", V, shards.xs)) / beta
-        out = np.einsum("knh,kh->kn", hidden, a)
-    return _losses(model.family, out, shards.ys).mean(axis=1)
+        out = np.einsum("knh,kh->kn", hidden, a, out=scratch)
+    return _losses(model.family, out, shards.ys, into=scratch).mean(axis=1)
 
 
 def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:

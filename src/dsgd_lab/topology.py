@@ -9,6 +9,12 @@ weighting is symmetric and doubly stochastic without Metropolis corrections.
 Connectivity is summarized by lambda = max(|lambda_2|, |lambda_m|) of the
 eigenvalue spectrum and the spectral gap 1 - lambda: 0 for a disconnected
 graph, 1 for the fully connected one.
+
+Every built kind is circulant: one weight times a sum of cyclic shifts of
+the workers, over the worker cycle (fully connected, ring, exponential,
+disconnected) or over the side x side torus (grid). GossipMatrix.circulant
+finds that structure from the entries alone, for built and loaded matrices
+alike, so that the engine can gossip by shifted slices.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +32,7 @@ from .errors import InputError
 __all__ = [
     "TopologyKind",
     "GossipMatrix",
+    "Circulant",
     "SpectrumReport",
     "CONNECTED_KINDS",
     "validate_worker_count",
@@ -60,6 +68,22 @@ CONNECTED_KINDS = (
 )
 
 
+@dataclass(frozen=True)
+class Circulant:
+    """A gossip matrix as one weight times a sum of cyclic shifts of the workers.
+
+    The workers sit on a cyclic grid, (m,) for the worker cycle or
+    (side, side) for the torus, worker i at np.unravel_index(i, grid). Entry
+    (i, j) is weight when j's position minus i's, per axis modulo the grid,
+    is one of shifts, and 0 otherwise; so row i of P W is weight times the
+    sum, over the shifts s, of W's row at i's position + s.
+    """
+
+    grid: tuple[int, ...]
+    shifts: tuple[tuple[int, ...], ...]
+    weight: float
+
+
 @dataclass(frozen=True, eq=False)
 class GossipMatrix:
     """An m-by-m symmetric doubly stochastic mixing matrix with its topology tag."""
@@ -67,6 +91,38 @@ class GossipMatrix:
     m: int
     entries: np.ndarray
     kind: TopologyKind
+
+    @cached_property
+    def circulant(self) -> Circulant | None:
+        """The entries as a Circulant over the worker cycle, else over the
+        square torus, with one weight on every nonzero entry; None if they
+        are neither. Found once per matrix, from the entries alone."""
+        side = math.isqrt(self.m)
+        grids = [(self.m,)] + ([(side, side)] if side > 1 and side * side == self.m else [])
+        for grid in grids:
+            found = _circulant_over(self.entries, grid)
+            if found is not None:
+                return found
+        return None
+
+
+def _circulant_over(entries: np.ndarray, grid: tuple[int, ...]) -> Circulant | None:
+    """entries as a Circulant over the cyclic grid, or None."""
+    m = entries.shape[0]
+    position = np.indices(grid).reshape(len(grid), m)
+    # offset[i, j]: the worker at j's position minus i's, per axis modulo the grid.
+    offset = np.ravel_multi_index(
+        tuple((p[None, :] - p[:, None]) % size for p, size in zip(position, grid)), grid
+    )
+    first = entries[0]
+    support = np.flatnonzero(first)
+    if not len(support) or not np.array_equal(entries, first[offset]):
+        return None
+    weight = first[support[0]]
+    if not np.all(first[support] == weight):
+        return None
+    shifts = tuple(zip(*(axis.tolist() for axis in np.unravel_index(support, grid))))
+    return Circulant(grid=grid, shifts=shifts, weight=float(weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,38 +173,25 @@ def validate_worker_count(kind: TopologyKind, m: int) -> None:
         raise InputError(f"{kind.value} topology requires at least 2 workers, got {m}")
 
 
-def _neighbor_sets(kind: TopologyKind, m: int) -> list[set[int]]:
-    """Open neighborhoods (excluding self) of each node, as sets.
+def _closed_neighborhoods(kind: TopologyKind, m: int) -> np.ndarray:
+    """(m, c) array: row i lists node i and its neighbors, repeats allowed.
 
     Degenerate wrap-arounds (ring m=2, torus side 2, exponential offsets that
-    coincide) collapse naturally because neighborhoods are sets; the graphs
-    stay regular.
+    coincide) list a node twice; the graphs stay regular.
     """
+    nodes = np.arange(m)[:, None]
     if kind is TopologyKind.DISCONNECTED:
-        return [set() for _ in range(m)]
-    if kind is TopologyKind.FULLY_CONNECTED:
-        return [set(range(m)) - {i} for i in range(m)]
+        return nodes
     if kind is TopologyKind.RING:
-        return [{(i - 1) % m, (i + 1) % m} - {i} for i in range(m)]
+        return (nodes + np.array([0, -1, 1])) % m
     if kind is TopologyKind.GRID_2D_TORUS:
         side = math.isqrt(m)
-        nbrs: list[set[int]] = []
-        for i in range(m):
-            r, c = divmod(i, side)
-            cells = {
-                ((r - 1) % side) * side + c,
-                ((r + 1) % side) * side + c,
-                r * side + (c - 1) % side,
-                r * side + (c + 1) % side,
-            }
-            nbrs.append(cells - {i})
-        return nbrs
+        r, c = divmod(nodes, side)
+        dr, dc = np.array([[0, -1, 1, 0, 0], [0, 0, 0, -1, 1]])
+        return ((r + dr) % side) * side + (c + dc) % side
     if kind is TopologyKind.STATIC_EXPONENTIAL:
-        hops = [2**j for j in range(max(1, int(math.log2(m))))]
-        return [
-            ({(i + h) % m for h in hops} | {(i - h) % m for h in hops}) - {i}
-            for i in range(m)
-        ]
+        hops = 2 ** np.arange(max(1, int(math.log2(m))))
+        return (nodes + np.concatenate([[0], hops, -hops])) % m
     raise InputError(f"cannot build a matrix for kind {kind.value!r}")
 
 
@@ -162,13 +205,13 @@ def build_gossip_matrix(kind: TopologyKind, m: int) -> GossipMatrix:
         InputError: if m violates the kind's structural constraint.
     """
     validate_worker_count(kind, m)
-    nbrs = _neighbor_sets(kind, m)
-    entries = np.zeros((m, m))
-    for i, neighborhood in enumerate(nbrs):
-        weight = 1.0 / (len(neighborhood) + 1)
-        entries[i, i] = weight
-        for j in neighborhood:
-            entries[i, j] = weight
+    if kind is TopologyKind.FULLY_CONNECTED:
+        entries = np.full((m, m), 1.0 / m)
+    else:
+        entries = np.zeros((m, m))
+        entries[np.arange(m)[:, None], _closed_neighborhoods(kind, m)] = 1.0
+        # The graphs are regular: node 0's degree + 1 is every node's.
+        entries *= 1.0 / entries[0].sum()
     _validate_entries(entries, sum_tol=BUILD_SUM_TOL)
     return GossipMatrix(m=m, entries=entries, kind=kind)
 

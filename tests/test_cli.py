@@ -355,6 +355,21 @@ def test_divergent_run_exits_two_without_summary(tmp_path, capfd, jobs):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergent_ring_gossiped_by_shifted_slices_exits_two(tmp_path, capfd):
+    # At m = 256 the ring gossips as shifted slices, not a dense product; a
+    # divergent run must still stop at its first non-finite snapshot with
+    # one numerical failure line and no warning.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, experiment="stability", kind="ring", m=256, eta=50,
+                        T=200, R=2, pairs=1, n=10, output_dir=str(out))
+    assert main([str(path), "--jobs", "1"]) == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    assert "diverged" in lines[0]
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bound_overflow_exits_two(tmp_path, capfd):
     # eta = 8 blows the coupled runs up to finite but huge weights (stability
     # near 1e178) within 300 steps, and the bound's contraction C compounds

@@ -1,12 +1,17 @@
 """Decentralized SGD dynamics: the update map, traces, and coupled runs."""
 
+import functools
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsgd_lab import engine
 from dsgd_lab.engine import (
     ConsensusControl,
     ConstantRate,
@@ -37,9 +42,15 @@ from dsgd_lab.topology import (
     TopologyKind,
     build_gossip_matrix,
     eigenvalues_symmetric,
+    load_gossip_matrix,
 )
 
 LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
+
+
+def custom(entries):
+    """A custom gossip matrix with the given entries, unchecked."""
+    return GossipMatrix(m=len(entries), entries=entries, kind=TopologyKind.CUSTOM)
 
 
 def make_task(d_x=3, noise_std=0.1):
@@ -173,7 +184,10 @@ def test_step_and_gradients_fill_given_buffers(family, stack, m, d_x, eta, stack
     Y = rng.standard_normal((*stack, m))
     if family is ModelFamily.LOGISTIC_REGRESSION:
         Y = (Y > 0).astype(float)
-    P = rng.random((*stack, m, m) if stacked_mixing else (m, m))
+    # One matrix for every run, or with a stack, one per arm W[a].
+    P = custom(rng.random((m, m)))
+    if stacked_mixing and stack:
+        P = [custom(rng.random((m, m))) for _ in range(stack[0])]
     before = W.copy()
     flat = (W.reshape(-1, d), X.reshape(-1, d_x), Y.reshape(-1))
     buffer = np.full((Y.size, d), np.nan)
@@ -195,6 +209,153 @@ def test_step_and_gradients_fill_given_buffers(family, stack, m, d_x, eta, stack
     for bad in bad_outs:
         with pytest.raises(InputError, match="out"):
             loss_gradients(model, *flat, out=bad)
+
+
+# ---------------------------------------------------------------------------
+# Gossip forms
+# ---------------------------------------------------------------------------
+
+BUILT = [
+    (kind, m)
+    for kind, sizes in [
+        (TopologyKind.FULLY_CONNECTED, [2, 3, 16, 256]),
+        (TopologyKind.RING, [2, 3, 16, 256, 1024]),
+        (TopologyKind.GRID_2D_TORUS, [4, 9, 16, 256, 1024]),
+        (TopologyKind.STATIC_EXPONENTIAL, [2, 4, 16, 256, 1024]),
+        (TopologyKind.DISCONNECTED, [1, 3, 256]),
+    ]
+    for m in sizes
+]
+
+
+@functools.cache
+def built(kind, m):
+    return build_gossip_matrix(kind, m)
+
+
+def is_single_weight_circulant(entries):
+    """Row i is row 0 rolled by i over the worker cycle, or, on a square
+    torus, by i's row and column; and row 0's nonzero entries are all equal."""
+    m = len(entries)
+    first = entries[0]
+    nonzero = first[first != 0]
+    if not len(nonzero) or np.any(nonzero != nonzero[0]):
+        return False
+    if all(np.array_equal(entries[i], np.roll(first, i)) for i in range(m)):
+        return True
+    side = math.isqrt(m)
+    return side > 1 and side * side == m and all(
+        np.array_equal(entries[i].reshape(side, side),
+                       np.roll(first.reshape(side, side), divmod(i, side), axis=(0, 1)))
+        for i in range(m)
+    )
+
+
+def symmetric_circulant(m, shifts):
+    """The single-weight circulant over the worker cycle with shifts +-s for s in shifts."""
+    support = sorted({s % m for s in shifts} | {-s % m for s in shifts})
+    first = np.zeros(m)
+    first[support] = 1.0 / len(support)
+    return np.array([np.roll(first, i) for i in range(m)])
+
+
+def loaded(entries):
+    """entries written to a CSV file with every digit, then loaded as a custom matrix."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "matrix.csv"
+        np.savetxt(path, entries, delimiter=",", fmt="%.17g")
+        return load_gossip_matrix(path)
+
+
+@st.composite
+def gossip_matrices(draw):
+    """A built kind at a size on either side of the crossover, or a loaded custom matrix:
+    a random single-weight circulant, the same with its workers relabeled, a
+    circulant with two weights, or a sum of permutation matrices."""
+    source = draw(st.sampled_from(
+        ["built", "circulant", "relabeled", "two weights", "permutations"]
+    ))
+    if source == "built":
+        return built(*draw(st.sampled_from(BUILT)))
+    m = draw(st.sampled_from([3, 8, 16, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if source == "permutations":
+        perms = [np.eye(m)[rng.permutation(m)] for _ in range(draw(st.integers(1, 3)))]
+        return loaded(sum(p + p.T for p in perms) / (2 * len(perms)))
+    entries = symmetric_circulant(m, rng.integers(0, m, size=draw(st.integers(1, 4))))
+    if source == "two weights":
+        # Half on each worker itself, half spread over its neighbors at +-1, +-2.
+        entries = (np.eye(m) + symmetric_circulant(m, [1, 2])) / 2
+    if source == "relabeled":
+        order = rng.permutation(m)
+        entries = entries[order][:, order]
+    return loaded(entries)
+
+
+@settings(max_examples=150)
+@given(
+    P=gossip_matrices(),
+    crossover=st.sampled_from([1, engine.DENSE_GOSSIP_BELOW]),
+    stack=st.lists(st.integers(1, 3), max_size=2),
+    d=st.integers(1, 3),
+    scale=st.sampled_from([1e-3, 1.0, 1e5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gossip_form_equals_the_dense_product(P, crossover, stack, d, scale, seed):
+    # Below the crossover and for every matrix that is not a single-weight
+    # circulant the form is the dense product; otherwise it is the worker
+    # mean when every entry is equal, and the shifted slices else. Each
+    # equals entries @ W to a few ulps of max|W|, and leaves W alone.
+    W = np.random.default_rng(seed).standard_normal((*stack, P.m, d)) * scale
+    before = W.copy()
+    with mock.patch.object(engine, "DENSE_GOSSIP_BELOW", crossover):
+        form = engine._gossip_form(P)
+        got = form(P, W, np.full(W.shape, np.nan))
+    if P.m < crossover or not is_single_weight_circulant(P.entries):
+        assert form is engine._dense_gossip
+    elif np.all(P.entries == P.entries[0, 0]):
+        assert form is engine._mean_gossip
+    else:
+        assert form is engine._shifted_gossip
+    assert np.max(np.abs(got - P.entries @ W)) <= 4 * np.spacing(np.max(np.abs(W)))
+    assert_same_array(W, before)
+
+
+def test_built_kinds_gossip_in_their_structured_form_from_the_crossover():
+    forms = {
+        TopologyKind.FULLY_CONNECTED: engine._mean_gossip,
+        TopologyKind.RING: engine._shifted_gossip,
+        TopologyKind.GRID_2D_TORUS: engine._shifted_gossip,
+        TopologyKind.STATIC_EXPONENTIAL: engine._shifted_gossip,
+        TopologyKind.DISCONNECTED: engine._shifted_gossip,
+    }
+    for kind, m in BUILT:
+        P = built(kind, m)
+        assert engine._gossip_form(P) is (
+            forms[kind] if m >= engine.DENSE_GOSSIP_BELOW else engine._dense_gossip
+        )
+    assert engine._gossip_form(loaded(two_islands(256).entries)) is engine._dense_gossip
+
+
+@pytest.mark.parametrize("m", [4, 16, 64, engine.DENSE_GOSSIP_BELOW - 1])
+def test_gossip_below_the_crossover_is_the_broadcast_product(m):
+    # Below the crossover a step gossips arm by arm, and each arm's product
+    # must be the one broadcast product of the stacked entries, bit for bit.
+    kinds = [TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.DISCONNECTED]
+    if math.isqrt(m) ** 2 == m:
+        kinds.append(TopologyKind.GRID_2D_TORUS)
+    if m & (m - 1) == 0:
+        kinds.append(TopologyKind.STATIC_EXPONENTIAL)
+    matrices = [build_gossip_matrix(kind, m) for kind in kinds]
+    rng = np.random.default_rng(m)
+    W = rng.standard_normal((len(kinds), 3, 2, m, 11))
+    X, Y = rng.standard_normal((*W.shape[:-1], 11)), rng.standard_normal(W.shape[:-1])
+    stacked = np.stack([P.entries for P in matrices])[:, None, None]
+    grads = loss_gradients(LINEAR, W.reshape(-1, 11), X.reshape(-1, 11), Y.reshape(-1))
+    expected = np.matmul(stacked, W) - (0.05 * grads).reshape(W.shape)
+    assert_same_array(dsgd_step(W, matrices, X, Y, 0.05, LINEAR), expected)
+    for P in matrices:
+        assert_same_array(dsgd_step(W, P, X, Y, 0.0, LINEAR), np.matmul(P.entries, W))
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +770,7 @@ def test_recorded_risks_are_checked_for_divergence():
 
 def two_islands(m=4):
     """A custom disconnected matrix: two fully connected halves that never mix."""
-    entries = np.kron(np.eye(2), np.full((m // 2, m // 2), 2.0 / m))
-    return GossipMatrix(m=m, entries=entries, kind=TopologyKind.CUSTOM)
+    return custom(np.kron(np.eye(2), np.full((m // 2, m // 2), 2.0 / m)))
 
 
 ARM_MATRICES = {
@@ -661,6 +821,42 @@ def test_arms_equal_each_arm_run_alone(family, mode, arms):
             for trace in (a, c):
                 assert_same_array(trace.sq_diffs, b.sq_diffs)
                 assert_same_array(trace.final_diffs, b.final_diffs)
+
+
+@pytest.mark.parametrize("family", [ModelFamily.LINEAR_REGRESSION, ModelFamily.TWO_LAYER_MLP])
+def test_arms_equal_each_arm_run_alone_from_the_crossover(family):
+    # At m = DENSE_GOSSIP_BELOW the arms gossip in different forms: the
+    # worker mean, shifted slices over the cycle and over the torus, and the
+    # dense product of a relabeled circulant. Each arm, controlled or not,
+    # must still give the traces it gives run alone, bit for bit.
+    m = engine.DENSE_GOSSIP_BELOW
+    model = LossModel(family=family, hidden_width=2)
+    shards, perturbations, seeds = stack_inputs(family, runs=2, m=m, n=3, d_x=2)
+    order = np.random.default_rng(0).permutation(m)
+    relabeled = custom(symmetric_circulant(m, [1, 5])[order][:, order])
+    control = ConsensusControl(gamma_sq=1e-6, t_gamma=2, max_rounds=12)
+    arms = [
+        (built(TopologyKind.FULLY_CONNECTED, m), None),
+        (built(TopologyKind.STATIC_EXPONENTIAL, m), control),
+        (built(TopologyKind.GRID_2D_TORUS, m), None),
+        (built(TopologyKind.RING, m), replace(control, t_gamma=0)),
+        (relabeled, control),
+    ]
+    assert [engine._gossip_form(P) for P, _ in arms] == [
+        engine._mean_gossip, *[engine._shifted_gossip] * 3, engine._dense_gossip
+    ]
+    config = TrainConfig(iterations=6, rate=ConstantRate(0.1), seed=0, snapshot_every=4)
+    stacked = run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
+    for (P, arm_control), traces in zip(arms, stacked):
+        for trace, run_shards, perturbation, seed in zip(traces, shards, perturbations, seeds):
+            alone = coupled_one(P, run_shards, model, replace(config, seed=seed),
+                                perturbation, arm_control, risks=True)
+            assert_same_trace(trace.base, alone.base)
+            assert_same_trace(trace.perturbed, alone.perturbed)
+            assert_same_array(trace.sq_diffs, alone.sq_diffs)
+    # Control gossiped extra rounds, and the ring's runs hit the cap.
+    assert all(trace.base.extra_gossip_rounds > 0 for traces in stacked[3:] for trace in traces)
+    assert stacked[3][0].base.extra_gossip_rounds == 12 * (6 - 0)
 
 
 def test_arms_must_share_the_round_cap():
@@ -730,10 +926,7 @@ def test_compacted_control_equals_the_masked_loop(names, shared, runs, max_round
     targets = np.array([
         data.draw(st.sampled_from([math.inf, 1e-6, 1e-3])) for _ in names
     ])
-    mixing = (
-        ARM_MATRICES[names[0]] if shared
-        else np.stack([ARM_MATRICES[name].entries for name in names])[:, None, None]
-    )
+    mixing = ARM_MATRICES[names[0]] if shared else [ARM_MATRICES[name] for name in names]
     counts = np.zeros(W.shape[:3], dtype=int)
     out, rounds = consensus_control_step(W, mixing, targets[:, None, None], max_rounds, counts)
     expected_rounds = 0

@@ -17,7 +17,7 @@ from dsgd_lab.topology import (
     load_gossip_matrix,
     mixing_error,
 )
-from dsgd_lab.topology import EIGEN_SNAP_TOL, _neighbor_sets
+from dsgd_lab.topology import EIGEN_SNAP_TOL
 
 ALL_BUILDABLE = list(CONNECTED_KINDS) + [TopologyKind.DISCONNECTED]
 
@@ -30,6 +30,46 @@ def allowed(kind, m):
     if kind is TopologyKind.DISCONNECTED:
         return m >= 1
     return m >= 2
+
+
+def neighbor_sets(kind, m):
+    """Open neighborhoods of each node as Python sets: the builders' oracle.
+
+    Degenerate wrap-arounds (ring m=2, torus side 2, exponential offsets that
+    coincide) collapse because neighborhoods are sets.
+    """
+    if kind is TopologyKind.DISCONNECTED:
+        return [set() for _ in range(m)]
+    if kind is TopologyKind.FULLY_CONNECTED:
+        return [set(range(m)) - {i} for i in range(m)]
+    if kind is TopologyKind.RING:
+        return [{(i - 1) % m, (i + 1) % m} - {i} for i in range(m)]
+    if kind is TopologyKind.GRID_2D_TORUS:
+        side = math.isqrt(m)
+        nbrs = []
+        for i in range(m):
+            r, c = divmod(i, side)
+            cells = {
+                ((r - 1) % side) * side + c,
+                ((r + 1) % side) * side + c,
+                r * side + (c - 1) % side,
+                r * side + (c + 1) % side,
+            }
+            nbrs.append(cells - {i})
+        return nbrs
+    hops = [2**j for j in range(max(1, int(math.log2(m))))]
+    return [({(i + h) % m for h in hops} | {(i - h) % m for h in hops}) - {i} for i in range(m)]
+
+
+def reference_entries(kind, m):
+    """Weight 1/(degree+1) on each node and its neighbors, written entry by entry."""
+    entries = np.zeros((m, m))
+    for i, neighborhood in enumerate(neighbor_sets(kind, m)):
+        weight = 1.0 / (len(neighborhood) + 1)
+        entries[i, i] = weight
+        for j in neighborhood:
+            entries[i, j] = weight
+    return entries
 
 
 def ring_eigenvalues(m):
@@ -87,12 +127,21 @@ def test_built_matrices_satisfy_invariants(kind, m):
     assert np.max(np.abs(entries.sum(axis=1) - 1.0)) <= 1e-12
     assert entries.min() >= 0.0 and entries.max() <= 1.0
     # Sparsity pattern matches the declared neighborhoods exactly.
-    nbrs = _neighbor_sets(kind, m)
+    nbrs = neighbor_sets(kind, m)
     for i in range(m):
         nonzero = set(np.nonzero(entries[i])[0]) - {i}
         assert nonzero == nbrs[i]
         if kind is not TopologyKind.DISCONNECTED or m == 1:
             assert entries[i, i] > 0
+
+
+@pytest.mark.parametrize("kind", ALL_BUILDABLE)
+def test_built_entries_equal_the_set_built_entries(kind):
+    # The builders fill index arrays; every entry must be the one that the
+    # per-node neighbor sets give, bit for bit, up to m = 1024.
+    for m in [1, 2, 3, 4, 8, 9, 16, 64, 100, 256, 1024]:
+        if allowed(kind, m):
+            assert np.array_equal(build_gossip_matrix(kind, m).entries, reference_entries(kind, m))
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -129,6 +128,19 @@ def _make_shards(task: SyntheticTask, n: int, m: int, seed: int) -> Shards:
     return Shards(xs=xs.reshape(m, n, task.d_x), ys=ys.reshape(m, n))
 
 
+def _group_shards(task: SyntheticTask, n: int, m: int, seeds: list[int]) -> list[Shards]:
+    """_make_shards of each seed, as views of one (replicates, m, n, d_x) array.
+
+    The engine steps shards that tile one array without copying them, so a
+    group's single runs hold their data once.
+    """
+    xs, ys = np.empty((len(seeds), m, n, task.d_x)), np.empty((len(seeds), m, n))
+    for r, seed in enumerate(seeds):
+        drawn = _make_shards(task, n, m, seed)
+        xs[r], ys[r] = drawn.xs, drawn.ys
+    return [Shards(xs=x, ys=y) for x, y in zip(xs, ys)]
+
+
 def mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over axis 0 and its standard error std(ddof=1) / sqrt(count).
 
@@ -176,9 +188,9 @@ def _stability_group(
     kept traces record per-worker risks: nothing else reads them.
     """
     m = arms[0][0].m
-    shards = [
-        _make_shards(task, n, m, derive_seed(config.seed, "stability-data", r)) for r in group
-    ]
+    shards = _group_shards(
+        task, n, m, [derive_seed(config.seed, "stability-data", r) for r in group]
+    )
     runs = [(r, j) for r in group for j in range(pairs)]
     coupled = run_coupled(
         arms,
@@ -229,6 +241,10 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: the process pool's modules take about 25 ms to load,
+    # and only a map over more than one job needs them.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -703,9 +719,9 @@ def _gengap_group(
     holdout: tuple[np.ndarray, np.ndarray] | None,
 ) -> list[np.ndarray]:
     """Replicates `group`: fresh shards and one run each, stepped as one stack."""
-    shards = [
-        _make_shards(task, n, P.m, derive_seed(config.seed, "stability-data", r)) for r in group
-    ]
+    shards = _group_shards(
+        task, n, P.m, [derive_seed(config.seed, "stability-data", r) for r in group]
+    )
     seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
     (traces,) = run_dsgd([(P, None)], shards, model, config, seeds)
     return [

@@ -18,21 +18,37 @@ are the raw material of the stability estimators.
 
 One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
 with its own gossip matrix and consensus control, times K runs with s sides
-each (s = 1 for single runs, s = 2 for coupled pairs). Every arm trains on
-the same (K, s, m, n, d_x) stack of shards, so a step makes one gather of
-sampled rows, one gossip per arm and one gradient call for the whole stack;
-run_dsgd and run_coupled are its two entry points. Every stack-sized
-array a step writes (the next W, the gathered samples, the gradients,
-consensus control's result) is a buffer allocated once per stack; control
-allocates only two buffers of its live runs per call. Only run_coupled
-with risks set evaluates per-worker risks, once per arm and snapshot, in
-scratch the recorder owns. Each run keeps its own seed and index stream,
-shared by its sides and by every arm: its indices are drawn from its own
-generator in blocks of at most INDEX_DRAW_STEPS steps per snapshot
-interval, which are the same indices as one draw of m per step.
-Consensus control gossips a compacted block of the runs whose arm's onset
-has passed and whose distance is still above the target, so each side takes
-the rounds it would take alone.
+each (s = 1 for single runs, s = 2 for coupled pairs); run_dsgd and
+run_coupled are its two entry points. The two data sets of a pair differ in
+one sample per affected worker, and the pairs of one replicate share their
+shards, so the stack holds each distinct shard set once: one flat array
+holds the rows of every distinct shard set, then each pair's m replacement
+rows. Run k's worker w reads the row of its sample zeta on side 0; side 1
+reads the same row, except where zeta is the pair's perturbed index on an
+affected worker, where it reads the replacement row. One np.where builds
+both sides' rows per block of drawn indices, and a step makes one np.take of
+sampled rows for every arm, run and side, one gossip per group of arms and
+one gradient call for the whole stack. Single runs on shard sets that are
+consecutive slices of one array (as the estimators draw a group's
+replicates) read that array itself: nothing is copied. The runs are stepped
+in sub-stacks of as many runs as keep each stack-sized buffer within
+STACK_BYTES, and a run's trace does not depend on the runs stepped with it.
+Every stack-sized array a step writes (the next W, the gathered samples, the
+gradients, consensus control's result) is a buffer allocated once per
+sub-stack; control allocates only two buffers of its live runs per call.
+Only run_coupled with risks set evaluates per-worker risks, once per arm,
+shard set and snapshot, in scratch the recorder owns: side 1's per-sample
+losses are taken on the shared shards with the replaced samples' losses
+swapped in before the mean, which are its risks on its own data, bit for
+bit. Each run keeps its own seed and index stream, shared by its sides and
+by every arm: its indices are drawn from its own generator in blocks of at
+most INDEX_DRAW_STEPS steps per snapshot interval, which are the same
+indices as one draw of m per step. Consensus control gossips a compacted
+block of the runs whose arm's onset has passed and whose distance is still
+above the target, so each side takes the rounds it would take alone. Every
+worker mean (full-averaging gossip, the recorder, control's distances) is an
+einsum sum over the workers that rounds like numpy's mean and takes a third
+of its time (_worker_mean).
 
 An arm gossips in one of three forms, chosen once per matrix from its
 entries (topology.GossipMatrix.circulant):
@@ -41,8 +57,10 @@ entries (topology.GossipMatrix.circulant):
   worker cycle (ring, exponential, disconnected) or over the torus (grid):
   each shift's slices are added into the output, which is then scaled once;
 - the dense product, for every other matrix and for every matrix of fewer
-  than DENSE_GOSSIP_BELOW workers. Below the crossover the outputs are
-  bit-equal to one broadcast product of the stacked matrices.
+  than DENSE_GOSSIP_BELOW workers. Below the crossover a step's arms make
+  one broadcast product of their entries, stacked once per stack: the four
+  compare arms of a (4, 8, 2, 16, 20) stack gossip in 19-20 us, against
+  23-26 us for one product per arm.
 tools/gossip_crossover.py times one gossip of a (8, 2, m, 20) stack in each
 form (microseconds, dense / structured; 2-core box, numpy 2.4.6, one BLAS
 thread):
@@ -99,6 +117,12 @@ __all__ = [
 # snapshot cadence (criterion 9 logs only t = 0 and T) would otherwise draw
 # a whole (T, m) block per run before the first step.
 INDEX_DRAW_STEPS = 64
+
+# Most bytes of one stack-sized buffer (the weights, their spare, the
+# gathered samples, the gradients, the recorder's deviations): a stack with
+# more runs is stepped in sub-stacks of as many runs as fit, at least one.
+# A four-kind compare at m = 1024 with 160 pairs would need 210 MB for each.
+STACK_BYTES = 16 * 2**20
 
 # Worker count below which every gossip matrix is a dense product; from it
 # on, a circulant matrix gossips as the worker mean or as shifted slices.
@@ -264,24 +288,27 @@ def draw_perturbation(
     )
 
 
-def _replace_samples(xs: np.ndarray, ys: np.ndarray, perturbation: Perturbation) -> None:
-    """Write the perturbation's replacement samples into shard arrays in place."""
-    if not 0 <= perturbation.index < xs.shape[1]:
-        raise InputError(
-            f"perturbation index {perturbation.index} outside shard size {xs.shape[1]}"
-        )
-    xs[perturbation.workers, perturbation.index] = perturbation.replacement_xs
-    ys[perturbation.workers, perturbation.index] = perturbation.replacement_ys
+def _worker_mean(W: np.ndarray) -> np.ndarray:
+    """W.mean(axis=-2, keepdims=True), bit for bit, for a stack W (..., m, d).
+
+    numpy's mean reduces the worker axis by adding its rows in order, as one
+    einsum sum does, but takes about three times as long per call. At d = 1
+    the worker axis is the contiguous one, which mean sums pairwise, so there
+    it is the mean itself.
+    """
+    if W.shape[-1] == 1:
+        return W.mean(axis=-2, keepdims=True)
+    return np.einsum("...kd->...d", W)[..., None, :] / W.shape[-2]
 
 
 def consensus_model(W: np.ndarray) -> np.ndarray:
     """Average of the local models, per run of W (m, d) or of a stack W (..., m, d)."""
-    return W.mean(axis=-2)
+    return _worker_mean(W)[..., 0, :]
 
 
 def consensus_distance(W: np.ndarray) -> float | np.ndarray:
     """Mean squared deviation of the local models from their average, per run of W (..., m, d)."""
-    mean = W.mean(axis=-2, keepdims=True)
+    mean = _worker_mean(W)
     return _distance_from_mean(W, mean, np.empty_like(W, dtype=mean.dtype))
 
 
@@ -322,9 +349,27 @@ def _dense_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.matmul(P.entries, W, out=out)
 
 
+def _stacked_gossip(entries: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Arm a of W (A, ..., m, d) times entries[a] of (A, 1, m, m), as one broadcast product.
+
+    numpy multiplies each matrix of a broadcast product on its own, so every
+    arm's values are those of its own product.
+    """
+    shape = (len(W), -1, *W.shape[-2:])
+    np.matmul(entries, W.reshape(shape), out=out.reshape(shape))
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _stacked_entries(matrices: tuple[GossipMatrix, ...]) -> np.ndarray:
+    """The arms' entries as one (A, 1, m, m) array. Cached for the last stack's
+    matrices, so that a stack stacks them once, not once per step."""
+    return np.stack([P.entries for P in matrices])[:, None]
+
+
 def _mean_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     """P W for a P whose entries all equal 1/m: every worker takes its run's mean."""
-    out[...] = W.mean(axis=-2, keepdims=True)
+    out[...] = _worker_mean(W)
     return out
 
 
@@ -374,6 +419,21 @@ def _gossip_form(P: GossipMatrix):
     return _mean_gossip if len(P.circulant.shifts) == P.m else _shifted_gossip
 
 
+def _step_gossip(P: Mixing, groups: list[tuple[GossipMatrix, slice]]) -> list[tuple]:
+    """(gossip, operand, arms) triples that gossip a stack W with P's arm groups
+    (_arm_groups): gossip(operand, W[arms], out[arms]).
+
+    Below DENSE_GOSSIP_BELOW every arm is a dense product, so arms with more
+    than one matrix make one broadcast product of their stacked entries: one
+    numpy call, where one per arm costs more than the products themselves at
+    m = 16. Otherwise each run of consecutive arms with one matrix gossips
+    at once, in that matrix's form.
+    """
+    if len(groups) > 1 and groups[0][0].m < DENSE_GOSSIP_BELOW:
+        return [(_stacked_gossip, _stacked_entries(tuple(P)), slice(None))]
+    return [(_gossip_form(P_a), P_a, arms) for P_a, arms in groups]
+
+
 def dsgd_step(
     W: np.ndarray,
     P: Mixing,
@@ -408,8 +468,8 @@ def dsgd_step(
     grads = loss_gradients(
         model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads
     )
-    for P_a, arms in groups:
-        _gossip_form(P_a)(P_a, W[arms], out[arms])
+    for gossip, operand, arms in _step_gossip(P, groups):
+        gossip(operand, W[arms], out[arms])
     grads *= eta_t
     out -= grads.reshape(W.shape)
     return out
@@ -450,7 +510,7 @@ def consensus_control_step(
     ]
     out = _output(W, out)
     # out is the deviations' scratch before it takes the models.
-    distances = _distance_from_mean(W, W.mean(axis=-2, keepdims=True), out).reshape(-1)
+    distances = _distance_from_mean(W, _worker_mean(W), out).reshape(-1)
     np.copyto(out, W)
     runs = out.reshape(-1, *W.shape[-2:])
     per_arm = len(runs) // arm_count
@@ -474,7 +534,7 @@ def consensus_control_step(
                 gossip(P_a, block[span], other[span])
         block, other, current = other, block, 1 - current
         rounds += 1
-        above = _distance_from_mean(block, block.mean(axis=-2, keepdims=True), other) > goal
+        above = _distance_from_mean(block, _worker_mean(block), other) > goal
         if not above.all():
             done, keep = ~above, np.flatnonzero(above)
             runs[live[done]] = block[done]
@@ -545,9 +605,11 @@ def _run_stack(
     """The trajectory loop: steps A arms of K runs of s sides as one stack W (A, K, s, m, d).
 
     With perturbations, run k's second side trains on shards[k] with
-    perturbations[k] applied, and each run returns one CoupledTrace.
+    perturbations[k] applied, and each run returns one CoupledTrace. The runs
+    are stepped in sub-stacks that keep each stack-sized buffer within
+    STACK_BYTES; a run's trace does not depend on the runs stepped with it.
     """
-    m, n, d_x = shards[0].xs.shape
+    m, _, d_x = shards[0].xs.shape
     total = config.iterations
     caps = {control.max_rounds for _, control in arms if control is not None}
     for P, control in arms:
@@ -558,49 +620,63 @@ def _run_stack(
     if len(caps) > 1:
         raise InputError("the controlled arms of one stack must share max_rounds")
 
-    sides = 1 if perturbations is None else 2
-    xs = np.empty((len(shards), sides, m, n, d_x))
-    ys = np.empty((len(shards), sides, m, n))
-    for k, run_shards in enumerate(shards):
-        if run_shards.xs.shape != (m, n, d_x):
-            raise InputError("every run of a stack needs shards of one shape")
-        xs[k], ys[k] = run_shards.xs, run_shards.ys
-        if perturbations is not None:
-            _replace_samples(xs[k, 1], ys[k, 1], perturbations[k])
-    # Flat row of worker w's sample 0 in run k, side s: zeta is added per step.
-    first_rows = np.arange(xs.shape[0] * sides * m).reshape(xs.shape[:3]) * n
-    flat_xs, flat_ys = xs.reshape(-1, d_x), ys.reshape(-1)
+    data = _StackData(shards, perturbations)
+    sides, d = data.sides, model.dim(d_x)
+    recorder = _TraceRecorder(model, data, config.snapshot_iterations, seeds, len(arms), risks)
+    final = np.empty((len(arms), len(shards), sides, m, d))
+    extra_rounds = np.zeros(final.shape[:3], dtype=int)
+    run_bytes = len(arms) * sides * m * max(d, d_x) * final.itemsize
+    size = max(1, STACK_BYTES // run_bytes)
+    for start in range(0, len(shards), size):
+        runs = slice(start, min(start + size, len(shards)))
+        final[:, runs] = _step_runs(
+            arms, data, model, config, seeds[runs], runs, recorder, extra_rounds[:, runs]
+        )
+    return recorder.finish(final, extra_rounds)
+
+
+def _step_runs(
+    arms: list[tuple[GossipMatrix, ConsensusControl | None]],
+    data: _StackData,
+    model: LossModel,
+    config: TrainConfig,
+    seeds: list[int],
+    runs: slice,
+    recorder: _TraceRecorder,
+    extra_rounds: np.ndarray,
+) -> np.ndarray:
+    """Steps the sub-stack of `runs` from zero to the end, recording every snapshot;
+    returns its final W and adds each side's control rounds to extra_rounds."""
+    m, n, d_x = data.shape
+    total = config.iterations
     rngs = [np.random.default_rng(seed) for seed in seeds]
     matrices = [P for P, _ in arms]
     # Arm a is controlled after step t once t > onsets[a]; an uncontrolled arm never is.
     onsets = np.array([np.inf if c is None else c.t_gamma for _, c in arms])
     targets = np.array([np.inf if c is None else c.gamma_sq for _, c in arms])
     first_onset = onsets.min()
-    max_rounds = max(caps, default=0)
+    max_rounds = max((c.max_rounds for _, c in arms if c is not None), default=0)
 
     logged = config.snapshot_iterations
-    recorder = _TraceRecorder(model, xs, ys, logged, seeds, len(arms), risks)
-    W = np.zeros((len(arms), *xs.shape[:3], model.dim(d_x)))
+    W = np.zeros((len(arms), len(seeds), data.sides, m, model.dim(d_x)))
     # Every array a step writes is allocated once here: stack-sized arrays
     # freed each step would go back to the OS and be faulted in again.
     spare = np.empty_like(W)
     X = np.empty((*W.shape[:-1], d_x))
     Y = np.empty(W.shape[:-1])
     grads = np.empty((Y.size, W.shape[-1]))
-    extra_rounds = np.zeros(W.shape[:3], dtype=int)
+    recorder.start(runs, W)
     recorder.record(0, W)
     t = 0
     for slot in range(1, len(logged)):
         while t < logged[slot]:
             steps = min(INDEX_DRAW_STEPS, logged[slot] - t)
             zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
-            # (steps, K, s, m): both sides of a run, in every arm, read the run's indices.
-            rows = first_rows + zeta[:, :, None, :]
-            for step_rows in rows:
+            for step_rows in data.rows(zeta, runs):
                 # The rows are in range, so "clip" never clips; unlike "raise",
                 # it writes into out without an intermediate buffer.
-                np.take(flat_xs, step_rows, axis=0, out=X[0], mode="clip")
-                np.take(flat_ys, step_rows, out=Y[0], mode="clip")
+                np.take(data.xs, step_rows, axis=0, out=X[0], mode="clip")
+                np.take(data.ys, step_rows, out=Y[0], mode="clip")
                 X[1:], Y[1:] = X[0], Y[0]
                 rate = config.rate.at(t, total)
                 W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=grads), W
@@ -612,66 +688,165 @@ def _run_stack(
                     )
                     W, spare = controlled, W
         recorder.record(slot, W)
-    return recorder.finish(W, extra_rounds)
+    return W
+
+
+class _StackData:
+    """The samples of a stack's runs as rows of one flat array, each shard set once.
+
+    xs (rows, d_x) and ys (rows,) hold the rows of every distinct shard set
+    of the stack once, in order of first use (replicates[r]; run k trains on
+    replicates[replicate[k]]), then, for coupled runs, a (K, m) block of
+    replacement rows: row (k, w) of the block is run k's replacement sample
+    for worker w, where its perturbation affects w. When no replacement rows
+    are needed and the shard sets are the consecutive slices of one array,
+    xs and ys are views of that array: nothing is copied.
+    """
+
+    def __init__(self, shards: list[Shards], perturbations: list[Perturbation] | None):
+        m, n, d_x = self.shape = shards[0].xs.shape
+        if any(run_shards.xs.shape != self.shape for run_shards in shards):
+            raise InputError("every run of a stack needs shards of one shape")
+        numbers: dict[int, int] = {}
+        self.replicate = np.array([numbers.setdefault(id(s), len(numbers)) for s in shards])
+        self.replicates = list({id(s): s for s in shards}.values())
+        self.sides = 1 if perturbations is None else 2
+        # Row of worker w's sample 0 in run k's shards: a step adds zeta.
+        self.first = self.replicate[:, None] * (m * n) + np.arange(m) * n
+        self.target = self.replacement = None
+        tiled = [_tiling([getattr(s, name) for s in self.replicates]) for name in ("xs", "ys")]
+        if perturbations is None and tiled[0] is not None and tiled[1] is not None:
+            self.xs, self.ys = tiled[0].reshape(-1, d_x), tiled[1].reshape(-1)
+            return
+        base = len(self.replicates) * m * n
+        block = 0 if perturbations is None else len(shards) * m
+        self.xs, self.ys = np.zeros((base + block, d_x)), np.zeros(base + block)
+        shard_xs = self.xs[:base].reshape(-1, m, n, d_x)
+        shard_ys = self.ys[:base].reshape(-1, m, n)
+        for r, replicate_shards in enumerate(self.replicates):
+            shard_xs[r], shard_ys[r] = replicate_shards.xs, replicate_shards.ys
+        if perturbations is None:
+            return
+        # target[k, w]: the index run k's perturbation replaces on worker w, -1
+        # where it leaves w alone (zeta is never -1).
+        self.target = np.full((len(shards), m), -1)
+        self.replacement = base + np.arange(block).reshape(len(shards), m)
+        self.replacement_xs = self.xs[base:].reshape(len(shards), m, d_x)
+        self.replacement_ys = self.ys[base:].reshape(len(shards), m)
+        for k, perturbation in enumerate(perturbations):
+            if not 0 <= perturbation.index < n:
+                raise InputError(
+                    f"perturbation index {perturbation.index} outside shard size {n}"
+                )
+            self.target[k, perturbation.workers] = perturbation.index
+            self.replacement_xs[k, perturbation.workers] = perturbation.replacement_xs
+            self.replacement_ys[k, perturbation.workers] = perturbation.replacement_ys
+
+    def rows(self, zeta: np.ndarray, runs: slice) -> np.ndarray:
+        """(steps, K', s, m) rows of xs that runs[k] reads at sample indices zeta (steps, K', m).
+
+        Side 0 reads its shards' rows. Side 1 reads the same rows, except
+        where zeta is the index that the run's perturbation replaces on an
+        affected worker: there it reads that worker's replacement row.
+        """
+        rows = self.first[runs] + zeta
+        if self.target is None:
+            return rows[:, :, None]
+        perturbed = np.where(zeta == self.target[runs], self.replacement[runs], rows)
+        return np.stack([rows, perturbed], axis=2)
+
+    def risk_groups(self, runs: slice) -> list[tuple[Shards, np.ndarray, tuple | None]]:
+        """Per shard set that runs in `runs` use: those shards, the runs' indices
+        within the slice, and worker_risks' `replaced` argument for their
+        stack (J, s, m, d), which swaps each perturbation's samples into side 1."""
+        groups = []
+        for r in np.unique(self.replicate[runs]):
+            local = np.flatnonzero(self.replicate[runs] == r)
+            replaced = None
+            if self.target is not None:
+                own = runs.start + local
+                j, w = np.nonzero(self.target[own] >= 0)
+                k = own[j]
+                where = (j, np.ones_like(j), w, self.target[k, w])
+                replaced = (where, self.replacement_xs[k, w], self.replacement_ys[k, w])
+            groups.append((self.replicates[r], local, replaced))
+        return groups
+
+
+def _tiling(parts: list[np.ndarray]) -> np.ndarray | None:
+    """The C-contiguous array whose consecutive leading slices are parts, in order, or None."""
+    whole = parts[0].base
+    if (
+        isinstance(whole, np.ndarray)
+        and whole.flags.c_contiguous
+        and whole.shape == (len(parts), *parts[0].shape)
+        and all(p.base is whole and p.ctypes.data == q.ctypes.data for p, q in zip(parts, whole))
+    ):
+        return whole
+    return None
 
 
 class _TraceRecorder:
     """Snapshot rows of every arm, run and side of a stack, at the logged iterations.
 
-    Raises NumericalError at the first snapshot where some consensus distance,
-    or some recorded risk, is not finite, naming the first such run's seed: a
-    non-finite W stays non-finite under W' = P W - eta G, so a divergent run
-    is always caught by the final snapshot at the latest.
+    Records one sub-stack at a time (start, then record per snapshot) into
+    arrays that hold every run. Raises NumericalError at the first snapshot
+    where some consensus distance, or some recorded risk, is not finite,
+    naming the first such run's seed: a non-finite W stays non-finite under
+    W' = P W - eta G, so a divergent run is always caught by the final
+    snapshot at the latest.
     """
 
     def __init__(
         self,
         model: LossModel,
-        xs: np.ndarray,
-        ys: np.ndarray,
+        data: _StackData,
         logged: np.ndarray,
         seeds: list[int],
         arms: int,
         risks: bool,
     ):
-        runs, sides, m, n, d_x = xs.shape
-        self.model, self.logged, self.seeds = model, logged, seeds
-        # Every run's and side's shards as one set of K*s*m shards, for one
-        # worker_risks call per arm; the arms share them.
-        self.shards = Shards(xs=xs.reshape(-1, n, d_x), ys=ys.reshape(-1, n))
+        (m, _, d_x), sides, runs = data.shape, data.sides, len(data.replicate)
+        self.model, self.data, self.logged, self.seeds = model, data, logged, seeds
         self.consensus = np.zeros((arms, runs, sides, len(logged), model.dim(d_x)))
         self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
         self.risks = np.zeros((arms, runs, sides, len(logged), m)) if risks else None
         self.sq_diffs = np.zeros((arms, runs, len(logged), m)) if sides == 2 else None
-        # Scratch for the deviations from the consensus model, the pair
-        # differences and each arm's per-sample losses, reused at every snapshot.
-        d = model.dim(d_x)
-        self.deviation = np.empty((arms, runs, sides, m, d))
-        self.pair_diff = np.empty((arms, runs, m, d)) if sides == 2 else None
-        self.losses = np.empty((runs * sides * m, n)) if risks else None
+
+    def start(self, runs: slice, W: np.ndarray) -> None:
+        """Take the sub-stack W (A, K', s, m, d) of `runs`, and scratch of its size
+        for the deviations, the pair differences and the per-sample losses,
+        reused at every snapshot."""
+        self.runs = runs
+        self.deviation = np.empty_like(W)
+        self.pair_diff = np.empty_like(W[:, :, 0]) if W.shape[2] == 2 else None
+        if self.risks is not None:
+            self.groups = self.data.risk_groups(runs)
+            self.losses = np.empty((*W.shape[1:-1], self.data.shape[1]))
 
     def record(self, slot: int, W: np.ndarray) -> None:
+        runs = self.runs
         # A diverging W overflows the sums of squares; that is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = W.mean(axis=-2, keepdims=True)
+            mean = _worker_mean(W)
             distances = _distance_from_mean(W, mean, self.deviation)
         self._check(distances, "consensus distance", slot)
-        self.consensus[..., slot, :] = mean[..., 0, :]
-        self.consensus_dist[..., slot] = distances
+        self.consensus[:, runs, :, slot] = mean[..., 0, :]
+        self.consensus_dist[:, runs, :, slot] = distances
         if self.risks is not None:
+            risks = np.empty(W.shape[:-1])
             with np.errstate(over="ignore", invalid="ignore"):
-                risks = np.stack([
-                    worker_risks(
-                        self.model, arm_W.reshape(-1, W.shape[-1]), self.shards, self.losses
-                    )
-                    for arm_W in W
-                ]).reshape(W.shape[:-1])
+                for arm_W, arm_risks in zip(W, risks):
+                    for shards, local, replaced in self.groups:
+                        arm_risks[local] = worker_risks(
+                            self.model, arm_W[local], shards, self.losses[: len(local)], replaced
+                        )
             self._check(risks, "a worker risk", slot)
-            self.risks[..., slot, :] = risks
+            self.risks[:, runs, :, slot] = risks
         if self.pair_diff is not None:
             np.subtract(W[:, :, 0], W[:, :, 1], out=self.pair_diff)
             np.square(self.pair_diff, out=self.pair_diff)
-            self.sq_diffs[:, :, slot] = self.pair_diff.sum(axis=-1)
+            self.sq_diffs[:, runs, slot] = self.pair_diff.sum(axis=-1)
 
     def _check(self, values: np.ndarray, name: str, slot: int) -> None:
         """NumericalError naming the first run with a non-finite value, index (arm, run, ...)."""
@@ -679,7 +854,7 @@ class _TraceRecorder:
         if len(diverged):
             index = tuple(diverged[0])
             raise NumericalError(
-                f"run with seed {self.seeds[index[1]]} diverged: {name} is "
+                f"run with seed {self.seeds[self.runs.start + index[1]]} diverged: {name} is "
                 f"{values[index]} at step {self.logged[slot]}"
             )
 
@@ -695,7 +870,7 @@ class _TraceRecorder:
                 consensus=self.consensus[index],
                 consensus_dist=self.consensus_dist[index],
                 risks=None if risks is None else risks[index],
-                final_weights=W[index].copy(),
+                final_weights=W[index],
                 extra_gossip_rounds=int(extra_rounds[index]),
             )
         if self.sq_diffs is None:

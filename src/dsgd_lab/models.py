@@ -101,6 +101,10 @@ class LossModel:
     """A loss family with its MLP shape: hidden width and softplus sharpness."""
 
     family: ModelFamily
+    # Every run starts from all-zero weights, where every hidden unit gets the
+    # same gradient, so the h units of an MLP stay identical for the whole
+    # run: the trained network is one unit repeated h times. Breaking the
+    # symmetry with a random start would change every MLP result.
     hidden_width: int = 8
     softplus_sharpness: float = 5.0
 
@@ -222,9 +226,10 @@ def draw_dataset_arrays(
 
 
 def _unpack_mlp(model: LossModel, W: np.ndarray, d_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the hidden weights V (..., h, d_x) and output weights a (..., h) of W (..., d)."""
     h = model.hidden_width
-    V = W[:, : h * d_x].reshape(W.shape[0], h, d_x)
-    a = W[:, h * d_x :]
+    V = W[..., : h * d_x].reshape(*W.shape[:-1], h, d_x)
+    a = W[..., h * d_x :]
     return V, a
 
 
@@ -328,22 +333,44 @@ def _risk_block_rows(model: LossModel, stack: int) -> int:
 
 
 def worker_risks(
-    model: LossModel, W: np.ndarray, shards: Shards, scratch: np.ndarray | None = None
+    model: LossModel,
+    W: np.ndarray,
+    shards: Shards,
+    scratch: np.ndarray | None = None,
+    replaced: tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Per-worker empirical risks: mean loss of w_k over shard k, for all k.
+    """Per-worker empirical risks: the mean loss of each worker's model over its own shard.
 
-    With scratch given (a (k, n) array like shards.ys), each worker's outputs
-    on its shard, and their squared losses, are computed in it rather than in
-    new arrays; the risks are the same.
+    W (..., m, d) holds stacks of m worker models, all scored on the same
+    shards; the risks have shape W.shape[:-1]. With scratch given (a
+    C-contiguous (..., m, n) array), the per-sample outputs and squared
+    losses are computed in it rather than in new arrays. replaced =
+    (where, xs, ys) scores models on other samples: where indexes the
+    (..., m, n) per-sample losses, and the model at where[:-1] takes the loss
+    at sample (xs[p], ys[p]) in place of its shard's sample where[-1][p]. The
+    risks are the same either way, and the same as on shards with those
+    samples written in.
     """
+    losses = _sample_losses(model, W, shards.xs, shards.ys, scratch)
+    if replaced is not None:
+        where, xs, ys = replaced
+        losses[where] = _sample_losses(model, W[where[:-1]], xs[:, None], ys[:, None])[:, 0]
+    return losses.mean(axis=-1)
+
+
+def _sample_losses(
+    model: LossModel, W: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Loss of each model of W (..., m, d) at each sample of its worker's shard
+    (xs (m, n, d_x), ys (m, n)), as a (..., m, n) array computed in out when given."""
     if model.family is not ModelFamily.TWO_LAYER_MLP:
-        out = np.einsum("knd,kd->kn", shards.xs, W, out=scratch)
+        outputs = np.einsum("wnd,...wd->...wn", xs, W, out=out)
     else:
         beta = model.softplus_sharpness
-        V, a = _unpack_mlp(model, W, shards.d_x)
-        hidden = _softplus(beta * np.einsum("khd,knd->knh", V, shards.xs)) / beta
-        out = np.einsum("knh,kh->kn", hidden, a, out=scratch)
-    return _losses(model.family, out, shards.ys, into=scratch).mean(axis=1)
+        V, a = _unpack_mlp(model, W, xs.shape[-1])
+        hidden = _softplus(beta * np.einsum("...whd,wnd->...wnh", V, xs)) / beta
+        outputs = np.einsum("...wnh,...wh->...wn", hidden, a, out=out)
+    return _losses(model.family, outputs, ys, into=out)
 
 
 def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:

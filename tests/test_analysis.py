@@ -1,5 +1,6 @@
 """Stability estimators, bound evaluators, and distribution diagnostics."""
 
+import concurrent.futures
 import itertools
 import math
 from functools import partial
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsgd_lab import analysis
+from dsgd_lab import analysis, engine
 from dsgd_lab.analysis import (
     BoundInputs,
     estimate_epsilon_s,
@@ -82,6 +83,18 @@ def dummy_coupled(final_diffs):
 # ---------------------------------------------------------------------------
 # Stability estimation
 # ---------------------------------------------------------------------------
+
+
+def test_group_shards_are_views_of_one_array_the_engine_reads_in_place():
+    # A group's replicates are drawn as _make_shards draws each, into one
+    # array; the engine's single runs then read that array, not a copy.
+    task = make_task()
+    seeds = [3, 5, 8]
+    shards = analysis._group_shards(task, 4, 2, seeds)
+    for seed, replicate in zip(seeds, shards):
+        alone = _make_shards(task, 4, 2, seed)
+        assert np.array_equal(replicate.xs, alone.xs) and np.array_equal(replicate.ys, alone.ys)
+    assert np.shares_memory(engine._StackData(shards, None).xs, shards[2].xs)
 
 
 @pytest.mark.parametrize("n, m", [(4, 2), (1, 6)])
@@ -238,7 +251,7 @@ def test_sweep_draws_each_replicate_once_in_one_pool(monkeypatch, sweep):
         return _make_shards(task, n, m, seed)
 
     monkeypatch.setattr(analysis, "_make_shards", counting_shards)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "made", [])
     task = make_task()
     config = TrainConfig(iterations=12, rate=ConstantRate(0.1), seed=43)

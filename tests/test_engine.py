@@ -19,7 +19,6 @@ from dsgd_lab.engine import (
     PerturbationMode,
     StepDecayRate,
     TrainConfig,
-    _replace_samples,
     consensus_control_step,
     consensus_distance,
     consensus_model,
@@ -36,6 +35,7 @@ from dsgd_lab.models import (
     SyntheticTask,
     draw_dataset_arrays,
     loss_gradients,
+    worker_risks,
 )
 from dsgd_lab.topology import (
     GossipMatrix,
@@ -339,8 +339,9 @@ def test_built_kinds_gossip_in_their_structured_form_from_the_crossover():
 
 @pytest.mark.parametrize("m", [4, 16, 64, engine.DENSE_GOSSIP_BELOW - 1])
 def test_gossip_below_the_crossover_is_the_broadcast_product(m):
-    # Below the crossover a step gossips arm by arm, and each arm's product
-    # must be the one broadcast product of the stacked entries, bit for bit.
+    # Below the crossover a step gossips its arms as one broadcast product of
+    # their entries, stacked once per stack, and each arm's values must be
+    # those of its own product, bit for bit.
     kinds = [TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.DISCONNECTED]
     if math.isqrt(m) ** 2 == m:
         kinds.append(TopologyKind.GRID_2D_TORUS)
@@ -354,6 +355,9 @@ def test_gossip_below_the_crossover_is_the_broadcast_product(m):
     grads = loss_gradients(LINEAR, W.reshape(-1, 11), X.reshape(-1, 11), Y.reshape(-1))
     expected = np.matmul(stacked, W) - (0.05 * grads).reshape(W.shape)
     assert_same_array(dsgd_step(W, matrices, X, Y, 0.05, LINEAR), expected)
+    ((gossip, entries, arms),) = engine._step_gossip(matrices, engine._arm_groups(matrices, W))
+    assert gossip is engine._stacked_gossip and arms == slice(None)
+    assert entries is engine._stacked_entries(tuple(matrices))
     for P in matrices:
         assert_same_array(dsgd_step(W, P, X, Y, 0.0, LINEAR), np.matmul(P.entries, W))
 
@@ -562,22 +566,40 @@ def test_draw_perturbation_modes_and_bounds():
 
 
 def neighbor_shards(shards, perturbation):
-    """A copy of shards with the perturbation's samples written in."""
+    """A copy of shards with the perturbation's samples written in: side 1's data set."""
     xs, ys = shards.xs.copy(), shards.ys.copy()
-    _replace_samples(xs, ys, perturbation)
+    xs[perturbation.workers, perturbation.index] = perturbation.replacement_xs
+    ys[perturbation.workers, perturbation.index] = perturbation.replacement_ys
     return Shards(xs=xs, ys=ys)
 
 
-def test_replace_samples_changes_only_target_positions():
-    task = make_task()
-    shards = make_shards(task, 4, 3)
-    pert = single_worker_perturbation(task, worker=1, index=2, seed=3)
-    perturbed = neighbor_shards(shards, pert)
-    mask = np.zeros((3, 4), dtype=bool)
-    mask[1, 2] = True
-    assert np.array_equal(perturbed.ys[~mask], shards.ys[~mask])
-    assert np.array_equal(perturbed.xs[~mask], shards.xs[~mask])
-    assert not np.array_equal(perturbed.xs[1, 2], shards.xs[1, 2])
+@pytest.mark.parametrize("mode", list(PerturbationMode))
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_side_one_rows_equal_the_per_side_gather(mode, position):
+    # A stack holds each shard set once, here two runs' one set, and side 1
+    # reads its replaced samples by index. The rows both sides gather must be
+    # those a gather from each side's own data set gives, bit for bit, and
+    # side 1's differ from side 0's exactly where zeta hits the perturbed
+    # index on an affected worker.
+    shards, perturbations, _ = stack_inputs(ModelFamily.LINEAR_REGRESSION, mode=mode)
+    m, n, _ = shards[0].xs.shape
+    index = 0 if position == "first" else n - 1
+    shards[1] = shards[0]
+    perturbations = [replace(p, index=index) for p in perturbations]
+    data = engine._StackData(shards, perturbations)
+    assert len(data.xs) == 2 * m * n + len(shards) * m
+    zeta = np.random.default_rng(7).integers(0, n, size=(40, len(shards), m))
+    zeta[0] = index
+    rows = data.rows(zeta, slice(None))
+    worker = np.arange(m)
+    for k, (run_shards, perturbation) in enumerate(zip(shards, perturbations)):
+        neighbor = neighbor_shards(run_shards, perturbation)
+        for side, side_shards in enumerate([run_shards, neighbor]):
+            assert_same_array(data.xs[rows[:, k, side]], side_shards.xs[worker, zeta[:, k]])
+            assert_same_array(data.ys[rows[:, k, side]], side_shards.ys[worker, zeta[:, k]])
+        hit = (zeta[:, k] == index) & np.isin(worker, perturbation.workers)
+        assert hit[0].any()
+        assert np.array_equal(rows[:, k, 0] != rows[:, k, 1], hit)
 
 
 def test_coupled_identical_replacement_gives_zero_difference():
@@ -716,6 +738,118 @@ def test_stacked_runs_equal_single_runs(family, control, rate):
             assert alone.base.extra_gossip_rounds > 0
 
 
+def assert_same_traces(got, expected):
+    """Two run_dsgd or run_coupled results, field by field, bit for bit."""
+    assert len(got) == len(expected)
+    for got_arm, expected_arm in zip(got, expected):
+        assert len(got_arm) == len(expected_arm)
+        for a, b in zip(got_arm, expected_arm):
+            if isinstance(b, engine.CoupledTrace):
+                assert_same_trace(a.base, b.base)
+                assert_same_trace(a.perturbed, b.perturbed)
+                assert_same_array(a.sq_diffs, b.sq_diffs)
+                assert_same_array(a.final_diffs, b.final_diffs)
+            else:
+                assert_same_trace(a, b)
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+@settings(max_examples=12, deadline=None)
+@given(
+    coupled=st.booleans(),
+    runs=st.integers(1, 5),
+    per_sub_stack=st.integers(0, 5),
+    slack=st.floats(0.0, 0.99),
+    shared=st.booleans(),
+)
+def test_sub_stacks_give_the_traces_of_one_stack(
+    family, coupled, runs, per_sub_stack, slack, shared
+):
+    # STACK_BYTES caps the runs stepped at once; a budget below one run's
+    # buffers still steps one run at a time. Every split of a stack into
+    # sub-stacks must give its traces bit for bit, risks and control rounds
+    # included, with runs that share a shard set or not.
+    model = LossModel(family=family, hidden_width=3)
+    shards, perturbations, seeds = stack_inputs(family, runs=runs)
+    if shared:
+        shards = [shards[0]] * runs
+    arms = [
+        (ARM_MATRICES["ring"], ConsensusControl(1e-4, t_gamma=5, max_rounds=10)),
+        (ARM_MATRICES["islands"], None),
+    ]
+    config = TrainConfig(iterations=12, rate=ConstantRate(0.08), seed=0, snapshot_every=5)
+
+    def stack():
+        if coupled:
+            return run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
+        return run_dsgd(arms, shards, model, config, seeds)
+
+    whole = stack()
+    run_bytes = len(arms) * (1 + coupled) * 4 * max(model.dim(3), 3) * 8
+    budget = int((per_sub_stack + slack) * run_bytes)
+    with mock.patch.object(engine, "STACK_BYTES", budget):
+        assert_same_traces(stack(), whole)
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+@pytest.mark.parametrize("mode", list(PerturbationMode))
+def test_kept_risks_equal_each_sides_risks_on_its_own_data(family, mode):
+    # Side 1's risks are scored on the shards it shares with side 0, with
+    # each perturbed sample's loss swapped in. They must be the risks on
+    # side 1's own data set, bit for bit, as side 0's must be those on the
+    # shards. Two runs share one shard set; the perturbed index is the last.
+    model = LossModel(family=family, hidden_width=3)
+    shards, perturbations, seeds = stack_inputs(family, mode=mode)
+    shards[1] = shards[0]
+    perturbations = [replace(p, index=shards[0].n - 1) for p in perturbations]
+    arms = [(ARM_MATRICES["ring"], None), (ARM_MATRICES["fully_connected"], None)]
+    config = TrainConfig(iterations=9, rate=ConstantRate(0.08), seed=0, snapshot_every=9)
+    for traces in run_coupled(arms, shards, model, config, perturbations, seeds, risks=True):
+        for trace, run_shards, perturbation in zip(traces, shards, perturbations):
+            neighbor = neighbor_shards(run_shards, perturbation)
+            for side, side_shards in ((trace.base, run_shards), (trace.perturbed, neighbor)):
+                expected = worker_risks(model, side.final_weights, side_shards)
+                assert_same_array(side.risks[-1], expected)
+            assert not np.array_equal(trace.base.risks[-1], trace.perturbed.risks[-1])
+
+
+def test_single_runs_step_tiled_shards_in_place():
+    # Shards that are the consecutive slices of one array are stepped from
+    # that array; any other shard sets, and every coupled stack, are copied
+    # once per distinct set.
+    task = make_task()
+    xs = np.stack([make_shards(task, 5, 4, seed=k).xs for k in range(3)])
+    ys = np.stack([make_shards(task, 5, 4, seed=k).ys for k in range(3)])
+    tiled = [Shards(xs=x, ys=y) for x, y in zip(xs, ys)]
+    data = engine._StackData(tiled, None)
+    assert np.shares_memory(data.xs, xs) and np.shares_memory(data.ys, ys)
+    drawn_apart = [make_shards(task, 5, 4, seed=k) for k in range(3)]
+    for shards in (tiled[::-1], tiled[:1] + tiled[2:], drawn_apart):
+        assert not np.shares_memory(engine._StackData(shards, None).xs, xs)
+    perturbations = [draw_perturbation(task, 5, 4, PerturbationMode.SYNCHRONIZED, seed=k)
+                     for k in range(6)]
+    coupled = engine._StackData(tiled + tiled, perturbations)
+    assert not np.shares_memory(coupled.xs, xs)
+    assert coupled.xs.shape == (3 * 4 * 5 + 6 * 4, 3)
+    assert list(coupled.replicate) == [0, 1, 2, 0, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    leading=st.lists(st.integers(1, 3), max_size=3),
+    m=st.integers(1, 1024),
+    d=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_worker_mean_is_numpys_mean(leading, m, d, seed):
+    # The einsum sum over workers must round like numpy's mean, at every
+    # stack depth, worker count and dimension, on entries from 1e-8 to 1e8.
+    rng = np.random.default_rng(seed)
+    shape = (*leading, m, d)
+    W = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    assert_same_array(engine._worker_mean(W), W.mean(axis=-2, keepdims=True))
+
+
 def test_sparse_snapshots_follow_the_per_step_index_stream():
     # One snapshot interval of 150 steps is drawn in blocks of at most
     # INDEX_DRAW_STEPS; together they must be the seed's per-step stream.
@@ -744,6 +878,10 @@ def test_stack_with_a_later_divergent_run_names_that_run():
         run_dsgd([(P, None)], shards, LINEAR, config, seeds)
     assert str(stacked.value) == str(alone.value)
     assert f"seed {seeds[-1]} diverged" in str(stacked.value)
+    # So must a stack stepped one run at a time.
+    with mock.patch.object(engine, "STACK_BYTES", 0), pytest.raises(NumericalError) as split:
+        run_dsgd([(P, None)], shards, LINEAR, config, seeds)
+    assert str(split.value) == str(alone.value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -178,7 +178,7 @@ class ExperimentConfig:
         rng = np.random.default_rng(derive_seed(self.seed, "task-w-star"))
         direction = rng.standard_normal(self.d_x)
         w_star = self.w_star_scale * direction / np.linalg.norm(direction)
-        return SyntheticTask.isotropic(
+        return SyntheticTask(
             family=self.family,
             d_x=self.d_x,
             w_star=w_star,

@@ -71,7 +71,7 @@ def report(number, ok, detail):
 
 def unit_task(family, d_x, noise_std=0.0, feature_variance=1.0, w_norm=1.0):
     w_star = np.full(d_x, w_norm / math.sqrt(d_x))
-    return SyntheticTask.isotropic(family, d_x, w_star, noise_std, feature_variance)
+    return SyntheticTask(family, d_x, w_star, noise_std, feature_variance)
 
 
 def structurally_allowed(kind, m):

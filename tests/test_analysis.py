@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -51,7 +52,7 @@ LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
 
 
 def make_task(d_x=2, noise_std=0.5, feature_variance=1.0):
-    return SyntheticTask.isotropic(
+    return SyntheticTask(
         ModelFamily.LINEAR_REGRESSION, d_x,
         np.full(d_x, 1.0 / math.sqrt(d_x)), noise_std, feature_variance,
     )
@@ -188,7 +189,7 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
         ]
         assert np.array_equal(whole[1][arm], finals)
 
-    mlp_task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+    mlp_task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
     mlp = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
     report = replicated_generalization_gap(
         ring, mlp_task, mlp, config, n=5, replicates=replicates, mc_draws=300
@@ -213,13 +214,24 @@ def test_replicated_gap_draws_one_holdout_per_call(monkeypatch):
         return draw_dataset_arrays(task, count, rng)
 
     monkeypatch.setattr(analysis, "draw_dataset_arrays", counting_draw)
-    task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
     model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=2)
     replicated_generalization_gap(P, task, model, config, n=5, replicates=3,
                                            mc_draws=700)
     assert sorted(drawn) == [20, 20, 20, 700]
+
+
+def test_holdout_draw_holds_one_copy_of_the_features():
+    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 20, np.full(20, 0.2), 0.3)
+    tracemalloc.start()
+    try:
+        xs, ys = _draw_holdout(task, 100_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * (xs.nbytes + ys.nbytes)
 
 
 class InProcessPool:
@@ -798,7 +810,7 @@ def test_topology_comparison_rows_keep_replicate_finals():
 
 
 def test_mlp_comparison_gaps_match_full_curve_gaps():
-    task = SyntheticTask.isotropic(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
     model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=4)
     config = TrainConfig(iterations=12, rate=ConstantRate(0.05), seed=61)
     replicates, pairs = 3, 3

@@ -54,7 +54,7 @@ def custom(entries):
 
 
 def make_task(d_x=3, noise_std=0.1):
-    return SyntheticTask.isotropic(
+    return SyntheticTask(
         ModelFamily.LINEAR_REGRESSION, d_x,
         np.full(d_x, 1.0 / math.sqrt(d_x)), noise_std,
     )
@@ -664,7 +664,7 @@ def test_coupled_base_equals_plain_run(family, control):
     # Each side of a coupled run is stepped in one stack with the other; it
     # must equal a plain run on its own shards, bit for bit.
     model = LossModel(family=family, hidden_width=3)
-    task = SyntheticTask.isotropic(family, 3, np.full(3, 1.0 / math.sqrt(3)), 0.1)
+    task = SyntheticTask(family, 3, np.full(3, 1.0 / math.sqrt(3)), 0.1)
     shards = make_shards(task, 4, 3)
     pert = draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=2)
     P = build_gossip_matrix(TopologyKind.RING, 3)
@@ -701,7 +701,7 @@ def test_coupled_difference_snapshots_are_consistent():
 
 def stack_inputs(family, runs=3, m=4, n=5, d_x=3, mode=PerturbationMode.SYNCHRONIZED):
     """Per-run shards, perturbations and seeds, each run on its own data."""
-    task = SyntheticTask.isotropic(family, d_x, np.full(d_x, 1.0 / math.sqrt(d_x)), 0.1)
+    task = SyntheticTask(family, d_x, np.full(d_x, 1.0 / math.sqrt(d_x)), 0.1)
     shards = [make_shards(task, n, m, seed=30 + k) for k in range(runs)]
     perturbations = [draw_perturbation(task, n, m, mode, seed=40 + k) for k in range(runs)]
     return shards, perturbations, [50 + k for k in range(runs)]

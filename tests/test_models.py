@@ -36,7 +36,7 @@ FAMILIES = [
 
 def make_task(family, d_x=3, noise_std=0.1, feature_variance=1.0, w_scale=1.0):
     w_star = np.full(d_x, w_scale / math.sqrt(d_x))
-    return SyntheticTask.isotropic(family, d_x, w_star, noise_std, feature_variance)
+    return SyntheticTask(family, d_x, w_star, noise_std, feature_variance)
 
 
 def make_model(family):
@@ -81,6 +81,50 @@ def test_logistic_labels_are_binary():
     task = make_task(ModelFamily.LOGISTIC_REGRESSION)
     _, ys = draw(task, 200, seed=2)
     assert set(ys) <= {0.0, 1.0}
+
+
+def test_task_converts_w_star_and_rejects_a_bad_variance():
+    task = SyntheticTask(ModelFamily.LINEAR_REGRESSION, 2, [1, 2])
+    assert task.w_star.dtype == np.float64 and task.feature_variance == 1.0
+    for variance in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="feature_variance"):
+            SyntheticTask(ModelFamily.LINEAR_REGRESSION, 2, np.ones(2), 0.0, variance)
+
+
+def matrix_form_draw(task, count, rng):
+    """The draw through a Cholesky factor of the covariance matrix sigma_x^2 I."""
+    factor = np.linalg.cholesky(task.feature_variance * np.eye(task.d_x))
+    xs = rng.standard_normal((count, task.d_x)) @ factor.T
+    margins = xs @ task.w_star
+    if task.family is ModelFamily.LOGISTIC_REGRESSION:
+        ys = (rng.random(count) < _sigmoid(margins)).astype(float)
+    else:
+        ys = margins + task.noise_std * rng.standard_normal(count)
+    return xs, ys
+
+
+@settings(max_examples=80)
+@given(
+    family=st.sampled_from(FAMILIES),
+    d_x=st.integers(1, 64),
+    variance=st.floats(1e-3, 10.0),
+    count=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_variance_is_bit_equal_to_the_matrix_forms(family, d_x, variance, count, seed):
+    rng = np.random.default_rng(seed)
+    task = SyntheticTask(family, d_x, rng.standard_normal(d_x), 0.3, variance)
+    xs, ys = draw(task, count, seed)
+    ref_xs, ref_ys = matrix_form_draw(task, count, np.random.default_rng(seed))
+    assert_same_bits(xs, ref_xs)
+    assert_same_bits(ys, ref_ys)
+    if family is ModelFamily.LINEAR_REGRESSION:
+        W = task.w_star + rng.standard_normal((3, d_x))
+        delta = W - task.w_star
+        cov = variance * np.eye(d_x)
+        reference = 0.5 * np.sum((delta @ cov) * delta, axis=-1) + 0.5 * task.noise_std**2
+        assert_same_bits(population_risk(task, W), reference)
+        assert_same_bits(np.atleast_1d(population_risk(task, W[0])), reference[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +243,47 @@ def test_stacked_dataset_risk_matches_per_row_losses(family, stack, blocks, offs
     risks = dataset_risk(model, W, xs, ys)
     assert risks.shape == (stack,)
     assert np.allclose(risks, reference, rtol=1e-12, atol=0.0)
+
+
+def allocating_dataset_risk(model, W, xs, ys):
+    """dataset_risk as a loop that allocates each block's temporaries afresh."""
+
+    def softplus(s):
+        return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
+
+    rows = _risk_block_rows(model, W.shape[0])
+    if model.family is ModelFamily.TWO_LAYER_MLP:
+        h, d_x = model.hidden_width, xs.shape[1]
+        V = model.softplus_sharpness * W[:, : h * d_x].reshape(-1, d_x)
+        a = W[:, None, h * d_x :] / model.softplus_sharpness
+    total = np.zeros(W.shape[0])
+    for start in range(0, xs.shape[0], rows):
+        X, Y = xs[start : start + rows], ys[start : start + rows]
+        if model.family is ModelFamily.TWO_LAYER_MLP:
+            hidden = softplus(V @ X.T).reshape(W.shape[0], -1, X.shape[0])
+            out = np.matmul(a, hidden)[:, 0, :]
+        else:
+            out = W @ X.T
+        if model.family is ModelFamily.LOGISTIC_REGRESSION:
+            losses = softplus(-((2.0 * Y - 1.0) * out))
+        else:
+            losses = 0.5 * np.square(out - Y)
+        total += losses.sum(axis=1)
+    return total / xs.shape[0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("stack", [1, 7, 201])
+@pytest.mark.parametrize("blocks", [0.5, 2.5])
+def test_dataset_risk_is_bit_equal_to_allocating_blocks(family, stack, blocks):
+    model = LossModel(family=family)
+    # Half a block, or two full blocks and a ragged third.
+    count = int(blocks * _risk_block_rows(model, stack)) + 1
+    task = make_task(family, d_x=5)
+    rng = np.random.default_rng(stack)
+    xs, ys = draw_dataset_arrays(task, count, rng)
+    W = 0.5 * rng.standard_normal((stack, model.dim(5)))
+    assert_same_bits(dataset_risk(model, W, xs, ys), allocating_dataset_risk(model, W, xs, ys))
 
 
 def test_dataset_risk_rejects_a_single_weight_vector():

@@ -6,8 +6,10 @@
 
 An argument ending in .json is run as `python3 -m dsgd_lab.cli CONFIG
 --jobs K --output-dir <temporary directory>`; anything else as
-`python3 -m pytest -q NODE`. The child gets this checkout's src/ on
-PYTHONPATH and one BLAS thread, as the benchmark's processes do. The peak
+`python3 -m pytest -q NODE`. The child gets the environment of the
+benchmark's processes: this checkout's src/ on PYTHONPATH, one BLAS thread,
+bytecode caching on (PYTHONDONTWRITEBYTECODE dropped, so the sources are
+not compiled again on every run) and no DSGD_LAB_JOBS. The peak
 RSS is the ru_maxrss that wait4 reports for the child: the largest of the
 child and of every process it reaped, such as its pool workers. Prints
 `wall_s`, `maxrss_mb` and the child's exit code; exits with that code.
@@ -30,6 +32,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def measure(cmd: list[str]) -> tuple[int, float, float]:
     """(exit code, wall seconds, peak RSS in MB) of cmd run to completion from the checkout."""
     env = dict(os.environ)
+    env.pop("DSGD_LAB_JOBS", None)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for var in BLAS_THREAD_VARS:
         env[var] = "1"

@@ -100,19 +100,15 @@ class StabilityEstimate:
     error over replicate means. replicate_means[r, j] is replicate r's mean
     over its pairs (mean and se summarize its rows), kept so that estimates
     run on the same replicate data can be compared pair by pair. With
-    keep_traces, the underlying coupled traces (replicate-major) and
-    per-replicate shards are retained.
+    keep_traces, the underlying coupled traces (replicate-major) are
+    retained, their base sides with per-worker risks.
     """
 
     iterations: np.ndarray
     mean: np.ndarray
     se: np.ndarray
     replicate_means: np.ndarray
-    replicates: int
-    pairs: int
-    mode: PerturbationMode
     coupled: list[CoupledTrace] | None = None
-    shards: list[Shards] | None = None
 
     @property
     def final(self) -> float:
@@ -177,15 +173,15 @@ def _stability_group(
     gaps: bool,
     holdout: tuple[np.ndarray, np.ndarray] | None,
     keep: bool,
-) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None, list[Shards] | None]:
+) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
     Each replicate draws fresh shards and `pairs` sampled perturbations once;
     every arm x run x side of the group is stepped in one stack. Returns each
     arm's replicate curves (A, len(group), snapshots); with `gaps`, each arm's
     final consensus-model gap per replicate (A, len(group)), scored on
-    `holdout`; with `keep`, each arm's coupled traces and the shards. Only
-    kept traces record per-worker risks: nothing else reads them.
+    `holdout`; with `keep`, each arm's coupled traces. Only kept traces
+    record the base side's per-worker risks: nothing else reads them.
     """
     m = arms[0][0].m
     shards = _group_shards(
@@ -205,7 +201,7 @@ def _stability_group(
         risks=keep,
     )
     curves = np.stack([
-        np.stack([trace.sq_diffs.mean(axis=1) for trace in traces])
+        np.stack([trace.sq_diffs for trace in traces])
         .reshape(len(group), pairs, -1)
         .mean(axis=1)
         for traces in coupled
@@ -223,7 +219,7 @@ def _stability_group(
             ]
             for traces in coupled
         ])
-    return curves, replicate_gaps, (coupled if keep else None), (shards if keep else None)
+    return curves, replicate_gaps, (coupled if keep else None)
 
 
 def _replicate_groups(replicates: int, jobs: int) -> list[range]:
@@ -279,23 +275,19 @@ def _stability_sweep(
         pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, keep=keep_traces,
     )
     results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
-    rep_curves = np.concatenate([curves for curves, _, _, _ in results], axis=1)
+    rep_curves = np.concatenate([curves for curves, _, _ in results], axis=1)
     estimates = [
         StabilityEstimate(
             config.snapshot_iterations,
             *mean_and_se(curves),
             replicate_means=curves,
-            replicates=replicates,
-            pairs=pairs,
-            mode=mode,
             coupled=(
-                [trace for _, _, kept, _ in results for trace in kept[arm]] if keep_traces else None
+                [trace for _, _, kept in results for trace in kept[arm]] if keep_traces else None
             ),
-            shards=[sh for _, _, _, kept in results for sh in kept] if keep_traces else None,
         )
         for arm, curves in enumerate(rep_curves)
     ]
-    replicate_gaps = np.concatenate([g for _, g, _, _ in results], axis=1) if gaps else None
+    replicate_gaps = np.concatenate([g for _, g, _ in results], axis=1) if gaps else None
     return estimates, replicate_gaps
 
 
@@ -412,7 +404,17 @@ def estimate_sigma_mu(coupled: list[CoupledTrace]) -> tuple[float, float]:
 
 
 def risk_exponent_curve(trace: RunTrace, alpha: float) -> np.ndarray:
-    """Per-snapshot (1/m) sum_k F_k^(2 alpha / (1 + alpha)) of one trace."""
+    """Per-snapshot (1/m) sum_k F_k^(2 alpha / (1 + alpha)) of one trace.
+
+    Raises:
+        InputError: the trace recorded no risks (only the base side of
+            run_coupled with risks set records them).
+    """
+    if trace.risks is None:
+        raise InputError(
+            "trace has no recorded risks: only the base side of run_coupled(risks=True) "
+            "records them"
+        )
     exponent = 2.0 * alpha / (1.0 + alpha)
     return np.mean(trace.risks**exponent, axis=1)
 
@@ -422,7 +424,8 @@ def estimate_epsilon_s(traces: list[RunTrace], alpha: float) -> float:
 
     Max over traces and logged iterations of
     (1/m) sum_k F_k^(2 alpha / (1 + alpha)). The convention 0^0 = 1 applies
-    at alpha = 0, keeping the envelope an upper bound.
+    at alpha = 0, keeping the envelope an upper bound. Every trace must
+    have recorded its risks (risk_exponent_curve).
     """
     if not traces:
         raise InputError("at least one trace is required")
@@ -637,7 +640,6 @@ class GenGapReport:
     iterations: np.ndarray
     mean: np.ndarray
     se: np.ndarray
-    traces: int
 
     @property
     def final(self) -> float:
@@ -675,7 +677,7 @@ def generalization_gap(
     stack = np.concatenate([trace.consensus for trace in traces])
     gaps = _consensus_gaps(stack, task, model, shards, holdout)
     curves = gaps.reshape(len(traces), len(reference))
-    return GenGapReport(reference.copy(), *mean_and_se(curves), traces=len(traces))
+    return GenGapReport(reference.copy(), *mean_and_se(curves))
 
 
 def _draw_holdout(
@@ -755,7 +757,7 @@ def replicated_generalization_gap(
     )
     groups = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
     curves = np.stack([curve for group in groups for curve in group])
-    return GenGapReport(config.snapshot_iterations, *mean_and_se(curves), traces=replicates)
+    return GenGapReport(config.snapshot_iterations, *mean_and_se(curves))
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,16 +96,6 @@ from .topology import (
     validate_worker_count,
 )
 
-EXPERIMENTS = (
-    "topology",
-    "stability",
-    "gengap",
-    "bound",
-    "compare",
-    "consensus-control",
-    "gaussianity",
-)
-
 FLOAT_FORMAT = "%.12g"
 
 
@@ -268,10 +258,10 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
             raise InputError(f"config key {key!r} must be nonnegative, got {value}")
 
     config = ExperimentConfig(**raw)
-    if config.experiment not in EXPERIMENTS:
+    if config.experiment not in RUNNERS:
         raise InputError(
             f"config key 'experiment': unknown experiment {config.experiment!r} "
-            f"(one of {', '.join(EXPERIMENTS)})"
+            f"(one of {', '.join(RUNNERS)})"
         )
     # Normalise the string-valued keys in place; enum defaults pass through.
     config.kind = _parse_kind(config.kind, "kind")
@@ -320,10 +310,8 @@ def _validate_config(config: ExperimentConfig) -> None:
                 validate_worker_count(kind, config.m)
             except InputError as exc:
                 raise InputError(f"config key 'kinds': {exc}") from exc
-    if config.experiment in ("stability", "gengap", "bound", "compare",
-                             "consensus-control", "gaussianity"):
-        if config.R < 2:
-            raise InputError("config key 'R' must be >= 2")
+    if config.experiment != "topology" and config.R < 2:
+        raise InputError("config key 'R' must be >= 2")
     if config.experiment == "consensus-control":
         values = config.t_gamma_values()
         if len(values) < 2:
@@ -368,17 +356,9 @@ def emit_json_summary(summary: dict[str, Any], path: Path) -> None:
 
 
 def _config_digest(config: ExperimentConfig) -> str:
-    blob = json.dumps(_config_echo(config), sort_keys=True)
+    # The enum fields are str enums, which json writes as their values.
+    blob = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _config_echo(config: ExperimentConfig) -> dict[str, Any]:
-    echo = asdict(config)
-    echo["kind"] = config.kind.value
-    echo["kinds"] = [k.value for k in config.kinds]
-    echo["family"] = config.family.value
-    echo["mode"] = config.mode.value
-    return echo
 
 
 @dataclass
@@ -410,7 +390,7 @@ def _write_manifest(
     files: list[Path],
 ) -> None:
     RunManifest(
-        config=_config_echo(config),
+        config=asdict(config),
         config_sha256=_config_digest(config),
         tool_version=__version__,
         wall_seconds=time.time() - started,
@@ -429,16 +409,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     started = time.time()
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "topology": _run_topology,
-        "stability": _run_stability,
-        "gengap": _run_gengap,
-        "bound": _run_bound,
-        "compare": _run_compare,
-        "consensus-control": _run_consensus_control,
-        "gaussianity": _run_gaussianity,
-    }[config.experiment]
-    files, summary_extra, seeds = runner(config, output_dir)
+    files, summary_extra, seeds = RUNNERS[config.experiment](config, output_dir)
     summary = {
         "schema_version": 1,
         "experiment": config.experiment,
@@ -485,18 +456,17 @@ def _stability_csv(estimate, path: Path) -> None:
     emit_csv(rows, ["iter", "stability_mean", "stability_se"], path)
 
 
-def _run_stability(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
-    estimate = estimate_stability(
-        config.gossip_matrix(),
-        config.task(),
-        config.loss_model(),
-        config.train_config(),
-        n=config.n,
-        replicates=config.R,
-        pairs=config.pairs,
-        mode=config.mode,
-        jobs=config.jobs,
+def _estimate_stability(config: ExperimentConfig, P, keep_traces: bool = False):
+    """The configured stability estimate of gossip matrix P."""
+    return estimate_stability(
+        P, config.task(), config.loss_model(), config.train_config(),
+        n=config.n, replicates=config.R, pairs=config.pairs, mode=config.mode,
+        jobs=config.jobs, keep_traces=keep_traces,
     )
+
+
+def _run_stability(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+    estimate = _estimate_stability(config, config.gossip_matrix())
     path = out / "stability.csv"
     _stability_csv(estimate, path)
     summary = {
@@ -539,12 +509,7 @@ def _run_bound(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, d
     model = config.loss_model()
     train = config.train_config()
     P = config.gossip_matrix()
-    estimate = estimate_stability(
-        P, task, model, train,
-        n=config.n, replicates=config.R, pairs=config.pairs, mode=config.mode,
-        jobs=config.jobs, keep_traces=True,
-    )
-    assert estimate.coupled is not None
+    estimate = _estimate_stability(config, P, keep_traces=True)
     holder_seed = derive_seed(config.seed, "holder")
     L = estimate_holder_constant(
         model, task, config.alpha, config.holder_pairs, config.holder_radius, holder_seed
@@ -699,19 +664,7 @@ def _run_consensus_control(config: ExperimentConfig, out: Path) -> tuple[list[Pa
 
 
 def _run_gaussianity(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
-    estimate = estimate_stability(
-        config.gossip_matrix(),
-        config.task(),
-        config.loss_model(),
-        config.train_config(),
-        n=config.n,
-        replicates=config.R,
-        pairs=config.pairs,
-        mode=config.mode,
-        jobs=config.jobs,
-        keep_traces=True,
-    )
-    assert estimate.coupled is not None
+    estimate = _estimate_stability(config, config.gossip_matrix(), keep_traces=True)
     report = gaussianity_report(
         estimate.coupled, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
     )
@@ -736,6 +689,18 @@ def _replicate_seeds(config: ExperimentConfig, label: str) -> dict[str, int]:
         f"{label}-data-{r}": derive_seed(config.seed, "stability-data", r)
         for r in range(config.R)
     }
+
+
+# The experiments, in the order the config error lists them.
+RUNNERS = {
+    "topology": _run_topology,
+    "stability": _run_stability,
+    "gengap": _run_gengap,
+    "bound": _run_bound,
+    "compare": _run_compare,
+    "consensus-control": _run_consensus_control,
+    "gaussianity": _run_gaussianity,
+}
 
 
 # ---------------------------------------------------------------------------

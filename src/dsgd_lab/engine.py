@@ -13,8 +13,9 @@ at iteration t describes the models after t update steps.
 
 A coupled run drives two trajectories, on a shard set S and on a neighboring
 set that differs in one sample per affected worker, with the same seed and
-hence identical sample-index sequences; per-worker squared weight differences
-are the raw material of the stability estimators.
+hence identical sample-index sequences; the worker mean of their squared
+weight differences at each snapshot is the raw material of the stability
+estimators.
 
 One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
 with its own gossip matrix and consensus control, times K runs with s sides
@@ -36,19 +37,17 @@ STACK_BYTES, and a run's trace does not depend on the runs stepped with it.
 Every stack-sized array a step writes (the next W, the gathered samples, the
 gradients, consensus control's result) is a buffer allocated once per
 sub-stack; control allocates only two buffers of its live runs per call.
-Only run_coupled with risks set evaluates per-worker risks, once per arm,
-shard set and snapshot, in scratch the recorder owns: side 1's per-sample
-losses are taken on the shared shards with the replaced samples' losses
-swapped in before the mean, which are its risks on its own data, bit for
-bit. Each run keeps its own seed and index stream, shared by its sides and
-by every arm: its indices are drawn from its own generator in blocks of at
-most INDEX_DRAW_STEPS steps per snapshot interval, which are the same
-indices as one draw of m per step. Consensus control gossips a compacted
-block of the runs whose arm's onset has passed and whose distance is still
-above the target, so each side takes the rounds it would take alone. Every
-worker mean (full-averaging gossip, the recorder, control's distances) is an
-einsum sum over the workers that rounds like numpy's mean and takes a third
-of its time (_worker_mean).
+Only run_coupled with risks set evaluates per-worker risks, of the base
+side (the run on S) only, once per arm, shard set and snapshot, in scratch
+the recorder owns. Each run keeps its own seed and index stream, shared by
+its sides and by every arm: its indices are drawn from its own generator in
+blocks of at most INDEX_DRAW_STEPS steps per snapshot interval, which are
+the same indices as one draw of m per step. Consensus control gossips a
+compacted block of the runs whose arm's onset has passed and whose distance
+is still above the target, so each side takes the rounds it would take
+alone. Every worker mean (full-averaging gossip, the recorder, control's
+distances) is an einsum sum over the workers that rounds like numpy's mean
+and takes a third of its time (_worker_mean).
 
 An arm gossips in one of three forms, chosen once per matrix from its
 entries (topology.GossipMatrix.circulant):
@@ -205,7 +204,8 @@ class RunTrace:
     iterations[j] is the number of completed steps at snapshot j; consensus[j]
     is the average model, consensus_dist[j] the mean squared deviation of the
     workers from it, and risks[j, k] worker k's empirical risk on its shard;
-    risks is None unless the run recorded them (run_coupled with risks set).
+    risks is None unless the run recorded them: only the base side of
+    run_coupled with risks set does.
     """
 
     iterations: np.ndarray
@@ -226,8 +226,9 @@ class PerturbationMode(str, Enum):
 class Perturbation:
     """Replacement of the sample at one shard index by fresh draws.
 
-    workers lists the affected workers; replacement_xs/(ys) hold one fresh
-    sample per affected worker, aligned with that list.
+    workers lists the affected workers, distinct and in [0, m);
+    replacement_xs/(ys) hold one fresh sample per affected worker, aligned
+    with that list.
     """
 
     mode: PerturbationMode
@@ -241,8 +242,9 @@ class Perturbation:
 class CoupledTrace:
     """Two trajectories on neighboring shard sets under shared randomness.
 
-    sq_diffs[j, k] is ||w_k - w~_k||^2 at snapshot j; final_diffs[k] is the
-    per-coordinate difference vector of worker k at the final iteration.
+    sq_diffs[j] is the worker mean (1/m) sum_k ||w_k - w~_k||^2 at snapshot
+    j; final_diffs[k] is the per-coordinate difference vector of worker k at
+    the final iteration.
     """
 
     base: RunTrace
@@ -584,11 +586,18 @@ def run_coupled(
     """Coupled runs of shards[k] against perturbations[k] under every arm, as one stack.
 
     Both sides of a pair share the seed, hence the same zeta sequence on
-    every worker; each coupled trace records per-worker squared weight
-    differences at each snapshot and the final per-coordinate differences.
-    Returns one list of coupled traces per arm, as run_dsgd does; with risks
-    set, both sides also record each worker's empirical risk at every
-    snapshot, and a non-finite risk is a divergence.
+    every worker; each coupled trace records the worker mean of the squared
+    weight differences at each snapshot and the final per-coordinate
+    differences. Returns one list of coupled traces per arm, as run_dsgd
+    does; with risks set, the base side also records each worker's
+    empirical risk on its shard at every snapshot (the perturbed side's
+    risks stay None), and a non-finite risk is a divergence.
+
+    Raises:
+        InputError: as run_dsgd's, or a perturbation whose index lies outside
+            the shards, whose workers lie outside [0, m) or repeat, or whose
+            replacement arrays do not hold one sample per worker; names the run.
+        NumericalError: as run_dsgd's.
     """
     return _run_stack(arms, shards, model, config, seeds, perturbations, risks)
 
@@ -731,16 +740,15 @@ class _StackData:
         # where it leaves w alone (zeta is never -1).
         self.target = np.full((len(shards), m), -1)
         self.replacement = base + np.arange(block).reshape(len(shards), m)
-        self.replacement_xs = self.xs[base:].reshape(len(shards), m, d_x)
-        self.replacement_ys = self.ys[base:].reshape(len(shards), m)
+        replacement_xs = self.xs[base:].reshape(len(shards), m, d_x)
+        replacement_ys = self.ys[base:].reshape(len(shards), m)
         for k, perturbation in enumerate(perturbations):
-            if not 0 <= perturbation.index < n:
-                raise InputError(
-                    f"perturbation index {perturbation.index} outside shard size {n}"
-                )
+            problem = _perturbation_problem(perturbation, m, n, d_x)
+            if problem:
+                raise InputError(f"perturbation of run {k}: {problem}")
             self.target[k, perturbation.workers] = perturbation.index
-            self.replacement_xs[k, perturbation.workers] = perturbation.replacement_xs
-            self.replacement_ys[k, perturbation.workers] = perturbation.replacement_ys
+            replacement_xs[k, perturbation.workers] = perturbation.replacement_xs
+            replacement_ys[k, perturbation.workers] = perturbation.replacement_ys
 
     def rows(self, zeta: np.ndarray, runs: slice) -> np.ndarray:
         """(steps, K', s, m) rows of xs that runs[k] reads at sample indices zeta (steps, K', m).
@@ -755,22 +763,32 @@ class _StackData:
         perturbed = np.where(zeta == self.target[runs], self.replacement[runs], rows)
         return np.stack([rows, perturbed], axis=2)
 
-    def risk_groups(self, runs: slice) -> list[tuple[Shards, np.ndarray, tuple | None]]:
-        """Per shard set that runs in `runs` use: those shards, the runs' indices
-        within the slice, and worker_risks' `replaced` argument for their
-        stack (J, s, m, d), which swaps each perturbation's samples into side 1."""
-        groups = []
-        for r in np.unique(self.replicate[runs]):
-            local = np.flatnonzero(self.replicate[runs] == r)
-            replaced = None
-            if self.target is not None:
-                own = runs.start + local
-                j, w = np.nonzero(self.target[own] >= 0)
-                k = own[j]
-                where = (j, np.ones_like(j), w, self.target[k, w])
-                replaced = (where, self.replacement_xs[k, w], self.replacement_ys[k, w])
-            groups.append((self.replicates[r], local, replaced))
-        return groups
+    def risk_groups(self, runs: slice) -> list[tuple[Shards, np.ndarray]]:
+        """Per shard set that runs in `runs` use: those shards and the runs'
+        indices within the slice."""
+        return [
+            (self.replicates[r], np.flatnonzero(self.replicate[runs] == r))
+            for r in np.unique(self.replicate[runs])
+        ]
+
+
+def _perturbation_problem(perturbation: Perturbation, m: int, n: int, d_x: int) -> str | None:
+    """What makes the perturbation unfit for shards of shape (m, n, d_x), or None."""
+    workers = np.asarray(perturbation.workers)
+    if not 0 <= perturbation.index < n:
+        return f"index {perturbation.index} outside shard size {n}"
+    if np.any((workers < 0) | (workers >= m)):
+        return f"workers {workers.tolist()} outside [0, {m})"
+    # A set, not np.unique: np.unique imports numpy.ma, 0.7 MB of peak RSS.
+    if len(set(workers.tolist())) != len(workers):
+        return f"workers {workers.tolist()} repeat a worker"
+    shapes = np.shape(perturbation.replacement_xs), np.shape(perturbation.replacement_ys)
+    if shapes != ((len(workers), d_x), (len(workers),)):
+        return (
+            f"replacement arrays of shapes {shapes[0]} and {shapes[1]} do not hold one "
+            f"sample per worker for {len(workers)} workers"
+        )
+    return None
 
 
 def _tiling(parts: list[np.ndarray]) -> np.ndarray | None:
@@ -790,11 +808,13 @@ class _TraceRecorder:
     """Snapshot rows of every arm, run and side of a stack, at the logged iterations.
 
     Records one sub-stack at a time (start, then record per snapshot) into
-    arrays that hold every run. Raises NumericalError at the first snapshot
-    where some consensus distance, or some recorded risk, is not finite,
-    naming the first such run's seed: a non-finite W stays non-finite under
-    W' = P W - eta G, so a divergent run is always caught by the final
-    snapshot at the latest.
+    arrays that hold every run: each side's consensus model and distance,
+    each pair's worker-mean squared difference, and, when risks are asked
+    for, the base side's per-worker risks. Raises NumericalError at the
+    first snapshot where some consensus distance, or some recorded risk, is
+    not finite, naming the first such run's seed: a non-finite W stays
+    non-finite under W' = P W - eta G, so a divergent run is always caught by
+    the final snapshot at the latest.
     """
 
     def __init__(
@@ -810,19 +830,19 @@ class _TraceRecorder:
         self.model, self.data, self.logged, self.seeds = model, data, logged, seeds
         self.consensus = np.zeros((arms, runs, sides, len(logged), model.dim(d_x)))
         self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
-        self.risks = np.zeros((arms, runs, sides, len(logged), m)) if risks else None
-        self.sq_diffs = np.zeros((arms, runs, len(logged), m)) if sides == 2 else None
+        self.risks = np.zeros((arms, runs, len(logged), m)) if risks else None
+        self.sq_diffs = np.zeros((arms, runs, len(logged))) if sides == 2 else None
 
     def start(self, runs: slice, W: np.ndarray) -> None:
         """Take the sub-stack W (A, K', s, m, d) of `runs`, and scratch of its size
-        for the deviations, the pair differences and the per-sample losses,
-        reused at every snapshot."""
+        for the deviations, the pair differences and the base side's
+        per-sample losses, reused at every snapshot."""
         self.runs = runs
         self.deviation = np.empty_like(W)
         self.pair_diff = np.empty_like(W[:, :, 0]) if W.shape[2] == 2 else None
         if self.risks is not None:
             self.groups = self.data.risk_groups(runs)
-            self.losses = np.empty((*W.shape[1:-1], self.data.shape[1]))
+            self.losses = np.empty((W.shape[1], W.shape[3], self.data.shape[1]))
 
     def record(self, slot: int, W: np.ndarray) -> None:
         runs = self.runs
@@ -834,19 +854,20 @@ class _TraceRecorder:
         self.consensus[:, runs, :, slot] = mean[..., 0, :]
         self.consensus_dist[:, runs, :, slot] = distances
         if self.risks is not None:
-            risks = np.empty(W.shape[:-1])
+            base = W[:, :, 0]
+            risks = np.empty(base.shape[:-1])
             with np.errstate(over="ignore", invalid="ignore"):
-                for arm_W, arm_risks in zip(W, risks):
-                    for shards, local, replaced in self.groups:
+                for arm_W, arm_risks in zip(base, risks):
+                    for shards, local in self.groups:
                         arm_risks[local] = worker_risks(
-                            self.model, arm_W[local], shards, self.losses[: len(local)], replaced
+                            self.model, arm_W[local], shards, self.losses[: len(local)]
                         )
             self._check(risks, "a worker risk", slot)
-            self.risks[:, runs, :, slot] = risks
+            self.risks[:, runs, slot] = risks
         if self.pair_diff is not None:
             np.subtract(W[:, :, 0], W[:, :, 1], out=self.pair_diff)
             np.square(self.pair_diff, out=self.pair_diff)
-            self.sq_diffs[:, runs, slot] = self.pair_diff.sum(axis=-1)
+            self.sq_diffs[:, runs, slot] = self.pair_diff.sum(axis=-1).mean(axis=-1)
 
     def _check(self, values: np.ndarray, name: str, slot: int) -> None:
         """NumericalError naming the first run with a non-finite value, index (arm, run, ...)."""
@@ -862,14 +883,13 @@ class _TraceRecorder:
         self, W: np.ndarray, extra_rounds: np.ndarray
     ) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
         """Per arm, each run's trace, or coupled trace, as views into the stacked arrays."""
-        risks = self.risks
         traces = np.empty(W.shape[:3], dtype=object)
         for index in np.ndindex(traces.shape):
             traces[index] = RunTrace(
                 iterations=np.array(self.logged),
                 consensus=self.consensus[index],
                 consensus_dist=self.consensus_dist[index],
-                risks=None if risks is None else risks[index],
+                risks=None if self.risks is None or index[2] else self.risks[index[:2]],
                 final_weights=W[index],
                 extra_gossip_rounds=int(extra_rounds[index]),
             )

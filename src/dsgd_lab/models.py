@@ -327,44 +327,24 @@ def _risk_block_rows(model: LossModel, stack: int) -> int:
 
 
 def worker_risks(
-    model: LossModel,
-    W: np.ndarray,
-    shards: Shards,
-    scratch: np.ndarray | None = None,
-    replaced: tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray] | None = None,
+    model: LossModel, W: np.ndarray, shards: Shards, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-worker empirical risks: the mean loss of each worker's model over its own shard.
 
     W (..., m, d) holds stacks of m worker models, all scored on the same
     shards; the risks have shape W.shape[:-1]. With scratch given (a
-    C-contiguous (..., m, n) array), the per-sample outputs and squared
-    losses are computed in it rather than in new arrays. replaced =
-    (where, xs, ys) scores models on other samples: where indexes the
-    (..., m, n) per-sample losses, and the model at where[:-1] takes the loss
-    at sample (xs[p], ys[p]) in place of its shard's sample where[-1][p]. The
-    risks are the same either way, and the same as on shards with those
-    samples written in.
+    C-contiguous (..., m, n) array), the per-sample outputs and losses are
+    computed in it rather than in new arrays; the risks are the same either way.
     """
-    losses = _sample_losses(model, W, shards.xs, shards.ys, scratch)
-    if replaced is not None:
-        where, xs, ys = replaced
-        losses[where] = _sample_losses(model, W[where[:-1]], xs[:, None], ys[:, None])[:, 0]
-    return losses.mean(axis=-1)
-
-
-def _sample_losses(
-    model: LossModel, W: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Loss of each model of W (..., m, d) at each sample of its worker's shard
-    (xs (m, n, d_x), ys (m, n)), as a (..., m, n) array computed in out when given."""
+    xs = shards.xs
     if model.family is not ModelFamily.TWO_LAYER_MLP:
-        outputs = np.einsum("wnd,...wd->...wn", xs, W, out=out)
+        outputs = np.einsum("wnd,...wd->...wn", xs, W, out=scratch)
     else:
         beta = model.softplus_sharpness
         V, a = _unpack_mlp(model, W, xs.shape[-1])
         hidden = _softplus(beta * np.einsum("...whd,wnd->...wnh", V, xs)) / beta
-        outputs = np.einsum("...wnh,...wh->...wn", hidden, a, out=out)
-    return _losses(model.family, outputs, ys, into=out)
+        outputs = np.einsum("...wnh,...wh->...wn", hidden, a, out=scratch)
+    return _losses(model.family, outputs, shards.ys, into=scratch).mean(axis=-1)
 
 
 def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:

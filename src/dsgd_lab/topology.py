@@ -20,6 +20,7 @@ alike, so that the engine can gossip by shifted slices.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -245,15 +246,21 @@ def load_gossip_matrix(path: str | Path) -> GossipMatrix:
     sums equal to 1 within 1e-9).
 
     Raises:
-        InputError: missing file, malformed CSV, or the first violated invariant.
+        InputError: missing or empty file, malformed CSV, or the first violated
+            invariant.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"gossip matrix file not found: {path}")
     try:
-        entries = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # An empty file is reported below, as an input error.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            entries = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise InputError(f"could not parse {path} as a CSV matrix: {exc}") from exc
+    if entries.size == 0:
+        raise InputError(f"{path} holds no matrix rows")
     _validate_entries(entries, sum_tol=LOAD_SUM_TOL)
     return GossipMatrix(m=entries.shape[0], entries=entries, kind=TopologyKind.CUSTOM)
 

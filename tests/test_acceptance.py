@@ -559,7 +559,7 @@ def _synthetic_coupled(diffs):
     )
     return CoupledTrace(
         base=blank, perturbed=blank,
-        sq_diffs=np.sum(diffs**2, axis=1)[None, :], final_diffs=diffs,
+        sq_diffs=np.sum(diffs**2, axis=1).mean(keepdims=True), final_diffs=diffs,
     )
 
 

@@ -46,6 +46,7 @@ from dsgd_lab.engine import (
 )
 from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
+from dsgd_lab.seeding import derive_seed
 from dsgd_lab.topology import TopologyKind, build_gossip_matrix
 
 LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
@@ -73,12 +74,10 @@ def dummy_coupled(final_diffs):
     final_diffs = np.asarray(final_diffs, dtype=float)
     m, d = final_diffs.shape
     base = dummy_trace(m, d)
-    return CoupledTrace(
-        base=base,
-        perturbed=base,
-        sq_diffs=np.sum(final_diffs**2, axis=1)[None, :],
-        final_diffs=final_diffs,
-    )
+    # Differences near the float limit, as the overflow tests use, make inf here.
+    with np.errstate(over="ignore"):
+        sq_diffs = np.sum(final_diffs**2, axis=1).mean(keepdims=True)
+    return CoupledTrace(base=base, perturbed=base, sq_diffs=sq_diffs, final_diffs=final_diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +164,17 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
                        n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, keep=True)
     whole = group_fn(range(replicates))
     results = [group_fn(group) for group in groups]
-    assert np.array_equal(np.concatenate([c for c, _, _, _ in results], axis=1), whole[0])
-    assert np.array_equal(np.concatenate([g for _, g, _, _ in results], axis=1), whole[1])
-    shards = [sh for _, _, _, kept in results for sh in kept]
-    assert all(np.array_equal(a.xs, b.xs) for a, b in zip(shards, whole[3]))
+    assert np.array_equal(np.concatenate([c for c, _, _ in results], axis=1), whole[0])
+    assert np.array_equal(np.concatenate([g for _, g, _ in results], axis=1), whole[1])
+    shards = [
+        _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r))
+        for r in range(replicates)
+    ]
     for arm, (P, control) in enumerate(arms):
         estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
                                       pairs=pairs, mode=mode, keep_traces=True, control=control)
         assert np.array_equal(whole[0][arm], estimate.replicate_means)
-        coupled = [trace for _, _, kept, _ in results for trace in kept[arm]]
+        coupled = [trace for _, _, kept in results for trace in kept[arm]]
         assert len(coupled) == len(estimate.coupled) == replicates * pairs
         for a, b in zip(coupled, estimate.coupled):
             assert np.array_equal(a.sq_diffs, b.sq_diffs)
@@ -185,7 +186,7 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
                 np.stack([trace.base.consensus[-1] for trace in chunk]),
                 task, LINEAR, replicate_shards, None,
             ).mean()
-            for chunk, replicate_shards in zip(chunks, estimate.shards)
+            for chunk, replicate_shards in zip(chunks, shards)
         ]
         assert np.array_equal(whole[1][arm], finals)
 
@@ -317,7 +318,8 @@ def test_keep_traces_returns_replicate_major_traces():
     estimate = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
                                   keep_traces=True)
     assert len(estimate.coupled) == 6
-    assert len(estimate.shards) == 2
+    assert all(trace.base.risks.shape == (9, 3) for trace in estimate.coupled)
+    assert all(trace.perturbed.risks is None for trace in estimate.coupled)
 
 
 def brute_force_curve(P, shards, replacements, rate, iterations, positions):
@@ -434,6 +436,23 @@ def test_epsilon_s_alpha_zero_uses_unit_exponent_convention():
     trace = dummy_trace(m=2)
     trace.risks[:] = [[3.0, 0.0]]
     assert estimate_epsilon_s([trace], alpha=0.0) == pytest.approx(1.0)
+
+
+def test_epsilon_s_rejects_traces_without_risks():
+    # Single runs, and the perturbed side of every coupled run, record no risks.
+    task = make_task()
+    shards = _make_shards(task, 4, 3, 0)
+    P = build_gossip_matrix(TopologyKind.RING, 3)
+    config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
+    ((single,),) = engine.run_dsgd([(P, None)], [shards], LINEAR, config, [0])
+    perturbation = engine.draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=1)
+    ((pair,),) = engine.run_coupled(
+        [(P, None)], [shards], LINEAR, config, [perturbation], [0], risks=True
+    )
+    assert estimate_epsilon_s([pair.base], alpha=1.0) > 0.0
+    for traces in ([single], [pair.base, pair.perturbed]):
+        with pytest.raises(InputError, match="no recorded risks"):
+            estimate_epsilon_s(traces, alpha=1.0)
 
 
 def test_risk_exponent_curve_hand_value():
@@ -822,7 +841,9 @@ def test_mlp_comparison_gaps_match_full_curve_gaps():
     full_curve = [
         generalization_gap(
             [trace.base for trace in estimate.coupled[r * pairs : (r + 1) * pairs]],
-            task, model, estimate.shards[r], mc_draws=1001, seed=config.seed,
+            task, model, _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r)),
+            mc_draws=1001,
+            seed=config.seed,
         ).final
         for r in range(replicates)
     ]

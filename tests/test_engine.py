@@ -565,6 +565,32 @@ def test_draw_perturbation_modes_and_bounds():
                     single_worker_perturbation(task, 0, 5, 1))
 
 
+@pytest.mark.parametrize(
+    "workers, rows, fragment",
+    [
+        ([-1], 1, r"workers \[-1\] outside \[0, 4\)"),
+        ([4], 1, r"workers \[4\] outside \[0, 4\)"),
+        ([1, 1], 2, r"workers \[1, 1\] repeat a worker"),
+        ([1, 2], 1, "one sample per worker"),
+        ([1], 2, "one sample per worker"),
+    ],
+    ids=["negative", "past-m", "repeated", "too-few-rows", "too-many-rows"],
+)
+def test_coupled_rejects_a_malformed_perturbation(workers, rows, fragment):
+    # Indexing would wrap a negative worker round, keep only the last of a
+    # repeated worker's replacements, broadcast one replacement to every
+    # worker and fail on a worker past m. Each is an input error naming the run.
+    task = make_task()
+    shards = make_shards(task, 5, 4)
+    xs, ys = draw_dataset_arrays(task, rows, np.random.default_rng(3))
+    bad = Perturbation(PerturbationMode.SINGLE_WORKER, 2, np.array(workers), xs, ys)
+    good = single_worker_perturbation(task, worker=2, index=3, seed=7)
+    P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
+    config = TrainConfig(iterations=3, rate=ConstantRate(0.1), seed=0)
+    with pytest.raises(InputError, match=f"perturbation of run 1: .*{fragment}"):
+        run_coupled([(P, None)], [shards, shards], LINEAR, config, [good, bad], [0, 1])
+
+
 def neighbor_shards(shards, perturbation):
     """A copy of shards with the perturbation's samples written in: side 1's data set."""
     xs, ys = shards.xs.copy(), shards.ys.copy()
@@ -631,8 +657,9 @@ def test_coupled_disconnected_difference_stays_local():
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
     coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=3), pert)
     others = [k for k in range(4) if k != 2]
-    assert np.max(coupled.sq_diffs[:, others]) == 0.0
-    assert np.max(coupled.sq_diffs[:, 2]) > 0.0
+    assert np.max(np.abs(coupled.final_diffs[others])) == 0.0
+    assert np.max(np.abs(coupled.final_diffs[2])) > 0.0
+    assert coupled.sq_diffs[-1] == np.sum(coupled.final_diffs[2] ** 2) / 4
 
 
 def assert_same_array(a, b):
@@ -685,7 +712,8 @@ def test_coupled_difference_snapshots_are_consistent():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=16, rate=ConstantRate(0.1), seed=6, snapshot_every=16)
     coupled = coupled_one(P, shards, LINEAR, config, pert)
-    final_sq = np.sum(coupled.final_diffs**2, axis=1)
+    assert coupled.sq_diffs.shape == (len(config.snapshot_iterations),)
+    final_sq = np.sum(coupled.final_diffs**2, axis=1).mean()
     assert np.allclose(coupled.sq_diffs[-1], final_sq, atol=1e-15)
     assert np.allclose(
         coupled.final_diffs,
@@ -794,10 +822,10 @@ def test_sub_stacks_give_the_traces_of_one_stack(
 @pytest.mark.parametrize("family", list(ModelFamily))
 @pytest.mark.parametrize("mode", list(PerturbationMode))
 def test_kept_risks_equal_each_sides_risks_on_its_own_data(family, mode):
-    # Side 1's risks are scored on the shards it shares with side 0, with
-    # each perturbed sample's loss swapped in. They must be the risks on
-    # side 1's own data set, bit for bit, as side 0's must be those on the
-    # shards. Two runs share one shard set; the perturbed index is the last.
+    # The base side's risks are scored per shard set, for the runs that
+    # share it at once; they must be each run's risks on its own shards,
+    # bit for bit. The perturbed side records none. Two runs share one
+    # shard set; the perturbed index is the last.
     model = LossModel(family=family, hidden_width=3)
     shards, perturbations, seeds = stack_inputs(family, mode=mode)
     shards[1] = shards[0]
@@ -805,12 +833,10 @@ def test_kept_risks_equal_each_sides_risks_on_its_own_data(family, mode):
     arms = [(ARM_MATRICES["ring"], None), (ARM_MATRICES["fully_connected"], None)]
     config = TrainConfig(iterations=9, rate=ConstantRate(0.08), seed=0, snapshot_every=9)
     for traces in run_coupled(arms, shards, model, config, perturbations, seeds, risks=True):
-        for trace, run_shards, perturbation in zip(traces, shards, perturbations):
-            neighbor = neighbor_shards(run_shards, perturbation)
-            for side, side_shards in ((trace.base, run_shards), (trace.perturbed, neighbor)):
-                expected = worker_risks(model, side.final_weights, side_shards)
-                assert_same_array(side.risks[-1], expected)
-            assert not np.array_equal(trace.base.risks[-1], trace.perturbed.risks[-1])
+        for trace, run_shards in zip(traces, shards):
+            expected = worker_risks(model, trace.base.final_weights, run_shards)
+            assert_same_array(trace.base.risks[-1], expected)
+            assert trace.perturbed.risks is None
 
 
 def test_single_runs_step_tiled_shards_in_place():
@@ -1221,7 +1247,9 @@ def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
             assert_trace_follows(pair.base, weights[:, 0], rounds[0])
             assert_trace_follows(pair.perturbed, weights[:, 1], rounds[1])
             assert_trace_follows(single[arm][k], weights[:, 0], rounds[0])
-            assert_same_array(pair.sq_diffs, np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1))
+            assert_same_array(
+                pair.sq_diffs, np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1).mean(axis=-1)
+            )
             assert_same_array(pair.final_diffs, weights[-1, 0] - weights[-1, 1])
 
     assert_traces_follow_the_step_loop()

@@ -200,6 +200,9 @@ def test_load_rejects_asymmetric_matrix(tmp_path):
         ("1.5,-0.5\n-0.5,1.5\n", "negative"),
         ("0.6,0.6\n0.6,0.6\n", "row sums"),
         ("0.5,oops\n0.5,0.5\n", "parse"),
+        # No numpy warning either: tier-1 turns warnings into errors.
+        ("", "holds no matrix rows"),
+        ("\n# no rows\n", "holds no matrix rows"),
     ],
 )
 def test_load_rejects_invalid_files(tmp_path, content, fragment):

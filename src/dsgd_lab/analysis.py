@@ -44,6 +44,7 @@ from .engine import (
 )
 from .errors import InputError, NumericalError
 from .models import (
+    Holdout,
     LossModel,
     ModelFamily,
     Shards,
@@ -101,7 +102,8 @@ class StabilityEstimate:
     over its pairs (mean and se summarize its rows), kept so that estimates
     run on the same replicate data can be compared pair by pair. With
     keep_traces, the underlying coupled traces (replicate-major) are
-    retained, their base sides with per-worker risks.
+    retained, their base sides with per-worker risks when these were asked
+    for.
     """
 
     iterations: np.ndarray
@@ -171,17 +173,19 @@ def _stability_group(
     pairs: int,
     mode: PerturbationMode,
     gaps: bool,
-    holdout: tuple[np.ndarray, np.ndarray] | None,
+    holdout: Holdout | None,
     keep: bool,
+    risks: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
     Each replicate draws fresh shards and `pairs` sampled perturbations once;
     every arm x run x side of the group is stepped in one stack. Returns each
     arm's replicate curves (A, len(group), snapshots); with `gaps`, each arm's
-    final consensus-model gap per replicate (A, len(group)), scored on
-    `holdout`; with `keep`, each arm's coupled traces. Only kept traces
-    record the base side's per-worker risks: nothing else reads them.
+    final consensus-model gap per replicate (A, len(group)), every arm's and
+    replicate's final models scored in one pass over `holdout`; with `keep`,
+    each arm's coupled traces, whose base sides record per-worker risks only
+    with `risks` (estimate_epsilon_s reads them).
     """
     m = arms[0][0].m
     shards = _group_shards(
@@ -198,7 +202,7 @@ def _stability_group(
             for r, j in runs
         ],
         [derive_seed(config.seed, "stability-run", r, j) for r, j in runs],
-        risks=keep,
+        risks=risks,
     )
     curves = np.stack([
         np.stack([trace.sq_diffs for trace in traces])
@@ -208,17 +212,16 @@ def _stability_group(
     ])
     replicate_gaps = None
     if gaps:
-        replicate_gaps = np.array([
-            [
-                _consensus_gaps(finals, task, model, replicate_shards, holdout).mean()
-                for finals, replicate_shards in zip(
-                    np.stack([trace.base.consensus[-1] for trace in traces])
-                    .reshape(len(group), pairs, -1),
-                    shards,
-                )
-            ]
+        finals = [
+            replicate
             for traces in coupled
-        ])
+            for replicate in np.stack([trace.base.consensus[-1] for trace in traces])
+            .reshape(len(group), pairs, -1)
+        ]
+        replicate_gaps = np.array([
+            gap.mean()
+            for gap in _consensus_gaps(finals, task, model, shards * len(coupled), holdout)
+        ]).reshape(len(coupled), len(group))
     return curves, replicate_gaps, (coupled if keep else None)
 
 
@@ -257,7 +260,8 @@ def _stability_sweep(
     jobs: int,
     keep_traces: bool = False,
     gaps: bool = False,
-    holdout: tuple[np.ndarray, np.ndarray] | None = None,
+    holdout: Holdout | None = None,
+    risks: bool = False,
 ) -> tuple[list[StabilityEstimate], np.ndarray | None]:
     """One stability estimate per arm (P, control), every arm on the same replicate data.
 
@@ -270,9 +274,11 @@ def _stability_sweep(
         raise InputError(f"replicates must be >= 2, got {replicates}")
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
+    if risks and not keep_traces:
+        raise InputError("per-worker risks are recorded only on kept traces (keep_traces)")
     group_fn = partial(
         _stability_group, arms=arms, task=task, model=model, config=config, n=n,
-        pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, keep=keep_traces,
+        pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, keep=keep_traces, risks=risks,
     )
     results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
     rep_curves = np.concatenate([curves for curves, _, _ in results], axis=1)
@@ -303,6 +309,7 @@ def estimate_stability(
     jobs: int = 1,
     keep_traces: bool = False,
     control: ConsensusControl | None = None,
+    risks: bool = False,
 ) -> StabilityEstimate:
     """Estimate the on-average stability curve of the configured dynamics.
 
@@ -315,10 +322,17 @@ def estimate_stability(
     fixed labels, so results are independent of `jobs`, and two estimates
     with the same base seed see identical data across topologies. The
     one-arm case of the sweep that topology_comparison and
-    consensus_control_sweep run.
+    consensus_control_sweep run. With keep_traces the estimate keeps its
+    coupled traces; with risks as well, their base sides record each
+    worker's empirical risk per snapshot, which estimate_epsilon_s reads.
+
+    Raises:
+        InputError: fewer than 2 replicates or 1 pair, or risks without
+            keep_traces.
     """
     estimates, _ = _stability_sweep(
-        [(P, control)], task, model, config, n, replicates, pairs, mode, jobs, keep_traces
+        [(P, control)], task, model, config, n, replicates, pairs, mode, jobs, keep_traces,
+        risks=risks,
     )
     return estimates[0]
 
@@ -657,14 +671,14 @@ def generalization_gap(
     shards: Shards,
     mc_draws: int = 100_000,
     seed: int = 0,
-    holdout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GenGapReport:
     """Gap curve F(consensus) - F_S(consensus) for traces trained on `shards`.
 
     Every (trace, snapshot) consensus model is evaluated in one stack by
-    _consensus_gaps. Without a closed-form population risk, F is estimated on
-    `holdout` (xs, ys), or when none is given on mc_draws samples drawn from
-    seed. The standard error is over the given traces.
+    _consensus_gaps. Without a closed-form population risk, F is estimated
+    on the mc_draws-sample holdout of seed (_draw_holdout), streamed in one
+    pass: its memory is one chunk at any mc_draws, its time linear in it.
+    The standard error is over the given traces.
     """
     if not traces:
         raise InputError("at least one trace is required")
@@ -672,42 +686,50 @@ def generalization_gap(
     for trace in traces[1:]:
         if not np.array_equal(trace.iterations, reference):
             raise InputError("traces must share their snapshot iterations")
-    if holdout is None:
-        holdout = _draw_holdout(task, mc_draws, seed)
     stack = np.concatenate([trace.consensus for trace in traces])
-    gaps = _consensus_gaps(stack, task, model, shards, holdout)
+    (gaps,) = _consensus_gaps([stack], task, model, [shards], _draw_holdout(task, mc_draws, seed))
     curves = gaps.reshape(len(traces), len(reference))
     return GenGapReport(reference.copy(), *mean_and_se(curves))
 
 
-def _draw_holdout(
-    task: SyntheticTask, mc_draws: int, seed: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The fixed Monte-Carlo holdout of a gap estimate; None where F has a closed form."""
+def _draw_holdout(task: SyntheticTask, mc_draws: int, seed: int) -> Holdout | None:
+    """The fixed Monte-Carlo holdout of a gap estimate; None where F has a closed form.
+
+    The holdout is draw_dataset_arrays(task, mc_draws,
+    default_rng(derive_seed(seed, "gengap-holdout"))), returned as a small
+    picklable Holdout handle rather than as arrays: finding its label state
+    draws the features once, chunk by chunk, and each scoring pass draws
+    them again, one chunk at a time. Its memory is one chunk at any
+    mc_draws; its time grows linearly with mc_draws.
+    """
     if task.family is ModelFamily.LINEAR_REGRESSION:
         return None
-    rng = np.random.default_rng(derive_seed(seed, "gengap-holdout"))
-    return draw_dataset_arrays(task, mc_draws, rng)
+    return Holdout.locate(task, mc_draws, derive_seed(seed, "gengap-holdout"))
 
 
 def _consensus_gaps(
-    W: np.ndarray,
+    stacks: list[np.ndarray],
     task: SyntheticTask,
     model: LossModel,
-    shards: Shards,
-    holdout: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    """F(w) - F_S(w) for each row of W (S, d) trained on `shards`.
+    shards: list[Shards],
+    holdout: Holdout | None,
+) -> list[np.ndarray]:
+    """F(w) - F_S(w) for each row of each stack (S, d), stacks[i] trained on shards[i].
 
     The population risk uses the closed form for linear regression and
-    otherwise the mean loss on the holdout from _draw_holdout; the empirical
-    risk is the mean loss over the full training set.
+    otherwise the mean loss on the holdout from _draw_holdout, one pass over
+    its chunks for all the stacks; the empirical risk is the mean loss over
+    the stack's full training set.
     """
     if task.family is ModelFamily.LINEAR_REGRESSION:
-        population = population_risk(task, W)
+        population = [population_risk(task, W) for W in stacks]
     else:
-        population = dataset_risk(model, W, *holdout)
-    return population - dataset_risk(model, W, *shards.flat())
+        empty = np.empty((0, task.d_x)), np.empty(0)
+        population = dataset_risk(model, stacks, *empty, holdout.chunks())
+    return [
+        risk - dataset_risk(model, W, *data.flat())
+        for risk, W, data in zip(population, stacks, shards)
+    ]
 
 
 def _gengap_group(
@@ -718,18 +740,19 @@ def _gengap_group(
     model: LossModel,
     config: TrainConfig,
     n: int,
-    holdout: tuple[np.ndarray, np.ndarray] | None,
+    holdout: Holdout | None,
 ) -> list[np.ndarray]:
-    """Replicates `group`: fresh shards and one run each, stepped as one stack."""
+    """Replicates `group`: fresh shards and one run each, stepped as one stack.
+
+    Returns each replicate's gap curve; every replicate's snapshot stack is
+    scored in one pass over the holdout.
+    """
     shards = _group_shards(
         task, n, P.m, [derive_seed(config.seed, "stability-data", r) for r in group]
     )
     seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
     (traces,) = run_dsgd([(P, None)], shards, model, config, seeds)
-    return [
-        generalization_gap([trace], task, model, replicate_shards, holdout=holdout).mean
-        for trace, replicate_shards in zip(traces, shards)
-    ]
+    return _consensus_gaps([trace.consensus for trace in traces], task, model, shards, holdout)
 
 
 def replicated_generalization_gap(
@@ -747,7 +770,8 @@ def replicated_generalization_gap(
     Data seeds match estimate_stability's, so gap and stability replicates
     see identical shards for a given base seed. As there, the replicates'
     runs are stepped as one stack per contiguous group, one group per job;
-    every replicate is scored on one holdout, drawn once per call.
+    every replicate is scored on one holdout, located once per call and
+    streamed once per group.
     """
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
@@ -956,7 +980,9 @@ def topology_comparison(
     averaged per replicate and computed inside the group. Each row keeps its
     per-replicate final stability and gap, from which paired differences
     between kinds follow. With keep_traces, each estimate retains its coupled
-    traces for downstream bound evaluation.
+    traces, their base sides with per-worker risks, for downstream bound
+    evaluation. The gaps of every kind and replicate of a group are scored
+    in one pass over the holdout, which is located once per call.
 
     Raises:
         InputError: a kind is listed twice.
@@ -968,6 +994,7 @@ def topology_comparison(
     estimates, gaps = _stability_sweep(
         [(P, None) for P in matrices], task, model, config, n, replicates, pairs, mode, jobs,
         keep_traces, gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed),
+        risks=keep_traces,
     )
     rows = []
     for kind, P, estimate, kind_gaps in zip(kinds, matrices, estimates, gaps):

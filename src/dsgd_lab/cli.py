@@ -35,7 +35,9 @@ defaults (not every experiment consumes every key):
     gamma_sq         consensus-distance target                 [1e-4]
     t_gamma          control onsets for the sweep, at least 2  [0, T/4, T/2, 3T/4, T]
     max_rounds       gossip-round cap per control step         [200]
-    mc_samples       Monte-Carlo draws for population risks    [100000]
+    mc_samples       Monte-Carlo holdout size for population   [100000]
+                     risks; streamed, so one chunk of memory at
+                     any size, time linear in it
     skew_tol         gaussianity skewness threshold            [0.5]
     kurt_tol         gaussianity excess-kurtosis threshold     [1.0]
     output_dir       artifact directory                        ["out"]
@@ -456,12 +458,14 @@ def _stability_csv(estimate, path: Path) -> None:
     emit_csv(rows, ["iter", "stability_mean", "stability_se"], path)
 
 
-def _estimate_stability(config: ExperimentConfig, P, keep_traces: bool = False):
+def _estimate_stability(
+    config: ExperimentConfig, P, keep_traces: bool = False, risks: bool = False
+):
     """The configured stability estimate of gossip matrix P."""
     return estimate_stability(
         P, config.task(), config.loss_model(), config.train_config(),
         n=config.n, replicates=config.R, pairs=config.pairs, mode=config.mode,
-        jobs=config.jobs, keep_traces=keep_traces,
+        jobs=config.jobs, keep_traces=keep_traces, risks=risks,
     )
 
 
@@ -509,7 +513,7 @@ def _run_bound(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, d
     model = config.loss_model()
     train = config.train_config()
     P = config.gossip_matrix()
-    estimate = _estimate_stability(config, P, keep_traces=True)
+    estimate = _estimate_stability(config, P, keep_traces=True, risks=True)
     holder_seed = derive_seed(config.seed, "holder")
     L = estimate_holder_constant(
         model, task, config.alpha, config.holder_pairs, config.holder_radius, holder_seed

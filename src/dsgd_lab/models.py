@@ -16,7 +16,9 @@ sigma_x^2 ||w - w*||^2 / 2 + noise_std^2 / 2.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +32,8 @@ __all__ = [
     "LossModel",
     "Shards",
     "SelfBoundingReport",
+    "HOLDOUT_CHUNK_ROWS",
+    "Holdout",
     "draw_dataset_arrays",
     "loss_values",
     "loss_gradients",
@@ -188,22 +192,81 @@ def _softplus_and_sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def draw_dataset_arrays(
-    task: SyntheticTask, count: int, rng: np.random.Generator
+    task: SyntheticTask,
+    count: int,
+    rng: np.random.Generator,
+    label_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` i.i.d. samples from the task distribution as arrays.
 
     Features are drawn first as one (count, d_x) block of standard normals,
     scaled in place by sigma_x, then labels, so that the first rows of a
     longer draw coincide with a shorter draw from the same generator state.
+    The labels come from label_rng when it is given: a Holdout draws its
+    chunks this way, the same rows without holding them all.
     """
     xs = rng.standard_normal((count, task.d_x))
     xs *= math.sqrt(task.feature_variance)
+    rng = rng if label_rng is None else label_rng
     margins = xs @ task.w_star
     if task.family is ModelFamily.LOGISTIC_REGRESSION:
         ys = (rng.random(count) < _sigmoid(margins)).astype(float)
     else:
         ys = margins + task.noise_std * rng.standard_normal(count)
     return xs, ys
+
+
+# Rows of a Holdout chunk; a module constant, and a multiple of 8. The label
+# products xs @ w* of chunks that start on multiples of 4 rows equal those of
+# one whole draw bit for bit, while chunks of 1, 2, 3, 5, 7 or 41 rows
+# differed in the last bits (up to 1.3e-15 on standard-normal rows; 2-core
+# Xeon, OpenBLAS 0.3.31, numpy 2.4.6). A chunk of d_x = 20 features takes
+# 0.66 MB; halving it lowered the gengap benchmark's peak RSS by 0.4 MB.
+HOLDOUT_CHUNK_ROWS = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class Holdout:
+    """draw_dataset_arrays(task, count, default_rng(seed)), drawn one chunk at a time.
+
+    A picklable handle of a few hundred bytes in place of the (count, d_x)
+    arrays: chunks() draws the features HOLDOUT_CHUNK_ROWS rows at a time
+    from a generator seeded with `seed`, and their labels from a second
+    generator set to `label_state`, the state the first reaches after all
+    count x d_x features. Build it with Holdout.locate.
+    """
+
+    task: SyntheticTask
+    count: int
+    seed: int
+    label_state: dict
+
+    @classmethod
+    def locate(cls, task: SyntheticTask, count: int, seed: int) -> Holdout:
+        """The holdout of `count` samples from seed; finds the label state by skipping the features."""
+        if count < 1:
+            raise InputError(f"a holdout needs at least 1 sample, got {count}")
+        rng = np.random.default_rng(seed)
+        skipped = np.empty((min(count, HOLDOUT_CHUNK_ROWS), task.d_x))
+        for start in range(0, count, HOLDOUT_CHUNK_ROWS):
+            rng.standard_normal(out=skipped[: count - start])
+        return cls(task, count, seed, rng.bit_generator.state)
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The samples as consecutive (xs, ys) chunks of HOLDOUT_CHUNK_ROWS rows.
+
+        The last chunk holds the rest, from 2 to HOLDOUT_CHUNK_ROWS + 1 rows
+        (or the one row of a one-sample holdout): numpy computes the label
+        product of a one-row chunk as a dot product, which rounds unlike the
+        whole draw's matrix-vector product.
+        """
+        features = np.random.default_rng(self.seed)
+        labels = np.random.default_rng(self.seed)
+        labels.bit_generator.state = self.label_state
+        start = 0
+        for stop in [*range(HOLDOUT_CHUNK_ROWS, self.count - 1, HOLDOUT_CHUNK_ROWS), self.count]:
+            yield draw_dataset_arrays(self.task, stop - start, features, labels)
+            start = stop
 
 
 def _unpack_mlp(model: LossModel, W: np.ndarray, d_x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,43 +344,117 @@ def loss_gradients(
     return out
 
 
-def dataset_risk(model: LossModel, W: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Mean loss over a dataset (xs: (N, d_x)) of each row of a weight stack W (S, d).
+def dataset_risk(
+    model: LossModel,
+    W: np.ndarray | list[np.ndarray],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    more: Iterable[tuple[np.ndarray, np.ndarray]] = (),
+) -> np.ndarray | list[np.ndarray]:
+    """Mean loss over a dataset of each row of a weight stack W (S, d), or of each stack in a list.
 
-    Samples are taken _risk_block_rows(model, S) at a time, and each block is
-    one matrix product against the whole stack: W X_block^T for the linear
-    families, and for the MLP the (S*h, d_x) stack of hidden weights,
-    pre-scaled by the sharpness b, times X_block^T; the 1/b of the activation
-    goes into a. Every block is computed in the same buffers, sized for a
-    full block; the last, shorter block uses their leading elements.
+    The dataset is the rows of xs (N, d_x) and ys (N,), then those of each
+    (xs, ys) chunk that `more` yields; N may be 0. The chunks are read once,
+    in order, and each is released before the next is drawn, so a Holdout's
+    chunks are scored in one pass that holds one chunk of them at any size
+    (its time still grows linearly with the size). Returns one (S,) array of
+    risks, or, for a list, one per stack.
+
+    Each stack takes the samples _risk_block_rows(model, S) at a time, in
+    blocks counted from the dataset's first row; a block that spans chunks
+    is joined from them, so a stack's risks depend on neither the chunking
+    nor the other stacks. Each block is one matrix product against the
+    whole stack: W X_block^T for the linear families, and for the MLP the
+    (S*h, d_x) stack of hidden weights, pre-scaled by the sharpness b, times
+    X_block^T; the 1/b of the activation goes into a. Every block of every
+    stack is computed in the same buffers, sized for the largest block;
+    a shorter block uses their leading elements.
+
+    Raises:
+        InputError: a weight array that is not a stack (S, d), or no samples.
     """
-    if W.ndim != 2:
-        raise InputError(f"weights must be a stack of shape (S, d), got {W.shape}")
-    S, count = W.shape[0], xs.shape[0]
-    rows = _risk_block_rows(model, S)
-    mlp = model.family is ModelFamily.TWO_LAYER_MLP
-    if mlp:
-        beta = model.softplus_sharpness
-        V, a = _unpack_mlp(model, W, xs.shape[1])
-        V = beta * V.reshape(-1, xs.shape[1])
-        a = a[:, None, :] / beta
-    width, block = (V.shape[0] if mlp else S), min(rows, count)
-    pre = np.empty(width * block) if mlp else None
-    act = np.empty(width * block)  # activations, or logistic losses
-    outputs = np.empty(S * block)
-    total = np.zeros(S)
-    for start in range(0, count, rows):
-        X, Y = xs[start : start + rows], ys[start : start + rows]
-        r = X.shape[0]
-        out, scratch = outputs[: S * r].reshape(S, r), act[: width * r].reshape(width, r)
-        if mlp:
-            hidden = np.matmul(V, X.T, out=pre[: width * r].reshape(width, r))
-            hidden = _softplus(hidden, out=scratch, scratch=hidden)
-            np.matmul(a, hidden.reshape(S, -1, r), out=out.reshape(S, 1, r))
+    stacks = [W] if isinstance(W, np.ndarray) else list(W)
+    for stack in stacks:
+        if stack.ndim != 2:
+            raise InputError(f"weights must be a stack of shape (S, d), got {stack.shape}")
+    sums = [_BlockSums(model, stack, xs.shape[1]) for stack in stacks]
+    buffers: dict[str, np.ndarray] = {}
+    # Rows tail_start..end-1 not yet scored by every stack, copied out of their chunks.
+    tail, tail_start, end = (xs[:0], ys[:0]), 0, 0
+    for chunk in itertools.chain([(xs, ys)], more):
+        start, end = end, end + len(chunk[0])
+        for stack in sums:
+            while stack.next + stack.rows <= end:
+                stack.add(*_joined(tail, tail_start, chunk, start, stack.next, stack.rows), buffers)
+        keep = min(stack.next for stack in sums)
+        tail = tuple(part.copy() for part in _joined(tail, tail_start, chunk, start, keep, end - keep))
+        tail_start = keep
+        del chunk  # before `more` draws the next one
+    if end == 0:
+        raise InputError("the dataset holds no samples")
+    for stack in sums:
+        if stack.next < end:
+            stack.add(*(part[stack.next - tail_start :] for part in tail), buffers)
+    risks = [stack.total / end for stack in sums]
+    return risks[0] if isinstance(W, np.ndarray) else risks
+
+
+def _joined(
+    tail: tuple[np.ndarray, np.ndarray], tail_start: int,
+    chunk: tuple[np.ndarray, np.ndarray], start: int, first: int, count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows first..first+count-1 of tail (from row tail_start) followed by chunk (from row start).
+
+    A view of one of them where the rows lie in it, else a joined copy.
+    """
+    if first >= start:
+        return tuple(part[first - start : first - start + count] for part in chunk)
+    if first + count <= start:
+        return tuple(part[first - tail_start : first - tail_start + count] for part in tail)
+    return tuple(
+        np.concatenate([old[first - tail_start :], new[: first + count - start]])
+        for old, new in zip(tail, chunk)
+    )
+
+
+class _BlockSums:
+    """One stack's loss sums in dataset_risk, one block of _risk_block_rows samples at a time."""
+
+    def __init__(self, model: LossModel, W: np.ndarray, d_x: int):
+        self.family = model.family
+        self.S = W.shape[0]
+        self.rows = _risk_block_rows(model, self.S)
+        self.next = 0  # first row of the next block
+        self.total = np.zeros(self.S)
+        # The matrix each block's features multiply: W, or the MLP's (S*h, d_x)
+        # hidden weights pre-scaled by b, with a / b applied after the activation.
+        self.weights = W
+        if self.family is ModelFamily.TWO_LAYER_MLP:
+            beta = model.softplus_sharpness
+            V, a = _unpack_mlp(model, W, d_x)
+            self.weights = beta * V.reshape(-1, d_x)
+            self.a = a[:, None, :] / beta
+
+    def add(self, X: np.ndarray, Y: np.ndarray, buffers: dict[str, np.ndarray]) -> None:
+        """Add the losses of block (X, Y), computed in `buffers`, which grow as needed."""
+        S, r, width = self.S, X.shape[0], self.weights.shape[0]
+        out = _buffer(buffers, "outputs", S * r).reshape(S, r)
+        scratch = _buffer(buffers, "act", width * r).reshape(width, r)
+        if self.family is ModelFamily.TWO_LAYER_MLP:
+            pre = _buffer(buffers, "pre", width * r).reshape(width, r)
+            hidden = _softplus(np.matmul(self.weights, X.T, out=pre), out=scratch, scratch=pre)
+            np.matmul(self.a, hidden.reshape(S, -1, r), out=out.reshape(S, 1, r))
         else:
-            np.matmul(W, X.T, out=out)
-        total += _losses(model.family, out, Y, into=out, scratch=scratch).sum(axis=1)
-    return total / count
+            np.matmul(self.weights, X.T, out=out)
+        self.total += _losses(self.family, out, Y, into=out, scratch=scratch).sum(axis=1)
+        self.next += r
+
+
+def _buffer(buffers: dict[str, np.ndarray], name: str, size: int) -> np.ndarray:
+    """The first `size` elements of buffers[name], replaced by a larger array if it is shorter."""
+    if name not in buffers or buffers[name].size < size:
+        buffers[name] = np.empty(size)
+    return buffers[name][:size]
 
 
 def _risk_block_rows(model: LossModel, stack: int) -> int:

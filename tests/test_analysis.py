@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import math
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -45,7 +46,7 @@ from dsgd_lab.engine import (
     TrainConfig,
 )
 from dsgd_lab.errors import InputError, NumericalError
-from dsgd_lab.models import LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
+from dsgd_lab.models import Holdout, LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
 from dsgd_lab.seeding import derive_seed
 from dsgd_lab.topology import TopologyKind, build_gossip_matrix
 
@@ -161,7 +162,8 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     ]
     task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
     group_fn = partial(_stability_group, arms=arms, task=task, model=LINEAR, config=config,
-                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, keep=True)
+                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, keep=True,
+                       risks=True)
     whole = group_fn(range(replicates))
     results = [group_fn(group) for group in groups]
     assert np.array_equal(np.concatenate([c for c, _, _ in results], axis=1), whole[0])
@@ -172,7 +174,8 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     ]
     for arm, (P, control) in enumerate(arms):
         estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
-                                      pairs=pairs, mode=mode, keep_traces=True, control=control)
+                                      pairs=pairs, mode=mode, keep_traces=True, control=control,
+                                      risks=True)
         assert np.array_equal(whole[0][arm], estimate.replicate_means)
         coupled = [trace for _, _, kept in results for trace in kept[arm]]
         assert len(coupled) == len(estimate.coupled) == replicates * pairs
@@ -182,11 +185,11 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
             assert a.base.extra_gossip_rounds == b.base.extra_gossip_rounds
         chunks = [estimate.coupled[r * pairs : (r + 1) * pairs] for r in range(replicates)]
         finals = [
-            analysis._consensus_gaps(
-                np.stack([trace.base.consensus[-1] for trace in chunk]),
-                task, LINEAR, replicate_shards, None,
-            ).mean()
-            for chunk, replicate_shards in zip(chunks, shards)
+            gaps.mean()
+            for gaps in analysis._consensus_gaps(
+                [np.stack([trace.base.consensus[-1] for trace in chunk]) for chunk in chunks],
+                task, LINEAR, shards, None,
+            )
         ]
         assert np.array_equal(whole[1][arm], finals)
 
@@ -204,35 +207,6 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     ])
     assert np.array_equal(curves.mean(axis=0), report.mean)
     assert np.array_equal(curves.std(axis=0, ddof=1) / math.sqrt(replicates), report.se)
-
-
-def test_replicated_gap_draws_one_holdout_per_call(monkeypatch):
-    # The Monte-Carlo holdout is drawn once, not once per replicate.
-    drawn = []
-
-    def counting_draw(task, count, rng):
-        drawn.append(count)
-        return draw_dataset_arrays(task, count, rng)
-
-    monkeypatch.setattr(analysis, "draw_dataset_arrays", counting_draw)
-    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
-    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
-    P = build_gossip_matrix(TopologyKind.RING, 4)
-    config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=2)
-    replicated_generalization_gap(P, task, model, config, n=5, replicates=3,
-                                           mc_draws=700)
-    assert sorted(drawn) == [20, 20, 20, 700]
-
-
-def test_holdout_draw_holds_one_copy_of_the_features():
-    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 20, np.full(20, 0.2), 0.3)
-    tracemalloc.start()
-    try:
-        xs, ys = _draw_holdout(task, 100_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * (xs.nbytes + ys.nbytes)
 
 
 class InProcessPool:
@@ -290,6 +264,92 @@ def test_sweep_draws_each_replicate_once_in_one_pool(monkeypatch, sweep):
         assert final == alone.final
 
 
+MLP_TASK = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
+MLP = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
+
+
+def test_replicated_gap_draws_one_holdout_per_call(monkeypatch):
+    # The Monte-Carlo holdout is located (its features skipped) once per call
+    # and streamed once per replicate group, never once per replicate or kind;
+    # the shards are the only arrays drawn whole.
+    drawn, located, passes = [], [], []
+    locate, chunks = Holdout.locate, Holdout.chunks
+
+    def counting_draw(task, count, rng):
+        drawn.append(count)
+        return draw_dataset_arrays(task, count, rng)
+
+    def counting_locate(task, count, seed):
+        located.append(count)
+        return locate(task, count, seed)
+
+    def counting_chunks(holdout):
+        passes.append(holdout.count)
+        return chunks(holdout)
+
+    monkeypatch.setattr(analysis, "draw_dataset_arrays", counting_draw)
+    monkeypatch.setattr(Holdout, "locate", counting_locate)
+    monkeypatch.setattr(Holdout, "chunks", counting_chunks)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=2)
+    for jobs, groups in ((1, 1), (2, 2)):
+        drawn.clear(), located.clear(), passes.clear()
+        replicated_generalization_gap(P, MLP_TASK, MLP, config, n=5, replicates=3, jobs=jobs,
+                                      mc_draws=700)
+        assert (drawn, located, passes) == ([20, 20, 20], [700], [700] * groups)
+        passes.clear(), located.clear()
+        kinds = [TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.DISCONNECTED]
+        topology_comparison(kinds, 4, MLP_TASK, MLP, config, n=5, replicates=3, pairs=2,
+                            jobs=jobs, mc_draws=900)
+        assert (located, passes) == ([900], [900] * groups)
+
+
+def test_mlp_gap_memory_does_not_grow_with_the_holdout():
+    # The holdout is streamed: at d_x = 20, 100k samples would take 16.8 MB
+    # as arrays and 400k would take 67 MB, but the estimate holds one chunk.
+    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 20, np.full(20, 0.2), 0.3)
+    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=8)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=10, rate=ConstantRate(0.05), seed=3)
+    peaks = {}
+    for mc_draws in (1000, 100_000, 400_000):  # the first call warms up
+        tracemalloc.start()
+        try:
+            replicated_generalization_gap(P, task, model, config, n=5, replicates=2,
+                                          mc_draws=mc_draws)
+            _, peaks[mc_draws] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[100_000] < 16.8e6 / 4
+    assert peaks[400_000] < 1.25 * peaks[100_000]
+
+
+@pytest.mark.parametrize("estimator", ["gengap", "compare"])
+def test_pool_groups_receive_a_small_partial(monkeypatch, estimator):
+    # What each pool worker unpickles: the holdout goes as a handle, not as
+    # its 16.8 MB of arrays.
+    class Dispatched(Exception):
+        pass
+
+    def pickling_map(fn, items, jobs):
+        raise Dispatched(len(pickle.dumps(fn)))
+
+    monkeypatch.setattr(analysis, "_parallel_map", pickling_map)
+    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 20, np.full(20, 0.2), 0.3)
+    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=8)
+    config = TrainConfig(iterations=10, rate=ConstantRate(0.05), seed=3)
+    with pytest.raises(Dispatched) as dispatched:
+        if estimator == "gengap":
+            replicated_generalization_gap(build_gossip_matrix(TopologyKind.RING, 16), task, model,
+                                          config, n=5, replicates=4, jobs=2, mc_draws=100_000)
+        else:
+            topology_comparison([TopologyKind.RING, TopologyKind.FULLY_CONNECTED], 16, task,
+                                model, config, n=5, replicates=4, pairs=2, jobs=2,
+                                mc_draws=100_000)
+    assert dispatched.value.args[0] < 64 * 1024
+
+
 def test_topology_comparison_rejects_repeated_kinds():
     with pytest.raises(InputError, match="ring"):
         topology_comparison(
@@ -316,10 +376,19 @@ def test_keep_traces_returns_replicate_major_traces():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=8, rate=ConstantRate(0.1), seed=7)
     estimate = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
-                                  keep_traces=True)
+                                  keep_traces=True, risks=True)
     assert len(estimate.coupled) == 6
     assert all(trace.base.risks.shape == (9, 3) for trace in estimate.coupled)
     assert all(trace.perturbed.risks is None for trace in estimate.coupled)
+    # Kept without risks (gaussianity reads only final_diffs), nothing records them.
+    bare = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
+                              keep_traces=True)
+    assert all(trace.base.risks is None for trace in bare.coupled)
+    for a, b in zip(estimate.coupled, bare.coupled):
+        assert np.array_equal(a.final_diffs, b.final_diffs)
+        assert np.array_equal(a.sq_diffs, b.sq_diffs)
+    with pytest.raises(InputError, match="kept traces"):
+        estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3, risks=True)
 
 
 def brute_force_curve(P, shards, replacements, rate, iterations, positions):

@@ -211,6 +211,29 @@ def test_gaussianity_experiment_histogram_schema(tmp_path):
     assert summary["pooled_count"] == 3 * 4 * 10
 
 
+def test_only_the_bound_experiment_records_worker_risks(tmp_path, monkeypatch):
+    # The risk envelope (bound) reads per-worker risks; gaussianity keeps its
+    # traces only for their final differences, so it records none.
+    import dsgd_lab.analysis as analysis
+
+    flags = []
+    run_coupled = analysis.run_coupled
+
+    def recording_run_coupled(*args, risks=False, **kwargs):
+        flags.append(risks)
+        return run_coupled(*args, risks=risks, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_coupled", recording_run_coupled)
+    common = dict(kind="ring", m=4, d_x=10, n=4, T=8, R=3, pairs=1, eta=0.001, holder_pairs=100)
+    for experiment, recorded in (("gaussianity", False), ("bound", True)):
+        flags.clear()
+        out = tmp_path / experiment
+        config = parse_config(write_config(tmp_path, experiment=experiment,
+                                           output_dir=str(out), **common))
+        assert run_experiment(config) == 0
+        assert flags == [recorded]
+
+
 def test_gengap_experiment(tmp_path):
     out = tmp_path / "out"
     config = parse_config(

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from dsgd_lab.errors import InputError
 from dsgd_lab.models import (
+    HOLDOUT_CHUNK_ROWS,
+    Holdout,
     LossModel,
     ModelFamily,
     Shards,
@@ -26,6 +28,7 @@ from dsgd_lab.models import (
     self_bounding_check,
     worker_risks,
 )
+from dsgd_lab.seeding import derive_seed
 
 FAMILIES = [
     ModelFamily.LINEAR_REGRESSION,
@@ -284,6 +287,68 @@ def test_dataset_risk_is_bit_equal_to_allocating_blocks(family, stack, blocks):
     xs, ys = draw_dataset_arrays(task, count, rng)
     W = 0.5 * rng.standard_normal((stack, model.dim(5)))
     assert_same_bits(dataset_risk(model, W, xs, ys), allocating_dataset_risk(model, W, xs, ys))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    count=st.one_of(
+        st.sampled_from([1, HOLDOUT_CHUNK_ROWS - 1, HOLDOUT_CHUNK_ROWS, HOLDOUT_CHUNK_ROWS + 1]),
+        st.integers(0, 3 * HOLDOUT_CHUNK_ROWS).map(lambda k: 2 * k + 1),
+    ),
+    d_x=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_holdout_chunks_join_to_one_draw(family, count, d_x, seed):
+    # The streamed holdout is the gap's draw of `count` samples, bit for bit:
+    # its chunks start on multiples of 8 rows, where the chunked label
+    # products x.w* equal the whole draw's, and none but a one-sample
+    # holdout's has one row (count = chunk + 1 checks that).
+    task = make_task(family, d_x=d_x, noise_std=0.3)
+    holdout = Holdout.locate(task, count, derive_seed(seed, "gengap-holdout"))
+    chunks = list(holdout.chunks())
+    xs, ys = draw_dataset_arrays(task, count, np.random.default_rng(derive_seed(seed, "gengap-holdout")))
+    assert HOLDOUT_CHUNK_ROWS % 8 == 0
+    assert [len(x) for x, _ in chunks[:-1]] == [HOLDOUT_CHUNK_ROWS] * (len(chunks) - 1)
+    assert len(chunks[-1][0]) <= HOLDOUT_CHUNK_ROWS + 1
+    assert_same_bits(np.concatenate([x for x, _ in chunks]), xs)
+    assert_same_bits(np.concatenate([y for _, y in chunks]), ys)
+
+
+def test_holdout_rejects_an_empty_draw():
+    with pytest.raises(InputError, match="at least 1 sample"):
+        Holdout.locate(make_task(ModelFamily.TWO_LAYER_MLP), 0, seed=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    sizes=st.lists(st.sampled_from([1, 3, 40, 300]), min_size=1, max_size=4),
+    count=st.integers(1, 2500),
+    data=st.data(),
+)
+def test_streamed_dataset_risk_is_bit_equal_to_each_stack_in_memory(family, sizes, count, data):
+    # Every stack keeps its own blocks, counted from the first row, whatever
+    # the chunks; blocks of 1 to 21,845 rows here span zero to many chunk
+    # boundaries, and the first "chunk" may be empty.
+    model = LossModel(family=family, hidden_width=3)
+    task = make_task(family, d_x=4)
+    rng = np.random.default_rng(count)
+    xs, ys = draw_dataset_arrays(task, count, rng)
+    stacks = [0.5 * rng.standard_normal((size, model.dim(4))) for size in sizes]
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6)))
+    bounds = [0, *cuts, count]
+    chunks = iter([(xs[a:b].copy(), ys[a:b].copy()) for a, b in zip(bounds, bounds[1:])])
+    streamed = dataset_risk(model, stacks, *next(chunks), chunks)
+    assert len(streamed) == len(stacks)
+    for W, risks in zip(stacks, streamed):
+        assert_same_bits(risks, dataset_risk(model, W, xs, ys))
+
+
+def test_dataset_risk_rejects_an_empty_dataset():
+    model = make_model(ModelFamily.LINEAR_REGRESSION)
+    with pytest.raises(InputError, match="no samples"):
+        dataset_risk(model, np.zeros((2, 3)), np.zeros((0, 3)), np.zeros(0), [])
 
 
 def test_dataset_risk_rejects_a_single_weight_vector():

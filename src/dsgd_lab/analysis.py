@@ -103,7 +103,8 @@ class StabilityEstimate:
     run on the same replicate data can be compared pair by pair. With
     keep_traces, the underlying coupled traces (replicate-major) are
     retained, their base sides with per-worker risks when these were asked
-    for.
+    for. extra_gossip_rounds and control_cap_hits total the RunTrace fields
+    of the same names over every trajectory, both sides of every pair.
     """
 
     iterations: np.ndarray
@@ -111,6 +112,8 @@ class StabilityEstimate:
     se: np.ndarray
     replicate_means: np.ndarray
     coupled: list[CoupledTrace] | None = None
+    extra_gossip_rounds: int = 0
+    control_cap_hits: int = 0
 
     @property
     def final(self) -> float:
@@ -176,7 +179,7 @@ def _stability_group(
     holdout: Holdout | None,
     keep: bool,
     risks: bool,
-) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None]:
+) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None, np.ndarray]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
     Each replicate draws fresh shards and `pairs` sampled perturbations once;
@@ -185,7 +188,8 @@ def _stability_group(
     final consensus-model gap per replicate (A, len(group)), every arm's and
     replicate's final models scored in one pass over `holdout`; with `keep`,
     each arm's coupled traces, whose base sides record per-worker risks only
-    with `risks` (estimate_epsilon_s reads them).
+    with `risks` (estimate_epsilon_s reads them); and each arm's total
+    control rounds and cap hits over its trajectories (A, 2).
     """
     m = arms[0][0].m
     shards = _group_shards(
@@ -222,7 +226,15 @@ def _stability_group(
             gap.mean()
             for gap in _consensus_gaps(finals, task, model, shards * len(coupled), holdout)
         ]).reshape(len(coupled), len(group))
-    return curves, replicate_gaps, (coupled if keep else None)
+    counters = np.array([
+        np.sum([
+            (side.extra_gossip_rounds, side.control_cap_hits)
+            for trace in traces
+            for side in (trace.base, trace.perturbed)
+        ], axis=0)
+        for traces in coupled
+    ])
+    return curves, replicate_gaps, (coupled if keep else None), counters
 
 
 def _replicate_groups(replicates: int, jobs: int) -> list[range]:
@@ -281,19 +293,23 @@ def _stability_sweep(
         pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, keep=keep_traces, risks=risks,
     )
     results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
-    rep_curves = np.concatenate([curves for curves, _, _ in results], axis=1)
+    rep_curves = np.concatenate([curves for curves, *_ in results], axis=1)
+    counters = sum(group_counters for *_, group_counters in results)
     estimates = [
         StabilityEstimate(
             config.snapshot_iterations,
             *mean_and_se(curves),
             replicate_means=curves,
             coupled=(
-                [trace for _, _, kept in results for trace in kept[arm]] if keep_traces else None
+                [trace for _, _, kept, _ in results for trace in kept[arm]]
+                if keep_traces else None
             ),
+            extra_gossip_rounds=int(counters[arm, 0]),
+            control_cap_hits=int(counters[arm, 1]),
         )
         for arm, curves in enumerate(rep_curves)
     ]
-    replicate_gaps = np.concatenate([g for _, g, _ in results], axis=1) if gaps else None
+    replicate_gaps = np.concatenate([g for _, g, *_ in results], axis=1) if gaps else None
     return estimates, replicate_gaps
 
 
@@ -877,12 +893,15 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ControlSweepResult:
-    """Final stability per consensus-control onset, plus its rank correlation."""
+    """Final stability per consensus-control onset, plus its rank correlation,
+    and per onset the control rounds and cap hits of all its trajectories."""
 
     t_gammas: np.ndarray
     stability_final: np.ndarray
     stability_se: np.ndarray
     spearman: float
+    extra_gossip_rounds: np.ndarray
+    control_cap_hits: np.ndarray
 
 
 def consensus_control_sweep(
@@ -925,6 +944,8 @@ def consensus_control_sweep(
         spearman=spearman_rank_correlation(
             np.array(t_gamma_values, dtype=float), finals_arr
         ),
+        extra_gossip_rounds=np.array([estimate.extra_gossip_rounds for estimate in estimates]),
+        control_cap_hits=np.array([estimate.control_cap_hits for estimate in estimates]),
     )
 
 

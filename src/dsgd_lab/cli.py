@@ -365,7 +365,12 @@ def _config_digest(config: ExperimentConfig) -> str:
 
 @dataclass
 class RunManifest:
-    """Provenance record emitted alongside every experiment's artifacts."""
+    """Provenance record emitted alongside every experiment's artifacts.
+
+    counters, written only when an experiment has them, count what the run
+    did that its artifacts do not show (consensus-control: per onset, the
+    extra gossip rounds and the control calls that hit the round cap).
+    """
 
     config: dict[str, Any]
     config_sha256: str
@@ -374,13 +379,17 @@ class RunManifest:
     seeds: dict[str, int]
     files: dict[str, str]
     schema_version: int = 1
+    counters: dict[str, Any] | None = None
 
     def write(self, output_dir: Path) -> None:
         # Written atomically once all artifacts exist, so the recorded hashes
         # always describe the final files.
         target = output_dir / "manifest.json"
         temp = output_dir / "manifest.json.tmp"
-        temp.write_text(_json_text(asdict(self), target.name))
+        record = asdict(self)
+        if self.counters is None:
+            del record["counters"]
+        temp.write_text(_json_text(record, target.name))
         temp.replace(target)
 
 
@@ -390,6 +399,7 @@ def _write_manifest(
     seeds: dict[str, int],
     started: float,
     files: list[Path],
+    counters: dict[str, Any] | None,
 ) -> None:
     RunManifest(
         config=asdict(config),
@@ -398,6 +408,7 @@ def _write_manifest(
         wall_seconds=time.time() - started,
         seeds=seeds,
         files={f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
+        counters=counters,
     ).write(output_dir)
 
 
@@ -411,7 +422,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     started = time.time()
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    files, summary_extra, seeds = RUNNERS[config.experiment](config, output_dir)
+    files, summary_extra, seeds, counters = RUNNERS[config.experiment](config, output_dir)
     summary = {
         "schema_version": 1,
         "experiment": config.experiment,
@@ -421,11 +432,16 @@ def run_experiment(config: ExperimentConfig) -> int:
     summary_path = output_dir / "summary.json"
     emit_json_summary(summary, summary_path)
     files.append(summary_path)
-    _write_manifest(output_dir, config, seeds, started, files)
+    _write_manifest(output_dir, config, seeds, started, files, counters)
     return 0
 
 
-def _run_topology(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+# What a runner returns: its artifact files, its summary fields, the seeds
+# and the counters (or None) for the manifest.
+Outcome = tuple[list[Path], dict, dict, dict | None]
+
+
+def _run_topology(config: ExperimentConfig, out: Path) -> Outcome:
     P = config.gossip_matrix()
     spectrum = eigenvalues_symmetric(P)
     kind_label = P.kind.value if config.kind is TopologyKind.CUSTOM else config.kind.value
@@ -447,7 +463,7 @@ def _run_topology(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict
         "lambda": spectrum.lam,
         "spectral_gap": spectrum.spectral_gap,
     }
-    return [topo_path, spectrum_path], summary, {}
+    return [topo_path, spectrum_path], summary, {}, None
 
 
 def _stability_csv(estimate, path: Path) -> None:
@@ -469,7 +485,7 @@ def _estimate_stability(
     )
 
 
-def _run_stability(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+def _run_stability(config: ExperimentConfig, out: Path) -> Outcome:
     estimate = _estimate_stability(config, config.gossip_matrix())
     path = out / "stability.csv"
     _stability_csv(estimate, path)
@@ -480,10 +496,10 @@ def _run_stability(config: ExperimentConfig, out: Path) -> tuple[list[Path], dic
         "stability_final": estimate.final,
         "stability_final_se": estimate.final_se,
     }
-    return [path], summary, _replicate_seeds(config, "stability")
+    return [path], summary, _replicate_seeds(config, "stability"), None
 
 
-def _run_gengap(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+def _run_gengap(config: ExperimentConfig, out: Path) -> Outcome:
     report = replicated_generalization_gap(
         config.gossip_matrix(),
         config.task(),
@@ -505,10 +521,10 @@ def _run_gengap(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, 
         "gap_final": report.final,
         "gap_final_se": report.final_se,
     }
-    return [path], summary, _replicate_seeds(config, "gengap")
+    return [path], summary, _replicate_seeds(config, "gengap"), None
 
 
-def _run_bound(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
     task = config.task()
     model = config.loss_model()
     train = config.train_config()
@@ -573,10 +589,10 @@ def _run_bound(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, d
         summary["stability_bound_limit"] = stability_bound_limit(inputs)
     seeds = _replicate_seeds(config, "stability")
     seeds["holder"] = holder_seed
-    return [path], summary, seeds
+    return [path], summary, seeds, None
 
 
-def _run_compare(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+def _run_compare(config: ExperimentConfig, out: Path) -> Outcome:
     result = topology_comparison(
         config.kinds,
         config.m,
@@ -628,7 +644,7 @@ def _run_compare(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict,
             for r in result.rows
         },
     }
-    return [path], summary, _replicate_seeds(config, "stability")
+    return [path], summary, _replicate_seeds(config, "stability"), None
 
 
 def _paired_difference(values: np.ndarray, reference: np.ndarray) -> dict:
@@ -638,7 +654,7 @@ def _paired_difference(values: np.ndarray, reference: np.ndarray) -> dict:
     return {"replicates": diff.tolist(), "mean": float(mean), "se": float(se)}
 
 
-def _run_consensus_control(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+def _run_consensus_control(config: ExperimentConfig, out: Path) -> Outcome:
     result = consensus_control_sweep(
         config.gossip_matrix(),
         config.task(),
@@ -664,10 +680,15 @@ def _run_consensus_control(config: ExperimentConfig, out: Path) -> tuple[list[Pa
         "spearman": result.spearman,
         "monotone_signal": result.spearman > 0,
     }
-    return [path], summary, _replicate_seeds(config, "stability")
+    onsets = [str(t_gamma) for t_gamma in result.t_gammas]
+    counters = {
+        "extra_gossip_rounds": dict(zip(onsets, result.extra_gossip_rounds.tolist())),
+        "control_cap_hits": dict(zip(onsets, result.control_cap_hits.tolist())),
+    }
+    return [path], summary, _replicate_seeds(config, "stability"), counters
 
 
-def _run_gaussianity(config: ExperimentConfig, out: Path) -> tuple[list[Path], dict, dict]:
+def _run_gaussianity(config: ExperimentConfig, out: Path) -> Outcome:
     estimate = _estimate_stability(config, config.gossip_matrix(), keep_traces=True)
     report = gaussianity_report(
         estimate.coupled, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
@@ -685,7 +706,7 @@ def _run_gaussianity(config: ExperimentConfig, out: Path) -> tuple[list[Path], d
         "degenerate": report.degenerate,
         "passed": report.passed,
     }
-    return [path], summary, _replicate_seeds(config, "stability")
+    return [path], summary, _replicate_seeds(config, "stability"), None
 
 
 def _replicate_seeds(config: ExperimentConfig, label: str) -> dict[str, int]:

@@ -36,16 +36,20 @@ in sub-stacks of as many runs as keep each stack-sized buffer within
 STACK_BYTES, and a run's trace does not depend on the runs stepped with it.
 Every stack-sized array a step writes (the next W, the gathered samples, the
 gradients, consensus control's result) is a buffer allocated once per
-sub-stack; control allocates only two buffers of its live runs per call.
+sub-stack; control allocates only a few buffers of its live runs per call.
 Only run_coupled with risks set evaluates per-worker risks, of the base
 side (the run on S) only, once per arm, shard set and snapshot, in scratch
 the recorder owns. Each run keeps its own seed and index stream, shared by
 its sides and by every arm: its indices are drawn from its own generator in
 blocks of at most INDEX_DRAW_STEPS steps per snapshot interval, which are
-the same indices as one draw of m per step. Consensus control gossips a
-compacted block of the runs whose arm's onset has passed and whose distance
-is still above the target, so each side takes the rounds it would take
-alone. Every worker mean (full-averaging gossip, the recorder, control's
+the same indices as one draw of m per step. Consensus control takes the
+runs whose arm's onset has passed and whose distance is above the target,
+predicts each one's stop round from its matrix's eigenvectors, gossips them
+on that schedule without computing a distance in between, and then checks
+each run's stop in one batched distance call; a run the check cannot vouch
+for is replayed by a loop that checks every round, so each side takes the
+rounds it would take alone, bit for bit (consensus_control_step). Every
+worker mean (full-averaging gossip, the recorder, control's
 distances) is an einsum sum over the workers that rounds like numpy's mean
 and takes a third of its time (_worker_mean).
 
@@ -78,6 +82,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -205,7 +210,9 @@ class RunTrace:
     is the average model, consensus_dist[j] the mean squared deviation of the
     workers from it, and risks[j, k] worker k's empirical risk on its shard;
     risks is None unless the run recorded them: only the base side of
-    run_coupled with risks set does.
+    run_coupled with risks set does. extra_gossip_rounds counts the run's
+    consensus-control rounds, and control_cap_hits the control calls in
+    which it used all max_rounds rounds and stayed above its target.
     """
 
     iterations: np.ndarray
@@ -214,6 +221,7 @@ class RunTrace:
     risks: np.ndarray | None
     final_weights: np.ndarray
     extra_gossip_rounds: int = 0
+    control_cap_hits: int = 0
 
 
 class PerturbationMode(str, Enum):
@@ -491,15 +499,78 @@ def consensus_control_step(
     matrix or one per arm, as in dsgd_step, and gamma_sq one target or an
     array of targets, each broadcast against the runs (an infinite target
     leaves its runs untouched). Each run gossips only while its own distance
-    exceeds its target, for at most max_rounds rounds, so it takes the rounds
-    it would take alone: the rounds gossip a compacted block of the runs
-    still above target, each arm's runs in its matrix's form, and a run
-    leaves the block once it reaches its target. Returns the models, written
-    into out (checked as dsgd_step's; a new array when not given), and the
-    rounds the loop took, the most that any run used; with counts (shape
-    W.shape[:-2]) given, each run's own rounds are added to it. If the
-    target is unreachable (disconnected components with disagreeing means),
-    a run reports max_rounds exhaustion instead of raising.
+    exceeds its target, for at most max_rounds rounds, and takes the rounds
+    it would take alone. Returns the models, written into out (checked as
+    dsgd_step's; a new array when not given), and the rounds the loop took,
+    the most that any run used; with counts (shape W.shape[:-2]) given, each
+    run's own rounds are added to it. If the target is unreachable
+    (disconnected components with disagreeing means), a run reports
+    max_rounds exhaustion instead of raising.
+
+    The rounds follow a schedule, and a check decides every stop:
+    - Schedule. A run's deviations D from its worker mean have energy
+      e_i = ||v_i^T D||^2 in each eigenvector v_i of P (eigenvalue mu_i;
+      one np.linalg.eigh per matrix, cached). Exact gossip leaves the
+      distance sum_i mu_i^(2j) e_i / m after j rounds, and the first j at
+      which that is at most the target is the run's predicted stop s (the
+      cap, when no j up to max_rounds is). Within each group of arms the
+      runs are ordered by s, latest first, so round j gossips one prefix of
+      the group's block: the runs with s >= j. Round j writes buffer j % 2,
+      and no later round touches a run past its stop, so the iterates at
+      rounds s - 1 and s stay in the two buffers: no round computes a
+      distance, compacts or copies.
+    - Check. One _worker_mean/_distance_from_mean call over both buffers
+      gives every run's computed distance at rounds s - 1 and s, the values
+      the per-round loop computes. A run is accepted iff its distance at s
+      is at most its target and its distance at R = s - 1 exceeds the
+      target by more than delta; a run at the cap needs only the latter, at
+      R = max_rounds. Rounds 1 .. R - 1 are not checked, and delta covers
+      them (below). With R <= 1 no round goes unchecked and delta is 0.
+    - Replay. A run that fails (a mispredicted s, a distance within delta of
+      its target), every run of a matrix outside delta's assumptions and
+      every run with a non-finite distance go through _checked_control, the
+      loop that computes every round's distance, from the call's start. So
+      models, counts and rounds are those of the per-round loop, bit for
+      bit: the prediction only sets the schedule; it never decides a stop.
+    - Selection. The prediction costs about m / 4 checked rounds (its
+      projection is an m x m product per run), so a group of arms takes the
+      schedule only when lam^(2j) (lam: P's largest |mu_i| but the top one)
+      lets one of its runs need more than 4 + m / 4 rounds; the other groups
+      go to _checked_control directly (_schedule_pays; the crossover that
+      tools/control_rounds.py --crossover times).
+
+    delta is stated for deviation norms: r = sqrt(m c) for a computed
+    distance c, a_j the exact deviation norm of the computed iterate W_j.
+    It assumes P nonnegative and exactly symmetric, so that ||P||_2 is at
+    most its largest row sum, 1 + eta (eta: the computed max |row sum - 1|
+    plus its rounding); other matrices replay every run. With u = 2^-53
+    and gamma_k = 2 k u (twice the first-order rounding of k operations):
+    - a round adds at most kappa ||W_j||_F to a, kappa = 2 eta +
+      2 gamma_(m+1): P stretches the deviations by at most 1 + eta, turns
+      at most eta ||W_j||_F of the worker mean into deviation, and every form
+      (product, shifted slices, worker mean) rounds within gamma_(m+1) P|W|;
+      a round multiplies ||W_j||_F by at most (1 + eta)(1 + gamma_(m+1));
+    - r misses a by at most 2 gamma_m ||W_j||_F + u a (the rounded mean and
+      differences) and a factor 1 + gamma_(md+2) (the squares and the sum).
+    With N = ||W_0||_F (1 + gamma_(md+1)) ((1 + eta)(1 + gamma_(m+1))
+    (1 + 4 u))^max_rounds bounding every ||W_j||_F, every round j in
+    1 .. R - 1 then has c_j > target when
+        r_R (1 - 2 gamma_(md+2) - 8 u) > sqrt(m target) (1 + 4 u)
+                                         + N (4 gamma_m + (max_rounds - 1) kappa),
+    the u terms covering the rounding of the test itself; that is the test
+    "exceeds the target by more than delta". delta grows with the runs'
+    common offset: a run far from the origin relative to its spread replays.
+
+    tools/control_rounds.py at seed 0, jobs 1, 400 control calls per sweep
+    (2-core box, numpy 2.4.6, one BLAS thread; control seconds are the
+    median of 5 sweeps, 3 for criterion 12; distances count the sweep's
+    _distance_from_mean calls, the recorder's 201 included):
+
+        shape          control          loop rounds  run-rounds  distances  replayed  seconds
+        control-sweep  per-round check         7891      268601       8492         -     0.47
+        control-sweep  schedule                7891      268601       1001         0     0.24
+        criterion-12   per-round check        12937     1829732      13538         -     1.74
+        criterion-12   schedule               12937     1829732       1001         0     0.87
     """
     targets = np.broadcast_to(np.asarray(gamma_sq, dtype=float), W.shape[:-2]).reshape(-1)
     if not np.all(targets > 0):
@@ -511,25 +582,65 @@ def consensus_control_step(
         for P_a, arms in _arm_groups(P, W)
     ]
     out = _output(W, out)
-    # out is the deviations' scratch before it takes the models.
-    distances = _distance_from_mean(W, _worker_mean(W), out).reshape(-1)
+    start = W.reshape(-1, *W.shape[-2:])
+    runs = out.reshape(start.shape)
+    # Only a run with a finite target can be above it; out is the deviations'
+    # scratch before it takes the models.
+    rows = np.flatnonzero(targets < np.inf)
+    block = start if len(rows) == len(start) else start[rows]
+    distances = _distance_from_mean(block, _worker_mean(block), runs[: len(rows)])
     np.copyto(out, W)
-    runs = out.reshape(-1, *W.shape[-2:])
     per_arm = len(runs) // arm_count
     used = np.zeros(len(runs), dtype=int)
-    live = np.flatnonzero(distances > targets)
+    above = distances > targets[rows]
+    live = rows[above]
+    # A non-finite distance (a diverging run) sends the whole call to the
+    # checked loop.
+    if len(live) and np.isfinite(distances[above]).all():
+        live = _scheduled_control(
+            start, live, distances[above], targets, groups, per_arm, max_rounds, runs, used
+        )
+    if len(live):
+        _checked_control(start, live, targets, groups, per_arm, max_rounds, runs, used)
+    if counts is not None:
+        counts += used.reshape(counts.shape)
+    return out, int(used.max(initial=0))
+
+
+def _arm_bounds(live: np.ndarray, per_arm: int, arm_count: int) -> list[int]:
+    """Arm a's runs among the sorted run indices live are live[bounds[a]:bounds[a + 1]]."""
+    return np.searchsorted(live // per_arm, np.arange(arm_count + 1)).tolist()
+
+
+def _checked_control(
+    start: np.ndarray,
+    live: np.ndarray,
+    targets: np.ndarray,
+    groups: list[tuple],
+    per_arm: int,
+    max_rounds: int,
+    runs: np.ndarray,
+    used: np.ndarray,
+) -> None:
+    """Control of the runs start[live] (live sorted) with a distance check every round.
+
+    The rounds gossip a compacted block of the runs still above target,
+    each group of arms in its matrix's form, and a run leaves the block
+    once it reaches its target. Each run's models go to runs[live] and its
+    rounds to used[live].
+    """
+    arm_count = groups[-1][3]
     goal = targets[live]
     # The rounds alternate two buffers: one holds the live block, in arm
     # order, and the other takes its gossip, then its compaction.
-    buffers = np.empty((2, len(live), *runs.shape[1:]))
+    buffers = np.empty((2, len(live), *start.shape[1:]))
     current = 0
-    np.take(runs, live, axis=0, out=buffers[current], mode="clip")
+    np.take(start, live, axis=0, out=buffers[current], mode="clip")
     rounds, bounds = 0, None
     while rounds < max_rounds and len(live):
         block, other = buffers[current, : len(live)], buffers[1 - current, : len(live)]
         if bounds is None:
-            # Arm a's live runs are block[bounds[a]:bounds[a + 1]].
-            bounds = np.searchsorted(live // per_arm, np.arange(arm_count + 1)).tolist()
+            bounds = _arm_bounds(live, per_arm, arm_count)
         for P_a, gossip, first, end in groups:
             if bounds[first] < bounds[end]:
                 span = slice(bounds[first], bounds[end])
@@ -545,9 +656,180 @@ def consensus_control_step(
             live, goal, current, bounds = live[keep], goal[keep], 1 - current, None
     runs[live] = buffers[current, : len(live)]
     used[live] = rounds
-    if counts is not None:
-        counts += used.reshape(counts.shape)
-    return out, rounds
+
+
+# Unit roundoff of float64.
+_U = 2.0**-53
+
+# Rounds of predicted distances computed at once: every run gets the first
+# ones, and a run that stays above its target through them the next ones,
+# up to the cap, so that no table grows with max_rounds.
+PREDICTED_ROUNDS = 64
+
+
+def _gamma(k: int) -> float:
+    """Twice the first-order bound k u on the relative rounding of k operations."""
+    return 2.0 * k * _U
+
+
+@functools.lru_cache(maxsize=8)
+def _control_modes(P: GossipMatrix, max_rounds: int) -> tuple | None:
+    """What scheduled control needs of P (consensus_control_step), or None when
+    P is outside delta's assumptions: not nonnegative or not exactly
+    symmetric. Cached for the last few matrices, so that a stack takes one
+    eigh per matrix.
+
+    Returns (project, decay, head, slack, lam). project (m, m) holds P's
+    eigenvectors v_i as rows, each minus its mean, so that project @ W gives
+    v_i^T D for the deviations D of W; decay[i] = mu_i^2, and head[i, j - 1]
+    = mu_i^(2j) for the first PREDICTED_ROUNDS rounds j; slack is delta's
+    margin per unit of ||W_0||_F, before the distance's own rounding; lam
+    is the largest |mu_i| but the top eigenvalue's.
+    """
+    entries = P.entries
+    if not (np.array_equal(entries, entries.T) and entries.min() >= 0):
+        return None
+    values, vectors = np.linalg.eigh(entries)
+    eta = float(np.abs(entries.sum(axis=1) - 1.0).max()) + _gamma(P.m)
+    rounding = _gamma(P.m + 1)
+    growth = ((1.0 + eta) * (1.0 + rounding) * (1.0 + 4 * _U)) ** max_rounds
+    decay = np.square(values)
+    return (
+        np.ascontiguousarray((vectors - vectors.mean(axis=0)).T),
+        decay,
+        decay[:, None] ** np.arange(1, min(PREDICTED_ROUNDS, max_rounds) + 1),
+        growth * (4.0 * _gamma(P.m) + (max_rounds - 1) * (2.0 * eta + 2.0 * rounding)),
+        float(max(abs(values[0]), abs(values[-2]))) if P.m > 1 else 0.0,
+    )
+
+
+def _schedule_pays(lam: float, ratio: float, m: int) -> bool:
+    """Whether a group of arms should take the schedule: true when the bound
+    lam^(2j) on the distance's decay lets one of its runs need more than
+    4 + m / 4 rounds (ratio: the smallest target over distance among them).
+    With fewer rounds the per-round checks cost less than the prediction,
+    whose projection costs about m / 4 checked rounds at m = 64 and 256
+    (tools/control_rounds.py --crossover)."""
+    if lam >= 1.0:
+        return True
+    if lam == 0.0:
+        return False
+    return math.log(ratio) / (2.0 * math.log(lam)) > 4 + m / 4
+
+
+def _predicted_stops(
+    block: np.ndarray,
+    goal: np.ndarray,
+    modes: tuple,
+    max_rounds: int,
+) -> np.ndarray:
+    """Each run's first round j with sum_i mu_i^(2j) e_i <= m goal, or the cap
+    plus one; e holds the energies of the run's deviations in the modes of
+    P (_control_modes). The predicted distance falls from round to round,
+    so the rounds above the target are the first ones."""
+    project, decay, head, _, _ = modes
+    coefficients = project @ block
+    energies = np.einsum("lkd,lkd->lk", coefficients, coefficients)
+    limit = len(decay) * goal[:, None]
+    stops = 1 + np.count_nonzero(energies @ head > limit, axis=1)
+    first = head.shape[1]
+    late = np.flatnonzero(stops > first)
+    while len(late) and first < max_rounds:
+        rounds = np.arange(first + 1, min(first + PREDICTED_ROUNDS, max_rounds) + 1)
+        above = energies[late] @ decay[:, None] ** rounds > limit[late]
+        count = np.count_nonzero(above, axis=1)
+        stops[late] += count
+        late, first = late[count == len(rounds)], first + len(rounds)
+    return stops
+
+
+def _scheduled_control(
+    start: np.ndarray,
+    live: np.ndarray,
+    distances: np.ndarray,
+    targets: np.ndarray,
+    groups: list[tuple],
+    per_arm: int,
+    max_rounds: int,
+    runs: np.ndarray,
+    used: np.ndarray,
+) -> np.ndarray:
+    """Control of the runs start[live] (live sorted, at the given distances) on
+    the predicted schedule (consensus_control_step). Writes each accepted
+    run's models to runs and its rounds to used; returns the sorted indices
+    of the runs it leaves to _checked_control."""
+    m, d = start.shape[1:]
+    bounds = _arm_bounds(live, per_arm, groups[-1][3])
+    gathered, goals = start[live], targets[live]
+    # Per group of arms that takes the schedule (its matrix meets delta's
+    # assumptions, and its runs may need enough rounds): its matrix, form
+    # and run count; per run, in the block's order (each group's runs latest
+    # stop first): its position in live, predicted stop and slack.
+    plan, positions, predicted, slack, direct = [], [], [], [], []
+    for P_a, gossip, first, end in groups:
+        span = slice(bounds[first], bounds[end])
+        if span.start == span.stop:
+            continue
+        modes = _control_modes(P_a, max_rounds)
+        if modes is None or not _schedule_pays(
+            modes[4], float((goals[span] / distances[span]).min()), P_a.m
+        ):
+            direct.append(live[span])
+            continue
+        stops = _predicted_stops(gathered[span], goals[span], modes, max_rounds)
+        order = np.argsort(-stops, kind="stable")
+        plan.append((P_a, gossip, len(order)))
+        positions.append(order + span.start)
+        predicted.append(stops[order])
+        slack.append(np.full(len(order), modes[3]))
+    if not plan:
+        return live
+    order, predicted, slack = (np.concatenate(part) for part in (positions, predicted, slack))
+    size = len(order)
+    block = np.empty((2, size, m, d))
+    np.take(gathered, order, axis=0, out=block[0], mode="clip")
+    norms = np.sqrt(np.einsum("lkd,lkd->l", block[0], block[0]))
+    stops = np.minimum(predicted, max_rounds)
+
+    # Round j gossips, per group, the prefix of its runs whose stop is at
+    # least j (ends[j - 1] ends it), from block[(j - 1) % 2] into block[j % 2].
+    schedule, low = [], 0
+    for P_a, gossip, count in plan:
+        ascending = stops[low : low + count][::-1]
+        ends = low + count - np.searchsorted(ascending, np.arange(1, ascending[-1] + 1))
+        schedule.append((P_a, gossip, low, ends.tolist()))
+        low += count
+    views = (block[0], block[1])
+    for j in range(1, int(stops.max()) + 1):
+        source, into = views[1 - j % 2], views[j % 2]
+        for P_a, gossip, low, ends in schedule:
+            if j <= len(ends):
+                end = ends[j - 1]
+                gossip(P_a, source[low:end], into[low:end])
+
+    # Run i's iterate at its stop is kept[i + size * (stop % 2)], and the one
+    # a round before it the other. Its models, then every kept iterate's
+    # distance, computed in place, and the check.
+    index = live[order]
+    kept = block.reshape(2 * size, m, d)
+    at_stop = np.arange(size) + size * (stops % 2)
+    runs[index] = kept[at_stop]
+    used[index] = stops
+    checked = _distance_from_mean(kept, _worker_mean(kept), kept)
+    # R, the last round known to be above target (the cap, for a run that
+    # stays above it), and its distance.
+    capped = predicted > max_rounds
+    last_above = stops - 1 + capped
+    above = checked[np.where(capped, at_stop, (at_stop + size) % (2 * size))]
+    goal = goals[order]
+    margin = norms * slack * (1.0 + _gamma(m * d + 1))
+    covered = np.sqrt(m * above) * (1.0 - 2.0 * _gamma(m * d + 2) - 8 * _U) > (
+        np.sqrt(m * goal) * (1.0 + 4 * _U) + margin
+    )
+    accepted = (
+        (capped | (checked[at_stop] <= goal)) & (above > goal) & ((last_above <= 1) | covered)
+    )
+    return np.sort(np.concatenate([index[~accepted], *direct]))
 
 
 def run_dsgd(
@@ -633,15 +915,16 @@ def _run_stack(
     sides, d = data.sides, model.dim(d_x)
     recorder = _TraceRecorder(model, data, config.snapshot_iterations, seeds, len(arms), risks)
     final = np.empty((len(arms), len(shards), sides, m, d))
-    extra_rounds = np.zeros(final.shape[:3], dtype=int)
+    # Per arm, run and side: control rounds, and control calls that hit the cap.
+    control = np.zeros((2, *final.shape[:3]), dtype=int)
     run_bytes = len(arms) * sides * m * max(d, d_x) * final.itemsize
     size = max(1, STACK_BYTES // run_bytes)
     for start in range(0, len(shards), size):
         runs = slice(start, min(start + size, len(shards)))
         final[:, runs] = _step_runs(
-            arms, data, model, config, seeds[runs], runs, recorder, extra_rounds[:, runs]
+            arms, data, model, config, seeds[runs], runs, recorder, control[:, :, runs]
         )
-    return recorder.finish(final, extra_rounds)
+    return recorder.finish(final, control)
 
 
 def _step_runs(
@@ -652,10 +935,11 @@ def _step_runs(
     seeds: list[int],
     runs: slice,
     recorder: _TraceRecorder,
-    extra_rounds: np.ndarray,
+    control: np.ndarray,
 ) -> np.ndarray:
     """Steps the sub-stack of `runs` from zero to the end, recording every snapshot;
-    returns its final W and adds each side's control rounds to extra_rounds."""
+    returns its final W. Adds each side's control rounds to control[0] and its
+    control calls that used every round and stayed above target to control[1]."""
     m, n, d_x = data.shape
     total = config.iterations
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -674,6 +958,7 @@ def _step_runs(
     X = np.empty((*W.shape[:-1], d_x))
     Y = np.empty(W.shape[:-1])
     grads = np.empty((Y.size, W.shape[-1]))
+    used = np.empty(W.shape[:3], dtype=int)
     recorder.start(runs, W)
     recorder.record(0, W)
     t = 0
@@ -692,9 +977,16 @@ def _step_runs(
                 t += 1
                 if t > first_onset:
                     now = np.where(onsets < t, targets, np.inf)[:, None, None]
+                    used.fill(0)
                     controlled, _ = consensus_control_step(
-                        W, matrices, now, max_rounds, extra_rounds, out=spare
+                        W, matrices, now, max_rounds, used, out=spare
                     )
+                    control[0] += used
+                    capped = used == max_rounds
+                    if capped.any():
+                        # W, about to become the spare, is the distances' scratch.
+                        mean = _worker_mean(controlled)
+                        control[1] += capped & (_distance_from_mean(controlled, mean, W) > now)
                     W, spare = controlled, W
         recorder.record(slot, W)
     return W
@@ -880,9 +1172,10 @@ class _TraceRecorder:
             )
 
     def finish(
-        self, W: np.ndarray, extra_rounds: np.ndarray
+        self, W: np.ndarray, control: np.ndarray
     ) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
-        """Per arm, each run's trace, or coupled trace, as views into the stacked arrays."""
+        """Per arm, each run's trace, or coupled trace, as views into the stacked
+        arrays; control holds each side's control rounds and cap hits."""
         traces = np.empty(W.shape[:3], dtype=object)
         for index in np.ndindex(traces.shape):
             traces[index] = RunTrace(
@@ -891,7 +1184,8 @@ class _TraceRecorder:
                 consensus_dist=self.consensus_dist[index],
                 risks=None if self.risks is None or index[2] else self.risks[index[:2]],
                 final_weights=W[index],
-                extra_gossip_rounds=int(extra_rounds[index]),
+                extra_gossip_rounds=int(control[0][index]),
+                control_cap_hits=int(control[1][index]),
             )
         if self.sq_diffs is None:
             return [list(arm_traces[:, 0]) for arm_traces in traces]

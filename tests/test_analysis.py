@@ -166,8 +166,8 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
                        risks=True)
     whole = group_fn(range(replicates))
     results = [group_fn(group) for group in groups]
-    assert np.array_equal(np.concatenate([c for c, _, _ in results], axis=1), whole[0])
-    assert np.array_equal(np.concatenate([g for _, g, _ in results], axis=1), whole[1])
+    assert np.array_equal(np.concatenate([c for c, *_ in results], axis=1), whole[0])
+    assert np.array_equal(np.concatenate([g for _, g, *_ in results], axis=1), whole[1])
     shards = [
         _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r))
         for r in range(replicates)
@@ -177,7 +177,7 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
                                       pairs=pairs, mode=mode, keep_traces=True, control=control,
                                       risks=True)
         assert np.array_equal(whole[0][arm], estimate.replicate_means)
-        coupled = [trace for _, _, kept in results for trace in kept[arm]]
+        coupled = [trace for _, _, kept, _ in results for trace in kept[arm]]
         assert len(coupled) == len(estimate.coupled) == replicates * pairs
         for a, b in zip(coupled, estimate.coupled):
             assert np.array_equal(a.sq_diffs, b.sq_diffs)

@@ -1,6 +1,7 @@
 """Decentralized SGD dynamics: the update map, traces, and coupled runs."""
 
 import functools
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsgd_lab import engine
+from dsgd_lab.cli import main
 from dsgd_lab.engine import (
     ConsensusControl,
     ConstantRate,
@@ -1053,15 +1055,19 @@ def test_arms_with_a_divergent_run_in_the_last_arm_name_that_run():
     assert f"seed {seeds[-1]} diverged" in str(stacked.value)
 
 
-def masked_control_reference(W, P, gamma_sq, max_rounds):
+def masked_control_reference(W, P, gamma_sq, max_rounds, gossip=None):
     """Consensus control as a masked loop over the whole stack, the form
-    that gossiped every round's active runs in place before compaction."""
+    that gossiped every round's active runs in place before compaction;
+    each round is the dense product, or the given gossip form."""
     runs = W.reshape(-1, *W.shape[-2:]).copy()
     used = np.zeros(len(runs), dtype=int)
     active = consensus_distance(runs) > gamma_sq
     rounds = 0
     while rounds < max_rounds and active.any():
-        runs[active] = P.entries @ runs[active]
+        if gossip is None:
+            runs[active] = P.entries @ runs[active]
+        else:
+            runs[active] = gossip(P, runs[active], np.empty_like(runs[active]))
         used += active
         rounds += 1
         active = consensus_distance(runs) > gamma_sq
@@ -1102,6 +1108,173 @@ def test_compacted_control_equals_the_masked_loop(names, shared, runs, max_round
         assert_same_array(counts[arm], used)
         expected_rounds = max(expected_rounds, ref_rounds)
     assert rounds == expected_rounds
+
+
+@functools.cache
+def control_matrix(name, m):
+    """A gossip matrix of m workers for the scheduled-control tests: built,
+    the islands, or a loaded ring whose entry (0, 1) is one ulp off its
+    mirror, so that it is not exactly symmetric."""
+    if name == "islands":
+        return two_islands(m)
+    if name == "asymmetric":
+        entries = build_gossip_matrix(TopologyKind.RING, m).entries.copy()
+        entries[0, 1] = np.nextafter(entries[0, 1], 1.0)
+        return loaded(entries)
+    return build_gossip_matrix(TopologyKind(name), m)
+
+
+def distance_history(W, P, rounds):
+    """One run's computed distances at rounds 0 .. rounds of gossip with P in its form."""
+    gossip, run, history = engine._gossip_form(P), W[None], [consensus_distance(W)]
+    for _ in range(rounds):
+        run = gossip(P, run, np.empty_like(run))
+        history.append(consensus_distance(run)[0])
+    return history
+
+
+@pytest.mark.parametrize(
+    "selection", [{"wraps": engine._schedule_pays}, {"return_value": True}],
+    ids=["selected", "always"],
+)
+@pytest.mark.parametrize("m", [4, 16, 256])
+@pytest.mark.parametrize("name", ["ring", "fully_connected", "islands", "asymmetric"])
+@settings(max_examples=8)
+@given(
+    runs=st.integers(1, 4),
+    d=st.sampled_from([1, 3]),
+    max_rounds=st.sampled_from([1, 2, 3, 5, 12, 40, engine.PREDICTED_ROUNDS + 1, 150]),
+    data=st.data(),
+)
+def test_scheduled_control_equals_the_masked_loop(selection, m, name, runs, d, max_rounds, data):
+    # Control predicts each run's stop from P's modes, gossips on that
+    # schedule and checks only the rounds where a run can stop; every run
+    # the check cannot vouch for is replayed with a check every round. The
+    # models, counts and rounds must be the masked loop's, bit for bit, for
+    # runs with common offsets up to 1e8 on deviations down to 1e-4, for
+    # targets a few ulp from a round's own distance, for unreachable targets
+    # (islands) and for a matrix outside the schedule's assumptions. At
+    # m = 256 the ring gossips by shifted slices and fully connected as the
+    # worker mean. Caps past PREDICTED_ROUNDS predict stops in more than one
+    # batch of rounds. Forced replays: a target just below the distance of the
+    # round before the stop (run 0 has one whenever the cap allows), and
+    # every run of the not exactly symmetric matrix. Each case runs with
+    # the groups control selects for the schedule, and with every group on it.
+    P = control_matrix(name, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    offsets = 10.0 ** rng.integers(0, 9, size=(runs, 1, 1)) * rng.integers(0, 2, (runs, 1, 1))
+    spreads = 10.0 ** rng.integers(-4, 1, size=(runs, 1, 1))
+    W = offsets * rng.standard_normal((runs, 1, d)) + spreads * rng.standard_normal((runs, m, d))
+    targets, tight = np.empty(runs), {}
+    for k in range(runs):
+        history = distance_history(W[k], P, max_rounds)
+        if k == 0 and max_rounds >= 3:
+            j, kind = data.draw(st.integers(2, max_rounds - 1)), "below"
+        else:
+            j = data.draw(st.integers(1, max_rounds))
+            kind = data.draw(st.sampled_from(["plain", "below", "above"]))
+        if kind == "plain" or not history[j] > 0:
+            targets[k] = history[0] * 10.0 ** -rng.uniform(0.5, 6.0)
+        else:
+            targets[k] = history[j] * (1.0 + (-4 if kind == "below" else 4) * np.finfo(float).eps)
+            if kind == "below":
+                tight[k] = j
+    ref, ref_rounds, used = masked_control_reference(
+        W, P, targets, max_rounds, engine._gossip_form(P)
+    )
+    # A run that stops right after round j >= 2, whose distance is within a
+    # few ulp above the target: no schedule can vouch for round j.
+    forced = {k for k, j in tight.items() if j >= 2 and used[k] == j + 1}
+    if name == "asymmetric":
+        forced = set(np.flatnonzero(consensus_distance(W) > targets).tolist())
+    counts = np.zeros(runs, dtype=int)
+    with (
+        mock.patch.object(engine, "_checked_control", wraps=engine._checked_control) as replay,
+        mock.patch.object(engine, "_schedule_pays", **selection),
+    ):
+        out, rounds = consensus_control_step(W, P, targets, max_rounds, counts)
+    assert_same_array(out, ref)
+    assert_same_array(counts, used)
+    assert rounds == ref_rounds
+    replayed = {int(k) for call in replay.call_args_list for k in call.args[1]}
+    assert forced <= replayed
+
+
+@pytest.mark.parametrize("kind, m, scheduled", [
+    (TopologyKind.RING, 16, True),
+    (TopologyKind.RING, 64, True),
+    (TopologyKind.GRID_2D_TORUS, 256, True),
+    (TopologyKind.FULLY_CONNECTED, 16, False),
+    (TopologyKind.STATIC_EXPONENTIAL, 256, False),
+])
+def test_control_schedules_only_runs_that_need_many_rounds(kind, m, scheduled):
+    # Predicting the stops costs about m / 4 checked rounds, so a group takes
+    # the schedule only when the decay bound lets a run need more than
+    # 4 + m / 4 rounds; every result is the masked loop's either way. On
+    # these well-conditioned runs the prediction is exact, past
+    # PREDICTED_ROUNDS too (the ring of 64 runs to the cap of 200), so
+    # nothing is replayed.
+    P = build_gossip_matrix(kind, m)
+    W = 1.0 + 0.01 * np.random.default_rng(5).standard_normal((3, m, 4))
+    with (
+        mock.patch.object(engine, "_predicted_stops", wraps=engine._predicted_stops) as predict,
+        mock.patch.object(engine, "_checked_control", wraps=engine._checked_control) as checked,
+    ):
+        out, rounds = consensus_control_step(W, P, 1e-6, 200)
+    assert predict.called == scheduled
+    assert checked.called != scheduled
+    ref, ref_rounds, _ = masked_control_reference(W, P, 1e-6, 200, engine._gossip_form(P))
+    assert_same_array(out, ref)
+    assert rounds == ref_rounds
+
+
+def masked_stack_control(W, P, gamma_sq, max_rounds, counts=None, out=None):
+    """consensus_control_step over a stack (A, ..., m, d) with one matrix per
+    arm, as masked_control_reference arm by arm."""
+    targets = np.broadcast_to(gamma_sq, W.shape[:-2])
+    out = np.empty_like(W) if out is None else out
+    rounds = 0
+    for arm, P_a in enumerate(P):
+        ref, arm_rounds, used = masked_control_reference(
+            W[arm], P_a, targets[arm].reshape(-1), max_rounds
+        )
+        out[arm] = ref
+        if counts is not None:
+            counts[arm] += used
+        rounds = max(rounds, arm_rounds)
+    return out, rounds
+
+
+@pytest.mark.parametrize("kind", ["ring", "disconnected"])
+def test_control_counters_equal_the_masked_loop(tmp_path, monkeypatch, kind):
+    # The manifest counts, per onset, the extra gossip rounds and the control
+    # calls that used every round and stayed above target. With the masked
+    # loop in place of consensus_control_step, the counters and the CSV
+    # must not change. The ring hits the cap at some steps and not at others;
+    # disconnected gossip never moves a model, so every call with a run above
+    # target uses all its rounds on that run, and hits the cap.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "experiment": "consensus-control", "kind": kind, "m": 4, "d_x": 2, "n": 4, "T": 12,
+        "R": 5, "pairs": 1, "t_gamma": [0, 6, 12], "gamma_sq": 1e-6, "max_rounds": 3,
+    }))
+
+    def counters_and_csv(out):
+        assert main([str(config), "--output-dir", str(out), "--jobs", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["counters"], (out / "consensus_control.csv").read_bytes()
+
+    counters, csv = counters_and_csv(tmp_path / "scheduled")
+    monkeypatch.setattr(engine, "consensus_control_step", masked_stack_control)
+    assert counters_and_csv(tmp_path / "masked") == (counters, csv)
+    rounds, cap_hits = counters["extra_gossip_rounds"], counters["control_cap_hits"]
+    assert set(rounds) == set(cap_hits) == {"0", "6", "12"}
+    assert rounds["12"] == cap_hits["12"] == 0
+    assert 0 < cap_hits["6"] <= cap_hits["0"]
+    if kind == "ring":
+        assert rounds["0"] > 3 * cap_hits["0"]
+    else:
+        assert all(rounds[onset] == 3 * cap_hits[onset] for onset in rounds)
 
 
 def test_stacked_control_counts_each_runs_rounds():

@@ -133,7 +133,7 @@ def _group_shards(task: SyntheticTask, n: int, m: int, seeds: list[int]) -> list
     """_make_shards of each seed, as views of one (replicates, m, n, d_x) array.
 
     The engine steps shards that tile one array without copying them, so a
-    group's single runs hold their data once.
+    group's runs, single or coupled, hold their data once.
     """
     xs, ys = np.empty((len(seeds), m, n, task.d_x)), np.empty((len(seeds), m, n))
     for r, seed in enumerate(seeds):

@@ -22,16 +22,14 @@ with its own gossip matrix and consensus control, times K runs with s sides
 each (s = 1 for single runs, s = 2 for coupled pairs); run_dsgd and
 run_coupled are its two entry points. The two data sets of a pair differ in
 one sample per affected worker, and the pairs of one replicate share their
-shards, so the stack holds each distinct shard set once: one flat array
-holds the rows of every distinct shard set, then each pair's m replacement
-rows. Run k's worker w reads the row of its sample zeta on side 0; side 1
-reads the same row, except where zeta is the pair's perturbed index on an
-affected worker, where it reads the replacement row. One np.where builds
-both sides' rows per block of drawn indices, and a step makes one np.take of
-sampled rows for every arm, run and side, one gossip per group of arms and
-one gradient call for the whole stack. Single runs on shard sets that are
-consecutive slices of one array (as the estimators draw a group's
-replicates) read that array itself: nothing is copied. The runs are stepped
+shards, so the stack holds each distinct shard set once: it reads them in
+place when they are consecutive slices of one array (as the estimators draw
+a group's replicates), else from one copy, and a side table holds each
+pair's replaced samples. A step makes one np.take of side 0's rows for
+every arm, run and side, one np.copyto each for X and Y that gives side 1
+its replaced samples (where zeta is the pair's perturbed index on an
+affected worker), one gossip per group of arms and one gradient call for
+the whole stack. The runs are stepped
 in sub-stacks of as many runs as keep each stack-sized buffer within
 STACK_BYTES, and a run's trace does not depend on the runs stepped with it.
 Every stack-sized array a step writes (the next W, the gathered samples, the
@@ -41,8 +39,9 @@ Only run_coupled with risks set evaluates per-worker risks, of the base
 side (the run on S) only, once per arm, shard set and snapshot, in scratch
 the recorder owns. Each run keeps its own seed and index stream, shared by
 its sides and by every arm: its indices are drawn from its own generator in
-blocks of at most INDEX_DRAW_STEPS steps per snapshot interval, which are
-the same indices as one draw of m per step. Consensus control takes the
+blocks of INDEX_DRAW_STEPS steps (fewer when a sub-stack's block would pass
+INDEX_DRAW_BYTES), across snapshot intervals, which are the same indices as
+one draw of m per step. Consensus control takes the
 runs whose arm's onset has passed and whose distance is above the target,
 predicts each one's stop round from its matrix's eigenvectors, gossips them
 on that schedule without computing a distance in between, and then checks
@@ -117,10 +116,13 @@ __all__ = [
     "consensus_control_step",
 ]
 
-# Most steps of sample indices drawn from a run's stream at once. A sparse
-# snapshot cadence (criterion 9 logs only t = 0 and T) would otherwise draw
-# a whole (T, m) block per run before the first step.
+# Most steps of sample indices drawn from a run's stream at once, across
+# snapshot intervals (one draw per step costs more than the step at m = 16),
+# and most bytes of one such block of a sub-stack's indices, at least one
+# step: 64-step blocks of wide sub-stacks raised the peak RSS of the m = 1024
+# ring estimate by 69 MB, and of a compare at m = 256 by 0.4 MB.
 INDEX_DRAW_STEPS = 64
+INDEX_DRAW_BYTES = 2**16
 
 # Most bytes of one stack-sized buffer (the weights, their spare, the
 # gathered samples, the gradients, the recorder's deviations): a stack with
@@ -910,6 +912,9 @@ def _run_stack(
             raise InputError(f"t_gamma must lie in [0, {total}], got {control.t_gamma}")
     if len(caps) > 1:
         raise InputError("the controlled arms of one stack must share max_rounds")
+    for name, given in (("seeds", seeds), ("perturbations", perturbations)):
+        if given is not None and len(given) != len(shards):
+            raise InputError(f"{len(given)} {name} for {len(shards)} shard sets")
 
     data = _StackData(shards, perturbations)
     sides, d = data.sides, model.dim(d_x)
@@ -938,8 +943,9 @@ def _step_runs(
     control: np.ndarray,
 ) -> np.ndarray:
     """Steps the sub-stack of `runs` from zero to the end, recording every snapshot;
-    returns its final W. Adds each side's control rounds to control[0] and its
-    control calls that used every round and stayed above target to control[1]."""
+    returns its final W; index blocks span snapshot intervals. Adds each side's
+    control rounds to control[0] and its control calls that used every round
+    and stayed above target to control[1]."""
     m, n, d_x = data.shape
     total = config.iterations
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -961,47 +967,51 @@ def _step_runs(
     used = np.empty(W.shape[:3], dtype=int)
     recorder.start(runs, W)
     recorder.record(0, W)
-    t = 0
-    for slot in range(1, len(logged)):
-        while t < logged[slot]:
-            steps = min(INDEX_DRAW_STEPS, logged[slot] - t)
-            zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
-            for step_rows in data.rows(zeta, runs):
-                # The rows are in range, so "clip" never clips; unlike "raise",
-                # it writes into out without an intermediate buffer.
-                np.take(data.xs, step_rows, axis=0, out=X[0], mode="clip")
-                np.take(data.ys, step_rows, out=Y[0], mode="clip")
-                X[1:], Y[1:] = X[0], Y[0]
-                rate = config.rate.at(t, total)
-                W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=grads), W
-                t += 1
-                if t > first_onset:
-                    now = np.where(onsets < t, targets, np.inf)[:, None, None]
-                    used.fill(0)
-                    controlled, _ = consensus_control_step(
-                        W, matrices, now, max_rounds, used, out=spare
-                    )
-                    control[0] += used
-                    capped = used == max_rounds
-                    if capped.any():
-                        # W, about to become the spare, is the distances' scratch.
-                        mean = _worker_mean(controlled)
-                        control[1] += capped & (_distance_from_mean(controlled, mean, W) > now)
-                    W, spare = controlled, W
-        recorder.record(slot, W)
+    slot = 1
+    block = max(1, min(INDEX_DRAW_STEPS, INDEX_DRAW_BYTES // (8 * len(rngs) * m)))
+    for first in range(0, total, block):
+        steps = min(block, total - first)
+        zeta = np.stack([rng.integers(0, n, size=(steps, m)) for rng in rngs], axis=1)
+        rows, hits = data.rows(zeta, runs)
+        for step, t in enumerate(range(first + 1, first + steps + 1)):
+            # The rows are in range, so "clip" never clips; unlike "raise",
+            # it writes into out without an intermediate buffer.
+            np.take(data.xs, rows[step], axis=0, out=X[0], mode="clip")
+            np.take(data.ys, rows[step], out=Y[0], mode="clip")
+            if hits is not None:
+                data.patch(X[0], Y[0], hits[step], runs)
+            X[1:], Y[1:] = X[0], Y[0]
+            rate = config.rate.at(t - 1, total)
+            W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=grads), W
+            if t > first_onset:
+                now = np.where(onsets < t, targets, np.inf)[:, None, None]
+                used.fill(0)
+                controlled, _ = consensus_control_step(
+                    W, matrices, now, max_rounds, used, out=spare
+                )
+                control[0] += used
+                capped = used == max_rounds
+                if capped.any():
+                    # W, about to become the spare, is the distances' scratch.
+                    mean = _worker_mean(controlled)
+                    control[1] += capped & (_distance_from_mean(controlled, mean, W) > now)
+                W, spare = controlled, W
+            if t == logged[slot]:
+                recorder.record(slot, W)
+                slot += 1
     return W
 
 
 class _StackData:
-    """The samples of a stack's runs as rows of one flat array, each shard set once.
+    """A stack's samples, each distinct shard set once, and its pairs' side table.
 
-    xs (rows, d_x) and ys (rows,) hold the rows of every distinct shard set
-    of the stack once, in order of first use (replicates[r]; run k trains on
-    replicates[replicate[k]]), then, for coupled runs, a (K, m) block of
-    replacement rows: row (k, w) of the block is run k's replacement sample
-    for worker w, where its perturbation affects w. When no replacement rows
-    are needed and the shard sets are the consecutive slices of one array,
-    xs and ys are views of that array: nothing is copied.
+    xs (R m n, d_x) and ys (R m n,) are the R distinct shard sets, in order of
+    first use (replicates[r]; run k trains on replicates[replicate[k]]), seen
+    flat: a view of the caller's array when the shard sets are its
+    consecutive slices (_tiling), else one copy. For coupled runs, run k's
+    perturbation puts the sample replacement_xs[k, w], replacement_ys[k, w] at
+    index target[k, w] of worker w's shard; target is -1 where it leaves w
+    alone (zeta is never -1).
     """
 
     def __init__(self, shards: list[Shards], perturbations: list[Perturbation] | None):
@@ -1014,46 +1024,33 @@ class _StackData:
         self.sides = 1 if perturbations is None else 2
         # Row of worker w's sample 0 in run k's shards: a step adds zeta.
         self.first = self.replicate[:, None] * (m * n) + np.arange(m) * n
-        self.target = self.replacement = None
-        tiled = [_tiling([getattr(s, name) for s in self.replicates]) for name in ("xs", "ys")]
-        if perturbations is None and tiled[0] is not None and tiled[1] is not None:
-            self.xs, self.ys = tiled[0].reshape(-1, d_x), tiled[1].reshape(-1)
-            return
-        base = len(self.replicates) * m * n
-        block = 0 if perturbations is None else len(shards) * m
-        self.xs, self.ys = np.zeros((base + block, d_x)), np.zeros(base + block)
-        shard_xs = self.xs[:base].reshape(-1, m, n, d_x)
-        shard_ys = self.ys[:base].reshape(-1, m, n)
-        for r, replicate_shards in enumerate(self.replicates):
-            shard_xs[r], shard_ys[r] = replicate_shards.xs, replicate_shards.ys
+        self.xs = _tiling([s.xs for s in self.replicates]).reshape(-1, d_x)
+        self.ys = _tiling([s.ys for s in self.replicates]).reshape(-1)
         if perturbations is None:
             return
-        # target[k, w]: the index run k's perturbation replaces on worker w, -1
-        # where it leaves w alone (zeta is never -1).
         self.target = np.full((len(shards), m), -1)
-        self.replacement = base + np.arange(block).reshape(len(shards), m)
-        replacement_xs = self.xs[base:].reshape(len(shards), m, d_x)
-        replacement_ys = self.ys[base:].reshape(len(shards), m)
+        self.replacement_xs = np.zeros((len(shards), m, d_x))
+        self.replacement_ys = np.zeros((len(shards), m))
         for k, perturbation in enumerate(perturbations):
             problem = _perturbation_problem(perturbation, m, n, d_x)
             if problem:
                 raise InputError(f"perturbation of run {k}: {problem}")
             self.target[k, perturbation.workers] = perturbation.index
-            replacement_xs[k, perturbation.workers] = perturbation.replacement_xs
-            replacement_ys[k, perturbation.workers] = perturbation.replacement_ys
+            self.replacement_xs[k, perturbation.workers] = perturbation.replacement_xs
+            self.replacement_ys[k, perturbation.workers] = perturbation.replacement_ys
 
-    def rows(self, zeta: np.ndarray, runs: slice) -> np.ndarray:
-        """(steps, K', s, m) rows of xs that runs[k] reads at sample indices zeta (steps, K', m).
+    def rows(self, zeta: np.ndarray, runs: slice) -> tuple[np.ndarray, np.ndarray | None]:
+        """The rows of xs that runs[k] reads at sample indices zeta (steps, K', m):
+        side 0's, as a (steps, K', s, m) view for every side; and for coupled
+        runs the hits (steps, K', m) where side 1 reads its replaced sample (patch)."""
+        rows = (self.first[runs] + zeta)[:, :, None]
+        rows = np.broadcast_to(rows, (*zeta.shape[:2], self.sides, zeta.shape[2]))
+        return rows, None if self.sides == 1 else zeta == self.target[runs]
 
-        Side 0 reads its shards' rows. Side 1 reads the same rows, except
-        where zeta is the index that the run's perturbation replaces on an
-        affected worker: there it reads that worker's replacement row.
-        """
-        rows = self.first[runs] + zeta
-        if self.target is None:
-            return rows[:, :, None]
-        perturbed = np.where(zeta == self.target[runs], self.replacement[runs], rows)
-        return np.stack([rows, perturbed], axis=2)
+    def patch(self, X: np.ndarray, Y: np.ndarray, hits: np.ndarray, runs: slice) -> None:
+        """Side 1's replaced samples into the gathered X (K', 2, m, d_x), Y (K', 2, m) at hits."""
+        np.copyto(X[:, 1], self.replacement_xs[runs], where=hits[..., None])
+        np.copyto(Y[:, 1], self.replacement_ys[runs], where=hits)
 
     def risk_groups(self, runs: slice) -> list[tuple[Shards, np.ndarray]]:
         """Per shard set that runs in `runs` use: those shards and the runs'
@@ -1083,8 +1080,9 @@ def _perturbation_problem(perturbation: Perturbation, m: int, n: int, d_x: int) 
     return None
 
 
-def _tiling(parts: list[np.ndarray]) -> np.ndarray | None:
-    """The C-contiguous array whose consecutive leading slices are parts, in order, or None."""
+def _tiling(parts: list[np.ndarray]) -> np.ndarray:
+    """The array whose leading slices are parts, in order: the C-contiguous array
+    they tile, when they do, else one float copy of them."""
     whole = parts[0].base
     if (
         isinstance(whole, np.ndarray)
@@ -1093,7 +1091,7 @@ def _tiling(parts: list[np.ndarray]) -> np.ndarray | None:
         and all(p.base is whole and p.ctypes.data == q.ctypes.data for p, q in zip(parts, whole))
     ):
         return whole
-    return None
+    return np.stack(parts, dtype=float)
 
 
 class _TraceRecorder:

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -593,6 +594,37 @@ def test_coupled_rejects_a_malformed_perturbation(workers, rows, fragment):
         run_coupled([(P, None)], [shards, shards], LINEAR, config, [good, bad], [0, 1])
 
 
+@pytest.mark.parametrize(
+    "shard_sets, perturbations, seeds, fragment",
+    [
+        (3, 1, 3, "1 perturbations for 3 shard sets"),
+        (1, 3, 1, "3 perturbations for 1 shard sets"),
+        (3, 3, 1, "1 seeds for 3 shard sets"),
+        (3, None, 1, "1 seeds for 3 shard sets"),
+    ],
+    ids=["few-perturbations", "many-perturbations", "few-seeds", "single-few-seeds"],
+)
+def test_stack_rejects_a_seed_or_perturbation_count_unlike_its_shard_sets(
+    shard_sets, perturbations, seeds, fragment
+):
+    # Too few perturbations would leave the later pairs unperturbed, with a
+    # stability of exactly 0; too many, or too few seeds, would fail deep in
+    # numpy. Each is an input error naming both counts. perturbations None
+    # is a run_dsgd call.
+    task = make_task()
+    shards = make_shards(task, 5, 4)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=3, rate=ConstantRate(0.1), seed=0)
+    with pytest.raises(InputError, match=fragment):
+        if perturbations is None:
+            run_dsgd([(P, None)], [shards] * shard_sets, LINEAR, config, list(range(seeds)))
+        else:
+            drawn = [single_worker_perturbation(task, worker=2, index=3, seed=k)
+                     for k in range(perturbations)]
+            run_coupled([(P, None)], [shards] * shard_sets, LINEAR, config, drawn,
+                        list(range(seeds)))
+
+
 def neighbor_shards(shards, perturbation):
     """A copy of shards with the perturbation's samples written in: side 1's data set."""
     xs, ys = shards.xs.copy(), shards.ys.copy()
@@ -604,30 +636,39 @@ def neighbor_shards(shards, perturbation):
 @pytest.mark.parametrize("mode", list(PerturbationMode))
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_side_one_rows_equal_the_per_side_gather(mode, position):
-    # A stack holds each shard set once, here two runs' one set, and side 1
-    # reads its replaced samples by index. The rows both sides gather must be
-    # those a gather from each side's own data set gives, bit for bit, and
-    # side 1's differ from side 0's exactly where zeta hits the perturbed
-    # index on an affected worker.
+    # A stack holds each shard set once, here two runs' one set; both sides
+    # gather side 0's rows, and side 1 then takes its replaced samples from
+    # the side table. The samples each side holds after the patch must be
+    # those a gather from that side's own data set gives, bit for bit, for
+    # the whole stack and for a sub-stack, and side 1's differ from side 0's
+    # exactly where zeta hits the perturbed index on an affected worker.
     shards, perturbations, _ = stack_inputs(ModelFamily.LINEAR_REGRESSION, mode=mode)
-    m, n, _ = shards[0].xs.shape
+    m, n, d_x = shards[0].xs.shape
     index = 0 if position == "first" else n - 1
     shards[1] = shards[0]
     perturbations = [replace(p, index=index) for p in perturbations]
     data = engine._StackData(shards, perturbations)
-    assert len(data.xs) == 2 * m * n + len(shards) * m
-    zeta = np.random.default_rng(7).integers(0, n, size=(40, len(shards), m))
-    zeta[0] = index
-    rows = data.rows(zeta, slice(None))
+    assert len(data.xs) == 2 * m * n
     worker = np.arange(m)
-    for k, (run_shards, perturbation) in enumerate(zip(shards, perturbations)):
-        neighbor = neighbor_shards(run_shards, perturbation)
-        for side, side_shards in enumerate([run_shards, neighbor]):
-            assert_same_array(data.xs[rows[:, k, side]], side_shards.xs[worker, zeta[:, k]])
-            assert_same_array(data.ys[rows[:, k, side]], side_shards.ys[worker, zeta[:, k]])
-        hit = (zeta[:, k] == index) & np.isin(worker, perturbation.workers)
-        assert hit[0].any()
-        assert np.array_equal(rows[:, k, 0] != rows[:, k, 1], hit)
+    for runs in (slice(None), slice(1, 3)):
+        zeta = np.random.default_rng(7).integers(0, n, size=(40, len(shards[runs]), m))
+        zeta[0] = index
+        rows, hits = data.rows(zeta, runs)
+        X, Y = np.empty((len(shards[runs]), 2, m, d_x)), np.empty((len(shards[runs]), 2, m))
+        for step, step_zeta in enumerate(zeta):
+            np.take(data.xs, rows[step], axis=0, out=X, mode="clip")
+            np.take(data.ys, rows[step], out=Y, mode="clip")
+            data.patch(X, Y, hits[step], runs)
+            pairs = zip(shards[runs], perturbations[runs])
+            for k, (run_shards, perturbation) in enumerate(pairs):
+                neighbor = neighbor_shards(run_shards, perturbation)
+                for side, side_shards in enumerate([run_shards, neighbor]):
+                    assert_same_array(X[k, side], side_shards.xs[worker, step_zeta[k]])
+                    assert_same_array(Y[k, side], side_shards.ys[worker, step_zeta[k]])
+                hit = (step_zeta[k] == index) & np.isin(worker, perturbation.workers)
+                assert hit.any() or step > 0
+                assert np.array_equal(Y[k, 0] != Y[k, 1], hit)
+                assert np.array_equal((X[k, 0] != X[k, 1]).all(axis=-1), hit)
 
 
 def test_coupled_identical_replacement_gives_zero_difference():
@@ -791,14 +832,16 @@ def assert_same_traces(got, expected):
     per_sub_stack=st.integers(0, 5),
     slack=st.floats(0.0, 0.99),
     shared=st.booleans(),
+    index_bytes=st.integers(0, 600),
 )
 def test_sub_stacks_give_the_traces_of_one_stack(
-    family, coupled, runs, per_sub_stack, slack, shared
+    family, coupled, runs, per_sub_stack, slack, shared, index_bytes
 ):
     # STACK_BYTES caps the runs stepped at once; a budget below one run's
     # buffers still steps one run at a time. Every split of a stack into
     # sub-stacks must give its traces bit for bit, risks and control rounds
-    # included, with runs that share a shard set or not.
+    # included, with runs that share a shard set or not, and so must index
+    # blocks cut short by INDEX_DRAW_BYTES (from one step to the whole run).
     model = LossModel(family=family, hidden_width=3)
     shards, perturbations, seeds = stack_inputs(family, runs=runs)
     if shared:
@@ -817,7 +860,10 @@ def test_sub_stacks_give_the_traces_of_one_stack(
     whole = stack()
     run_bytes = len(arms) * (1 + coupled) * 4 * max(model.dim(3), 3) * 8
     budget = int((per_sub_stack + slack) * run_bytes)
-    with mock.patch.object(engine, "STACK_BYTES", budget):
+    with (
+        mock.patch.object(engine, "STACK_BYTES", budget),
+        mock.patch.object(engine, "INDEX_DRAW_BYTES", index_bytes),
+    ):
         assert_same_traces(stack(), whole)
 
 
@@ -843,8 +889,9 @@ def test_kept_risks_equal_each_sides_risks_on_its_own_data(family, mode):
 
 def test_single_runs_step_tiled_shards_in_place():
     # Shards that are the consecutive slices of one array are stepped from
-    # that array; any other shard sets, and every coupled stack, are copied
-    # once per distinct set.
+    # that array, by single and coupled stacks alike; any other shard sets
+    # are copied once per distinct set. A coupled stack adds only its side
+    # table of replaced samples.
     task = make_task()
     xs = np.stack([make_shards(task, 5, 4, seed=k).xs for k in range(3)])
     ys = np.stack([make_shards(task, 5, 4, seed=k).ys for k in range(3)])
@@ -857,9 +904,36 @@ def test_single_runs_step_tiled_shards_in_place():
     perturbations = [draw_perturbation(task, 5, 4, PerturbationMode.SYNCHRONIZED, seed=k)
                      for k in range(6)]
     coupled = engine._StackData(tiled + tiled, perturbations)
-    assert not np.shares_memory(coupled.xs, xs)
-    assert coupled.xs.shape == (3 * 4 * 5 + 6 * 4, 3)
+    assert np.shares_memory(coupled.xs, xs) and np.shares_memory(coupled.ys, ys)
+    assert coupled.xs.shape == (3 * 4 * 5, 3) and coupled.ys.shape == (3 * 4 * 5,)
+    assert coupled.replacement_xs.shape == (6, 4, 3) and coupled.replacement_ys.shape == (6, 4)
     assert list(coupled.replicate) == [0, 1, 2, 0, 1, 2]
+    apart = engine._StackData(drawn_apart + drawn_apart, perturbations)
+    assert apart.xs.shape == (3 * 4 * 5, 3)
+    assert_same_array(apart.xs.reshape(3, 4, 5, 3), xs)
+
+
+def test_coupled_stack_over_tiled_shards_allocates_only_its_side_table():
+    # Two replicates of 64 x 100 samples and eight pairs: the side table is
+    # 94 KB, and a copy of the shard sets would be 2.2 MB.
+    # Building the stack's data must allocate no more than the side table
+    # and its row offsets, plus 16 KB for Python's own objects.
+    task = make_task(d_x=20)
+    xs = np.stack([make_shards(task, 100, 64, seed=k).xs for k in range(2)])
+    ys = np.stack([make_shards(task, 100, 64, seed=k).ys for k in range(2)])
+    tiled = [Shards(xs=x, ys=y) for x, y in zip(xs, ys)]
+    perturbations = [draw_perturbation(task, 100, 64, PerturbationMode.SYNCHRONIZED, seed=k)
+                     for k in range(8)]
+    tracemalloc.start()
+    try:
+        engine._StackData(tiled * 4, perturbations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Per pair and worker: the target index, the replaced sample's 20
+    # features and label, and the row offset, 8 bytes each.
+    side_table = 8 * 64 * (1 + 20 + 1 + 1) * 8
+    assert peak <= side_table + 16_384
 
 
 @settings(max_examples=60, deadline=None)
@@ -879,16 +953,22 @@ def test_worker_mean_is_numpys_mean(leading, m, d, seed):
 
 
 def test_sparse_snapshots_follow_the_per_step_index_stream():
-    # One snapshot interval of 150 steps is drawn in blocks of at most
-    # INDEX_DRAW_STEPS; together they must be the seed's per-step stream.
+    # The indices are drawn in blocks of at most INDEX_DRAW_STEPS steps,
+    # across snapshot intervals: one interval of 150 steps spans three
+    # blocks, and one block spans 32 intervals of 2 steps. Together the
+    # blocks must be the seed's per-step stream.
     shards = make_shards(make_task(), 6, 3)
     P = build_gossip_matrix(TopologyKind.RING, 3)
-    config = TrainConfig(iterations=150, rate=ConstantRate(0.05), seed=8, snapshot_every=150)
-    trace = run_one(P, shards, LINEAR, config)
-    W = step_loop_snapshots(P, None, [shards], LINEAR, config, config.seed)[0][-1, 0]
-    assert list(trace.iterations) == [0, 150]
-    assert_same_array(trace.final_weights, W)
-    assert_same_array(trace.consensus[-1], consensus_model(W))
+    for cadence in (150, 2):
+        config = TrainConfig(
+            iterations=150, rate=ConstantRate(0.05), seed=8, snapshot_every=cadence
+        )
+        trace = run_one(P, shards, LINEAR, config)
+        snapshots = step_loop_snapshots(P, None, [shards], LINEAR, config, config.seed)[0]
+        assert list(trace.iterations) == list(range(0, 151, cadence))
+        assert_same_array(trace.final_weights, snapshots[-1, 0])
+        for consensus, snapshot in zip(trace.consensus, snapshots[:, 0], strict=True):
+            assert_same_array(consensus, consensus_model(snapshot))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

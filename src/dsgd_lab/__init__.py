@@ -31,12 +31,11 @@ from .models import (
 )
 from .engine import (
     ConstantRate,
-    CoupledTrace,
     Perturbation,
     PerturbationMode,
-    RunTrace,
     StepDecayRate,
     TrainConfig,
+    Traces,
     consensus_distance,
     consensus_model,
     dsgd_step,

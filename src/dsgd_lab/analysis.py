@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -32,11 +32,10 @@ import numpy as np
 from .engine import (
     ConsensusControl,
     ConstantRate,
-    CoupledTrace,
     PerturbationMode,
-    RunTrace,
     Schedule,
     TrainConfig,
+    Traces,
     draw_perturbation,
     dsgd_step,
     run_coupled,
@@ -70,7 +69,6 @@ __all__ = [
     "stability_exhaustive",
     "estimate_sigma_mu",
     "estimate_epsilon_s",
-    "risk_exponent_curve",
     "stability_bound_curve",
     "stability_bound_limit",
     "generalization_bound_from_stability",
@@ -101,17 +99,18 @@ class StabilityEstimate:
     error over replicate means. replicate_means[r, j] is replicate r's mean
     over its pairs (mean and se summarize its rows), kept so that estimates
     run on the same replicate data can be compared pair by pair. With
-    keep_traces, the underlying coupled traces (replicate-major) are
-    retained, their base sides with per-worker risks when these were asked
-    for. extra_gossip_rounds and control_cap_hits total the RunTrace fields
-    of the same names over every trajectory, both sides of every pair.
+    keep_traces, coupled holds the estimate's Traces: one arm, and its
+    replicates x pairs runs (replicate-major, across every replicate group),
+    with the base side's per-worker risks when these were asked for.
+    extra_gossip_rounds and control_cap_hits total the Traces rounds and
+    cap_hits over every trajectory, both sides of every pair.
     """
 
     iterations: np.ndarray
     mean: np.ndarray
     se: np.ndarray
     replicate_means: np.ndarray
-    coupled: list[CoupledTrace] | None = None
+    coupled: Traces | None = None
     extra_gossip_rounds: int = 0
     control_cap_hits: int = 0
 
@@ -179,7 +178,7 @@ def _stability_group(
     holdout: Holdout | None,
     keep: bool,
     risks: bool,
-) -> tuple[np.ndarray, np.ndarray | None, list[list[CoupledTrace]] | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, Traces | None, np.ndarray]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
     Each replicate draws fresh shards and `pairs` sampled perturbations once;
@@ -187,16 +186,16 @@ def _stability_group(
     arm's replicate curves (A, len(group), snapshots); with `gaps`, each arm's
     final consensus-model gap per replicate (A, len(group)), every arm's and
     replicate's final models scored in one pass over `holdout`; with `keep`,
-    each arm's coupled traces, whose base sides record per-worker risks only
-    with `risks` (estimate_epsilon_s reads them); and each arm's total
-    control rounds and cap hits over its trajectories (A, 2).
+    the group's Traces, whose base sides record per-worker risks only with
+    `risks` (estimate_epsilon_s reads them); and each arm's total control
+    rounds and cap hits over its trajectories (A, 2).
     """
     m = arms[0][0].m
     shards = _group_shards(
         task, n, m, [derive_seed(config.seed, "stability-data", r) for r in group]
     )
     runs = [(r, j) for r in group for j in range(pairs)]
-    coupled = run_coupled(
+    traces = run_coupled(
         arms,
         [shards[r - group.start] for r, _ in runs],
         model,
@@ -208,33 +207,29 @@ def _stability_group(
         [derive_seed(config.seed, "stability-run", r, j) for r, j in runs],
         risks=risks,
     )
-    curves = np.stack([
-        np.stack([trace.sq_diffs for trace in traces])
-        .reshape(len(group), pairs, -1)
-        .mean(axis=1)
-        for traces in coupled
-    ])
+    # Runs are replicate-major: run r * pairs + j is pair j of replicate r.
+    curves = traces.sq_diffs.reshape(len(arms), len(group), pairs, -1).mean(axis=2)
     replicate_gaps = None
     if gaps:
-        finals = [
-            replicate
-            for traces in coupled
-            for replicate in np.stack([trace.base.consensus[-1] for trace in traces])
-            .reshape(len(group), pairs, -1)
-        ]
+        finals = traces.consensus[:, :, 0, -1].reshape(len(arms) * len(group), pairs, -1)
         replicate_gaps = np.array([
             gap.mean()
-            for gap in _consensus_gaps(finals, task, model, shards * len(coupled), holdout)
-        ]).reshape(len(coupled), len(group))
-    counters = np.array([
-        np.sum([
-            (side.extra_gossip_rounds, side.control_cap_hits)
-            for trace in traces
-            for side in (trace.base, trace.perturbed)
-        ], axis=0)
-        for traces in coupled
-    ])
-    return curves, replicate_gaps, (coupled if keep else None), counters
+            for gap in _consensus_gaps(list(finals), task, model, shards * len(arms), holdout)
+        ]).reshape(len(arms), len(group))
+    counters = np.stack([traces.rounds, traces.cap_hits], axis=1).sum(axis=(2, 3))
+    return curves, replicate_gaps, (traces if keep else None), counters
+
+
+def _arm_traces(parts: list[Traces], arm: int) -> Traces:
+    """Arm `arm` of each replicate group's Traces, as one arm whose runs are
+    the groups' runs in order: views of the arrays when there is one group."""
+    joined = {}
+    for name in (f.name for f in fields(Traces) if f.name != "iterations"):
+        arrays = [getattr(part, name) for part in parts]
+        if arrays[0] is not None:
+            arrays = [array[arm : arm + 1] for array in arrays]
+            joined[name] = arrays[0] if len(parts) == 1 else np.concatenate(arrays, axis=1)
+    return replace(parts[0], **joined)
 
 
 def _replicate_groups(replicates: int, jobs: int) -> list[range]:
@@ -300,10 +295,7 @@ def _stability_sweep(
             config.snapshot_iterations,
             *mean_and_se(curves),
             replicate_means=curves,
-            coupled=(
-                [trace for _, _, kept, _ in results for trace in kept[arm]]
-                if keep_traces else None
-            ),
+            coupled=_arm_traces([kept for _, _, kept, _ in results], arm) if keep_traces else None,
             extra_gossip_rounds=int(counters[arm, 0]),
             control_cap_hits=int(counters[arm, 1]),
         )
@@ -339,8 +331,8 @@ def estimate_stability(
     with the same base seed see identical data across topologies. The
     one-arm case of the sweep that topology_comparison and
     consensus_control_sweep run. With keep_traces the estimate keeps its
-    coupled traces; with risks as well, their base sides record each
-    worker's empirical risk per snapshot, which estimate_epsilon_s reads.
+    Traces (coupled); with risks as well, they hold each base-side worker's
+    empirical risk per snapshot, which estimate_epsilon_s reads.
 
     Raises:
         InputError: fewer than 2 replicates or 1 pair, or risks without
@@ -406,18 +398,19 @@ def stability_exhaustive(
     return curve / (len(positions) * count)
 
 
-def estimate_sigma_mu(coupled: list[CoupledTrace]) -> tuple[float, float]:
+def estimate_sigma_mu(final_diffs: np.ndarray) -> tuple[float, float]:
     """Envelope moments of the final per-worker weight differences.
 
-    Pools final difference vectors per worker across the given coupled traces;
-    returns (sigma_sq, mu_sq) where sigma_sq is the largest per-worker mean
-    per-coordinate variance and mu_sq the largest per-worker squared mean
-    norm divided by d. Max-over-workers envelopes keep the values usable as
-    the bound evaluators' uniform constants.
+    final_diffs (..., m, d) holds one run's final difference vectors per
+    leading index, as Traces.final_diffs does; they are pooled per worker
+    across runs. Returns (sigma_sq, mu_sq) where sigma_sq is the largest
+    per-worker mean per-coordinate variance and mu_sq the largest per-worker
+    squared mean norm divided by d. Max-over-workers envelopes keep the
+    values usable as the bound evaluators' uniform constants.
     """
-    if len(coupled) < 2:
-        raise InputError("at least 2 coupled traces are required")
-    diffs = np.stack([trace.final_diffs for trace in coupled])  # (R, m, d)
+    diffs = np.reshape(final_diffs, (-1, *np.shape(final_diffs)[-2:]))  # (R, m, d)
+    if len(diffs) < 2:
+        raise InputError("at least 2 coupled runs are required")
     d = diffs.shape[2]
     # Differences of a run that blew up but stayed finite overflow the squares.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,33 +426,23 @@ def estimate_sigma_mu(coupled: list[CoupledTrace]) -> tuple[float, float]:
     return sigma_sq, mu_sq
 
 
-def risk_exponent_curve(trace: RunTrace, alpha: float) -> np.ndarray:
-    """Per-snapshot (1/m) sum_k F_k^(2 alpha / (1 + alpha)) of one trace.
-
-    Raises:
-        InputError: the trace recorded no risks (only the base side of
-            run_coupled with risks set records them).
-    """
-    if trace.risks is None:
-        raise InputError(
-            "trace has no recorded risks: only the base side of run_coupled(risks=True) "
-            "records them"
-        )
-    exponent = 2.0 * alpha / (1.0 + alpha)
-    return np.mean(trace.risks**exponent, axis=1)
-
-
-def estimate_epsilon_s(traces: list[RunTrace], alpha: float) -> float:
+def estimate_epsilon_s(risks: np.ndarray | None, alpha: float) -> float:
     """Upper envelope of the exponentiated averaged empirical risk.
 
-    Max over traces and logged iterations of
-    (1/m) sum_k F_k^(2 alpha / (1 + alpha)). The convention 0^0 = 1 applies
-    at alpha = 0, keeping the envelope an upper bound. Every trace must
-    have recorded its risks (risk_exponent_curve).
+    risks (..., S, m) holds per-worker risks at S snapshots per leading
+    index, as Traces.risks does. Returns the max over runs and snapshots of
+    (1/m) sum_k F_k^(2 alpha / (1 + alpha)). The convention 0^0 = 1
+    applies at alpha = 0, keeping the envelope an upper bound.
+
+    Raises:
+        InputError: no risks (only run_coupled with risks set records them).
     """
-    if not traces:
-        raise InputError("at least one trace is required")
-    return float(max(np.max(risk_exponent_curve(trace, alpha)) for trace in traces))
+    if risks is None:
+        raise InputError(
+            "no recorded risks: only the base side of run_coupled(risks=True) records them"
+        )
+    exponent = 2.0 * alpha / (1.0 + alpha)
+    return float(np.max(np.mean(risks**exponent, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -681,31 +664,26 @@ class GenGapReport:
 
 
 def generalization_gap(
-    traces: list[RunTrace],
+    traces: Traces,
     task: SyntheticTask,
     model: LossModel,
     shards: Shards,
     mc_draws: int = 100_000,
     seed: int = 0,
 ) -> GenGapReport:
-    """Gap curve F(consensus) - F_S(consensus) for traces trained on `shards`.
+    """Gap curve F(consensus) - F_S(consensus) of the base side of every arm
+    and run of traces, each trained on `shards`.
 
-    Every (trace, snapshot) consensus model is evaluated in one stack by
+    Every (run, snapshot) consensus model is evaluated in one stack by
     _consensus_gaps. Without a closed-form population risk, F is estimated
     on the mc_draws-sample holdout of seed (_draw_holdout), streamed in one
     pass: its memory is one chunk at any mc_draws, its time linear in it.
-    The standard error is over the given traces.
+    The standard error is over the runs.
     """
-    if not traces:
-        raise InputError("at least one trace is required")
-    reference = traces[0].iterations
-    for trace in traces[1:]:
-        if not np.array_equal(trace.iterations, reference):
-            raise InputError("traces must share their snapshot iterations")
-    stack = np.concatenate([trace.consensus for trace in traces])
+    stack = traces.consensus[:, :, 0].reshape(-1, traces.consensus.shape[-1])
     (gaps,) = _consensus_gaps([stack], task, model, [shards], _draw_holdout(task, mc_draws, seed))
-    curves = gaps.reshape(len(traces), len(reference))
-    return GenGapReport(reference.copy(), *mean_and_se(curves))
+    curves = gaps.reshape(-1, len(traces.iterations))
+    return GenGapReport(traces.iterations.copy(), *mean_and_se(curves))
 
 
 def _draw_holdout(task: SyntheticTask, mc_draws: int, seed: int) -> Holdout | None:
@@ -767,8 +745,8 @@ def _gengap_group(
         task, n, P.m, [derive_seed(config.seed, "stability-data", r) for r in group]
     )
     seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
-    (traces,) = run_dsgd([(P, None)], shards, model, config, seeds)
-    return _consensus_gaps([trace.consensus for trace in traces], task, model, shards, holdout)
+    traces = run_dsgd([(P, None)], shards, model, config, seeds)
+    return _consensus_gaps(list(traces.consensus[0, :, 0]), task, model, shards, holdout)
 
 
 def replicated_generalization_gap(
@@ -818,21 +796,19 @@ class GaussianityReport:
 
 
 def gaussianity_report(
-    coupled: list[CoupledTrace],
+    final_diffs: np.ndarray,
     skew_tol: float = 0.5,
     kurt_tol: float = 1.0,
     bins: int = 50,
 ) -> GaussianityReport:
     """Moment-based normality verdict for final weight differences.
 
-    Pools every coordinate of every worker's final difference vector across
-    the given traces; passes when |skewness| <= skew_tol and
-    |excess kurtosis| <= kurt_tol. All-zero differences yield a degenerate
-    report instead of a verdict.
+    Pools every coordinate of final_diffs (..., m, d), as Traces.final_diffs
+    holds them: every worker's final difference vector of every run; passes
+    when |skewness| <= skew_tol and |excess kurtosis| <= kurt_tol. All-zero
+    differences yield a degenerate report instead of a verdict.
     """
-    if not coupled:
-        raise InputError("at least one coupled trace is required")
-    pool = np.stack([trace.final_diffs for trace in coupled]).reshape(-1)
+    pool = np.reshape(final_diffs, -1)
     if pool.size < 100:
         raise InputError(
             f"pooled coordinate count {pool.size} is below the required 100"
@@ -1000,10 +976,10 @@ def topology_comparison(
     gap is that of the final consensus model of each base trajectory,
     averaged per replicate and computed inside the group. Each row keeps its
     per-replicate final stability and gap, from which paired differences
-    between kinds follow. With keep_traces, each estimate retains its coupled
-    traces, their base sides with per-worker risks, for downstream bound
-    evaluation. The gaps of every kind and replicate of a group are scored
-    in one pass over the holdout, which is located once per call.
+    between kinds follow. With keep_traces, each estimate retains its Traces,
+    with the base sides' per-worker risks, for downstream bound evaluation.
+    The gaps of every kind and replicate of a group are scored in one pass
+    over the holdout, which is located once per call.
 
     Raises:
         InputError: a kind is listed twice.

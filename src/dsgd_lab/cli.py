@@ -534,8 +534,8 @@ def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
     L = estimate_holder_constant(
         model, task, config.alpha, config.holder_pairs, config.holder_radius, holder_seed
     )
-    sigma_sq, mu_sq = estimate_sigma_mu(estimate.coupled)
-    epsilon_s = estimate_epsilon_s([c.base for c in estimate.coupled], config.alpha)
+    sigma_sq, mu_sq = estimate_sigma_mu(estimate.coupled.final_diffs)
+    epsilon_s = estimate_epsilon_s(estimate.coupled.risks, config.alpha)
     inputs = BoundInputs(
         L=L,
         alpha=config.alpha,
@@ -691,7 +691,7 @@ def _run_consensus_control(config: ExperimentConfig, out: Path) -> Outcome:
 def _run_gaussianity(config: ExperimentConfig, out: Path) -> Outcome:
     estimate = _estimate_stability(config, config.gossip_matrix(), keep_traces=True)
     report = gaussianity_report(
-        estimate.coupled, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
+        estimate.coupled.final_diffs, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
     )
     path = out / "histogram.csv"
     rows = [

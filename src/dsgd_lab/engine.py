@@ -20,18 +20,19 @@ estimators.
 One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
 with its own gossip matrix and consensus control, times K runs with s sides
 each (s = 1 for single runs, s = 2 for coupled pairs); run_dsgd and
-run_coupled are its two entry points. The two data sets of a pair differ in
-one sample per affected worker, and the pairs of one replicate share their
-shards, so the stack holds each distinct shard set once: it reads them in
-place when they are consecutive slices of one array (as the estimators draw
-a group's replicates), else from one copy, and a side table holds each
-pair's replaced samples. A step makes one np.take of side 0's rows for
-every arm, run and side, one np.copyto each for X and Y that gives side 1
-its replaced samples (where zeta is the pair's perturbed index on an
-affected worker), one gossip per group of arms and one gradient call for
-the whole stack. The runs are stepped
-in sub-stacks of as many runs as keep each stack-sized buffer within
-STACK_BYTES, and a run's trace does not depend on the runs stepped with it.
+run_coupled are its two entry points, and each returns one Traces: the
+recorder's arrays, indexed [arm, run, side, snapshot]. The two data sets of
+a pair differ in one sample per affected worker, and the pairs of one
+replicate share their shards, so the stack holds each distinct shard set
+once: it reads them in place when they are consecutive slices of one array
+(as the estimators draw a group's replicates), else from one copy, and a
+side table holds each pair's replaced samples. A step makes one np.take of
+side 0's rows for every arm, run and side, one np.copyto each for X and Y
+that gives side 1 its replaced samples (where zeta is the pair's perturbed
+index on an affected worker), one gossip per group of arms and one gradient
+call for the whole stack. The runs are stepped in sub-stacks of as many
+runs as keep each stack-sized buffer within STACK_BYTES, and a run's traces
+do not depend on the runs stepped with it.
 Every stack-sized array a step writes (the next W, the gathered samples, the
 gradients, consensus control's result) is a buffer allocated once per
 sub-stack; control allocates only a few buffers of its live runs per call.
@@ -102,10 +103,9 @@ __all__ = [
     "ConstantRate",
     "StepDecayRate",
     "TrainConfig",
-    "RunTrace",
+    "Traces",
     "PerturbationMode",
     "Perturbation",
-    "CoupledTrace",
     "ConsensusControl",
     "draw_perturbation",
     "consensus_model",
@@ -183,8 +183,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise InputError(f"iteration count must be >= 0, got {self.iterations}")
-        if self.rate.initial < 0:
-            raise InputError("learning rate must be nonnegative")
+        if not 0 <= self.rate.initial < math.inf:
+            raise InputError(f"learning rate must lie in [0, inf), got {self.rate.initial}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise InputError("snapshot_every must be a positive integer")
 
@@ -205,25 +205,35 @@ class TrainConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class RunTrace:
-    """Logged quantities of one trajectory.
+class Traces:
+    """Logged quantities of every arm, run and side of a stack (run_dsgd, run_coupled).
 
-    iterations[j] is the number of completed steps at snapshot j; consensus[j]
-    is the average model, consensus_dist[j] the mean squared deviation of the
-    workers from it, and risks[j, k] worker k's empirical risk on its shard;
-    risks is None unless the run recorded them: only the base side of
-    run_coupled with risks set does. extra_gossip_rounds counts the run's
-    consensus-control rounds, and control_cap_hits the control calls in
-    which it used all max_rounds rounds and stayed above its target.
+    Indexed [arm, run, side, ...] over A arms, K runs and s sides (1 for
+    single runs; 2 for coupled pairs, side 1 the run on the perturbed set),
+    at S snapshots, for m workers of d parameters:
+    - iterations (S,): the completed steps at each snapshot;
+    - consensus (A, K, s, S, d): the average model;
+    - consensus_dist (A, K, s, S): the workers' mean squared deviation from it;
+    - final (A, K, s, m, d): the final models;
+    - rounds (A, K, s): consensus-control rounds, and cap_hits (A, K, s):
+      control calls in which the side used all max_rounds rounds and stayed
+      above its target;
+    - coupled stacks only, else None: sq_diffs (A, K, S), the worker mean
+      (1/m) sum_k ||w_k - w~_k||^2 of the pair at each snapshot, and
+      final_diffs (A, K, m, d), side 0's final models minus side 1's;
+    - risks (A, K, S, m): each base-side worker's empirical risk on its
+      shard; only run_coupled with risks set records them, else None.
     """
 
     iterations: np.ndarray
     consensus: np.ndarray
     consensus_dist: np.ndarray
-    risks: np.ndarray | None
-    final_weights: np.ndarray
-    extra_gossip_rounds: int = 0
-    control_cap_hits: int = 0
+    final: np.ndarray
+    rounds: np.ndarray
+    cap_hits: np.ndarray
+    sq_diffs: np.ndarray | None = None
+    final_diffs: np.ndarray | None = None
+    risks: np.ndarray | None = None
 
 
 class PerturbationMode(str, Enum):
@@ -241,26 +251,10 @@ class Perturbation:
     with that list.
     """
 
-    mode: PerturbationMode
     index: int
     workers: np.ndarray
     replacement_xs: np.ndarray
     replacement_ys: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledTrace:
-    """Two trajectories on neighboring shard sets under shared randomness.
-
-    sq_diffs[j] is the worker mean (1/m) sum_k ||w_k - w~_k||^2 at snapshot
-    j; final_diffs[k] is the per-coordinate difference vector of worker k at
-    the final iteration.
-    """
-
-    base: RunTrace
-    perturbed: RunTrace
-    sq_diffs: np.ndarray
-    final_diffs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -295,9 +289,7 @@ def draw_perturbation(
     else:
         workers = np.array([int(rng.integers(m))])
     xs, ys = draw_dataset_arrays(task, len(workers), rng)
-    return Perturbation(
-        mode=mode, index=i, workers=workers, replacement_xs=xs, replacement_ys=ys
-    )
+    return Perturbation(index=i, workers=workers, replacement_xs=xs, replacement_ys=ys)
 
 
 def _worker_mean(W: np.ndarray) -> np.ndarray:
@@ -840,18 +832,21 @@ def run_dsgd(
     model: LossModel,
     config: TrainConfig,
     seeds: list[int],
-) -> list[list[RunTrace]]:
+) -> Traces:
     """Runs from the all-zeros initialization, every arm and run stepped as one stack.
 
     Run k trains on shards[k] from seed seeds[k] under every arm (P, control);
     with control set, every step after t_gamma is followed by extra gossip
-    rounds keeping the consensus distance at most gamma_sq. Returns one list
-    of traces per arm; each trace equals that of a one-arm, one-run call, bit
-    for bit. config's seed is not used. Single runs record no risks.
+    rounds keeping the consensus distance at most gamma_sq. Returns the
+    Traces of every arm and run, with one side; each run's entries equal
+    those of a one-arm, one-run call, bit for bit. config's seed is not
+    used. Single runs record no risks.
 
     Raises:
-        InputError: a matrix does not fit the shards, a control onset lies
-            past the run length, or the controlled arms differ in max_rounds.
+        InputError: no arm or no shard set, a matrix does not fit the shards,
+            a control onset lies past the run length, the controlled arms
+            differ in max_rounds, or seeds (perturbations) are not one per
+            shard set.
         NumericalError: a run diverged; names the seed and step of the first
             run found.
     """
@@ -866,16 +861,16 @@ def run_coupled(
     perturbations: list[Perturbation],
     seeds: list[int],
     risks: bool = False,
-) -> list[list[CoupledTrace]]:
+) -> Traces:
     """Coupled runs of shards[k] against perturbations[k] under every arm, as one stack.
 
     Both sides of a pair share the seed, hence the same zeta sequence on
-    every worker; each coupled trace records the worker mean of the squared
-    weight differences at each snapshot and the final per-coordinate
-    differences. Returns one list of coupled traces per arm, as run_dsgd
-    does; with risks set, the base side also records each worker's
-    empirical risk on its shard at every snapshot (the perturbed side's
-    risks stay None), and a non-finite risk is a divergence.
+    every worker. Returns the Traces of every arm and pair, as run_dsgd
+    does, with two sides, each pair's worker mean of the squared weight
+    differences at each snapshot (sq_diffs) and its final per-coordinate
+    differences (final_diffs); with risks set, also the base side's
+    per-worker empirical risks at every snapshot, and a non-finite risk is
+    a divergence.
 
     Raises:
         InputError: as run_dsgd's, or a perturbation whose index lies outside
@@ -894,14 +889,18 @@ def _run_stack(
     seeds: list[int],
     perturbations: list[Perturbation] | None,
     risks: bool,
-) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
+) -> Traces:
     """The trajectory loop: steps A arms of K runs of s sides as one stack W (A, K, s, m, d).
 
     With perturbations, run k's second side trains on shards[k] with
-    perturbations[k] applied, and each run returns one CoupledTrace. The runs
-    are stepped in sub-stacks that keep each stack-sized buffer within
-    STACK_BYTES; a run's trace does not depend on the runs stepped with it.
+    perturbations[k] applied. The runs are stepped in sub-stacks that keep
+    each stack-sized buffer within STACK_BYTES; a run's traces do not depend
+    on the runs stepped with it.
     """
+    if not arms or not shards:
+        raise InputError(
+            f"a stack needs an arm and a shard set, got {len(arms)} and {len(shards)}"
+        )
     m, _, d_x = shards[0].xs.shape
     total = config.iterations
     caps = {control.max_rounds for _, control in arms if control is not None}
@@ -1169,33 +1168,16 @@ class _TraceRecorder:
                 f"{values[index]} at step {self.logged[slot]}"
             )
 
-    def finish(
-        self, W: np.ndarray, control: np.ndarray
-    ) -> list[list[RunTrace]] | list[list[CoupledTrace]]:
-        """Per arm, each run's trace, or coupled trace, as views into the stacked
-        arrays; control holds each side's control rounds and cap hits."""
-        traces = np.empty(W.shape[:3], dtype=object)
-        for index in np.ndindex(traces.shape):
-            traces[index] = RunTrace(
-                iterations=np.array(self.logged),
-                consensus=self.consensus[index],
-                consensus_dist=self.consensus_dist[index],
-                risks=None if self.risks is None or index[2] else self.risks[index[:2]],
-                final_weights=W[index],
-                extra_gossip_rounds=int(control[0][index]),
-                control_cap_hits=int(control[1][index]),
-            )
-        if self.sq_diffs is None:
-            return [list(arm_traces[:, 0]) for arm_traces in traces]
-        return [
-            [
-                CoupledTrace(
-                    base=base,
-                    perturbed=perturbed,
-                    sq_diffs=self.sq_diffs[arm, run],
-                    final_diffs=W[arm, run, 0] - W[arm, run, 1],
-                )
-                for run, (base, perturbed) in enumerate(arm_traces)
-            ]
-            for arm, arm_traces in enumerate(traces)
-        ]
+    def finish(self, W: np.ndarray, control: np.ndarray) -> Traces:
+        """The recorded arrays, the final stack W and control's (rounds, cap hits)."""
+        return Traces(
+            iterations=np.array(self.logged),
+            consensus=self.consensus,
+            consensus_dist=self.consensus_dist,
+            final=W,
+            rounds=control[0],
+            cap_hits=control[1],
+            sq_diffs=self.sq_diffs,
+            final_diffs=None if self.sq_diffs is None else W[:, :, 0] - W[:, :, 1],
+            risks=self.risks,
+        )

@@ -118,6 +118,8 @@ class Shards:
     def __post_init__(self) -> None:
         if self.xs.ndim != 3 or self.ys.shape != self.xs.shape[:2]:
             raise InputError("shard arrays must have shapes (m, n, d_x) and (m, n)")
+        if 0 in self.xs.shape[:2]:
+            raise InputError(f"shards need m >= 1 workers of n >= 1 samples, got {self.ys.shape}")
 
     @property
     def m(self) -> int:

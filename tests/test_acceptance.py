@@ -29,13 +29,7 @@ from dsgd_lab.analysis import (
     _make_shards,
 )
 from dsgd_lab.cli import main, parse_config
-from dsgd_lab.engine import (
-    ConstantRate,
-    CoupledTrace,
-    PerturbationMode,
-    RunTrace,
-    TrainConfig,
-)
+from dsgd_lab.engine import ConstantRate, PerturbationMode, TrainConfig
 from dsgd_lab.models import (
     LossModel,
     ModelFamily,
@@ -471,8 +465,8 @@ def test_criterion_10_bound_domination(canonical):
     ratios = {}
     for kind in ORDERED_KINDS:
         estimate = result.estimates[kind]
-        sigma_sq, mu_sq = estimate_sigma_mu(estimate.coupled)
-        epsilon_s = estimate_epsilon_s([c.base for c in estimate.coupled], 1.0)
+        sigma_sq, mu_sq = estimate_sigma_mu(estimate.coupled.final_diffs)
+        epsilon_s = estimate_epsilon_s(estimate.coupled.risks, 1.0)
         row = next(r for r in result.rows if r.kind is kind)
         inputs = BoundInputs(
             L=L, alpha=1.0, rate=CANONICAL_CONFIG.rate, n=CANONICAL_N, m=CANONICAL_M,
@@ -548,31 +542,13 @@ def test_criterion_12_consensus_control_sweep():
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_coupled(diffs):
-    m, d = diffs.shape
-    blank = RunTrace(
-        iterations=np.zeros(1, dtype=int),
-        consensus=np.zeros((1, d)),
-        consensus_dist=np.zeros(1),
-        risks=np.zeros((1, m)),
-        final_weights=np.zeros((m, d)),
-    )
-    return CoupledTrace(
-        base=blank, perturbed=blank,
-        sq_diffs=np.sum(diffs**2, axis=1).mean(keepdims=True), final_diffs=diffs,
-    )
-
-
 def test_criterion_13_gaussianity_diagnostic():
     start = time.time()
-    # Known-distribution oracles validate the diagnostic itself.
+    # Known-distribution oracles validate the diagnostic itself: 100 runs'
+    # final differences of 10 workers x 100 coordinates each.
     rng = np.random.default_rng(13)
-    normal = gaussianity_report(
-        [_synthetic_coupled(rng.standard_normal((10, 100))) for _ in range(100)]
-    )
-    heavy = gaussianity_report(
-        [_synthetic_coupled(rng.exponential(1.0, (10, 100))) for _ in range(100)]
-    )
+    normal = gaussianity_report(rng.standard_normal((100, 10, 100)))
+    heavy = gaussianity_report(rng.exponential(1.0, (100, 10, 100)))
     # Desk-scale coupled runs: ring, m = 16, d = 20, n = 10, eta = 0.02.
     task = unit_task(ModelFamily.LINEAR_REGRESSION, 20, noise_std=1.0, feature_variance=1 / 3)
     config = TrainConfig(iterations=2000, rate=ConstantRate(0.02), seed=0)
@@ -581,7 +557,7 @@ def test_criterion_13_gaussianity_diagnostic():
         n=10, replicates=30, pairs=1, mode=PerturbationMode.SYNCHRONIZED,
         jobs=JOBS, keep_traces=True,
     )
-    measured = gaussianity_report(estimate.coupled)
+    measured = gaussianity_report(estimate.coupled.final_diffs)
     elapsed = time.time() - start
     ok = (
         normal.passed is True

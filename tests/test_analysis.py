@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -25,7 +26,6 @@ from dsgd_lab.analysis import (
     mean_and_se,
     optimize_bound_p,
     replicated_generalization_gap,
-    risk_exponent_curve,
     spearman_rank_correlation,
     stability_bound_curve,
     stability_bound_limit,
@@ -39,11 +39,10 @@ from dsgd_lab.analysis import (
 from dsgd_lab.engine import (
     ConsensusControl,
     ConstantRate,
-    CoupledTrace,
     PerturbationMode,
-    RunTrace,
     StepDecayRate,
     TrainConfig,
+    Traces,
 )
 from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import Holdout, LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
@@ -60,25 +59,11 @@ def make_task(d_x=2, noise_std=0.5, feature_variance=1.0):
     )
 
 
-def dummy_trace(m=2, d=1, logs=1):
-    zeros = np.zeros((logs, m))
-    return RunTrace(
-        iterations=np.arange(logs),
-        consensus=np.zeros((logs, d)),
-        consensus_dist=np.zeros(logs),
-        risks=zeros,
-        final_weights=np.zeros((m, d)),
-    )
-
-
-def dummy_coupled(final_diffs):
-    final_diffs = np.asarray(final_diffs, dtype=float)
-    m, d = final_diffs.shape
-    base = dummy_trace(m, d)
-    # Differences near the float limit, as the overflow tests use, make inf here.
-    with np.errstate(over="ignore"):
-        sq_diffs = np.sum(final_diffs**2, axis=1).mean(keepdims=True)
-    return CoupledTrace(base=base, perturbed=base, sq_diffs=sq_diffs, final_diffs=final_diffs)
+def initial_traces(shards):
+    """The Traces of one run of zero steps on shards: one snapshot, of the zero model."""
+    P = build_gossip_matrix(TopologyKind.RING, shards.m)
+    config = TrainConfig(iterations=0, rate=ConstantRate(0.1), seed=0)
+    return engine.run_dsgd([(P, None)], [shards], LINEAR, config, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,26 +157,30 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
         _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r))
         for r in range(replicates)
     ]
+    # Control counts add up over the groups: rounds, and cap hits.
+    assert np.array_equal(sum(counters for *_, counters in results), whole[3])
+    assert whole[3][0, 0] > 0
     for arm, (P, control) in enumerate(arms):
         estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
                                       pairs=pairs, mode=mode, keep_traces=True, control=control,
                                       risks=True)
         assert np.array_equal(whole[0][arm], estimate.replicate_means)
-        coupled = [trace for _, _, kept, _ in results for trace in kept[arm]]
-        assert len(coupled) == len(estimate.coupled) == replicates * pairs
-        for a, b in zip(coupled, estimate.coupled):
-            assert np.array_equal(a.sq_diffs, b.sq_diffs)
-            assert np.array_equal(a.base.risks, b.base.risks)
-            assert a.base.extra_gossip_rounds == b.base.extra_gossip_rounds
-        chunks = [estimate.coupled[r * pairs : (r + 1) * pairs] for r in range(replicates)]
-        finals = [
-            gaps.mean()
-            for gaps in analysis._consensus_gaps(
-                [np.stack([trace.base.consensus[-1] for trace in chunk]) for chunk in chunks],
-                task, LINEAR, shards, None,
-            )
-        ]
-        assert np.array_equal(whole[1][arm], finals)
+        # The counters total the kept traces' per-side counts.
+        counts = [estimate.coupled.rounds.sum(), estimate.coupled.cap_hits.sum()]
+        assert np.array_equal(whole[3][arm], counts)
+        assert counts == [estimate.extra_gossip_rounds, estimate.control_cap_hits]
+        # One arm of the groups' traces, their runs joined, is the one-group
+        # estimate's, in every field; one group's are views of its arrays.
+        joined = analysis._arm_traces([kept for _, _, kept, _ in results], arm)
+        assert joined.final.shape[:3] == (1, replicates * pairs, 2)
+        for name in (field.name for field in fields(Traces)):
+            assert np.array_equal(getattr(joined, name), getattr(estimate.coupled, name))
+        alone = analysis._arm_traces([whole[2]], arm)
+        assert all(np.shares_memory(getattr(alone, field.name), getattr(whole[2], field.name))
+                   for field in fields(Traces) if field.name != "iterations")
+        finals = estimate.coupled.consensus[0, :, 0, -1].reshape(replicates, pairs, -1)
+        gaps = analysis._consensus_gaps(list(finals), task, LINEAR, shards, None)
+        assert np.array_equal(whole[1][arm], [gap.mean() for gap in gaps])
 
     mlp_task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
     mlp = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
@@ -377,16 +366,19 @@ def test_keep_traces_returns_replicate_major_traces():
     config = TrainConfig(iterations=8, rate=ConstantRate(0.1), seed=7)
     estimate = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
                                   keep_traces=True, risks=True)
-    assert len(estimate.coupled) == 6
-    assert all(trace.base.risks.shape == (9, 3) for trace in estimate.coupled)
-    assert all(trace.perturbed.risks is None for trace in estimate.coupled)
+    assert estimate.coupled.final.shape == (1, 6, 2, 3, 2)
+    # The base side's risks, per run, snapshot and worker.
+    assert estimate.coupled.risks.shape == (1, 6, 9, 3)
     # Kept without risks (gaussianity reads only final_diffs), nothing records them.
     bare = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
                               keep_traces=True)
-    assert all(trace.base.risks is None for trace in bare.coupled)
-    for a, b in zip(estimate.coupled, bare.coupled):
-        assert np.array_equal(a.final_diffs, b.final_diffs)
-        assert np.array_equal(a.sq_diffs, b.sq_diffs)
+    assert bare.coupled.risks is None
+    assert np.array_equal(estimate.coupled.final_diffs, bare.coupled.final_diffs)
+    assert np.array_equal(estimate.coupled.sq_diffs, bare.coupled.sq_diffs)
+    # Replicate-major: the pairs' curves average to each replicate's curve.
+    assert np.array_equal(
+        estimate.coupled.sq_diffs[0].reshape(2, 3, -1).mean(axis=1), estimate.replicate_means
+    )
     with pytest.raises(InputError, match="kept traces"):
         estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3, risks=True)
 
@@ -473,64 +465,61 @@ def test_exhaustive_stability_guards_against_explosion():
 
 
 def test_sigma_mu_zero_differences():
-    coupled = [dummy_coupled(np.zeros((3, 2))) for _ in range(4)]
-    assert estimate_sigma_mu(coupled) == (0.0, 0.0)
+    assert estimate_sigma_mu(np.zeros((4, 3, 2))) == (0.0, 0.0)
 
 
 def test_sigma_mu_known_distribution():
     rng = np.random.default_rng(13)
     d, reps = 100, 1000
-    coupled = [dummy_coupled(0.1 + 0.2 * rng.standard_normal((2, d))) for _ in range(reps)]
-    sigma_sq, mu_sq = estimate_sigma_mu(coupled)
+    sigma_sq, mu_sq = estimate_sigma_mu(0.1 + 0.2 * rng.standard_normal((reps, 2, d)))
     assert abs(sigma_sq - 0.04) < 0.004
     assert abs(mu_sq - 0.01) < 0.001
 
 
 def test_sigma_mu_requires_two_traces():
-    with pytest.raises(InputError):
-        estimate_sigma_mu([dummy_coupled(np.zeros((2, 2)))])
+    # Runs are pooled over every leading axis: one arm of one run is one run.
+    with pytest.raises(InputError, match="at least 2 coupled runs"):
+        estimate_sigma_mu(np.zeros((1, 1, 2, 2)))
+    assert estimate_sigma_mu(np.zeros((1, 2, 2, 2))) == (0.0, 0.0)
 
 
 def test_epsilon_s_zero_risks():
-    assert estimate_epsilon_s([dummy_trace()], alpha=1.0) == 0.0
+    assert estimate_epsilon_s(np.zeros((1, 2)), alpha=1.0) == 0.0
 
 
 def test_epsilon_s_constant_risk_alpha_one():
-    trace = dummy_trace(m=1)
-    trace.risks[:] = 4.0
-    assert estimate_epsilon_s([trace], alpha=1.0) == pytest.approx(4.0)
+    assert estimate_epsilon_s(np.full((1, 1), 4.0), alpha=1.0) == pytest.approx(4.0)
 
 
 def test_epsilon_s_alpha_zero_uses_unit_exponent_convention():
-    trace = dummy_trace(m=2)
-    trace.risks[:] = [[3.0, 0.0]]
-    assert estimate_epsilon_s([trace], alpha=0.0) == pytest.approx(1.0)
+    assert estimate_epsilon_s(np.array([[3.0, 0.0]]), alpha=0.0) == pytest.approx(1.0)
 
 
 def test_epsilon_s_rejects_traces_without_risks():
-    # Single runs, and the perturbed side of every coupled run, record no risks.
+    # Single runs record no risks, nor do coupled runs without risks set.
     task = make_task()
     shards = _make_shards(task, 4, 3, 0)
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
-    ((single,),) = engine.run_dsgd([(P, None)], [shards], LINEAR, config, [0])
+    single = engine.run_dsgd([(P, None)], [shards], LINEAR, config, [0])
     perturbation = engine.draw_perturbation(task, 4, 3, PerturbationMode.SYNCHRONIZED, seed=1)
-    ((pair,),) = engine.run_coupled(
-        [(P, None)], [shards], LINEAR, config, [perturbation], [0], risks=True
+    pair, bare = (
+        engine.run_coupled([(P, None)], [shards], LINEAR, config, [perturbation], [0], risks)
+        for risks in (True, False)
     )
-    assert estimate_epsilon_s([pair.base], alpha=1.0) > 0.0
-    for traces in ([single], [pair.base, pair.perturbed]):
+    assert estimate_epsilon_s(pair.risks, alpha=1.0) > 0.0
+    for traces in (single, bare):
         with pytest.raises(InputError, match="no recorded risks"):
-            estimate_epsilon_s(traces, alpha=1.0)
+            estimate_epsilon_s(traces.risks, alpha=1.0)
 
 
 def test_risk_exponent_curve_hand_value():
-    trace = dummy_trace(m=2, logs=2)
-    trace.risks[:] = [[1.0, 4.0], [9.0, 16.0]]
-    curve = risk_exponent_curve(trace, alpha=1.0)  # exponent 1
-    assert np.allclose(curve, [2.5, 12.5])
-    half = risk_exponent_curve(trace, alpha=1 / 3)  # exponent 1/2
-    assert np.allclose(half, [1.5, 3.5])
+    # Per snapshot, (1/m) sum_k F_k^(2 alpha / (1 + alpha)); the envelope is their max.
+    risks = np.array([[1.0, 4.0], [9.0, 16.0]])
+    for alpha, curve in ((1.0, [2.5, 12.5]), (1 / 3, [1.5, 3.5])):  # exponents 1 and 1/2
+        per_snapshot = [estimate_epsilon_s(risks[j : j + 1], alpha) for j in range(2)]
+        assert np.allclose(per_snapshot, curve)
+        assert estimate_epsilon_s(risks, alpha) == pytest.approx(curve[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +608,9 @@ def test_bound_evaluators_name_the_contraction_on_overflow():
 
 def test_sigma_mu_overflow_is_a_numerical_failure():
     # Each difference squares to a float; their deviations from the mean do not.
-    coupled = [dummy_coupled(np.full((2, 1), sign * 1.3e154)) for sign in (1.0, -1.0, 1.0)]
+    diffs = np.array([1.0, -1.0, 1.0])[:, None, None] * np.full((3, 2, 1), 1.3e154)
     with pytest.raises(NumericalError, match="moments overflow"):
-        estimate_sigma_mu(coupled)
+        estimate_sigma_mu(diffs)
 
 
 def test_mean_and_se_is_the_replicate_standard_error():
@@ -701,7 +690,6 @@ def test_optimize_bound_p_does_not_increase_value():
     risk = np.full(40, inputs.epsilon_s)
     best = optimize_bound_p(inputs, risk, 40)
     assert 0.0 < best <= 100.0
-    from dataclasses import replace
 
     tuned = stability_bound_curve(replace(inputs, p=best), risk, 40)[-1]
     default = stability_bound_curve(inputs, risk, 40)[-1]
@@ -716,17 +704,16 @@ def test_optimize_bound_p_does_not_increase_value():
 def test_gap_is_zero_at_truth_for_noiseless_task():
     task = make_task(noise_std=0.0)
     shards = _make_shards(task, 4, 2, 19)
-    trace = dummy_trace(m=2, d=2)
-    trace.consensus[:] = task.w_star
-    report = generalization_gap([trace], task, LINEAR, shards)
+    traces = initial_traces(shards)
+    traces.consensus[:] = task.w_star
+    report = generalization_gap(traces, task, LINEAR, shards)
     assert report.mean[0] == pytest.approx(0.0, abs=1e-25)
 
 
 def test_gap_at_initialization_matches_direct_computation():
     task = make_task(noise_std=0.4)
     shards = _make_shards(task, 5, 2, 23)
-    trace = dummy_trace(m=2, d=2)
-    report = generalization_gap([trace], task, LINEAR, shards)
+    report = generalization_gap(initial_traces(shards), task, LINEAR, shards)
     xs, ys = shards.flat()
     expected = (0.5 * task.w_star @ task.w_star + 0.5 * 0.4**2) - np.mean(0.5 * ys**2)
     assert report.mean[0] == pytest.approx(expected, abs=1e-12)
@@ -737,18 +724,9 @@ def test_gap_concentrates_with_many_samples():
     shards = _make_shards(task, 2500, 4, 29)
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 4)
     config = TrainConfig(iterations=800, rate=ConstantRate(0.1), seed=31, snapshot_every=800)
-    from dsgd_lab.engine import run_dsgd
-
-    ((trace,),) = run_dsgd([(P, None)], [shards], LINEAR, config, [config.seed])
-    report = generalization_gap([trace], task, LINEAR, shards)
+    traces = engine.run_dsgd([(P, None)], [shards], LINEAR, config, [config.seed])
+    report = generalization_gap(traces, task, LINEAR, shards)
     assert abs(report.final) < 0.05
-
-
-def test_gap_rejects_mismatched_traces():
-    task = make_task()
-    shards = _make_shards(task, 4, 2, 1)
-    with pytest.raises(InputError):
-        generalization_gap([dummy_trace(logs=1), dummy_trace(logs=2)], task, LINEAR, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +736,7 @@ def test_gap_rejects_mismatched_traces():
 
 def test_gaussianity_passes_on_normal_draws():
     rng = np.random.default_rng(37)
-    coupled = [dummy_coupled(rng.standard_normal((10, 100))) for _ in range(100)]
-    report = gaussianity_report(coupled)
+    report = gaussianity_report(rng.standard_normal((100, 10, 100)))
     assert report.passed is True
     assert abs(report.skewness) < 0.05
     assert report.pooled_count == 100_000
@@ -767,28 +744,25 @@ def test_gaussianity_passes_on_normal_draws():
 
 def test_gaussianity_fails_on_exponential_draws():
     rng = np.random.default_rng(41)
-    coupled = [dummy_coupled(rng.exponential(1.0, size=(10, 100))) for _ in range(100)]
-    report = gaussianity_report(coupled)
+    report = gaussianity_report(rng.exponential(1.0, size=(100, 10, 100)))
     assert report.passed is False
     assert abs(report.skewness - 2.0) < 0.2
 
 
 def test_gaussianity_degenerate_on_zero_differences():
-    coupled = [dummy_coupled(np.zeros((10, 20))) for _ in range(3)]
-    report = gaussianity_report(coupled)
+    report = gaussianity_report(np.zeros((3, 10, 20)))
     assert report.degenerate is True
     assert report.passed is None
 
 
 def test_gaussianity_requires_enough_coordinates():
     with pytest.raises(InputError):
-        gaussianity_report([dummy_coupled(np.zeros((3, 3)))])
+        gaussianity_report(np.zeros((1, 3, 3)))
 
 
 def test_gaussianity_histogram_covers_all_points():
     rng = np.random.default_rng(43)
-    coupled = [dummy_coupled(rng.standard_normal((5, 30))) for _ in range(4)]
-    report = gaussianity_report(coupled)
+    report = gaussianity_report(rng.standard_normal((4, 5, 30)))
     assert report.histogram_counts.sum() == report.pooled_count
     assert len(report.histogram_edges) == len(report.histogram_counts) + 1
 
@@ -909,7 +883,8 @@ def test_mlp_comparison_gaps_match_full_curve_gaps():
     estimate = result.estimates[TopologyKind.RING]
     full_curve = [
         generalization_gap(
-            [trace.base for trace in estimate.coupled[r * pairs : (r + 1) * pairs]],
+            replace(estimate.coupled,
+                    consensus=estimate.coupled.consensus[:, r * pairs : (r + 1) * pairs]),
             task, model, _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r)),
             mc_draws=1001,
             seed=config.seed,

@@ -260,6 +260,25 @@ def test_mlp_gengap_csv_does_not_depend_on_jobs(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("experiment, csv", [("bound", "bound.csv"),
+                                             ("gaussianity", "histogram.csv")])
+def test_kept_trace_experiments_do_not_depend_on_jobs(tmp_path, experiment, csv):
+    # bound reads its envelopes, and gaussianity its pooled differences, from
+    # the traces of every replicate group, joined at --jobs 2. The CSV must be
+    # byte-identical at --jobs 1 and 2, and so must every summary value but
+    # config_sha256, which hashes the config, jobs included.
+    path = write_config(tmp_path, experiment=experiment, kind="ring", m=4, d_x=10, n=4, T=30,
+                        R=5, pairs=2, eta=0.01, holder_pairs=100,
+                        output_dir=str(tmp_path / "out"))
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main([str(path), "--jobs", jobs]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        del summary["config_sha256"]
+        outputs.append(((tmp_path / "out" / csv).read_bytes(), summary))
+    assert outputs[0] == outputs[1]
+
+
 def test_bound_experiment_summary_and_domination_flag(tmp_path):
     out = tmp_path / "out"
     config = parse_config(

@@ -1,11 +1,12 @@
 """Decentralized SGD dynamics: the update map, traces, and coupled runs."""
 
 import functools
+import itertools
 import json
 import math
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from dsgd_lab.engine import (
     PerturbationMode,
     StepDecayRate,
     TrainConfig,
+    Traces,
     consensus_control_step,
     consensus_distance,
     consensus_model,
@@ -76,14 +78,31 @@ def linear_gradient(w, x, y):
 
 def run_one(P, shards, model, config, control=None):
     """One run alone: a one-arm, one-run run_dsgd call from the config's seed."""
-    return run_dsgd([(P, control)], [shards], model, config, [config.seed])[0][0]
+    return run_dsgd([(P, control)], [shards], model, config, [config.seed])
 
 
 def coupled_one(P, shards, model, config, perturbation, control=None, risks=False):
     """One coupled pair alone: a one-arm, one-pair run_coupled call."""
     return run_coupled(
         [(P, control)], [shards], model, config, [perturbation], [config.seed], risks
-    )[0][0]
+    )
+
+
+def part(traces, arm, run):
+    """Run `run` of arm `arm` of a stack's traces, shaped as a one-arm, one-run call gives them."""
+    return replace(traces, **{
+        name: value[arm : arm + 1, run : run + 1]
+        for name, value in vars(traces).items() if name != "iterations" and value is not None
+    })
+
+
+def side(traces, index):
+    """One side of coupled traces, as a single-run stack records it: no pair
+    fields and no risks."""
+    return replace(traces, sq_diffs=None, final_diffs=None, risks=None, **{
+        name: getattr(traces, name)[:, :, index : index + 1]
+        for name in ("consensus", "consensus_dist", "final", "rounds", "cap_hits")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +135,11 @@ def test_train_config_validation():
         TrainConfig(iterations=-1, rate=ConstantRate(0.1), seed=0)
     with pytest.raises(InputError):
         TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0, snapshot_every=0)
+    # A NaN rate was taken, and its run reported as diverged at step 1.
+    for rate in (ConstantRate(-0.1), ConstantRate(math.nan), ConstantRate(math.inf),
+                 StepDecayRate(math.nan), StepDecayRate(-math.inf)):
+        with pytest.raises(InputError, match=r"learning rate must lie in \[0, inf\)"):
+            TrainConfig(iterations=10, rate=rate, seed=0)
     assert TrainConfig(iterations=1000, rate=ConstantRate(0.1), seed=0).cadence == 5
     assert TrainConfig(iterations=10, rate=ConstantRate(0.1), seed=0).cadence == 1
 
@@ -432,8 +456,8 @@ def test_zero_iterations_logs_only_initialization():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     trace = run_one(P, shards, LINEAR, TrainConfig(iterations=0, rate=ConstantRate(0.1), seed=0))
     assert list(trace.iterations) == [0]
-    assert trace.consensus_dist[0] == 0.0
-    assert np.array_equal(trace.final_weights, np.zeros((3, 3)))
+    assert trace.consensus_dist[0, 0, 0, 0] == 0.0
+    assert np.array_equal(trace.final[0, 0, 0], np.zeros((3, 3)))
 
 
 def test_runs_are_bit_deterministic():
@@ -442,12 +466,9 @@ def test_runs_are_bit_deterministic():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=60, rate=ConstantRate(0.05), seed=11, snapshot_every=7)
     a = run_one(P, shards, LINEAR, config)
-    b = run_one(P, shards, LINEAR, config)
-    assert np.array_equal(a.final_weights, b.final_weights)
-    assert np.array_equal(a.consensus, b.consensus)
-    assert np.array_equal(a.consensus_dist, b.consensus_dist)
-    # Single runs never record per-worker risks.
-    assert a.risks is None
+    assert_same_traces(a, run_one(P, shards, LINEAR, config))
+    # Single runs never record per-worker risks or pair fields.
+    assert a.risks is a.sq_diffs is a.final_diffs is None
 
 
 def test_identical_shards_and_indices_keep_workers_in_consensus():
@@ -488,7 +509,7 @@ def test_single_worker_run_reduces_to_plain_sgd():
     for _ in range(25):
         idx = int(rng.integers(0, 6, size=1)[0])
         w = w - 0.1 * linear_gradient(w, shards.xs[0, idx], shards.ys[0, idx])
-    assert np.array_equal(trace.final_weights[0], w)
+    assert np.array_equal(trace.final[0, 0, 0, 0], w)
 
 
 @settings(max_examples=40)
@@ -513,20 +534,22 @@ def test_unseeded_run_uses_the_seeds_per_step_index_stream(m, n, iterations, see
     config = TrainConfig(iterations=iterations, rate=ConstantRate(0.1), seed=seed)
     run = run_one(P, shards, LINEAR, config)
     weights, _ = step_loop_snapshots(P, None, [shards], LINEAR, config, seed)
-    assert_same_array(run.final_weights, weights[-1, 0])
+    assert_same_array(run.final[0, 0, 0], weights[-1, 0])
 
 
 def step_loop_snapshots(P, control, side_shards, model, config, seed):
-    """Weights at the logged iterations, (snapshots, sides, m, d), and each side's extra rounds.
+    """Weights at the logged iterations, (snapshots, sides, m, d), and each side's
+    extra rounds and cap hits, (2, sides).
 
     Every side is stepped alone with allocating dsgd_step calls on the seed's
     per-step index draws, followed by consensus control once the onset has
-    passed: the loop the trajectory engine stacks and buffers.
+    passed: the loop the trajectory engine stacks and buffers. A cap hit is
+    a control call that used every round and left the side above target.
     """
     rng = np.random.default_rng(seed)
     m, n, d_x = side_shards[0].xs.shape
     Ws = [np.zeros((m, model.dim(d_x))) for _ in side_shards]
-    rounds = [0 for _ in side_shards]
+    counts = np.zeros((2, len(side_shards)), dtype=int)
     snapshots = [[W.copy() for W in Ws]]
     for t in range(config.iterations):
         zeta = rng.integers(0, n, size=m)
@@ -537,10 +560,13 @@ def step_loop_snapshots(P, control, side_shards, model, config, seed):
                 Ws[side], used = consensus_control_step(
                     Ws[side], P, control.gamma_sq, control.max_rounds
                 )
-                rounds[side] += used
+                counts[0, side] += used
+                counts[1, side] += (
+                    used == control.max_rounds and consensus_distance(Ws[side]) > control.gamma_sq
+                )
         if t + 1 in config.snapshot_iterations:
             snapshots.append([W.copy() for W in Ws])
-    return np.array(snapshots), rounds
+    return np.array(snapshots), counts
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +577,7 @@ def step_loop_snapshots(P, control, side_shards, model, config, seed):
 def single_worker_perturbation(task, worker, index, seed):
     """Replace sample `index` of one worker by a fresh draw from the seed."""
     xs, ys = draw_dataset_arrays(task, 1, np.random.default_rng(seed))
-    return Perturbation(PerturbationMode.SINGLE_WORKER, index, np.array([worker]), xs, ys)
+    return Perturbation(index, np.array([worker]), xs, ys)
 
 
 def test_draw_perturbation_modes_and_bounds():
@@ -586,7 +612,7 @@ def test_coupled_rejects_a_malformed_perturbation(workers, rows, fragment):
     task = make_task()
     shards = make_shards(task, 5, 4)
     xs, ys = draw_dataset_arrays(task, rows, np.random.default_rng(3))
-    bad = Perturbation(PerturbationMode.SINGLE_WORKER, 2, np.array(workers), xs, ys)
+    bad = Perturbation(2, np.array(workers), xs, ys)
     good = single_worker_perturbation(task, worker=2, index=3, seed=7)
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
     config = TrainConfig(iterations=3, rate=ConstantRate(0.1), seed=0)
@@ -623,6 +649,31 @@ def test_stack_rejects_a_seed_or_perturbation_count_unlike_its_shard_sets(
                      for k in range(perturbations)]
             run_coupled([(P, None)], [shards] * shard_sets, LINEAR, config, drawn,
                         list(range(seeds)))
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["single", "coupled"])
+def test_stack_rejects_no_arm_or_no_shard_set(coupled):
+    # No shard set raised a raw IndexError, and no arm a ZeroDivisionError.
+    task = make_task()
+    shards = make_shards(task, 5, 4)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=3, rate=ConstantRate(0.1), seed=0)
+    for arms, shard_sets, fragment in (([], [shards], "0 and 1"), ([(P, None)], [], "1 and 0")):
+        seeds = list(range(len(shard_sets)))
+        with pytest.raises(InputError, match=f"needs an arm and a shard set, got {fragment}"):
+            if coupled:
+                drawn = [single_worker_perturbation(task, 2, 3, seed) for seed in seeds]
+                run_coupled(arms, shard_sets, LINEAR, config, drawn, seeds)
+            else:
+                run_dsgd(arms, shard_sets, LINEAR, config, seeds)
+
+
+@pytest.mark.parametrize("m, n", [(0, 5), (4, 0), (0, 0)])
+def test_shards_reject_no_worker_or_no_sample(m, n):
+    # Shards of n = 0 samples reached the engine's index draw, which raised
+    # numpy's "high <= 0".
+    with pytest.raises(InputError, match=r"m >= 1 workers of n >= 1 samples"):
+        Shards(xs=np.zeros((m, n, 3)), ys=np.zeros((m, n)))
 
 
 def neighbor_shards(shards, perturbation):
@@ -675,7 +726,7 @@ def test_coupled_identical_replacement_gives_zero_difference():
     task = make_task()
     shards = make_shards(task, 4, 3)
     pert = Perturbation(
-        mode=PerturbationMode.SYNCHRONIZED, index=1, workers=np.arange(3),
+        index=1, workers=np.arange(3),
         replacement_xs=shards.xs[:, 1].copy(), replacement_ys=shards.ys[:, 1].copy(),
     )
     P = build_gossip_matrix(TopologyKind.RING, 3)
@@ -700,9 +751,10 @@ def test_coupled_disconnected_difference_stays_local():
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
     coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=3), pert)
     others = [k for k in range(4) if k != 2]
-    assert np.max(np.abs(coupled.final_diffs[others])) == 0.0
-    assert np.max(np.abs(coupled.final_diffs[2])) > 0.0
-    assert coupled.sq_diffs[-1] == np.sum(coupled.final_diffs[2] ** 2) / 4
+    diffs = coupled.final_diffs[0, 0]
+    assert np.max(np.abs(diffs[others])) == 0.0
+    assert np.max(np.abs(diffs[2])) > 0.0
+    assert coupled.sq_diffs[0, 0, -1] == np.sum(diffs[2] ** 2) / 4
 
 
 def assert_same_array(a, b):
@@ -710,14 +762,13 @@ def assert_same_array(a, b):
     assert np.array_equal(a, b)
 
 
-def assert_same_trace(a, b):
-    for name in ("iterations", "consensus", "consensus_dist", "risks", "final_weights"):
-        if getattr(b, name) is None:
-            assert getattr(a, name) is None
+def assert_same_traces(a, b):
+    """Two Traces, every field, bit for bit: None where b's is, else dtype, shape and values."""
+    for f in fields(Traces):
+        if getattr(b, f.name) is None:
+            assert getattr(a, f.name) is None
         else:
-            assert_same_array(getattr(a, name), getattr(b, name))
-    assert type(a.extra_gossip_rounds) is type(b.extra_gossip_rounds)
-    assert a.extra_gossip_rounds == b.extra_gossip_rounds
+            assert_same_array(getattr(a, f.name), getattr(b, f.name))
 
 
 @pytest.mark.parametrize(
@@ -740,12 +791,11 @@ def test_coupled_base_equals_plain_run(family, control):
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=35, rate=ConstantRate(0.08), seed=19)
     coupled = coupled_one(P, shards, model, config, pert, control)
-    assert_same_trace(coupled.base, run_one(P, shards, model, config, control))
+    assert_same_traces(side(coupled, 0), run_one(P, shards, model, config, control))
     perturbed = neighbor_shards(shards, pert)
-    assert_same_trace(coupled.perturbed, run_one(P, perturbed, model, config, control))
+    assert_same_traces(side(coupled, 1), run_one(P, perturbed, model, config, control))
     if control is not None:
-        assert coupled.base.extra_gossip_rounds > 0
-        assert coupled.perturbed.extra_gossip_rounds > 0
+        assert np.all(coupled.rounds > 0)
 
 
 def test_coupled_difference_snapshots_are_consistent():
@@ -755,14 +805,10 @@ def test_coupled_difference_snapshots_are_consistent():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=16, rate=ConstantRate(0.1), seed=6, snapshot_every=16)
     coupled = coupled_one(P, shards, LINEAR, config, pert)
-    assert coupled.sq_diffs.shape == (len(config.snapshot_iterations),)
-    final_sq = np.sum(coupled.final_diffs**2, axis=1).mean()
-    assert np.allclose(coupled.sq_diffs[-1], final_sq, atol=1e-15)
-    assert np.allclose(
-        coupled.final_diffs,
-        coupled.base.final_weights - coupled.perturbed.final_weights,
-        atol=0,
-    )
+    assert coupled.sq_diffs.shape == (1, 1, len(config.snapshot_iterations))
+    final_sq = np.sum(coupled.final_diffs**2, axis=-1).mean()
+    assert np.allclose(coupled.sq_diffs[0, 0, -1], final_sq, atol=1e-15)
+    assert_same_array(coupled.final_diffs, coupled.final[:, :, 0] - coupled.final[:, :, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -793,35 +839,18 @@ def test_stacked_runs_equal_single_runs(family, control, rate):
     shards, perturbations, seeds = stack_inputs(family)
     P = build_gossip_matrix(TopologyKind.RING, 4)
     config = TrainConfig(iterations=130, rate=rate, seed=0, snapshot_every=100)
-    (coupled,) = run_coupled([(P, control)], shards, model, config, perturbations, seeds,
-                             risks=True)
-    (single,) = run_dsgd([(P, control)], shards, model, config, seeds)
-    assert len(coupled) == len(single) == len(seeds)
+    coupled = run_coupled([(P, control)], shards, model, config, perturbations, seeds,
+                          risks=True)
+    single = run_dsgd([(P, control)], shards, model, config, seeds)
+    assert coupled.final.shape[:3] == (1, len(seeds), 2)
+    assert single.final.shape[:3] == (1, len(seeds), 1)
     for k, seed in enumerate(seeds):
         own = replace(config, seed=seed)
         alone = coupled_one(P, shards[k], model, own, perturbations[k], control, risks=True)
-        assert_same_trace(coupled[k].base, alone.base)
-        assert_same_trace(coupled[k].perturbed, alone.perturbed)
-        assert_same_array(coupled[k].sq_diffs, alone.sq_diffs)
-        assert_same_array(coupled[k].final_diffs, alone.final_diffs)
-        assert_same_trace(single[k], run_one(P, shards[k], model, own, control))
+        assert_same_traces(part(coupled, 0, k), alone)
+        assert_same_traces(part(single, 0, k), run_one(P, shards[k], model, own, control))
         if control is not None:
-            assert alone.base.extra_gossip_rounds > 0
-
-
-def assert_same_traces(got, expected):
-    """Two run_dsgd or run_coupled results, field by field, bit for bit."""
-    assert len(got) == len(expected)
-    for got_arm, expected_arm in zip(got, expected):
-        assert len(got_arm) == len(expected_arm)
-        for a, b in zip(got_arm, expected_arm):
-            if isinstance(b, engine.CoupledTrace):
-                assert_same_trace(a.base, b.base)
-                assert_same_trace(a.perturbed, b.perturbed)
-                assert_same_array(a.sq_diffs, b.sq_diffs)
-                assert_same_array(a.final_diffs, b.final_diffs)
-            else:
-                assert_same_trace(a, b)
+            assert alone.rounds[0, 0, 0] > 0
 
 
 @pytest.mark.parametrize("family", list(ModelFamily))
@@ -839,16 +868,17 @@ def test_sub_stacks_give_the_traces_of_one_stack(
 ):
     # STACK_BYTES caps the runs stepped at once; a budget below one run's
     # buffers still steps one run at a time. Every split of a stack into
-    # sub-stacks must give its traces bit for bit, risks and control rounds
-    # included, with runs that share a shard set or not, and so must index
-    # blocks cut short by INDEX_DRAW_BYTES (from one step to the whole run).
+    # sub-stacks must give its traces bit for bit, risks, control rounds and
+    # cap hits included, with runs that share a shard set or not, and so
+    # must index blocks cut short by INDEX_DRAW_BYTES (from one step to the
+    # whole run). The islands never mix, so their control hits the cap.
     model = LossModel(family=family, hidden_width=3)
     shards, perturbations, seeds = stack_inputs(family, runs=runs)
     if shared:
         shards = [shards[0]] * runs
     arms = [
         (ARM_MATRICES["ring"], ConsensusControl(1e-4, t_gamma=5, max_rounds=10)),
-        (ARM_MATRICES["islands"], None),
+        (ARM_MATRICES["islands"], ConsensusControl(1e-6, t_gamma=2, max_rounds=10)),
     ]
     config = TrainConfig(iterations=12, rate=ConstantRate(0.08), seed=0, snapshot_every=5)
 
@@ -858,6 +888,7 @@ def test_sub_stacks_give_the_traces_of_one_stack(
         return run_dsgd(arms, shards, model, config, seeds)
 
     whole = stack()
+    assert np.all(whole.cap_hits[1] > 0)
     run_bytes = len(arms) * (1 + coupled) * 4 * max(model.dim(3), 3) * 8
     budget = int((per_sub_stack + slack) * run_bytes)
     with (
@@ -880,11 +911,11 @@ def test_kept_risks_equal_each_sides_risks_on_its_own_data(family, mode):
     perturbations = [replace(p, index=shards[0].n - 1) for p in perturbations]
     arms = [(ARM_MATRICES["ring"], None), (ARM_MATRICES["fully_connected"], None)]
     config = TrainConfig(iterations=9, rate=ConstantRate(0.08), seed=0, snapshot_every=9)
-    for traces in run_coupled(arms, shards, model, config, perturbations, seeds, risks=True):
-        for trace, run_shards in zip(traces, shards):
-            expected = worker_risks(model, trace.base.final_weights, run_shards)
-            assert_same_array(trace.base.risks[-1], expected)
-            assert trace.perturbed.risks is None
+    traces = run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
+    assert traces.risks.shape == (len(arms), len(shards), 2, 4)  # two snapshots, four workers
+    for arm, (k, run_shards) in itertools.product(range(len(arms)), enumerate(shards)):
+        expected = worker_risks(model, traces.final[arm, k, 0], run_shards)
+        assert_same_array(traces.risks[arm, k, -1], expected)
 
 
 def test_single_runs_step_tiled_shards_in_place():
@@ -966,8 +997,8 @@ def test_sparse_snapshots_follow_the_per_step_index_stream():
         trace = run_one(P, shards, LINEAR, config)
         snapshots = step_loop_snapshots(P, None, [shards], LINEAR, config, config.seed)[0]
         assert list(trace.iterations) == list(range(0, 151, cadence))
-        assert_same_array(trace.final_weights, snapshots[-1, 0])
-        for consensus, snapshot in zip(trace.consensus, snapshots[:, 0], strict=True):
+        assert_same_array(trace.final[0, 0, 0], snapshots[-1, 0])
+        for consensus, snapshot in zip(trace.consensus[0, 0, 0], snapshots[:, 0], strict=True):
             assert_same_array(consensus, consensus_model(snapshot))
 
 
@@ -1051,22 +1082,13 @@ def test_arms_equal_each_arm_run_alone(family, mode, arms):
     stacked = run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
     # Without risk recording every other field is the same.
     lean = run_coupled(arms, shards, model, config, perturbations, seeds)
-    assert len(stacked) == len(lean) == len(arms)
-    for (P, control), traces, lean_traces in zip(arms, stacked, lean):
-        alone = [
-            coupled_one(P, run_shards, model, replace(config, seed=seed), perturbation,
-                        control, risks=True)
-            for run_shards, perturbation, seed in zip(shards, perturbations, seeds)
-        ]
-        assert len(traces) == len(lean_traces) == len(seeds)
-        for a, b, c in zip(traces, alone, lean_traces):
-            for side in ("base", "perturbed"):
-                assert_same_trace(getattr(a, side), getattr(b, side))
-                unrisked = replace(getattr(b, side), risks=None)
-                assert_same_trace(getattr(c, side), unrisked)
-            for trace in (a, c):
-                assert_same_array(trace.sq_diffs, b.sq_diffs)
-                assert_same_array(trace.final_diffs, b.final_diffs)
+    assert stacked.final.shape[:2] == (len(arms), len(seeds))
+    for arm, (P, control) in enumerate(arms):
+        for k, (run_shards, perturbation, seed) in enumerate(zip(shards, perturbations, seeds)):
+            alone = coupled_one(P, run_shards, model, replace(config, seed=seed), perturbation,
+                                control, risks=True)
+            assert_same_traces(part(stacked, arm, k), alone)
+            assert_same_traces(part(lean, arm, k), replace(alone, risks=None))
 
 
 @pytest.mark.parametrize("family", [ModelFamily.LINEAR_REGRESSION, ModelFamily.TWO_LAYER_MLP])
@@ -1093,16 +1115,15 @@ def test_arms_equal_each_arm_run_alone_from_the_crossover(family):
     ]
     config = TrainConfig(iterations=6, rate=ConstantRate(0.1), seed=0, snapshot_every=4)
     stacked = run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
-    for (P, arm_control), traces in zip(arms, stacked):
-        for trace, run_shards, perturbation, seed in zip(traces, shards, perturbations, seeds):
+    for arm, (P, arm_control) in enumerate(arms):
+        for k, (run_shards, perturbation, seed) in enumerate(zip(shards, perturbations, seeds)):
             alone = coupled_one(P, run_shards, model, replace(config, seed=seed),
                                 perturbation, arm_control, risks=True)
-            assert_same_trace(trace.base, alone.base)
-            assert_same_trace(trace.perturbed, alone.perturbed)
-            assert_same_array(trace.sq_diffs, alone.sq_diffs)
-    # Control gossiped extra rounds, and the ring's runs hit the cap.
-    assert all(trace.base.extra_gossip_rounds > 0 for traces in stacked[3:] for trace in traces)
-    assert stacked[3][0].base.extra_gossip_rounds == 12 * (6 - 0)
+            assert_same_traces(part(stacked, arm, k), alone)
+    # Control gossiped extra rounds, and the ring's runs hit the cap at every step.
+    assert np.all(stacked.rounds[3:, :, 0] > 0)
+    assert stacked.rounds[3, 0, 0] == 12 * (6 - 0)
+    assert stacked.cap_hits[3, 0, 0] == 6
 
 
 def test_arms_must_share_the_round_cap():
@@ -1328,23 +1349,26 @@ def masked_stack_control(W, P, gamma_sq, max_rounds, counts=None, out=None):
 @pytest.mark.parametrize("kind", ["ring", "disconnected"])
 def test_control_counters_equal_the_masked_loop(tmp_path, monkeypatch, kind):
     # The manifest counts, per onset, the extra gossip rounds and the control
-    # calls that used every round and stayed above target. With the masked
-    # loop in place of consensus_control_step, the counters and the CSV
-    # must not change. The ring hits the cap at some steps and not at others;
-    # disconnected gossip never moves a model, so every call with a run above
-    # target uses all its rounds on that run, and hits the cap.
+    # calls that used every round and stayed above target. They must be the
+    # same at --jobs 1 and 2, where the replicate groups' counts are summed;
+    # and with the masked loop in place of consensus_control_step (at jobs 1,
+    # so that the patch is in the process that steps), the counters and the
+    # CSV must not change. The ring hits the cap at some steps and not at
+    # others; disconnected gossip never moves a model, so every call with a
+    # run above target uses all its rounds on that run, and hits the cap.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "experiment": "consensus-control", "kind": kind, "m": 4, "d_x": 2, "n": 4, "T": 12,
         "R": 5, "pairs": 1, "t_gamma": [0, 6, 12], "gamma_sq": 1e-6, "max_rounds": 3,
     }))
 
-    def counters_and_csv(out):
-        assert main([str(config), "--output-dir", str(out), "--jobs", "1"]) == 0
+    def counters_and_csv(out, jobs=1):
+        assert main([str(config), "--output-dir", str(out), "--jobs", str(jobs)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         return manifest["counters"], (out / "consensus_control.csv").read_bytes()
 
     counters, csv = counters_and_csv(tmp_path / "scheduled")
+    assert counters_and_csv(tmp_path / "pooled", jobs=2) == (counters, csv)
     monkeypatch.setattr(engine, "consensus_control_step", masked_stack_control)
     assert counters_and_csv(tmp_path / "masked") == (counters, csv)
     rounds, cap_hits = counters["extra_gossip_rounds"], counters["control_cap_hits"]
@@ -1409,9 +1433,8 @@ def test_controlled_run_with_onset_at_end_matches_plain_run():
     config = TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=21)
     control = ConsensusControl(gamma_sq=1e-8, t_gamma=30)
     controlled = run_one(P, shards, LINEAR, config, control)
-    plain = run_one(P, shards, LINEAR, config)
-    assert np.array_equal(controlled.final_weights, plain.final_weights)
-    assert controlled.extra_gossip_rounds == 0
+    assert_same_traces(controlled, run_one(P, shards, LINEAR, config))
+    assert controlled.rounds[0, 0, 0] == 0
 
 
 def test_controlled_run_with_infinite_target_matches_plain_run():
@@ -1421,8 +1444,7 @@ def test_controlled_run_with_infinite_target_matches_plain_run():
     config = TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=23)
     control = ConsensusControl(gamma_sq=math.inf, t_gamma=0)
     controlled = run_one(P, shards, LINEAR, config, control)
-    plain = run_one(P, shards, LINEAR, config)
-    assert np.array_equal(controlled.final_weights, plain.final_weights)
+    assert_same_traces(controlled, run_one(P, shards, LINEAR, config))
 
 
 def test_controlled_run_keeps_logged_distance_below_target():
@@ -1434,7 +1456,7 @@ def test_controlled_run_keeps_logged_distance_below_target():
     control = ConsensusControl(gamma_sq=gamma_sq, t_gamma=0, max_rounds=400)
     trace = run_one(P, shards, LINEAR, config, control)
     assert np.all(trace.consensus_dist <= gamma_sq + 1e-15)
-    assert trace.extra_gossip_rounds > 0
+    assert trace.rounds[0, 0, 0] > 0
 
 
 def test_controlled_run_rejects_bad_onset():
@@ -1455,12 +1477,15 @@ def test_controlled_run_rejects_bad_onset():
 # ---------------------------------------------------------------------------
 
 
-def assert_trace_follows(trace, weights, rounds):
-    """A trace's fields against the weights (snapshots, m, d) of a step loop."""
-    assert_same_array(trace.consensus, consensus_model(weights))
-    assert_same_array(trace.consensus_dist, consensus_distance(weights))
-    assert_same_array(trace.final_weights, weights[-1])
-    assert trace.extra_gossip_rounds == rounds
+def assert_traces_follow(traces, arm, run, weights, counts):
+    """Each side of a run of traces against the weights (snapshots, sides, m, d)
+    and the counts (2, sides) of a step loop."""
+    for s in range(traces.final.shape[2]):
+        assert_same_array(traces.consensus[arm, run, s], consensus_model(weights[:, s]))
+        assert_same_array(traces.consensus_dist[arm, run, s], consensus_distance(weights[:, s]))
+        assert_same_array(traces.final[arm, run, s], weights[-1, s])
+        assert traces.rounds[arm, run, s] == counts[0, s]
+        assert traces.cap_hits[arm, run, s] == counts[1, s]
 
 
 @pytest.mark.parametrize("family", [ModelFamily.LINEAR_REGRESSION, ModelFamily.TWO_LAYER_MLP])
@@ -1483,7 +1508,7 @@ def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
                          snapshot_every=cadence)
     coupled = run_coupled(arms, shards, model, config, perturbations, seeds)
     single = run_dsgd(arms, shards, model, config, seeds)
-    # (arm, run) -> the step loop's weights (snapshots, sides, m, d) and rounds per side.
+    # (arm, run) -> the step loop's weights (snapshots, sides, m, d) and counts (2, sides).
     expected = {
         (arm, k): step_loop_snapshots(
             P, control, [shards[k], neighbor_shards(shards[k], perturbations[k])],
@@ -1494,21 +1519,24 @@ def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
     }
 
     def assert_traces_follow_the_step_loop():
-        for (arm, k), (weights, rounds) in expected.items():
-            pair = coupled[arm][k]
-            assert_same_array(pair.base.iterations, config.snapshot_iterations)
-            assert_trace_follows(pair.base, weights[:, 0], rounds[0])
-            assert_trace_follows(pair.perturbed, weights[:, 1], rounds[1])
-            assert_trace_follows(single[arm][k], weights[:, 0], rounds[0])
+        assert_same_array(coupled.iterations, config.snapshot_iterations)
+        assert_same_array(single.iterations, config.snapshot_iterations)
+        assert single.sq_diffs is single.final_diffs is single.risks is coupled.risks is None
+        for (arm, k), (weights, counts) in expected.items():
+            assert_traces_follow(coupled, arm, k, weights, counts)
+            assert_traces_follow(single, arm, k, weights[:, :1], counts[:, :1])
             assert_same_array(
-                pair.sq_diffs, np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1).mean(axis=-1)
+                coupled.sq_diffs[arm, k],
+                np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1).mean(axis=-1),
             )
-            assert_same_array(pair.final_diffs, weights[-1, 0] - weights[-1, 1])
+            assert_same_array(coupled.final_diffs[arm, k], weights[-1, 0] - weights[-1, 1])
 
     assert_traces_follow_the_step_loop()
-    # The mid-run onset and the islands arm did gossip extra rounds.
+    # The mid-run onset and the islands arm did gossip extra rounds, and the
+    # islands, which never mix, hit the cap.
     for arm in (0, 2):
-        assert sum(sum(expected[arm, k][1]) for k in range(len(seeds))) > 0
+        assert sum(expected[arm, k][1][0].sum() for k in range(len(seeds))) > 0
+    assert sum(expected[2, k][1][1].sum() for k in range(len(seeds))) > 0
     run_coupled(arms, shards, model, config, perturbations, [seed + 1 for seed in seeds])
     run_dsgd(arms, shards, model, config, [seed + 1 for seed in seeds])
     assert_traces_follow_the_step_loop()

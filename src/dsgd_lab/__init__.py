@@ -44,10 +44,9 @@ from .engine import (
 )
 from .analysis import (
     BoundInputs,
-    ComparisonResult,
+    ComparisonRow,
+    Estimate,
     GaussianityReport,
-    GenGapReport,
-    StabilityEstimate,
     consensus_control_sweep,
     estimate_epsilon_s,
     estimate_sigma_mu,

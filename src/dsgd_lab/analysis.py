@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -57,14 +57,12 @@ from .seeding import derive_seed
 from .topology import GossipMatrix, TopologyKind, build_gossip_matrix, eigenvalues_symmetric
 
 __all__ = [
-    "StabilityEstimate",
+    "Estimate",
     "BoundInputs",
-    "GenGapReport",
     "GaussianityReport",
-    "ControlSweepResult",
     "ComparisonRow",
-    "ComparisonResult",
     "mean_and_se",
+    "replicate_data_seed",
     "estimate_stability",
     "stability_exhaustive",
     "estimate_sigma_mu",
@@ -91,15 +89,15 @@ EXHAUSTIVE_SEQUENCE_LIMIT = 65536
 
 
 @dataclass(frozen=True, eq=False)
-class StabilityEstimate:
-    """Mean squared per-worker weight difference, per logged iteration.
+class Estimate:
+    """A measured curve over replicate datasets, per logged iteration.
 
-    mean[j] estimates (1/m) sum_k ||w_k - w~_k||^2 at snapshot j, averaged
-    over sampled perturbations and replicate datasets; se[j] is the standard
-    error over replicate means. replicate_means[r, j] is replicate r's mean
-    over its pairs (mean and se summarize its rows), kept so that estimates
-    run on the same replicate data can be compared pair by pair. With
-    keep_traces, coupled holds the estimate's Traces: one arm, and its
+    replicates[r, j] is replicate r's value at iterations[j]: for stability
+    the mean over its pairs of (1/m) sum_k ||w_k - w~_k||^2, for the gap its
+    runs' mean consensus-model gap. mean and se are mean_and_se(replicates):
+    the mean and standard error over replicates. Estimates run on the same
+    replicate data can be compared replicate by replicate. With keep_traces,
+    coupled holds a stability estimate's Traces: one arm, and its
     replicates x pairs runs (replicate-major, across every replicate group),
     with the base side's per-worker risks when these were asked for.
     extra_gossip_rounds and control_cap_hits total the Traces rounds and
@@ -107,12 +105,17 @@ class StabilityEstimate:
     """
 
     iterations: np.ndarray
-    mean: np.ndarray
-    se: np.ndarray
-    replicate_means: np.ndarray
+    replicates: np.ndarray
     coupled: Traces | None = None
     extra_gossip_rounds: int = 0
     control_cap_hits: int = 0
+    mean: np.ndarray = field(init=False)
+    se: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        mean, se = mean_and_se(self.replicates)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "se", se)
 
     @property
     def final(self) -> float:
@@ -121,6 +124,12 @@ class StabilityEstimate:
     @property
     def final_se(self) -> float:
         return float(self.se[-1])
+
+
+def replicate_data_seed(seed: int, replicate: int) -> int:
+    """The seed of replicate `replicate`'s shards: every estimator of a base
+    seed draws replicate r's data from it, so their replicates pair up."""
+    return derive_seed(seed, "stability-data", replicate)
 
 
 def _make_shards(task: SyntheticTask, n: int, m: int, seed: int) -> Shards:
@@ -191,9 +200,7 @@ def _stability_group(
     rounds and cap hits over its trajectories (A, 2).
     """
     m = arms[0][0].m
-    shards = _group_shards(
-        task, n, m, [derive_seed(config.seed, "stability-data", r) for r in group]
-    )
+    shards = _group_shards(task, n, m, [replicate_data_seed(config.seed, r) for r in group])
     runs = [(r, j) for r in group for j in range(pairs)]
     traces = run_coupled(
         arms,
@@ -269,13 +276,14 @@ def _stability_sweep(
     gaps: bool = False,
     holdout: Holdout | None = None,
     risks: bool = False,
-) -> tuple[list[StabilityEstimate], np.ndarray | None]:
+) -> tuple[list[Estimate], list[Estimate] | None]:
     """One stability estimate per arm (P, control), every arm on the same replicate data.
 
     The replicates are split into `jobs` contiguous groups, mapped once over
     one pool; each group draws its replicates' data once and steps every
     arm x run x side as one stack (_stability_group). With `gaps`, also
-    returns each arm's final consensus-model gap per replicate, (A, replicates).
+    returns each arm's final consensus-model gap: an estimate of the last
+    snapshot alone, replicates (replicates, 1).
     """
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
@@ -290,19 +298,21 @@ def _stability_sweep(
     results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
     rep_curves = np.concatenate([curves for curves, *_ in results], axis=1)
     counters = sum(group_counters for *_, group_counters in results)
+    iterations = config.snapshot_iterations
     estimates = [
-        StabilityEstimate(
-            config.snapshot_iterations,
-            *mean_and_se(curves),
-            replicate_means=curves,
+        Estimate(
+            iterations,
+            curves,
             coupled=_arm_traces([kept for _, _, kept, _ in results], arm) if keep_traces else None,
             extra_gossip_rounds=int(counters[arm, 0]),
             control_cap_hits=int(counters[arm, 1]),
         )
         for arm, curves in enumerate(rep_curves)
     ]
-    replicate_gaps = np.concatenate([g for _, g, *_ in results], axis=1) if gaps else None
-    return estimates, replicate_gaps
+    if not gaps:
+        return estimates, None
+    final_gaps = np.concatenate([g for _, g, *_ in results], axis=1)
+    return estimates, [Estimate(iterations[-1:], arm_gaps[:, None]) for arm_gaps in final_gaps]
 
 
 def estimate_stability(
@@ -316,30 +326,30 @@ def estimate_stability(
     mode: PerturbationMode = PerturbationMode.SYNCHRONIZED,
     jobs: int = 1,
     keep_traces: bool = False,
-    control: ConsensusControl | None = None,
     risks: bool = False,
-) -> StabilityEstimate:
+) -> Estimate:
     """Estimate the on-average stability curve of the configured dynamics.
 
     Each of `replicates` replicates draws fresh shards (n samples per worker),
     samples `pairs` perturbations of the given mode, and averages the coupled
-    squared weight differences; the standard error is taken over replicate
-    means. The replicates are split into `jobs` contiguous groups, one per
-    worker process, and each group's 2 x replicates x pairs trajectories are
-    stepped as one stack. Replicate and run seeds derive from config.seed with
-    fixed labels, so results are independent of `jobs`, and two estimates
-    with the same base seed see identical data across topologies. The
-    one-arm case of the sweep that topology_comparison and
-    consensus_control_sweep run. With keep_traces the estimate keeps its
-    Traces (coupled); with risks as well, they hold each base-side worker's
-    empirical risk per snapshot, which estimate_epsilon_s reads.
+    squared weight differences into its curve; the standard error is taken
+    over the replicate curves. The replicates are split into `jobs`
+    contiguous groups, one per worker process, and each group's
+    2 x replicates x pairs trajectories are stepped as one stack. Replicate
+    and run seeds derive from config.seed with fixed labels, so results are
+    independent of `jobs`, and two estimates with the same base seed see
+    identical data across topologies. The one-arm, uncontrolled case of the
+    sweep that topology_comparison and consensus_control_sweep run. With
+    keep_traces the estimate keeps its Traces (coupled); with risks as well,
+    they hold each base-side worker's empirical risk per snapshot, which
+    estimate_epsilon_s reads.
 
     Raises:
         InputError: fewer than 2 replicates or 1 pair, or risks without
             keep_traces.
     """
     estimates, _ = _stability_sweep(
-        [(P, control)], task, model, config, n, replicates, pairs, mode, jobs, keep_traces,
+        [(P, None)], task, model, config, n, replicates, pairs, mode, jobs, keep_traces,
         risks=risks,
     )
     return estimates[0]
@@ -646,23 +656,6 @@ def optimize_bound_p(inputs: BoundInputs, risk_curve: np.ndarray, t_max: int) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GenGapReport:
-    """Population minus empirical risk of the consensus model, per snapshot."""
-
-    iterations: np.ndarray
-    mean: np.ndarray
-    se: np.ndarray
-
-    @property
-    def final(self) -> float:
-        return float(self.mean[-1])
-
-    @property
-    def final_se(self) -> float:
-        return float(self.se[-1])
-
-
 def generalization_gap(
     traces: Traces,
     task: SyntheticTask,
@@ -670,7 +663,7 @@ def generalization_gap(
     shards: Shards,
     mc_draws: int = 100_000,
     seed: int = 0,
-) -> GenGapReport:
+) -> Estimate:
     """Gap curve F(consensus) - F_S(consensus) of the base side of every arm
     and run of traces, each trained on `shards`.
 
@@ -678,12 +671,11 @@ def generalization_gap(
     _consensus_gaps. Without a closed-form population risk, F is estimated
     on the mc_draws-sample holdout of seed (_draw_holdout), streamed in one
     pass: its memory is one chunk at any mc_draws, its time linear in it.
-    The standard error is over the runs.
+    The estimate's replicates are the runs' gap curves, arm-major.
     """
     stack = traces.consensus[:, :, 0].reshape(-1, traces.consensus.shape[-1])
     (gaps,) = _consensus_gaps([stack], task, model, [shards], _draw_holdout(task, mc_draws, seed))
-    curves = gaps.reshape(-1, len(traces.iterations))
-    return GenGapReport(traces.iterations.copy(), *mean_and_se(curves))
+    return Estimate(traces.iterations.copy(), gaps.reshape(-1, len(traces.iterations)))
 
 
 def _draw_holdout(task: SyntheticTask, mc_draws: int, seed: int) -> Holdout | None:
@@ -741,9 +733,7 @@ def _gengap_group(
     Returns each replicate's gap curve; every replicate's snapshot stack is
     scored in one pass over the holdout.
     """
-    shards = _group_shards(
-        task, n, P.m, [derive_seed(config.seed, "stability-data", r) for r in group]
-    )
+    shards = _group_shards(task, n, P.m, [replicate_data_seed(config.seed, r) for r in group])
     seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
     traces = run_dsgd([(P, None)], shards, model, config, seeds)
     return _consensus_gaps(list(traces.consensus[0, :, 0]), task, model, shards, holdout)
@@ -758,14 +748,15 @@ def replicated_generalization_gap(
     replicates: int,
     jobs: int = 1,
     mc_draws: int = 100_000,
-) -> GenGapReport:
-    """Gap curve averaged over replicate datasets, each with its own run.
+) -> Estimate:
+    """Gap curve over replicate datasets, each with its own run.
 
-    Data seeds match estimate_stability's, so gap and stability replicates
-    see identical shards for a given base seed. As there, the replicates'
-    runs are stepped as one stack per contiguous group, one group per job;
-    every replicate is scored on one holdout, located once per call and
-    streamed once per group.
+    The estimate's replicates are the replicates' gap curves, (replicates,
+    snapshots). Data seeds match estimate_stability's (replicate_data_seed),
+    so gap and stability replicates see identical shards for a given base
+    seed. As there, the replicates' runs are stepped as one stack per
+    contiguous group, one group per job; every replicate is scored on one
+    holdout, located once per call and streamed once per group.
     """
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
@@ -775,7 +766,7 @@ def replicated_generalization_gap(
     )
     groups = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
     curves = np.stack([curve for group in groups for curve in group])
-    return GenGapReport(config.snapshot_iterations, *mean_and_se(curves))
+    return Estimate(config.snapshot_iterations, curves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -867,19 +858,6 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (last - (counts - 1) / 2.0)[inverse]
 
 
-@dataclass(frozen=True, eq=False)
-class ControlSweepResult:
-    """Final stability per consensus-control onset, plus its rank correlation,
-    and per onset the control rounds and cap hits of all its trajectories."""
-
-    t_gammas: np.ndarray
-    stability_final: np.ndarray
-    stability_se: np.ndarray
-    spearman: float
-    extra_gossip_rounds: np.ndarray
-    control_cap_hits: np.ndarray
-
-
 def consensus_control_sweep(
     P: GossipMatrix,
     task: SyntheticTask,
@@ -893,13 +871,14 @@ def consensus_control_sweep(
     mode: PerturbationMode = PerturbationMode.SYNCHRONIZED,
     max_rounds: int = 200,
     jobs: int = 1,
-) -> ControlSweepResult:
-    """Final-iteration stability as a function of the control onset t_gamma.
+) -> list[Estimate]:
+    """The stability estimate under each control onset t_gamma, in input order.
 
     Both coupled runs apply consensus control (distance kept at or below
     gamma_sq) from step t_gamma on. Every onset is one arm of one stability
     sweep: the onsets share the replicate data, making the sweep a paired
     comparison, and each replicate group steps every onset as one stack.
+    Each estimate counts its onset's control rounds and cap hits.
     """
     if replicates < 5:
         raise InputError(f"the control sweep needs replicates >= 5, got {replicates}")
@@ -912,46 +891,23 @@ def consensus_control_sweep(
         for t_gamma in t_gamma_values
     ]
     estimates, _ = _stability_sweep(arms, task, model, config, n, replicates, pairs, mode, jobs)
-    finals_arr = np.array([estimate.final for estimate in estimates])
-    return ControlSweepResult(
-        t_gammas=np.array(t_gamma_values, dtype=int),
-        stability_final=finals_arr,
-        stability_se=np.array([estimate.final_se for estimate in estimates]),
-        spearman=spearman_rank_correlation(
-            np.array(t_gamma_values, dtype=float), finals_arr
-        ),
-        extra_gossip_rounds=np.array([estimate.extra_gossip_rounds for estimate in estimates]),
-        control_cap_hits=np.array([estimate.control_cap_hits for estimate in estimates]),
-    )
+    return estimates
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonRow:
-    """One topology's eigenvalue envelope, final stability, and final gap.
+    """One topology's eigenvalue envelope, stability estimate and final gap.
 
-    stability_replicates and gengap_replicates hold each replicate's final
-    value in replicate order; the *_final and *_se fields are their mean and
-    standard error. Rows of one comparison share their replicate data, so
-    differences between two rows' replicate arrays are paired.
+    gap is an estimate of the last snapshot alone: each replicate's mean
+    final consensus-model gap over its pairs, replicates (replicates, 1).
+    Rows of one comparison share their replicate data, so differences
+    between two rows' replicates are paired.
     """
 
     kind: TopologyKind
-    m: int
     lam: float
-    stability_final: float
-    stability_se: float
-    gengap_final: float
-    gengap_se: float
-    stability_replicates: np.ndarray
-    gengap_replicates: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ComparisonResult:
-    """Per-topology comparison rows plus the underlying stability estimates."""
-
-    rows: list[ComparisonRow]
-    estimates: dict[TopologyKind, StabilityEstimate]
+    stability: Estimate
+    gap: Estimate
 
 
 def topology_comparison(
@@ -967,19 +923,19 @@ def topology_comparison(
     jobs: int = 1,
     mc_draws: int = 100_000,
     keep_traces: bool = False,
-) -> ComparisonResult:
-    """Stability and generalization gap per topology on identical data.
+) -> list[ComparisonRow]:
+    """Stability and generalization gap per topology on identical data, one row per kind.
 
     Every kind is one arm of one stability sweep: all topologies share the
     replicate seeds, hence the same shards, perturbations and sampling
     sequences, and each replicate group steps every kind as one stack. The
     gap is that of the final consensus model of each base trajectory,
-    averaged per replicate and computed inside the group. Each row keeps its
-    per-replicate final stability and gap, from which paired differences
-    between kinds follow. With keep_traces, each estimate retains its Traces,
-    with the base sides' per-worker risks, for downstream bound evaluation.
-    The gaps of every kind and replicate of a group are scored in one pass
-    over the holdout, which is located once per call.
+    averaged per replicate and computed inside the group. Both estimates of
+    a row keep their replicates, from which paired differences between
+    kinds follow. With keep_traces, each stability estimate retains its
+    Traces, with the base sides' per-worker risks, for downstream bound
+    evaluation. The gaps of every kind and replicate of a group are scored
+    in one pass over the holdout, which is located once per call.
 
     Raises:
         InputError: a kind is listed twice.
@@ -993,18 +949,7 @@ def topology_comparison(
         keep_traces, gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed),
         risks=keep_traces,
     )
-    rows = []
-    for kind, P, estimate, kind_gaps in zip(kinds, matrices, estimates, gaps):
-        gap_mean, gap_se = mean_and_se(kind_gaps)
-        rows.append(ComparisonRow(
-            kind=kind,
-            m=m,
-            lam=eigenvalues_symmetric(P).lam,
-            stability_final=estimate.final,
-            stability_se=estimate.final_se,
-            gengap_final=float(gap_mean),
-            gengap_se=float(gap_se),
-            stability_replicates=estimate.replicate_means[:, -1].copy(),
-            gengap_replicates=kind_gaps,
-        ))
-    return ComparisonResult(rows=rows, estimates=dict(zip(kinds, estimates)))
+    return [
+        ComparisonRow(kind, eigenvalues_symmetric(P).lam, estimate, gap)
+        for kind, P, estimate, gap in zip(kinds, matrices, estimates, gaps)
+    ]

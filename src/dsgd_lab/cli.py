@@ -71,6 +71,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     BoundInputs,
+    Estimate,
     estimate_epsilon_s,
     estimate_sigma_mu,
     estimate_stability,
@@ -80,7 +81,9 @@ from .analysis import (
     generalization_bound_from_stability,
     mean_and_se,
     optimize_bound_p,
+    replicate_data_seed,
     replicated_generalization_gap,
+    spearman_rank_correlation,
     stability_bound_curve,
     stability_bound_limit,
     topology_comparison,
@@ -99,6 +102,9 @@ from .topology import (
 )
 
 FLOAT_FORMAT = "%.12g"
+
+# The version of the summary.json and manifest.json layouts.
+SCHEMA_VERSION = 1
 
 
 # Sign constraints a config value must meet, kept in its field's metadata.
@@ -219,8 +225,15 @@ def _parse_kind(raw: Any, key: str) -> TopologyKind:
         raise InputError(f"config key {key!r}: unknown topology {raw!r} (one of {valid})")
 
 
-def parse_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+def parse_config(
+    path: str | Path,
+    overrides: dict[str, Any] | None = None,
+    defaults: dict[str, Any] | None = None,
+) -> ExperimentConfig:
     """Parse and validate a JSON config file, applying defaults and overrides.
+
+    defaults fill keys that the file does not set; non-None overrides
+    replace the file's values.
 
     Raises:
         InputError: missing file, malformed JSON, unknown key, or any violated
@@ -235,6 +248,8 @@ def parse_config(path: str | Path, overrides: dict[str, Any] | None = None) -> E
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
+    for key, value in (defaults or {}).items():
+        raw.setdefault(key, value)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     return _build_config(raw)
@@ -378,7 +393,7 @@ class RunManifest:
     wall_seconds: float
     seeds: dict[str, int]
     files: dict[str, str]
-    schema_version: int = 1
+    schema_version: int = SCHEMA_VERSION
     counters: dict[str, Any] | None = None
 
     def write(self, output_dir: Path) -> None:
@@ -424,7 +439,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     output_dir.mkdir(parents=True, exist_ok=True)
     files, summary_extra, seeds, counters = RUNNERS[config.experiment](config, output_dir)
     summary = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "experiment": config.experiment,
         "config_sha256": _config_digest(config),
         **summary_extra,
@@ -466,12 +481,14 @@ def _run_topology(config: ExperimentConfig, out: Path) -> Outcome:
     return [topo_path, spectrum_path], summary, {}, None
 
 
-def _stability_csv(estimate, path: Path) -> None:
-    rows = [
-        (int(estimate.iterations[j]), estimate.mean[j], estimate.se[j])
-        for j in range(len(estimate.iterations))
-    ]
-    emit_csv(rows, ["iter", "stability_mean", "stability_se"], path)
+def _curve_csv(estimate: Estimate, name: str, path: Path, **columns: np.ndarray) -> None:
+    """One row per snapshot: its iteration, the estimate's mean and SE, then
+    the snapshot's entry of each extra column."""
+    emit_csv(
+        list(zip(estimate.iterations.tolist(), estimate.mean, estimate.se, *columns.values())),
+        ["iter", f"{name}_mean", f"{name}_se", *columns],
+        path,
+    )
 
 
 def _estimate_stability(
@@ -488,7 +505,7 @@ def _estimate_stability(
 def _run_stability(config: ExperimentConfig, out: Path) -> Outcome:
     estimate = _estimate_stability(config, config.gossip_matrix())
     path = out / "stability.csv"
-    _stability_csv(estimate, path)
+    _curve_csv(estimate, "stability", path)
     summary = {
         "mode": config.mode.value,
         "replicates": config.R,
@@ -500,26 +517,16 @@ def _run_stability(config: ExperimentConfig, out: Path) -> Outcome:
 
 
 def _run_gengap(config: ExperimentConfig, out: Path) -> Outcome:
-    report = replicated_generalization_gap(
-        config.gossip_matrix(),
-        config.task(),
-        config.loss_model(),
-        config.train_config(),
-        n=config.n,
-        replicates=config.R,
-        jobs=config.jobs,
-        mc_draws=config.mc_samples,
+    estimate = replicated_generalization_gap(
+        config.gossip_matrix(), config.task(), config.loss_model(), config.train_config(),
+        n=config.n, replicates=config.R, jobs=config.jobs, mc_draws=config.mc_samples,
     )
     path = out / "gengap.csv"
-    rows = [
-        (int(report.iterations[j]), report.mean[j], report.se[j])
-        for j in range(len(report.iterations))
-    ]
-    emit_csv(rows, ["iter", "gap_mean", "gap_se"], path)
+    _curve_csv(estimate, "gap", path)
     summary = {
         "replicates": config.R,
-        "gap_final": report.final,
-        "gap_final_se": report.final_se,
+        "gap_final": estimate.final,
+        "gap_final_se": estimate.final_se,
     }
     return [path], summary, _replicate_seeds(config, "gengap"), None
 
@@ -554,20 +561,9 @@ def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
         inputs = replace(inputs, p=optimize_bound_p(inputs, risk_curve, config.T))
     curve = stability_bound_curve(inputs, risk_curve, config.T)
     path = out / "bound.csv"
-    rows = [
-        (
-            int(estimate.iterations[j]),
-            estimate.mean[j],
-            estimate.se[j],
-            curve[int(estimate.iterations[j])],
-        )
-        for j in range(len(estimate.iterations))
-    ]
-    emit_csv(rows, ["iter", "stability_mean", "stability_se", "bound_value"], path)
-    dominated = all(
-        curve[int(estimate.iterations[j])] >= estimate.mean[j]
-        for j in range(len(estimate.iterations))
-    )
+    logged = curve[estimate.iterations]
+    _curve_csv(estimate, "stability", path, bound_value=logged)
+    dominated = bool(np.all(logged >= estimate.mean))
     summary = {
         "L": L,
         "alpha": config.alpha,
@@ -593,97 +589,78 @@ def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
 
 
 def _run_compare(config: ExperimentConfig, out: Path) -> Outcome:
-    result = topology_comparison(
-        config.kinds,
-        config.m,
-        config.task(),
-        config.loss_model(),
-        config.train_config(),
-        n=config.n,
-        replicates=config.R,
-        pairs=config.pairs,
-        mode=config.mode,
-        jobs=config.jobs,
-        mc_draws=config.mc_samples,
+    rows = topology_comparison(
+        config.kinds, config.m, config.task(), config.loss_model(), config.train_config(),
+        n=config.n, replicates=config.R, pairs=config.pairs, mode=config.mode,
+        jobs=config.jobs, mc_draws=config.mc_samples,
     )
     path = out / "compare.csv"
-    rows = [
-        (
-            row.kind.value, row.m, row.lam,
-            row.stability_final, row.stability_se,
-            row.gengap_final, row.gengap_se,
-        )
-        for row in result.rows
-    ]
     emit_csv(
-        rows,
-        ["kind", "m", "lambda", "stability_final", "stability_se",
-         "gengap_final", "gengap_se"],
+        [
+            (row.kind.value, config.m, row.lam, row.stability.final, row.stability.final_se,
+             row.gap.final, row.gap.final_se)
+            for row in rows
+        ],
+        ["kind", "m", "lambda", "stability_final", "stability_se", "gengap_final", "gengap_se"],
         path,
     )
-    by_lam = sorted(result.rows, key=lambda r: r.lam)
+    by_lam = sorted(rows, key=lambda r: r.lam)
     reference = by_lam[0]
     summary = {
         "kinds_by_lambda": [r.kind.value for r in by_lam],
         "paired_reference_kind": reference.kind.value,
         "paired_differences": {
             r.kind.value: {
-                "stability": _paired_difference(
-                    r.stability_replicates, reference.stability_replicates
-                ),
-                "gengap": _paired_difference(r.gengap_replicates, reference.gengap_replicates),
+                "stability": _paired_difference(r.stability, reference.stability),
+                "gengap": _paired_difference(r.gap, reference.gap),
             }
-            for r in result.rows
+            for r in rows
         },
         "rows": {
             r.kind.value: {
                 "lambda": r.lam,
-                "stability_final": r.stability_final,
-                "gengap_final": r.gengap_final,
+                "stability_final": r.stability.final,
+                "gengap_final": r.gap.final,
             }
-            for r in result.rows
+            for r in rows
         },
     }
     return [path], summary, _replicate_seeds(config, "stability"), None
 
 
-def _paired_difference(values: np.ndarray, reference: np.ndarray) -> dict:
-    """Per-replicate differences from a reference kind, their mean and paired SE."""
-    diff = values - reference
+def _paired_difference(estimate: Estimate, reference: Estimate) -> dict:
+    """Per-replicate differences of the final values from a reference
+    estimate on the same replicates, their mean and paired SE."""
+    diff = estimate.replicates[:, -1] - reference.replicates[:, -1]
     mean, se = mean_and_se(diff)
     return {"replicates": diff.tolist(), "mean": float(mean), "se": float(se)}
 
 
 def _run_consensus_control(config: ExperimentConfig, out: Path) -> Outcome:
-    result = consensus_control_sweep(
-        config.gossip_matrix(),
-        config.task(),
-        config.loss_model(),
-        config.train_config(),
-        n=config.n,
-        gamma_sq=config.gamma_sq,
-        t_gamma_values=config.t_gamma_values(),
-        replicates=config.R,
-        pairs=config.pairs,
-        mode=config.mode,
-        max_rounds=config.max_rounds,
-        jobs=config.jobs,
+    onsets = config.t_gamma_values()
+    estimates = consensus_control_sweep(
+        config.gossip_matrix(), config.task(), config.loss_model(), config.train_config(),
+        n=config.n, gamma_sq=config.gamma_sq, t_gamma_values=onsets, replicates=config.R,
+        pairs=config.pairs, mode=config.mode, max_rounds=config.max_rounds, jobs=config.jobs,
     )
     path = out / "consensus_control.csv"
-    rows = [
-        (int(result.t_gammas[i]), result.stability_final[i], result.stability_se[i])
-        for i in range(len(result.t_gammas))
-    ]
-    emit_csv(rows, ["t_gamma", "stability_final", "stability_se"], path)
+    emit_csv(
+        [(t_gamma, e.final, e.final_se) for t_gamma, e in zip(onsets, estimates)],
+        ["t_gamma", "stability_final", "stability_se"],
+        path,
+    )
+    spearman = spearman_rank_correlation(
+        np.array(onsets, dtype=float), np.array([e.final for e in estimates])
+    )
     summary = {
         "gamma_sq": config.gamma_sq,
-        "spearman": result.spearman,
-        "monotone_signal": result.spearman > 0,
+        "spearman": spearman,
+        "monotone_signal": spearman > 0,
     }
-    onsets = [str(t_gamma) for t_gamma in result.t_gammas]
+    labels = [str(t_gamma) for t_gamma in onsets]
     counters = {
-        "extra_gossip_rounds": dict(zip(onsets, result.extra_gossip_rounds.tolist())),
-        "control_cap_hits": dict(zip(onsets, result.control_cap_hits.tolist())),
+        "extra_gossip_rounds": dict(zip(labels, (e.extra_gossip_rounds for e in estimates))),
+        "control_cap_hits": dict(zip(labels, (e.control_cap_hits for e in estimates))),
     }
     return [path], summary, _replicate_seeds(config, "stability"), counters
 
@@ -710,10 +687,7 @@ def _run_gaussianity(config: ExperimentConfig, out: Path) -> Outcome:
 
 
 def _replicate_seeds(config: ExperimentConfig, label: str) -> dict[str, int]:
-    return {
-        f"{label}-data-{r}": derive_seed(config.seed, "stability-data", r)
-        for r in range(config.R)
-    }
+    return {f"{label}-data-{r}": replicate_data_seed(config.seed, r) for r in range(config.R)}
 
 
 # The experiments, in the order the config error lists them.
@@ -758,14 +732,16 @@ def main(argv: list[str] | None = None) -> int:
         "jobs": args.jobs,
         "seed": args.seed,
     }
+    # The variable is only a default: the config's own jobs and --jobs win.
+    defaults: dict[str, Any] = {}
     if args.jobs is None and "DSGD_LAB_JOBS" in os.environ:
         try:
-            overrides["jobs"] = int(os.environ["DSGD_LAB_JOBS"])
+            defaults["jobs"] = int(os.environ["DSGD_LAB_JOBS"])
         except ValueError:
             print("error: DSGD_LAB_JOBS must be an integer", file=sys.stderr)
             return 1
     try:
-        config = parse_config(args.config, overrides)
+        config = parse_config(args.config, overrides, defaults)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

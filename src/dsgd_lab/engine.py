@@ -486,6 +486,7 @@ def consensus_control_step(
     max_rounds: int,
     counts: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    cap_hits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Extra pure-gossip rounds until consensus distance <= gamma_sq.
 
@@ -497,9 +498,11 @@ def consensus_control_step(
     it would take alone. Returns the models, written into out (checked as
     dsgd_step's; a new array when not given), and the rounds the loop took,
     the most that any run used; with counts (shape W.shape[:-2]) given, each
-    run's own rounds are added to it. If the target is unreachable
-    (disconnected components with disagreeing means), a run reports
-    max_rounds exhaustion instead of raising.
+    run's own rounds are added to it, and with cap_hits (the same shape)
+    given, 1 for each run that used all max_rounds rounds and stayed above
+    its target. If the target is unreachable (disconnected components with
+    disagreeing means), a run reports max_rounds exhaustion instead of
+    raising.
 
     The rounds follow a schedule, and a check decides every stop:
     - Schedule. A run's deviations D from its worker mean have energy
@@ -585,7 +588,8 @@ def consensus_control_step(
     distances = _distance_from_mean(block, _worker_mean(block), runs[: len(rows)])
     np.copyto(out, W)
     per_arm = len(runs) // arm_count
-    used = np.zeros(len(runs), dtype=int)
+    # Per run: its rounds, and 1 if it used every round and stayed above target.
+    used = np.zeros((2, len(runs)), dtype=int)
     above = distances > targets[rows]
     live = rows[above]
     # A non-finite distance (a diverging run) sends the whole call to the
@@ -597,8 +601,10 @@ def consensus_control_step(
     if len(live):
         _checked_control(start, live, targets, groups, per_arm, max_rounds, runs, used)
     if counts is not None:
-        counts += used.reshape(counts.shape)
-    return out, int(used.max(initial=0))
+        counts += used[0].reshape(counts.shape)
+    if cap_hits is not None:
+        cap_hits += used[1].reshape(cap_hits.shape)
+    return out, int(used[0].max(initial=0))
 
 
 def _arm_bounds(live: np.ndarray, per_arm: int, arm_count: int) -> list[int]:
@@ -620,8 +626,9 @@ def _checked_control(
 
     The rounds gossip a compacted block of the runs still above target,
     each group of arms in its matrix's form, and a run leaves the block
-    once it reaches its target. Each run's models go to runs[live] and its
-    rounds to used[live].
+    once it reaches its target. Each run's models go to runs[live], its
+    rounds to used[0, live], and a 1 to used[1, live] if it is still above
+    target after max_rounds rounds.
     """
     arm_count = groups[-1][3]
     goal = targets[live]
@@ -645,11 +652,11 @@ def _checked_control(
         if not above.all():
             done, keep = ~above, np.flatnonzero(above)
             runs[live[done]] = block[done]
-            used[live[done]] = rounds
+            used[0, live[done]] = rounds
             np.take(block, keep, axis=0, out=other[: len(keep)], mode="clip")
             live, goal, current, bounds = live[keep], goal[keep], 1 - current, None
     runs[live] = buffers[current, : len(live)]
-    used[live] = rounds
+    used[0, live], used[1, live] = rounds, 1
 
 
 # Unit roundoff of float64.
@@ -750,8 +757,9 @@ def _scheduled_control(
 ) -> np.ndarray:
     """Control of the runs start[live] (live sorted, at the given distances) on
     the predicted schedule (consensus_control_step). Writes each accepted
-    run's models to runs and its rounds to used; returns the sorted indices
-    of the runs it leaves to _checked_control."""
+    run's models to runs and its rounds and cap hit to used, as
+    _checked_control does; returns the sorted indices of the runs it leaves
+    to _checked_control."""
     m, d = start.shape[1:]
     bounds = _arm_bounds(live, per_arm, groups[-1][3])
     gathered, goals = start[live], targets[live]
@@ -808,7 +816,7 @@ def _scheduled_control(
     kept = block.reshape(2 * size, m, d)
     at_stop = np.arange(size) + size * (stops % 2)
     runs[index] = kept[at_stop]
-    used[index] = stops
+    used[0, index] = stops
     checked = _distance_from_mean(kept, _worker_mean(kept), kept)
     # R, the last round known to be above target (the cap, for a run that
     # stays above it), and its distance.
@@ -823,6 +831,7 @@ def _scheduled_control(
     accepted = (
         (capped | (checked[at_stop] <= goal)) & (above > goal) & ((last_above <= 1) | covered)
     )
+    used[1, index] = accepted & capped
     return np.sort(np.concatenate([index[~accepted], *direct]))
 
 
@@ -963,7 +972,6 @@ def _step_runs(
     X = np.empty((*W.shape[:-1], d_x))
     Y = np.empty(W.shape[:-1])
     grads = np.empty((Y.size, W.shape[-1]))
-    used = np.empty(W.shape[:3], dtype=int)
     recorder.start(runs, W)
     recorder.record(0, W)
     slot = 1
@@ -984,16 +992,9 @@ def _step_runs(
             W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=grads), W
             if t > first_onset:
                 now = np.where(onsets < t, targets, np.inf)[:, None, None]
-                used.fill(0)
                 controlled, _ = consensus_control_step(
-                    W, matrices, now, max_rounds, used, out=spare
+                    W, matrices, now, max_rounds, control[0], out=spare, cap_hits=control[1]
                 )
-                control[0] += used
-                capped = used == max_rounds
-                if capped.any():
-                    # W, about to become the spare, is the distances' scratch.
-                    mean = _worker_mean(controlled)
-                    control[1] += capped & (_distance_from_mean(controlled, mean, W) > now)
                 W, spare = controlled, W
             if t == logged[slot]:
                 recorder.record(slot, W)

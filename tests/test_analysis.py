@@ -161,10 +161,11 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     assert np.array_equal(sum(counters for *_, counters in results), whole[3])
     assert whole[3][0, 0] > 0
     for arm, (P, control) in enumerate(arms):
-        estimate = estimate_stability(P, task, LINEAR, config, n=5, replicates=replicates,
-                                      pairs=pairs, mode=mode, keep_traces=True, control=control,
-                                      risks=True)
-        assert np.array_equal(whole[0][arm], estimate.replicate_means)
+        (estimate,), _ = analysis._stability_sweep(
+            [(P, control)], task, LINEAR, config, n=5, replicates=replicates, pairs=pairs,
+            mode=mode, jobs=1, keep_traces=True, risks=True,
+        )
+        assert np.array_equal(whole[0][arm], estimate.replicates)
         # The counters total the kept traces' per-side counts.
         counts = [estimate.coupled.rounds.sum(), estimate.coupled.cap_hits.sum()]
         assert np.array_equal(whole[3][arm], counts)
@@ -194,6 +195,7 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
         for curve in _gengap_group(group, P=ring, task=mlp_task, model=mlp, config=config,
                                    n=5, holdout=holdout)
     ])
+    assert np.array_equal(curves, report.replicates)
     assert np.array_equal(curves.mean(axis=0), report.mean)
     assert np.array_equal(curves.std(axis=0, ddof=1) / math.sqrt(replicates), report.se)
 
@@ -235,21 +237,23 @@ def test_sweep_draws_each_replicate_once_in_one_pool(monkeypatch, sweep):
     kwargs = dict(n=4, replicates=5, pairs=2, jobs=2)
     if sweep == "compare":
         kinds = [TopologyKind.FULLY_CONNECTED, TopologyKind.RING, TopologyKind.DISCONNECTED]
-        result = topology_comparison(kinds, 4, task, LINEAR, config, mc_draws=100, **kwargs)
-        finals = [row.stability_final for row in result.rows]
+        rows = topology_comparison(kinds, 4, task, LINEAR, config, mc_draws=100, **kwargs)
+        finals = [row.stability.final for row in rows]
         arms = [(build_gossip_matrix(kind, 4), None) for kind in kinds]
     else:
         onsets = [0, 6, 12]
-        result = consensus_control_sweep(ring, task, LINEAR, config, gamma_sq=1e-4,
-                                          t_gamma_values=onsets, **kwargs)
-        finals = list(result.stability_final)
+        estimates = consensus_control_sweep(ring, task, LINEAR, config, gamma_sq=1e-4,
+                                            t_gamma_values=onsets, **kwargs)
+        finals = [estimate.final for estimate in estimates]
         arms = [(ring, ConsensusControl(gamma_sq=1e-4, t_gamma=t)) for t in onsets]
     assert InProcessPool.made == [2]
     assert sorted(drawn) == sorted(
         analysis.derive_seed(config.seed, "stability-data", r) for r in range(5)
     )
     for (P, control), final in zip(arms, finals):
-        alone = estimate_stability(P, task, LINEAR, config, control=control, **kwargs)
+        (alone,), _ = analysis._stability_sweep(
+            [(P, control)], task, LINEAR, config, mode=PerturbationMode.SYNCHRONIZED, **kwargs
+        )
         assert final == alone.final
 
 
@@ -377,7 +381,7 @@ def test_keep_traces_returns_replicate_major_traces():
     assert np.array_equal(estimate.coupled.sq_diffs, bare.coupled.sq_diffs)
     # Replicate-major: the pairs' curves average to each replicate's curve.
     assert np.array_equal(
-        estimate.coupled.sq_diffs[0].reshape(2, 3, -1).mean(axis=1), estimate.replicate_means
+        estimate.coupled.sq_diffs[0].reshape(2, 3, -1).mean(axis=1), estimate.replicates
     )
     with pytest.raises(InputError, match="kept traces"):
         estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3, risks=True)
@@ -792,8 +796,9 @@ def test_control_sweep_uncontrolled_onset_matches_baseline():
         P, task, LINEAR, config, n=4, gamma_sq=1e-4,
         t_gamma_values=[12, 12], replicates=5, pairs=2,
     )
-    assert np.allclose(sweep.stability_final, baseline.final, rtol=1e-12)
-    assert sweep.spearman == 0.0
+    finals = np.array([estimate.final for estimate in sweep])
+    assert np.allclose(finals, baseline.final, rtol=1e-12)
+    assert spearman_rank_correlation(np.array([12.0, 12.0]), finals) == 0.0
 
 
 def test_control_sweep_with_infinite_target_is_flat():
@@ -804,8 +809,10 @@ def test_control_sweep_with_infinite_target_is_flat():
         P, task, LINEAR, config, n=4, gamma_sq=math.inf,
         t_gamma_values=[0, 6, 12], replicates=5, pairs=2,
     )
-    assert np.ptp(sweep.stability_final) == 0.0
-    assert sweep.spearman == 0.0
+    finals = np.array([estimate.final for estimate in sweep])
+    assert np.ptp(finals) == 0.0
+    assert spearman_rank_correlation(np.array([0.0, 6.0, 12.0]), finals) == 0.0
+    assert [estimate.extra_gossip_rounds for estimate in sweep] == [0, 0, 0]
 
 
 def test_control_sweep_validates_inputs():
@@ -829,22 +836,22 @@ def test_control_sweep_validates_inputs():
 def test_topology_comparison_single_kind_row():
     task = make_task()
     config = TrainConfig(iterations=10, rate=ConstantRate(0.05), seed=51)
-    result = topology_comparison(
+    rows = topology_comparison(
         [TopologyKind.FULLY_CONNECTED], 4, task, LINEAR, config,
         n=4, replicates=2, pairs=1, mc_draws=2000,
     )
-    assert len(result.rows) == 1
-    assert result.rows[0].lam == 0.0
+    assert len(rows) == 1
+    assert rows[0].lam == 0.0
 
 
 def test_topology_comparison_ring_has_larger_lambda():
     task = make_task()
     config = TrainConfig(iterations=10, rate=ConstantRate(0.05), seed=53)
-    result = topology_comparison(
+    rows = topology_comparison(
         [TopologyKind.FULLY_CONNECTED, TopologyKind.RING], 32, task, LINEAR, config,
         n=2, replicates=2, pairs=1, mc_draws=2000,
     )
-    by_kind = {row.kind: row for row in result.rows}
+    by_kind = {row.kind: row for row in rows}
     assert by_kind[TopologyKind.RING].lam > by_kind[TopologyKind.FULLY_CONNECTED].lam
 
 
@@ -852,23 +859,22 @@ def test_topology_comparison_rows_keep_replicate_finals():
     task = make_task()
     config = TrainConfig(iterations=10, rate=ConstantRate(0.05), seed=57)
     replicates = 5
-    result = topology_comparison(
+    rows = topology_comparison(
         [TopologyKind.FULLY_CONNECTED, TopologyKind.RING], 4, task, LINEAR, config,
         n=4, replicates=replicates, pairs=2, mc_draws=2000,
     )
-    for row in result.rows:
-        for values, mean, se in (
-            (row.stability_replicates, row.stability_final, row.stability_se),
-            (row.gengap_replicates, row.gengap_final, row.gengap_se),
-        ):
-            assert values.shape == (replicates,)
-            assert np.mean(values) == pytest.approx(mean, rel=1e-12, abs=0.0)
+    for row in rows:
+        # The gap is an estimate of the last snapshot alone.
+        assert row.stability.replicates.shape == (replicates, 11)
+        assert row.gap.replicates.shape == (replicates, 1)
+        assert row.gap.iterations.tolist() == [10]
+        for estimate in (row.stability, row.gap):
+            values = estimate.replicates[:, -1]
+            assert np.mean(values) == pytest.approx(estimate.final, rel=1e-12, abs=0.0)
             assert np.std(values, ddof=1) / math.sqrt(replicates) == pytest.approx(
-                se, rel=1e-12, abs=0.0
+                estimate.final_se, rel=1e-12, abs=0.0
             )
-        estimate = result.estimates[row.kind]
-        assert np.array_equal(row.stability_replicates, estimate.replicate_means[:, -1])
-        assert np.ptp(row.stability_replicates) > 0.0
+        assert np.ptp(row.stability.replicates[:, -1]) > 0.0
 
 
 def test_mlp_comparison_gaps_match_full_curve_gaps():
@@ -876,11 +882,11 @@ def test_mlp_comparison_gaps_match_full_curve_gaps():
     model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=4)
     config = TrainConfig(iterations=12, rate=ConstantRate(0.05), seed=61)
     replicates, pairs = 3, 3
-    result = topology_comparison(
+    (row,) = topology_comparison(
         [TopologyKind.RING], 4, task, model, config, n=5, replicates=replicates,
         pairs=pairs, mc_draws=1001, keep_traces=True,
     )
-    estimate = result.estimates[TopologyKind.RING]
+    estimate = row.stability
     full_curve = [
         generalization_gap(
             replace(estimate.coupled,
@@ -891,4 +897,4 @@ def test_mlp_comparison_gaps_match_full_curve_gaps():
         ).final
         for r in range(replicates)
     ]
-    assert np.allclose(result.rows[0].gengap_replicates, full_curve, rtol=1e-12, atol=0.0)
+    assert np.allclose(row.gap.replicates[:, 0], full_curve, rtol=1e-12, atol=0.0)

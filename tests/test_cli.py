@@ -175,21 +175,21 @@ def test_compare_experiment_four_topologies(tmp_path):
     assert "stability_ordered_by_lambda" not in summary
     assert "gengap_ordered_by_lambda" not in summary
     # Paired differences against the smallest-lambda kind, from the row arrays.
-    result = topology_comparison(
+    rows = topology_comparison(
         config.kinds, config.m, config.task(), config.loss_model(),
         config.train_config(), n=config.n, replicates=config.R,
         pairs=config.pairs, mc_draws=config.mc_samples,
     )
-    reference = min(result.rows, key=lambda row: row.lam)
+    reference = min(rows, key=lambda row: row.lam)
     assert summary["paired_reference_kind"] == reference.kind.value == "fully_connected"
     assert set(summary["paired_differences"]) == set(summary["rows"])
-    for row in result.rows:
+    for row in rows:
         entry = summary["paired_differences"][row.kind.value]
         for key, values, ref in (
-            ("stability", row.stability_replicates, reference.stability_replicates),
-            ("gengap", row.gengap_replicates, reference.gengap_replicates),
+            ("stability", row.stability.replicates, reference.stability.replicates),
+            ("gengap", row.gap.replicates, reference.gap.replicates),
         ):
-            diff = values - ref
+            diff = values[:, -1] - ref[:, -1]
             assert entry[key]["replicates"] == diff.tolist()
             assert entry[key]["mean"] == float(diff.mean())
             assert entry[key]["se"] == float(diff.std(ddof=1) / math.sqrt(config.R))
@@ -261,12 +261,17 @@ def test_mlp_gengap_csv_does_not_depend_on_jobs(tmp_path):
 
 
 @pytest.mark.parametrize("experiment, csv", [("bound", "bound.csv"),
-                                             ("gaussianity", "histogram.csv")])
-def test_kept_trace_experiments_do_not_depend_on_jobs(tmp_path, experiment, csv):
+                                             ("gaussianity", "histogram.csv"),
+                                             ("compare", "compare.csv"),
+                                             ("consensus-control", "consensus_control.csv")])
+def test_joined_replicate_experiments_do_not_depend_on_jobs(tmp_path, experiment, csv):
     # bound reads its envelopes, and gaussianity its pooled differences, from
-    # the traces of every replicate group, joined at --jobs 2. The CSV must be
-    # byte-identical at --jobs 1 and 2, and so must every summary value but
-    # config_sha256, which hashes the config, jobs included.
+    # the traces of every replicate group, joined at --jobs 2; compare and
+    # consensus-control join the groups' replicates into each kind's or
+    # onset's estimates, and consensus-control sums their control counters.
+    # The CSV must be byte-identical at --jobs 1 and 2, and so must every
+    # summary value but config_sha256, which hashes the config, jobs
+    # included.
     path = write_config(tmp_path, experiment=experiment, kind="ring", m=4, d_x=10, n=4, T=30,
                         R=5, pairs=2, eta=0.01, holder_pairs=100,
                         output_dir=str(tmp_path / "out"))
@@ -275,7 +280,8 @@ def test_kept_trace_experiments_do_not_depend_on_jobs(tmp_path, experiment, csv)
         assert main([str(path), "--jobs", jobs]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         del summary["config_sha256"]
-        outputs.append(((tmp_path / "out" / csv).read_bytes(), summary))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        outputs.append(((tmp_path / "out" / csv).read_bytes(), summary, manifest.get("counters")))
     assert outputs[0] == outputs[1]
 
 
@@ -460,6 +466,19 @@ def test_jobs_env_default(tmp_path, monkeypatch):
     assert main([str(path)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["jobs"] == 2
+
+
+@pytest.mark.parametrize("flag, expected", [([], 1), (["--jobs", "2"], 2)])
+def test_config_and_flag_jobs_win_over_the_env(tmp_path, monkeypatch, flag, expected):
+    # The variable only supplies a default: a config's own jobs, and --jobs
+    # above both, win over it.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, experiment="topology", kind="ring", m=4, jobs=1,
+                        output_dir=str(out))
+    monkeypatch.setenv("DSGD_LAB_JOBS", "3")
+    assert main([str(path), *flag]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["jobs"] == expected
 
 
 def test_jobs_env_invalid(tmp_path, monkeypatch, capsys):

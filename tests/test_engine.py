@@ -1329,9 +1329,10 @@ def test_control_schedules_only_runs_that_need_many_rounds(kind, m, scheduled):
     assert rounds == ref_rounds
 
 
-def masked_stack_control(W, P, gamma_sq, max_rounds, counts=None, out=None):
+def masked_stack_control(W, P, gamma_sq, max_rounds, counts=None, out=None, cap_hits=None):
     """consensus_control_step over a stack (A, ..., m, d) with one matrix per
-    arm, as masked_control_reference arm by arm."""
+    arm, as masked_control_reference arm by arm; a run hits the cap when it
+    used every round and its distance stayed above its target."""
     targets = np.broadcast_to(gamma_sq, W.shape[:-2])
     out = np.empty_like(W) if out is None else out
     rounds = 0
@@ -1342,6 +1343,8 @@ def masked_stack_control(W, P, gamma_sq, max_rounds, counts=None, out=None):
         out[arm] = ref
         if counts is not None:
             counts[arm] += used
+        if cap_hits is not None:
+            cap_hits[arm] += (used == max_rounds) & (consensus_distance(ref) > targets[arm])
         rounds = max(rounds, arm_rounds)
     return out, rounds
 

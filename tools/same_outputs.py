@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Run dsgd-lab configs from another source tree and from this one: are the artifacts the same?
 
-    python3 tools/same_outputs.py PARENT_TREE CONFIG... [--jobs 1 2] [--seed S ...]
+    python3 tools/same_outputs.py PARENT_TREE [CONFIG...] [--jobs 1 2] [--seed S ...]
 
 Each config runs as `python3 -m dsgd_lab.cli CONFIG --jobs K --output-dir OUT
 [--seed S]`, once with PARENT_TREE/src and once with this checkout's src/ on
 PYTHONPATH, at every --jobs value and seed given (default: jobs 1, the
-config's own seed). Both runs of a pair write to the same OUT, since the
-summary and the manifest hash the config and output_dir is part of it. The
-runs get one BLAS thread and no DSGD_LAB_JOBS. Every file either run writes
-is compared byte for byte, except manifest.json, which is compared as JSON
-without its wall_seconds. Prints one `same` or `DIFF` line per file, and
-exits 1 on any difference or failed run.
+config's own seed). With no CONFIG, it runs the committed identity set: the
+configs under tools/identity/ at their own seeds, and the benchmark's
+workloads (benchmark/workloads.py) at seeds 0 and 1, each at --jobs 1 and 2
+unless --jobs says otherwise. Both runs of a pair write to the same OUT,
+since the summary and the manifest hash the config and output_dir is part
+of it. The runs get one BLAS thread and no DSGD_LAB_JOBS. Every file either
+run writes is compared byte for byte, except manifest.json, which is
+compared as JSON without its wall_seconds. Prints one `same` or `DIFF` line
+per file and a count, and exits 1 on any difference or failed run.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+IDENTITY_CONFIGS = ROOT / "tools" / "identity"
+WORKLOAD_SEEDS = (0, 1)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -56,19 +61,40 @@ def comparable(name: str, data: bytes | None):
     return record
 
 
+def identity_set(scratch: Path) -> list[Path]:
+    """The committed configs, then each benchmark workload's config at each
+    of WORKLOAD_SEEDS, written into scratch."""
+    # Read only: no bytecode cache is written under benchmark/.
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    from workloads import WORKLOADS
+
+    configs = sorted(IDENTITY_CONFIGS.glob("*.json"))
+    for workload in WORKLOADS.values():
+        for seed in WORKLOAD_SEEDS:
+            path = scratch / f"{workload.name}-seed{seed}.json"
+            path.write_text(json.dumps(workload.config_for(seed)))
+            configs.append(path)
+    return configs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the source tree to compare against")
-    parser.add_argument("configs", type=Path, nargs="+", help="JSON experiment configs")
-    parser.add_argument("--jobs", type=int, nargs="+", default=[1], help="--jobs values")
+    parser.add_argument("configs", type=Path, nargs="*",
+                        help="JSON experiment configs (default: the identity set)")
+    parser.add_argument("--jobs", type=int, nargs="+", default=None,
+                        help="--jobs values (default: 1, or 1 2 for the identity set)")
     parser.add_argument("--seed", type=int, nargs="+", default=[None], help="--seed overrides")
     args = parser.parse_args()
-    differ = False
+    differ, same_count, total = False, 0, 0
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "out"
-        for config in args.configs:
+        configs = args.configs or identity_set(Path(scratch))
+        jobs_values = args.jobs or ([1] if args.configs else [1, 2])
+        for config in configs:
             for seed in args.seed:
-                for jobs in args.jobs:
+                for jobs in jobs_values:
                     label = f"{config.name} seed={'config' if seed is None else seed} jobs={jobs}"
                     try:
                         before = artifacts(args.parent.resolve(), config, jobs, seed, out)
@@ -82,7 +108,9 @@ def main() -> int:
                             name, after.get(name)
                         )
                         differ |= not same
+                        same_count, total = same_count + same, total + 1
                         print(f"{'same' if same else 'DIFF'} {label} {name}")
+    print(f"{same_count} of {total} artifacts the same")
     return 1 if differ else 0
 
 

@@ -856,8 +856,8 @@ def run_dsgd(
             a control onset lies past the run length, the controlled arms
             differ in max_rounds, or seeds (perturbations) are not one per
             shard set.
-        NumericalError: a run diverged; names the seed and step of the first
-            run found.
+        NumericalError: a run diverged; names the seed and snapshot step of
+            the earliest divergence found, of the lowest such run on a tie.
     """
     return _run_stack(arms, shards, model, config, seeds, None, False)
 
@@ -932,11 +932,20 @@ def _run_stack(
     control = np.zeros((2, *final.shape[:3]), dtype=int)
     run_bytes = len(arms) * sides * m * max(d, d_x) * final.itemsize
     size = max(1, STACK_BYTES // run_bytes)
+    # A divergent sub-stack does not stop the others, so that the error
+    # raised is the one an unsplit stack raises: the earliest step's, and the
+    # lowest run's on a tie.
+    diverged: list[NumericalError] = []
     for start in range(0, len(shards), size):
         runs = slice(start, min(start + size, len(shards)))
-        final[:, runs] = _step_runs(
-            arms, data, model, config, seeds[runs], runs, recorder, control[:, :, runs]
-        )
+        try:
+            final[:, runs] = _step_runs(
+                arms, data, model, config, seeds[runs], runs, recorder, control[:, :, runs]
+            )
+        except NumericalError as error:
+            diverged.append(error)
+    if diverged:
+        raise min(diverged, key=lambda error: error.step)
     return recorder.finish(final, control)
 
 
@@ -1102,7 +1111,7 @@ class _TraceRecorder:
     each pair's worker-mean squared difference, and, when risks are asked
     for, the base side's per-worker risks. Raises NumericalError at the
     first snapshot where some consensus distance, or some recorded risk, is
-    not finite, naming the first such run's seed: a non-finite W stays
+    not finite, naming the lowest such run's seed: a non-finite W stays
     non-finite under W' = P W - eta G, so a divergent run is always caught by
     the final snapshot at the latest.
     """
@@ -1160,13 +1169,15 @@ class _TraceRecorder:
             self.sq_diffs[:, runs, slot] = self.pair_diff.sum(axis=-1).mean(axis=-1)
 
     def _check(self, values: np.ndarray, name: str, slot: int) -> None:
-        """NumericalError naming the first run with a non-finite value, index (arm, run, ...)."""
-        diverged = np.argwhere(~np.isfinite(values))
+        """NumericalError naming the lowest run with a non-finite value, index (arm, run, ...)."""
+        diverged = np.argwhere(~np.isfinite(values.swapaxes(0, 1)))
         if len(diverged):
-            index = tuple(diverged[0])
+            run, arm, *rest = diverged[0]
+            step = int(self.logged[slot])
             raise NumericalError(
-                f"run with seed {self.seeds[self.runs.start + index[1]]} diverged: {name} is "
-                f"{values[index]} at step {self.logged[slot]}"
+                f"run with seed {self.seeds[self.runs.start + run]} diverged: {name} is "
+                f"{values[(arm, run, *rest)]} at step {step}",
+                step=step,
             )
 
     def finish(self, W: np.ndarray, control: np.ndarray) -> Traces:

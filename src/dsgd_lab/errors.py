@@ -10,4 +10,11 @@ class InputError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed to converge or produced invalid output."""
+    """A numerical procedure failed to converge or produced invalid output.
+
+    step, when given, is the iteration at which a run was found diverged.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step

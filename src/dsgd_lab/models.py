@@ -139,11 +139,14 @@ class Shards:
 
 
 # Size, in doubles, of a dataset_risk block buffer: the (S*h, rows) MLP
-# pre-activations and activations, or the (S, rows) outputs of the linear
-# families. With the buffers reused across blocks, 201 MLP models of width 8
-# on 100k samples ran 7% slower at 2^17, 35% slower at 2^18 to 2^20 and 17%
-# slower at 2^15 (2-core Xeon, one BLAS thread); another size also moves the
-# per-block sums in the last bits.
+# pre-activations, which the activations overwrite, or the (S, rows) outputs
+# of the linear families. Scoring 201 MLP models of width 8 on a streamed
+# 100k-sample holdout, 10 interleaved rounds per size (2-core Xeon, one BLAS
+# thread), took a median 1.12 s at 2^15, 0.91 s at 2^16, 0.88 s at 2^17 and
+# 0.99 s at 2^18, with quartile spreads of 0.06-0.12 s; the gengap-mlp CLI
+# run, 8 rounds, 2.32, 2.06, 2.08 and 2.01 s, spreads 0.08-0.36 s. No size
+# beat 2^16 by more than the spread, and another size moves the per-block
+# sums in the last bits.
 RISK_BLOCK_ELEMENTS = 2**16
 
 
@@ -169,6 +172,11 @@ def _softplus(
     With out and scratch given (arrays of s's shape; scratch may be s itself),
     the result goes into out and max(s, 0) into scratch, and nothing is
     allocated; the values are those of the allocating call.
+
+    Training (loss_gradients, through _softplus_and_sigmoid), loss_values,
+    worker_risks and the logistic loss use this form. dataset_risk's MLP
+    blocks use _log1p_exp, and this form only for a block where that one
+    could overflow or meets a NaN.
     """
     out = np.abs(s, out=out)
     np.negative(out, out=out)
@@ -176,6 +184,21 @@ def _softplus(
     np.log1p(out, out=out)
     out += np.maximum(s, 0.0, out=scratch)
     return out
+
+
+# Largest s whose exp(s) is finite in float64: _log1p_exp's domain.
+SOFTPLUS_EXP_LIMIT = math.log(np.finfo(float).max)
+
+
+def _log1p_exp(s: np.ndarray) -> np.ndarray:
+    """log(1 + exp(s)) in place in s, in two ufunc passes where _softplus makes six.
+
+    Only for s <= SOFTPLUS_EXP_LIMIT. For s <= 0 the two forms apply the same
+    operations to the same values and agree bit for bit; for s > 0 they differ
+    in the last bits (at most 2 ulp over 14 million draws at scales 1e-8 to 700).
+    """
+    np.exp(s, out=s)
+    return np.log1p(s, out=s)
 
 
 def _softplus_and_sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,14 +464,22 @@ class _BlockSums:
         """Add the losses of block (X, Y), computed in `buffers`, which grow as needed."""
         S, r, width = self.S, X.shape[0], self.weights.shape[0]
         out = _buffer(buffers, "outputs", S * r).reshape(S, r)
-        scratch = _buffer(buffers, "act", width * r).reshape(width, r)
         if self.family is ModelFamily.TWO_LAYER_MLP:
             pre = _buffer(buffers, "pre", width * r).reshape(width, r)
-            hidden = _softplus(np.matmul(self.weights, X.T, out=pre), out=scratch, scratch=pre)
+            np.matmul(self.weights, X.T, out=pre)
+            if pre.max() <= SOFTPLUS_EXP_LIMIT:
+                hidden = _log1p_exp(pre)
+            else:
+                # Some exp(pre) would overflow, or pre holds a NaN.
+                act = _buffer(buffers, "act", width * r).reshape(width, r)
+                hidden = _softplus(pre, out=act, scratch=pre)
             np.matmul(self.a, hidden.reshape(S, -1, r), out=out.reshape(S, 1, r))
+            losses = _losses(self.family, out, Y, into=out)
         else:
             np.matmul(self.weights, X.T, out=out)
-        self.total += _losses(self.family, out, Y, into=out, scratch=scratch).sum(axis=1)
+            scratch = _buffer(buffers, "act", S * r).reshape(S, r)
+            losses = _losses(self.family, out, Y, into=out, scratch=scratch)
+        self.total += losses.sum(axis=1)
         self.next += r
 
 

@@ -1023,6 +1023,61 @@ def test_stack_with_a_later_divergent_run_names_that_run():
     assert str(split.value) == str(alone.value)
 
 
+@pytest.mark.parametrize(
+    "scales, named", [((3.0, 10.0), 2), ((6.0, 4.0), 0)], ids=["later-run-first", "tie"]
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_stack_raises_the_earliest_divergence(scales, named):
+    # Runs 0 and 2 diverge at eta = 0.9, run 1 does not. Scaled features x3
+    # and x10 make run 2 diverge first (step 69, run 0 at 165); x6 and x4 make
+    # both diverge at step 105, where the lower run is named. Stepped one run
+    # at a time, the stack must finish every sub-stack and raise the error an
+    # unsplit stack raises: that run's own.
+    shards, _, seeds = stack_inputs(ModelFamily.LINEAR_REGRESSION)
+    for k, scale in zip((0, 2), scales):
+        shards[k] = Shards(xs=shards[k].xs * scale, ys=shards[k].ys)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    config = TrainConfig(iterations=200, rate=ConstantRate(0.9), seed=0, snapshot_every=3)
+    alone = {}
+    for k in (0, 2):
+        with pytest.raises(NumericalError) as error:
+            run_one(P, shards[k], LINEAR, replace(config, seed=seeds[k]))
+        alone[k] = error.value
+    assert (alone[0].step == alone[2].step) == (named == 0)
+    with pytest.raises(NumericalError) as whole:
+        run_dsgd([(P, None)], shards, LINEAR, config, seeds)
+    stepped = mock.patch.object(engine, "_step_runs", wraps=engine._step_runs)
+    with mock.patch.object(engine, "STACK_BYTES", 0), stepped as calls:
+        with pytest.raises(NumericalError) as split:
+            run_dsgd([(P, None)], shards, LINEAR, config, seeds)
+    assert calls.call_count == 3
+    assert str(split.value) == str(whole.value) == str(alone[named])
+    assert split.value.step == alone[named].step
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_at_one_step_names_the_lowest_run_whatever_its_arm():
+    # Worker 0's features x4 at eta = 0.3: by step 270, the one snapshot
+    # after the start, run 1 has diverged under both arms and run 0 under the
+    # disconnected arm only. The lowest run is named, from the arm it diverged in.
+    shards, _, seeds = stack_inputs(ModelFamily.LINEAR_REGRESSION, runs=2)
+    for k in range(2):
+        xs = shards[k].xs.copy()
+        xs[0] *= 4.0
+        shards[k] = Shards(xs=xs, ys=shards[k].ys)
+    ring, disconnected = (build_gossip_matrix(kind, 4) for kind in (
+        TopologyKind.RING, TopologyKind.DISCONNECTED))
+    config = TrainConfig(iterations=270, rate=ConstantRate(0.3), seed=0, snapshot_every=270)
+    assert np.isfinite(run_one(ring, shards[0], LINEAR, replace(config, seed=seeds[0])).final).all()
+    with pytest.raises(NumericalError) as alone:
+        run_one(disconnected, shards[0], LINEAR, replace(config, seed=seeds[0]))
+    with pytest.raises(NumericalError, match=f"seed {seeds[1]} diverged"):
+        run_one(ring, shards[1], LINEAR, replace(config, seed=seeds[1]))
+    with pytest.raises(NumericalError) as stacked:
+        run_dsgd([(ring, None), (disconnected, None)], shards, LINEAR, config, seeds)
+    assert str(stacked.value) == str(alone.value)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_recorded_risks_are_checked_for_divergence():
     # One worker's features x5 make these runs blow up at eta = 0.3. For

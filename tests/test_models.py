@@ -1,14 +1,17 @@
 """Loss families, synthetic data, and gradient-regularity constants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsgd_lab import models
 from dsgd_lab.errors import InputError
 from dsgd_lab.models import (
     HOLDOUT_CHUNK_ROWS,
+    SOFTPLUS_EXP_LIMIT,
     Holdout,
     LossModel,
     ModelFamily,
@@ -21,6 +24,7 @@ from dsgd_lab.models import (
     loss_gradients,
     loss_values,
     population_risk,
+    _log1p_exp,
     _risk_block_rows,
     _sigmoid,
     _softplus,
@@ -248,12 +252,18 @@ def test_stacked_dataset_risk_matches_per_row_losses(family, stack, blocks, offs
     assert np.allclose(risks, reference, rtol=1e-12, atol=0.0)
 
 
-def allocating_dataset_risk(model, W, xs, ys):
-    """dataset_risk as a loop that allocates each block's temporaries afresh."""
+def six_pass_softplus(s):
+    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
 
-    def softplus(s):
-        return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
 
+def allocating_dataset_risk(model, W, xs, ys, softplus=six_pass_softplus, limit=None):
+    """dataset_risk as a loop that allocates each block's temporaries afresh.
+
+    An MLP block's activations are log1p(exp(s)) when no s passes the limit,
+    by default log(float max), else softplus(s); a NaN takes softplus too.
+    """
+    if limit is None:
+        limit = np.log(np.finfo(float).max)
     rows = _risk_block_rows(model, W.shape[0])
     if model.family is ModelFamily.TWO_LAYER_MLP:
         h, d_x = model.hidden_width, xs.shape[1]
@@ -263,12 +273,13 @@ def allocating_dataset_risk(model, W, xs, ys):
     for start in range(0, xs.shape[0], rows):
         X, Y = xs[start : start + rows], ys[start : start + rows]
         if model.family is ModelFamily.TWO_LAYER_MLP:
-            hidden = softplus(V @ X.T).reshape(W.shape[0], -1, X.shape[0])
-            out = np.matmul(a, hidden)[:, 0, :]
+            pre = V @ X.T
+            hidden = np.log1p(np.exp(pre)) if pre.max() <= limit else softplus(pre)
+            out = np.matmul(a, hidden.reshape(W.shape[0], -1, X.shape[0]))[:, 0, :]
         else:
             out = W @ X.T
         if model.family is ModelFamily.LOGISTIC_REGRESSION:
-            losses = softplus(-((2.0 * Y - 1.0) * out))
+            losses = six_pass_softplus(-((2.0 * Y - 1.0) * out))
         else:
             losses = 0.5 * np.square(out - Y)
         total += losses.sum(axis=1)
@@ -287,6 +298,56 @@ def test_dataset_risk_is_bit_equal_to_allocating_blocks(family, stack, blocks):
     xs, ys = draw_dataset_arrays(task, count, rng)
     W = 0.5 * rng.standard_normal((stack, model.dim(5)))
     assert_same_bits(dataset_risk(model, W, xs, ys), allocating_dataset_risk(model, W, xs, ys))
+
+
+def mlp_risk_inputs(scale):
+    """An MLP, 3 weight rows whose hidden weights are scaled by `scale`, and 300 samples."""
+    model = LossModel(ModelFamily.TWO_LAYER_MLP, hidden_width=3, softplus_sharpness=5.0)
+    task = make_task(ModelFamily.TWO_LAYER_MLP, d_x=4)
+    rng = np.random.default_rng(31)
+    xs, ys = draw_dataset_arrays(task, 300, rng)
+    W = rng.standard_normal((3, model.dim(4)))
+    W[:, : 3 * 4] *= scale
+    return model, W, xs, ys
+
+
+def test_overflowing_blocks_fall_back_to_the_six_pass_softplus():
+    # Pre-activations past 710 would make exp overflow, which pytest's
+    # warnings-as-errors turns into a failure; those blocks must take
+    # _softplus and still give finite risks.
+    model, W, xs, ys = mlp_risk_inputs(scale=100.0)
+    V = model.softplus_sharpness * W[:, : 3 * 4].reshape(-1, 4)
+    assert (V @ xs.T).max() > 710.0
+    risks = dataset_risk(model, W, xs, ys)
+    reference = [
+        loss_values(model, np.broadcast_to(w, (len(xs), w.shape[0])), xs, ys).mean() for w in W
+    ]
+    assert np.all(np.isfinite(risks))
+    assert np.allclose(risks, reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["hidden", "output"])
+def test_non_finite_weights_give_the_six_pass_risks(bad, where):
+    # A non-finite hidden weight puts a NaN or +inf among the block's
+    # pre-activations, so the whole block takes _softplus; a non-finite
+    # output weight leaves them finite and the two-pass form in use. Either
+    # way the risks are the reference's bit for bit, the finite rows' too.
+    model, W, xs, ys = mlp_risk_inputs(scale=1.0)
+    finite = dataset_risk(model, W, xs, ys)
+    W[1, 0 if where == "hidden" else -1] = bad
+    two_pass = mock.patch.object(models, "_log1p_exp", wraps=models._log1p_exp)
+    with np.errstate(invalid="ignore", over="ignore"), two_pass as calls:
+        risks = dataset_risk(model, W, xs, ys)
+        reference = allocating_dataset_risk(
+            model, W, xs, ys, softplus=lambda s: _softplus(s.copy()),
+            limit=-np.inf if where == "hidden" else None,
+        )
+    assert calls.call_count == (where == "output")
+    assert_same_bits(risks, reference)
+    assert not np.isfinite(risks[1])
+    if where == "output":
+        assert_same_bits(risks[[0, 2]], finite[[0, 2]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -381,6 +442,29 @@ def test_softplus_extremes_match_logaddexp_exactly():
         with np.errstate(invalid="ignore"):
             expected = np.logaddexp(0.0, sharpness * t) / sharpness
         assert np.array_equal(_softplus(sharpness * t) / sharpness, expected, equal_nan=True)
+
+
+@settings(max_examples=200)
+@given(
+    draws=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 5.0, 40.0, 700.0, SOFTPLUS_EXP_LIMIT]),
+)
+def test_two_pass_softplus_matches_the_six_pass_form(draws, scale):
+    # Bit for bit where s <= 0, within the logaddexp tolerance up to the limit.
+    s = np.array(draws + [0.0, -0.0, 1e-320, -1e-320, -800.0, -np.inf, SOFTPLUS_EXP_LIMIT])
+    s[: len(draws)] *= scale
+    value = _log1p_exp(s.copy())
+    negative = s <= 0
+    assert_same_bits(value[negative], _softplus(s[negative]))
+    expected = np.logaddexp(0.0, s[~negative])
+    assert np.allclose(value[~negative], expected, rtol=SOFTPLUS_RTOL, atol=0.0)
+
+
+def test_two_pass_limit_is_the_largest_finite_exp():
+    assert SOFTPLUS_EXP_LIMIT == np.log(np.finfo(float).max)
+    assert np.isfinite(np.exp(SOFTPLUS_EXP_LIMIT))
+    with np.errstate(over="ignore"):
+        assert np.exp(np.nextafter(SOFTPLUS_EXP_LIMIT, np.inf)) == np.inf
 
 
 def assert_same_bits(a, b):

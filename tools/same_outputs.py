@@ -14,13 +14,19 @@ since the summary and the manifest hash the config and output_dir is part
 of it. The runs get one BLAS thread and no DSGD_LAB_JOBS. Every file either
 run writes is compared byte for byte, except manifest.json, which is
 compared as JSON without its wall_seconds. Prints one `same` or `DIFF` line
-per file and a count, and exits 1 on any difference or failed run.
+per file and a count, and exits 1 on any difference or failed run. A DIFF
+line of a CSV or JSON file also gives the number of numeric cells (CSV
+fields, JSON leaves) that differ, with their largest absolute and relative
+difference, and the number of other cells that differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -59,6 +65,63 @@ def comparable(name: str, data: bytes | None):
     record = json.loads(data)
     record.pop("wall_seconds", None)
     return record
+
+
+def cells(name: str, data) -> dict | None:
+    """A CSV's fields by (row, column), or a JSON document's leaves by path
+    (data may be the parsed document); None for another file or a missing one."""
+    if data is None:
+        return None
+    if name.endswith(".csv"):
+        rows = csv.reader(io.StringIO(data.decode()))
+        return {(i, j): field for i, row in enumerate(rows) for j, field in enumerate(row)}
+    if not name.endswith(".json"):
+        return None
+    leaves = {}
+
+    def walk(path: tuple, value) -> None:
+        if isinstance(value, dict):
+            for key, child in value.items():
+                walk((*path, key), child)
+        elif isinstance(value, list):
+            for index, child in enumerate(value):
+                walk((*path, index), child)
+        else:
+            leaves[path] = value
+
+    walk((), json.loads(data) if isinstance(data, bytes) else data)
+    return leaves
+
+
+def number(cell) -> float | None:
+    """A cell's value as a float, or None if it is not a number."""
+    if isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def difference_summary(name: str, before, after) -> str:
+    """How two versions of a CSV or JSON file differ, cell by cell; '' for other files."""
+    old, new = cells(name, before), cells(name, after)
+    if old is None or new is None:
+        return ""
+    count, largest_abs, largest_rel, other = 0, 0.0, 0.0, 0
+    for key in old.keys() | new.keys():
+        a, b = number(old.get(key)), number(new.get(key))
+        if a is None or b is None:
+            other += old.get(key) != new.get(key)
+        elif a != b and not (math.isnan(a) and math.isnan(b)):
+            count += 1
+            gap = abs(a - b)
+            largest_abs = max(largest_abs, gap)
+            largest_rel = max(largest_rel, gap / max(abs(a), abs(b)))
+    return (
+        f": {count} numeric cells differ, largest {largest_abs:.3g} absolute, "
+        f"{largest_rel:.3g} relative; {other} other cells differ"
+    )
 
 
 def identity_set(scratch: Path) -> list[Path]:
@@ -104,12 +167,13 @@ def main() -> int:
                         differ = True
                         continue
                     for name in sorted(before.keys() | after.keys()):
-                        same = comparable(name, before.get(name)) == comparable(
-                            name, after.get(name)
-                        )
+                        old = comparable(name, before.get(name))
+                        new = comparable(name, after.get(name))
+                        same = old == new
                         differ |= not same
                         same_count, total = same_count + same, total + 1
-                        print(f"{'same' if same else 'DIFF'} {label} {name}")
+                        detail = "" if same else difference_summary(name, old, new)
+                        print(f"{'same' if same else 'DIFF'} {label} {name}{detail}")
     print(f"{same_count} of {total} artifacts the same")
     return 1 if differ else 0
 

@@ -13,7 +13,6 @@ from .topology import (
     GossipMatrix,
     SpectrumReport,
     TopologyKind,
-    analytic_gap_order,
     build_gossip_matrix,
     eigenvalues_symmetric,
     load_gossip_matrix,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -96,17 +96,18 @@ class Estimate:
     the mean over its pairs of (1/m) sum_k ||w_k - w~_k||^2, for the gap its
     runs' mean consensus-model gap. mean and se are mean_and_se(replicates):
     the mean and standard error over replicates. Estimates run on the same
-    replicate data can be compared replicate by replicate. With keep_traces,
-    coupled holds a stability estimate's Traces: one arm, and its
-    replicates x pairs runs (replicate-major, across every replicate group),
-    with the base side's per-worker risks when these were asked for.
-    extra_gossip_rounds and control_cap_hits total the Traces rounds and
-    cap_hits over every trajectory, both sides of every pair.
+    replicate data can be compared replicate by replicate. A stability
+    estimate also holds, per run of its replicates x pairs (replicate-major),
+    final_diffs (runs, m, d), the final models of side 0 minus side 1, and,
+    if asked for, risks (runs, S, m), each base-side worker's risk per
+    snapshot. extra_gossip_rounds and control_cap_hits total the control
+    rounds and cap hits over every trajectory, both sides of every pair.
     """
 
     iterations: np.ndarray
     replicates: np.ndarray
-    coupled: Traces | None = None
+    final_diffs: np.ndarray | None = None
+    risks: np.ndarray | None = None
     extra_gossip_rounds: int = 0
     control_cap_hits: int = 0
     mean: np.ndarray = field(init=False)
@@ -185,19 +186,21 @@ def _stability_group(
     mode: PerturbationMode,
     gaps: bool,
     holdout: Holdout | None,
-    keep: bool,
     risks: bool,
-) -> tuple[np.ndarray, np.ndarray | None, Traces | None, np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
     Each replicate draws fresh shards and `pairs` sampled perturbations once;
-    every arm x run x side of the group is stepped in one stack. Returns each
-    arm's replicate curves (A, len(group), snapshots); with `gaps`, each arm's
-    final consensus-model gap per replicate (A, len(group)), every arm's and
-    replicate's final models scored in one pass over `holdout`; with `keep`,
-    the group's Traces, whose base sides record per-worker risks only with
-    `risks` (estimate_epsilon_s reads them); and each arm's total control
-    rounds and cap hits over its trajectories (A, 2).
+    every arm x run x side of the group is stepped in one stack. The group's
+    Traces never leave it: returns them reduced to named arrays indexed
+    [arm, replicate or run, ...], run r * pairs + j being pair j of
+    replicate r:
+    - stability (A, G, S): each replicate's mean sq_diffs over its pairs;
+    - final_diffs (A, G * pairs, m, d): final models, side 0 minus side 1;
+    - counters (A, G, 2): control rounds and cap hits, both sides summed;
+    - gap (A, G), with `gaps`: the mean final consensus-model gap, every
+      arm's and replicate's final models scored in one pass over `holdout`;
+    - risks (A, G * pairs, S, m), with `risks`: base-side worker risks.
     """
     m = arms[0][0].m
     shards = _group_shards(task, n, m, [replicate_data_seed(config.seed, r) for r in group])
@@ -214,29 +217,22 @@ def _stability_group(
         [derive_seed(config.seed, "stability-run", r, j) for r, j in runs],
         risks=risks,
     )
-    # Runs are replicate-major: run r * pairs + j is pair j of replicate r.
-    curves = traces.sq_diffs.reshape(len(arms), len(group), pairs, -1).mean(axis=2)
-    replicate_gaps = None
+    per_replicate = (len(arms), len(group), pairs, -1)
+    counts = np.stack([traces.rounds, traces.cap_hits], axis=-1)  # (A, K, 2 sides, 2)
+    reduced = {
+        "stability": traces.sq_diffs.reshape(per_replicate).mean(axis=2),
+        "final_diffs": traces.final[:, :, 0] - traces.final[:, :, 1],
+        "counters": counts.reshape(*per_replicate, 2).sum(axis=(2, 3)),
+    }
     if gaps:
         finals = traces.consensus[:, :, 0, -1].reshape(len(arms) * len(group), pairs, -1)
-        replicate_gaps = np.array([
+        reduced["gap"] = np.array([
             gap.mean()
             for gap in _consensus_gaps(list(finals), task, model, shards * len(arms), holdout)
         ]).reshape(len(arms), len(group))
-    counters = np.stack([traces.rounds, traces.cap_hits], axis=1).sum(axis=(2, 3))
-    return curves, replicate_gaps, (traces if keep else None), counters
-
-
-def _arm_traces(parts: list[Traces], arm: int) -> Traces:
-    """Arm `arm` of each replicate group's Traces, as one arm whose runs are
-    the groups' runs in order: views of the arrays when there is one group."""
-    joined = {}
-    for name in (f.name for f in fields(Traces) if f.name != "iterations"):
-        arrays = [getattr(part, name) for part in parts]
-        if arrays[0] is not None:
-            arrays = [array[arm : arm + 1] for array in arrays]
-            joined[name] = arrays[0] if len(parts) == 1 else np.concatenate(arrays, axis=1)
-    return replace(parts[0], **joined)
+    if risks:
+        reduced["risks"] = traces.risks
+    return reduced
 
 
 def _replicate_groups(replicates: int, jobs: int) -> list[range]:
@@ -272,7 +268,6 @@ def _stability_sweep(
     pairs: int,
     mode: PerturbationMode,
     jobs: int,
-    keep_traces: bool = False,
     gaps: bool = False,
     holdout: Holdout | None = None,
     risks: bool = False,
@@ -281,38 +276,46 @@ def _stability_sweep(
 
     The replicates are split into `jobs` contiguous groups, mapped once over
     one pool; each group draws its replicates' data once and steps every
-    arm x run x side as one stack (_stability_group). With `gaps`, also
-    returns each arm's final consensus-model gap: an estimate of the last
-    snapshot alone, replicates (replicates, 1).
+    arm x run x side as one stack (_stability_group), whose named arrays
+    are joined here. With `gaps`, also returns each arm's final
+    consensus-model gap: an estimate of the last snapshot alone, replicates
+    (replicates, 1).
+
+    Raises:
+        InputError: no arms, fewer than 2 replicates or fewer than 1 pair.
     """
+    if not arms:
+        raise InputError("a stability sweep needs at least one arm")
     if replicates < 2:
         raise InputError(f"replicates must be >= 2, got {replicates}")
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
-    if risks and not keep_traces:
-        raise InputError("per-worker risks are recorded only on kept traces (keep_traces)")
     group_fn = partial(
         _stability_group, arms=arms, task=task, model=model, config=config, n=n,
-        pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, keep=keep_traces, risks=risks,
+        pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, risks=risks,
     )
     results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
-    rep_curves = np.concatenate([curves for curves, *_ in results], axis=1)
-    counters = sum(group_counters for *_, group_counters in results)
+    joined = {
+        name: results[0][name] if len(results) == 1
+        else np.concatenate([group[name] for group in results], axis=1)
+        for name in results[0]
+    }
+    counters = joined["counters"].sum(axis=1)
     iterations = config.snapshot_iterations
     estimates = [
         Estimate(
             iterations,
-            curves,
-            coupled=_arm_traces([kept for _, _, kept, _ in results], arm) if keep_traces else None,
+            joined["stability"][arm],
+            final_diffs=joined["final_diffs"][arm],
+            risks=joined["risks"][arm] if risks else None,
             extra_gossip_rounds=int(counters[arm, 0]),
             control_cap_hits=int(counters[arm, 1]),
         )
-        for arm, curves in enumerate(rep_curves)
+        for arm in range(len(arms))
     ]
     if not gaps:
         return estimates, None
-    final_gaps = np.concatenate([g for _, g, *_ in results], axis=1)
-    return estimates, [Estimate(iterations[-1:], arm_gaps[:, None]) for arm_gaps in final_gaps]
+    return estimates, [Estimate(iterations[-1:], arm_gaps[:, None]) for arm_gaps in joined["gap"]]
 
 
 def estimate_stability(
@@ -325,7 +328,6 @@ def estimate_stability(
     pairs: int,
     mode: PerturbationMode = PerturbationMode.SYNCHRONIZED,
     jobs: int = 1,
-    keep_traces: bool = False,
     risks: bool = False,
 ) -> Estimate:
     """Estimate the on-average stability curve of the configured dynamics.
@@ -340,17 +342,14 @@ def estimate_stability(
     independent of `jobs`, and two estimates with the same base seed see
     identical data across topologies. The one-arm, uncontrolled case of the
     sweep that topology_comparison and consensus_control_sweep run. With
-    keep_traces the estimate keeps its Traces (coupled); with risks as well,
-    they hold each base-side worker's empirical risk per snapshot, which
-    estimate_epsilon_s reads.
+    risks, the estimate holds each base-side worker's empirical risk per
+    snapshot, which estimate_epsilon_s reads.
 
     Raises:
-        InputError: fewer than 2 replicates or 1 pair, or risks without
-            keep_traces.
+        InputError: fewer than 2 replicates or 1 pair.
     """
     estimates, _ = _stability_sweep(
-        [(P, None)], task, model, config, n, replicates, pairs, mode, jobs, keep_traces,
-        risks=risks,
+        [(P, None)], task, model, config, n, replicates, pairs, mode, jobs, risks=risks
     )
     return estimates[0]
 
@@ -412,7 +411,7 @@ def estimate_sigma_mu(final_diffs: np.ndarray) -> tuple[float, float]:
     """Envelope moments of the final per-worker weight differences.
 
     final_diffs (..., m, d) holds one run's final difference vectors per
-    leading index, as Traces.final_diffs does; they are pooled per worker
+    leading index, as Estimate.final_diffs does; they are pooled per worker
     across runs. Returns (sigma_sq, mu_sq) where sigma_sq is the largest
     per-worker mean per-coordinate variance and mu_sq the largest per-worker
     squared mean norm divided by d. Max-over-workers envelopes keep the
@@ -440,7 +439,7 @@ def estimate_epsilon_s(risks: np.ndarray | None, alpha: float) -> float:
     """Upper envelope of the exponentiated averaged empirical risk.
 
     risks (..., S, m) holds per-worker risks at S snapshots per leading
-    index, as Traces.risks does. Returns the max over runs and snapshots of
+    index, as Estimate.risks does. Returns the max over runs and snapshots of
     (1/m) sum_k F_k^(2 alpha / (1 + alpha)). The convention 0^0 = 1
     applies at alpha = 0, keeping the envelope an upper bound.
 
@@ -794,7 +793,7 @@ def gaussianity_report(
 ) -> GaussianityReport:
     """Moment-based normality verdict for final weight differences.
 
-    Pools every coordinate of final_diffs (..., m, d), as Traces.final_diffs
+    Pools every coordinate of final_diffs (..., m, d), as Estimate.final_diffs
     holds them: every worker's final difference vector of every run; passes
     when |skewness| <= skew_tol and |excess kurtosis| <= kurt_tol. All-zero
     differences yield a degenerate report instead of a verdict.
@@ -922,7 +921,7 @@ def topology_comparison(
     mode: PerturbationMode = PerturbationMode.SYNCHRONIZED,
     jobs: int = 1,
     mc_draws: int = 100_000,
-    keep_traces: bool = False,
+    risks: bool = False,
 ) -> list[ComparisonRow]:
     """Stability and generalization gap per topology on identical data, one row per kind.
 
@@ -932,13 +931,13 @@ def topology_comparison(
     gap is that of the final consensus model of each base trajectory,
     averaged per replicate and computed inside the group. Both estimates of
     a row keep their replicates, from which paired differences between
-    kinds follow. With keep_traces, each stability estimate retains its
-    Traces, with the base sides' per-worker risks, for downstream bound
-    evaluation. The gaps of every kind and replicate of a group are scored
-    in one pass over the holdout, which is located once per call.
+    kinds follow. With risks, each stability estimate holds its base sides'
+    per-worker risks, for bound evaluation. The gaps of every kind and
+    replicate of a group are scored in one pass over the holdout, which is
+    located once per call.
 
     Raises:
-        InputError: a kind is listed twice.
+        InputError: no kinds, or a kind listed twice.
     """
     repeated = sorted({kind.value for kind in kinds if kinds.count(kind) > 1})
     if repeated:
@@ -946,8 +945,7 @@ def topology_comparison(
     matrices = [build_gossip_matrix(kind, m) for kind in kinds]
     estimates, gaps = _stability_sweep(
         [(P, None) for P in matrices], task, model, config, n, replicates, pairs, mode, jobs,
-        keep_traces, gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed),
-        risks=keep_traces,
+        gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed), risks=risks,
     )
     return [
         ComparisonRow(kind, eigenvalues_symmetric(P).lam, estimate, gap)

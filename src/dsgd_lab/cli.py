@@ -10,7 +10,7 @@ defaults (not every experiment consumes every key):
     experiment       one of topology, stability, gengap, bound, compare,
                      consensus-control, gaussianity            (required)
     kind             topology kind                             ["ring"]
-    kinds            distinct kinds for the compare experiment [all four connected]
+    kinds            one or more distinct kinds, for compare   [all four connected]
     m                worker count                              [16]
     matrix_path      CSV path for kind "custom"                [null]
     family           task/loss family                          ["linear_regression"]
@@ -317,6 +317,8 @@ def _validate_config(config: ExperimentConfig) -> None:
     elif config.matrix_path is None:
         raise InputError("config key 'matrix_path' is required for kind 'custom'")
     if config.experiment == "compare":
+        if not config.kinds:
+            raise InputError("config key 'kinds' must list at least one kind")
         repeated = sorted({k.value for k in config.kinds if config.kinds.count(k) > 1})
         if repeated:
             raise InputError(f"config key 'kinds' repeats {', '.join(repeated)}")
@@ -491,14 +493,12 @@ def _curve_csv(estimate: Estimate, name: str, path: Path, **columns: np.ndarray)
     )
 
 
-def _estimate_stability(
-    config: ExperimentConfig, P, keep_traces: bool = False, risks: bool = False
-):
+def _estimate_stability(config: ExperimentConfig, P, risks: bool = False):
     """The configured stability estimate of gossip matrix P."""
     return estimate_stability(
         P, config.task(), config.loss_model(), config.train_config(),
         n=config.n, replicates=config.R, pairs=config.pairs, mode=config.mode,
-        jobs=config.jobs, keep_traces=keep_traces, risks=risks,
+        jobs=config.jobs, risks=risks,
     )
 
 
@@ -536,13 +536,13 @@ def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
     model = config.loss_model()
     train = config.train_config()
     P = config.gossip_matrix()
-    estimate = _estimate_stability(config, P, keep_traces=True, risks=True)
+    estimate = _estimate_stability(config, P, risks=True)
     holder_seed = derive_seed(config.seed, "holder")
     L = estimate_holder_constant(
         model, task, config.alpha, config.holder_pairs, config.holder_radius, holder_seed
     )
-    sigma_sq, mu_sq = estimate_sigma_mu(estimate.coupled.final_diffs)
-    epsilon_s = estimate_epsilon_s(estimate.coupled.risks, config.alpha)
+    sigma_sq, mu_sq = estimate_sigma_mu(estimate.final_diffs)
+    epsilon_s = estimate_epsilon_s(estimate.risks, config.alpha)
     inputs = BoundInputs(
         L=L,
         alpha=config.alpha,
@@ -666,9 +666,9 @@ def _run_consensus_control(config: ExperimentConfig, out: Path) -> Outcome:
 
 
 def _run_gaussianity(config: ExperimentConfig, out: Path) -> Outcome:
-    estimate = _estimate_stability(config, config.gossip_matrix(), keep_traces=True)
+    estimate = _estimate_stability(config, config.gossip_matrix())
     report = gaussianity_report(
-        estimate.coupled.final_diffs, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
+        estimate.final_diffs, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
     )
     path = out / "histogram.csv"
     rows = [

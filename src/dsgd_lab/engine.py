@@ -218,9 +218,8 @@ class Traces:
     - rounds (A, K, s): consensus-control rounds, and cap_hits (A, K, s):
       control calls in which the side used all max_rounds rounds and stayed
       above its target;
-    - coupled stacks only, else None: sq_diffs (A, K, S), the worker mean
-      (1/m) sum_k ||w_k - w~_k||^2 of the pair at each snapshot, and
-      final_diffs (A, K, m, d), side 0's final models minus side 1's;
+    - sq_diffs (A, K, S), coupled stacks only, else None: the worker mean
+      (1/m) sum_k ||w_k - w~_k||^2 of the pair at each snapshot;
     - risks (A, K, S, m): each base-side worker's empirical risk on its
       shard; only run_coupled with risks set records them, else None.
     """
@@ -232,7 +231,6 @@ class Traces:
     rounds: np.ndarray
     cap_hits: np.ndarray
     sq_diffs: np.ndarray | None = None
-    final_diffs: np.ndarray | None = None
     risks: np.ndarray | None = None
 
 
@@ -875,9 +873,8 @@ def run_coupled(
 
     Both sides of a pair share the seed, hence the same zeta sequence on
     every worker. Returns the Traces of every arm and pair, as run_dsgd
-    does, with two sides, each pair's worker mean of the squared weight
-    differences at each snapshot (sq_diffs) and its final per-coordinate
-    differences (final_diffs); with risks set, also the base side's
+    does, with two sides and each pair's worker mean of the squared weight
+    differences at each snapshot (sq_diffs); with risks set, also the base side's
     per-worker empirical risks at every snapshot, and a non-finite risk is
     a divergence.
 
@@ -1190,6 +1187,5 @@ class _TraceRecorder:
             rounds=control[0],
             cap_hits=control[1],
             sq_diffs=self.sq_diffs,
-            final_diffs=None if self.sq_diffs is None else W[:, :, 0] - W[:, :, 1],
             risks=self.risks,
         )

@@ -41,7 +41,6 @@ __all__ = [
     "load_gossip_matrix",
     "eigenvalues_symmetric",
     "mixing_error",
-    "analytic_gap_order",
 ]
 
 # Tolerances: builders must hit double stochasticity essentially exactly;
@@ -299,27 +298,3 @@ def mixing_error(P: GossipMatrix, k: int) -> float:
     uniform = np.full((P.m, P.m), 1.0 / P.m)
     deviation = np.linalg.matrix_power(P.entries, k) - uniform
     return float(np.max(np.abs(np.linalg.eigvalsh(deviation))))
-
-
-def analytic_gap_order(kind: TopologyKind, m: int) -> float:
-    """Known spectral-gap order of a named topology, with constants set to 1.
-
-    Intended only for scaling-law (ratio) checks, never as ground truth for
-    gap values: ring 1/m^2, grid 1/(m log2 m), exponential 1/log2 m,
-    fully connected 1, disconnected 0.
-
-    Raises:
-        InputError: for the custom kind, whose gap has no closed form here.
-    """
-    validate_worker_count(kind, m)
-    if kind is TopologyKind.RING:
-        return 1.0 / m**2
-    if kind is TopologyKind.GRID_2D_TORUS:
-        return 1.0 / (m * math.log2(m))
-    if kind is TopologyKind.STATIC_EXPONENTIAL:
-        return 1.0 / math.log2(m)
-    if kind is TopologyKind.FULLY_CONNECTED:
-        return 1.0
-    if kind is TopologyKind.DISCONNECTED:
-        return 0.0
-    raise InputError(f"no analytic gap order for kind {kind.value!r}")

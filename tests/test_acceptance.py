@@ -110,7 +110,7 @@ def canonical():
         pairs=CANONICAL_PAIRS,
         mode=PerturbationMode.SYNCHRONIZED,
         jobs=JOBS,
-        keep_traces=True,
+        risks=True,
     )
     return {row.kind: row for row in rows}, time.time() - start
 
@@ -463,8 +463,8 @@ def test_criterion_10_bound_domination(canonical):
     for kind in ORDERED_KINDS:
         row = rows[kind]
         estimate = row.stability
-        sigma_sq, mu_sq = estimate_sigma_mu(estimate.coupled.final_diffs)
-        epsilon_s = estimate_epsilon_s(estimate.coupled.risks, 1.0)
+        sigma_sq, mu_sq = estimate_sigma_mu(estimate.final_diffs)
+        epsilon_s = estimate_epsilon_s(estimate.risks, 1.0)
         inputs = BoundInputs(
             L=L, alpha=1.0, rate=CANONICAL_CONFIG.rate, n=CANONICAL_N, m=CANONICAL_M,
             d=CANONICAL_D, lam=row.lam, sigma_sq=sigma_sq, mu_sq=mu_sq,
@@ -554,9 +554,9 @@ def test_criterion_13_gaussianity_diagnostic():
     estimate = estimate_stability(
         build_gossip_matrix(TopologyKind.RING, 16), task, LINEAR, config,
         n=10, replicates=30, pairs=1, mode=PerturbationMode.SYNCHRONIZED,
-        jobs=JOBS, keep_traces=True,
+        jobs=JOBS,
     )
-    measured = gaussianity_report(estimate.coupled.final_diffs)
+    measured = gaussianity_report(estimate.final_diffs)
     elapsed = time.time() - start
     ok = (
         normal.passed is True

@@ -5,7 +5,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -25,6 +25,7 @@ from dsgd_lab.analysis import (
     generalization_gap,
     mean_and_se,
     optimize_bound_p,
+    replicate_data_seed,
     replicated_generalization_gap,
     spearman_rank_correlation,
     stability_bound_curve,
@@ -42,7 +43,6 @@ from dsgd_lab.engine import (
     PerturbationMode,
     StepDecayRate,
     TrainConfig,
-    Traces,
 )
 from dsgd_lab.errors import InputError, NumericalError
 from dsgd_lab.models import Holdout, LossModel, ModelFamily, SyntheticTask, draw_dataset_arrays
@@ -129,13 +129,26 @@ def test_stability_estimate_is_deterministic_and_jobs_invariant():
     assert np.array_equal(a.se, c.se)
 
 
+def coupled_alone(arm, task, model, config, n, mode, replicate, pair, risks=False):
+    """Pair `pair` of replicate `replicate` of a stability sweep, coupled on
+    its own: the sweep's shards, perturbation and run seed, one arm."""
+    P = arm[0]
+    shards = _make_shards(task, n, P.m, replicate_data_seed(config.seed, replicate))
+    perturbation = engine.draw_perturbation(
+        task, n, P.m, mode, derive_seed(config.seed, "stability-pert", replicate, pair)
+    )
+    seed = derive_seed(config.seed, "stability-run", replicate, pair)
+    return engine.run_coupled([arm], [shards], model, config, [perturbation], [seed], risks=risks)
+
+
 @settings(max_examples=20)
 @given(replicates=st.integers(2, 5), data=st.data())
 def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     # Each pool worker steps one contiguous group of replicates, every arm in
-    # one stack. Any split must give the arrays of the one-group (jobs = 1)
-    # call, bit for bit, and each arm those of its own one-arm estimate; the
-    # group functions are called directly, so no pool starts.
+    # one stack, and reduces it to named arrays. Any split must give, joined
+    # along the replicate axis, every array of the one-group (jobs = 1) call,
+    # bit for bit, and each arm those of its own one-arm estimate; the group
+    # functions are called directly, so no pool starts.
     cuts = sorted(data.draw(st.sets(st.integers(1, replicates - 1))))
     bounds = [0, *cuts, replicates]
     groups = [range(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -147,41 +160,46 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     ]
     task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
     group_fn = partial(_stability_group, arms=arms, task=task, model=LINEAR, config=config,
-                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, keep=True,
-                       risks=True)
+                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, risks=True)
     whole = group_fn(range(replicates))
     results = [group_fn(group) for group in groups]
-    assert np.array_equal(np.concatenate([c for c, *_ in results], axis=1), whole[0])
-    assert np.array_equal(np.concatenate([g for _, g, *_ in results], axis=1), whole[1])
+    assert sorted(whole) == ["counters", "final_diffs", "gap", "risks", "stability"]
+    for name, array in whole.items():
+        joined = np.concatenate([group[name] for group in results], axis=1)
+        assert joined.dtype == array.dtype and np.array_equal(joined, array)
     shards = [
         _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r))
         for r in range(replicates)
     ]
     # Control counts add up over the groups: rounds, and cap hits.
-    assert np.array_equal(sum(counters for *_, counters in results), whole[3])
-    assert whole[3][0, 0] > 0
+    totals = whole["counters"].sum(axis=1)
+    assert np.array_equal(sum(group["counters"].sum(axis=1) for group in results), totals)
+    assert totals[0, 0] > 0
     for arm, (P, control) in enumerate(arms):
         (estimate,), _ = analysis._stability_sweep(
             [(P, control)], task, LINEAR, config, n=5, replicates=replicates, pairs=pairs,
-            mode=mode, jobs=1, keep_traces=True, risks=True,
+            mode=mode, jobs=1, risks=True,
         )
-        assert np.array_equal(whole[0][arm], estimate.replicates)
-        # The counters total the kept traces' per-side counts.
-        counts = [estimate.coupled.rounds.sum(), estimate.coupled.cap_hits.sum()]
-        assert np.array_equal(whole[3][arm], counts)
+        assert np.array_equal(whole["stability"][arm], estimate.replicates)
+        assert np.array_equal(whole["final_diffs"][arm], estimate.final_diffs)
+        assert np.array_equal(whole["risks"][arm], estimate.risks)
+        # Run r * pairs + j is pair j of replicate r coupled on its own: its
+        # final difference, its risks, its counts and its final consensus model.
+        alone = [
+            coupled_alone((P, control), task, LINEAR, config, 5, mode, r, j, risks=True)
+            for r in range(replicates) for j in range(pairs)
+        ]
+        for run, traces in enumerate(alone):
+            assert np.array_equal(estimate.final_diffs[run],
+                                  traces.final[0, 0, 0] - traces.final[0, 0, 1])
+            assert np.array_equal(estimate.risks[run], traces.risks[0, 0])
+        # The counters total the lone runs' per-side counts.
+        counts = [sum(t.rounds.sum() for t in alone), sum(t.cap_hits.sum() for t in alone)]
+        assert np.array_equal(totals[arm], counts)
         assert counts == [estimate.extra_gossip_rounds, estimate.control_cap_hits]
-        # One arm of the groups' traces, their runs joined, is the one-group
-        # estimate's, in every field; one group's are views of its arrays.
-        joined = analysis._arm_traces([kept for _, _, kept, _ in results], arm)
-        assert joined.final.shape[:3] == (1, replicates * pairs, 2)
-        for name in (field.name for field in fields(Traces)):
-            assert np.array_equal(getattr(joined, name), getattr(estimate.coupled, name))
-        alone = analysis._arm_traces([whole[2]], arm)
-        assert all(np.shares_memory(getattr(alone, field.name), getattr(whole[2], field.name))
-                   for field in fields(Traces) if field.name != "iterations")
-        finals = estimate.coupled.consensus[0, :, 0, -1].reshape(replicates, pairs, -1)
+        finals = np.array([t.consensus[0, 0, 0, -1] for t in alone]).reshape(replicates, pairs, -1)
         gaps = analysis._consensus_gaps(list(finals), task, LINEAR, shards, None)
-        assert np.array_equal(whole[1][arm], [gap.mean() for gap in gaps])
+        assert np.array_equal(whole["gap"][arm], [gap.mean() for gap in gaps])
 
     mlp_task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 3, np.full(3, 0.5), 0.3)
     mlp = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=3)
@@ -343,6 +361,14 @@ def test_pool_groups_receive_a_small_partial(monkeypatch, estimator):
     assert dispatched.value.args[0] < 64 * 1024
 
 
+def test_topology_comparison_rejects_no_kinds():
+    with pytest.raises(InputError, match="at least one arm"):
+        topology_comparison(
+            [], 4, make_task(), LINEAR, TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=1),
+            n=4, replicates=2, pairs=1, mc_draws=100,
+        )
+
+
 def test_topology_comparison_rejects_repeated_kinds():
     with pytest.raises(InputError, match="ring"):
         topology_comparison(
@@ -364,27 +390,33 @@ def test_single_worker_mode_is_strictly_below_synchronized():
     assert single.final > 0.0
 
 
-def test_keep_traces_returns_replicate_major_traces():
+def test_stability_estimates_hold_replicate_major_runs():
     task = make_task()
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=8, rate=ConstantRate(0.1), seed=7)
     estimate = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
-                                  keep_traces=True, risks=True)
-    assert estimate.coupled.final.shape == (1, 6, 2, 3, 2)
+                                  risks=True)
+    assert estimate.final_diffs.shape == (6, 3, 2)
     # The base side's risks, per run, snapshot and worker.
-    assert estimate.coupled.risks.shape == (1, 6, 9, 3)
-    # Kept without risks (gaussianity reads only final_diffs), nothing records them.
-    bare = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
-                              keep_traces=True)
-    assert bare.coupled.risks is None
-    assert np.array_equal(estimate.coupled.final_diffs, bare.coupled.final_diffs)
-    assert np.array_equal(estimate.coupled.sq_diffs, bare.coupled.sq_diffs)
-    # Replicate-major: the pairs' curves average to each replicate's curve.
+    assert estimate.risks.shape == (6, 9, 3)
+    # Without risks (gaussianity reads only final_diffs), nothing records them.
+    bare = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3)
+    assert bare.risks is None
+    assert np.array_equal(estimate.final_diffs, bare.final_diffs)
+    assert np.array_equal(estimate.replicates, bare.replicates)
+    # Replicate-major: run r * pairs + j is pair j of replicate r, and the
+    # pairs' curves average to each replicate's curve.
+    alone = [
+        coupled_alone((P, None), task, LINEAR, config, 4, PerturbationMode.SYNCHRONIZED, r, j)
+        for r in range(2) for j in range(3)
+    ]
+    for run, traces in enumerate(alone):
+        assert np.array_equal(estimate.final_diffs[run],
+                              traces.final[0, 0, 0] - traces.final[0, 0, 1])
     assert np.array_equal(
-        estimate.coupled.sq_diffs[0].reshape(2, 3, -1).mean(axis=1), estimate.replicates
+        np.array([t.sq_diffs[0, 0] for t in alone]).reshape(2, 3, -1).mean(axis=1),
+        estimate.replicates,
     )
-    with pytest.raises(InputError, match="kept traces"):
-        estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3, risks=True)
 
 
 def brute_force_curve(P, shards, replacements, rate, iterations, positions):
@@ -884,17 +916,21 @@ def test_mlp_comparison_gaps_match_full_curve_gaps():
     replicates, pairs = 3, 3
     (row,) = topology_comparison(
         [TopologyKind.RING], 4, task, model, config, n=5, replicates=replicates,
-        pairs=pairs, mc_draws=1001, keep_traces=True,
+        pairs=pairs, mc_draws=1001,
     )
-    estimate = row.stability
+    # The sweep keeps no consensus curves: each pair is coupled again alone.
+    ring = (build_gossip_matrix(TopologyKind.RING, 4), None)
     full_curve = [
-        generalization_gap(
-            replace(estimate.coupled,
-                    consensus=estimate.coupled.consensus[:, r * pairs : (r + 1) * pairs]),
-            task, model, _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r)),
-            mc_draws=1001,
-            seed=config.seed,
-        ).final
+        np.mean([
+            generalization_gap(
+                coupled_alone(ring, task, model, config, 5, PerturbationMode.SYNCHRONIZED, r, j),
+                task, model,
+                _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r)),
+                mc_draws=1001,
+                seed=config.seed,
+            ).final
+            for j in range(pairs)
+        ])
         for r in range(replicates)
     ]
     assert np.allclose(row.gap.replicates[:, 0], full_curve, rtol=1e-12, atol=0.0)

@@ -94,6 +94,7 @@ def test_missing_file_is_rejected(tmp_path):
         (dict(experiment="stability", eta=float("inf")), "eta"),
         (dict(experiment="bound", alpha=0.0), "alpha"),
         (dict(experiment="compare", kinds=["ring", "ring", "fully_connected"]), "kinds"),
+        (dict(experiment="compare", kinds=[], T=10, R=2, pairs=1, m=4), "kinds"),
     ],
 )
 def test_constraint_violations_name_the_key(tmp_path, entries, fragment):

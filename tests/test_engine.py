@@ -98,8 +98,8 @@ def part(traces, arm, run):
 
 def side(traces, index):
     """One side of coupled traces, as a single-run stack records it: no pair
-    fields and no risks."""
-    return replace(traces, sq_diffs=None, final_diffs=None, risks=None, **{
+    differences and no risks."""
+    return replace(traces, sq_diffs=None, risks=None, **{
         name: getattr(traces, name)[:, :, index : index + 1]
         for name in ("consensus", "consensus_dist", "final", "rounds", "cap_hits")
     })
@@ -467,8 +467,8 @@ def test_runs_are_bit_deterministic():
     config = TrainConfig(iterations=60, rate=ConstantRate(0.05), seed=11, snapshot_every=7)
     a = run_one(P, shards, LINEAR, config)
     assert_same_traces(a, run_one(P, shards, LINEAR, config))
-    # Single runs never record per-worker risks or pair fields.
-    assert a.risks is a.sq_diffs is a.final_diffs is None
+    # Single runs never record per-worker risks or pair differences.
+    assert a.risks is a.sq_diffs is None
 
 
 def test_identical_shards_and_indices_keep_workers_in_consensus():
@@ -732,7 +732,7 @@ def test_coupled_identical_replacement_gives_zero_difference():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=5), pert)
     assert np.max(coupled.sq_diffs) == 0.0
-    assert np.max(np.abs(coupled.final_diffs)) == 0.0
+    assert np.array_equal(coupled.final[:, :, 0], coupled.final[:, :, 1])
 
 
 def test_coupled_zero_rate_gives_zero_difference():
@@ -751,7 +751,7 @@ def test_coupled_disconnected_difference_stays_local():
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 4)
     coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=40, rate=ConstantRate(0.1), seed=3), pert)
     others = [k for k in range(4) if k != 2]
-    diffs = coupled.final_diffs[0, 0]
+    diffs = coupled.final[0, 0, 0] - coupled.final[0, 0, 1]
     assert np.max(np.abs(diffs[others])) == 0.0
     assert np.max(np.abs(diffs[2])) > 0.0
     assert coupled.sq_diffs[0, 0, -1] == np.sum(diffs[2] ** 2) / 4
@@ -806,9 +806,8 @@ def test_coupled_difference_snapshots_are_consistent():
     config = TrainConfig(iterations=16, rate=ConstantRate(0.1), seed=6, snapshot_every=16)
     coupled = coupled_one(P, shards, LINEAR, config, pert)
     assert coupled.sq_diffs.shape == (1, 1, len(config.snapshot_iterations))
-    final_sq = np.sum(coupled.final_diffs**2, axis=-1).mean()
+    final_sq = np.sum((coupled.final[:, :, 0] - coupled.final[:, :, 1]) ** 2, axis=-1).mean()
     assert np.allclose(coupled.sq_diffs[0, 0, -1], final_sq, atol=1e-15)
-    assert_same_array(coupled.final_diffs, coupled.final[:, :, 0] - coupled.final[:, :, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1579,7 +1578,7 @@ def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
     def assert_traces_follow_the_step_loop():
         assert_same_array(coupled.iterations, config.snapshot_iterations)
         assert_same_array(single.iterations, config.snapshot_iterations)
-        assert single.sq_diffs is single.final_diffs is single.risks is coupled.risks is None
+        assert single.sq_diffs is single.risks is coupled.risks is None
         for (arm, k), (weights, counts) in expected.items():
             assert_traces_follow(coupled, arm, k, weights, counts)
             assert_traces_follow(single, arm, k, weights[:, :1], counts[:, :1])
@@ -1587,7 +1586,6 @@ def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
                 coupled.sq_diffs[arm, k],
                 np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1).mean(axis=-1),
             )
-            assert_same_array(coupled.final_diffs[arm, k], weights[-1, 0] - weights[-1, 1])
 
     assert_traces_follow_the_step_loop()
     # The mid-run onset and the islands arm did gossip extra rounds, and the

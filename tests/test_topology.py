@@ -11,7 +11,6 @@ from dsgd_lab.topology import (
     CONNECTED_KINDS,
     GossipMatrix,
     TopologyKind,
-    analytic_gap_order,
     build_gossip_matrix,
     eigenvalues_symmetric,
     load_gossip_matrix,
@@ -355,16 +354,6 @@ def test_mixing_error_rejects_bad_power():
 # ---------------------------------------------------------------------------
 # Orders and orderings
 # ---------------------------------------------------------------------------
-
-
-def test_analytic_gap_orders():
-    assert analytic_gap_order(TopologyKind.RING, 8) == 1 / 64
-    assert analytic_gap_order(TopologyKind.FULLY_CONNECTED, 100) == 1.0
-    assert analytic_gap_order(TopologyKind.GRID_2D_TORUS, 16) == 1 / 64
-    assert analytic_gap_order(TopologyKind.STATIC_EXPONENTIAL, 8) == 1 / 3
-    assert analytic_gap_order(TopologyKind.DISCONNECTED, 5) == 0.0
-    with pytest.raises(InputError):
-        analytic_gap_order(TopologyKind.CUSTOM, 4)
 
 
 def test_ring_gap_scales_inverse_square():

@@ -97,11 +97,12 @@ class Estimate:
     runs' mean consensus-model gap. mean and se are mean_and_se(replicates):
     the mean and standard error over replicates. Estimates run on the same
     replicate data can be compared replicate by replicate. A stability
-    estimate also holds, per run of its replicates x pairs (replicate-major),
-    final_diffs (runs, m, d), the final models of side 0 minus side 1, and,
-    if asked for, risks (runs, S, m), each base-side worker's risk per
-    snapshot. extra_gossip_rounds and control_cap_hits total the control
-    rounds and cap hits over every trajectory, both sides of every pair.
+    estimate can also hold, each if asked for, per run of its replicates x
+    pairs (replicate-major): final_diffs (runs, m, d), the final models of
+    side 0 minus side 1, and risks (runs, S, m), each base-side worker's
+    risk per snapshot; else None. extra_gossip_rounds and control_cap_hits
+    total the control rounds and cap hits over every trajectory, both sides
+    of every pair.
     """
 
     iterations: np.ndarray
@@ -187,6 +188,7 @@ def _stability_group(
     gaps: bool,
     holdout: Holdout | None,
     risks: bool,
+    final_diffs: bool,
 ) -> dict[str, np.ndarray]:
     """Replicates `group` under every arm (P, control), on data drawn once per replicate.
 
@@ -196,7 +198,8 @@ def _stability_group(
     [arm, replicate or run, ...], run r * pairs + j being pair j of
     replicate r:
     - stability (A, G, S): each replicate's mean sq_diffs over its pairs;
-    - final_diffs (A, G * pairs, m, d): final models, side 0 minus side 1;
+    - final_diffs (A, G * pairs, m, d), with `final_diffs`: final models,
+      side 0 minus side 1;
     - counters (A, G, 2): control rounds and cap hits, both sides summed;
     - gap (A, G), with `gaps`: the mean final consensus-model gap, every
       arm's and replicate's final models scored in one pass over `holdout`;
@@ -221,9 +224,10 @@ def _stability_group(
     counts = np.stack([traces.rounds, traces.cap_hits], axis=-1)  # (A, K, 2 sides, 2)
     reduced = {
         "stability": traces.sq_diffs.reshape(per_replicate).mean(axis=2),
-        "final_diffs": traces.final[:, :, 0] - traces.final[:, :, 1],
         "counters": counts.reshape(*per_replicate, 2).sum(axis=(2, 3)),
     }
+    if final_diffs:
+        reduced["final_diffs"] = traces.final[:, :, 0] - traces.final[:, :, 1]
     if gaps:
         finals = traces.consensus[:, :, 0, -1].reshape(len(arms) * len(group), pairs, -1)
         reduced["gap"] = np.array([
@@ -271,15 +275,16 @@ def _stability_sweep(
     gaps: bool = False,
     holdout: Holdout | None = None,
     risks: bool = False,
+    final_diffs: bool = False,
 ) -> tuple[list[Estimate], list[Estimate] | None]:
     """One stability estimate per arm (P, control), every arm on the same replicate data.
 
     The replicates are split into `jobs` contiguous groups, mapped once over
     one pool; each group draws its replicates' data once and steps every
     arm x run x side as one stack (_stability_group), whose named arrays
-    are joined here. With `gaps`, also returns each arm's final
-    consensus-model gap: an estimate of the last snapshot alone, replicates
-    (replicates, 1).
+    are joined here. The estimates hold final_diffs and risks only when
+    asked for. With `gaps`, also returns each arm's final consensus-model
+    gap: an estimate of the last snapshot alone, replicates (replicates, 1).
 
     Raises:
         InputError: no arms, fewer than 2 replicates or fewer than 1 pair.
@@ -293,6 +298,7 @@ def _stability_sweep(
     group_fn = partial(
         _stability_group, arms=arms, task=task, model=model, config=config, n=n,
         pairs=pairs, mode=mode, gaps=gaps, holdout=holdout, risks=risks,
+        final_diffs=final_diffs,
     )
     results = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
     joined = {
@@ -306,7 +312,7 @@ def _stability_sweep(
         Estimate(
             iterations,
             joined["stability"][arm],
-            final_diffs=joined["final_diffs"][arm],
+            final_diffs=joined["final_diffs"][arm] if final_diffs else None,
             risks=joined["risks"][arm] if risks else None,
             extra_gossip_rounds=int(counters[arm, 0]),
             control_cap_hits=int(counters[arm, 1]),
@@ -329,6 +335,7 @@ def estimate_stability(
     mode: PerturbationMode = PerturbationMode.SYNCHRONIZED,
     jobs: int = 1,
     risks: bool = False,
+    final_diffs: bool = False,
 ) -> Estimate:
     """Estimate the on-average stability curve of the configured dynamics.
 
@@ -343,13 +350,16 @@ def estimate_stability(
     identical data across topologies. The one-arm, uncontrolled case of the
     sweep that topology_comparison and consensus_control_sweep run. With
     risks, the estimate holds each base-side worker's empirical risk per
-    snapshot, which estimate_epsilon_s reads.
+    snapshot, which estimate_epsilon_s reads; with final_diffs, each run's
+    final difference vectors, which estimate_sigma_mu and gaussianity_report
+    read.
 
     Raises:
         InputError: fewer than 2 replicates or 1 pair.
     """
     estimates, _ = _stability_sweep(
-        [(P, None)], task, model, config, n, replicates, pairs, mode, jobs, risks=risks
+        [(P, None)], task, model, config, n, replicates, pairs, mode, jobs,
+        risks=risks, final_diffs=final_diffs,
     )
     return estimates[0]
 
@@ -851,10 +861,19 @@ def spearman_rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of their positions."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    return (last - (counts - 1) / 2.0)[inverse]
+    """1-based ranks, tied values sharing the mean of their positions.
+
+    A stable argsort, not np.unique: np.unique imports numpy.ma, 0.4 MB of
+    peak RSS. Each tie group's rank, (first + last) / 2 of its 1-based
+    positions, is exact.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def consensus_control_sweep(
@@ -931,10 +950,10 @@ def topology_comparison(
     gap is that of the final consensus model of each base trajectory,
     averaged per replicate and computed inside the group. Both estimates of
     a row keep their replicates, from which paired differences between
-    kinds follow. With risks, each stability estimate holds its base sides'
-    per-worker risks, for bound evaluation. The gaps of every kind and
-    replicate of a group are scored in one pass over the holdout, which is
-    located once per call.
+    kinds follow. With risks, each stability estimate holds what bound
+    evaluation reads: its base sides' per-worker risks and its runs' final
+    differences. The gaps of every kind and replicate of a group are scored
+    in one pass over the holdout, which is located once per call.
 
     Raises:
         InputError: no kinds, or a kind listed twice.
@@ -946,6 +965,7 @@ def topology_comparison(
     estimates, gaps = _stability_sweep(
         [(P, None) for P in matrices], task, model, config, n, replicates, pairs, mode, jobs,
         gaps=True, holdout=_draw_holdout(task, mc_draws, config.seed), risks=risks,
+        final_diffs=risks,
     )
     return [
         ComparisonRow(kind, eigenvalues_symmetric(P).lam, estimate, gap)

@@ -493,12 +493,14 @@ def _curve_csv(estimate: Estimate, name: str, path: Path, **columns: np.ndarray)
     )
 
 
-def _estimate_stability(config: ExperimentConfig, P, risks: bool = False):
+def _estimate_stability(
+    config: ExperimentConfig, P, risks: bool = False, final_diffs: bool = False
+):
     """The configured stability estimate of gossip matrix P."""
     return estimate_stability(
         P, config.task(), config.loss_model(), config.train_config(),
         n=config.n, replicates=config.R, pairs=config.pairs, mode=config.mode,
-        jobs=config.jobs, risks=risks,
+        jobs=config.jobs, risks=risks, final_diffs=final_diffs,
     )
 
 
@@ -536,7 +538,7 @@ def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
     model = config.loss_model()
     train = config.train_config()
     P = config.gossip_matrix()
-    estimate = _estimate_stability(config, P, risks=True)
+    estimate = _estimate_stability(config, P, risks=True, final_diffs=True)
     holder_seed = derive_seed(config.seed, "holder")
     L = estimate_holder_constant(
         model, task, config.alpha, config.holder_pairs, config.holder_radius, holder_seed
@@ -666,7 +668,7 @@ def _run_consensus_control(config: ExperimentConfig, out: Path) -> Outcome:
 
 
 def _run_gaussianity(config: ExperimentConfig, out: Path) -> Outcome:
-    estimate = _estimate_stability(config, config.gossip_matrix())
+    estimate = _estimate_stability(config, config.gossip_matrix(), final_diffs=True)
     report = gaussianity_report(
         estimate.final_diffs, skew_tol=config.skew_tol, kurt_tol=config.kurt_tol
     )

@@ -27,18 +27,20 @@ replicate share their shards, so the stack holds each distinct shard set
 once: it reads them in place when they are consecutive slices of one array
 (as the estimators draw a group's replicates), else from one copy, and a
 side table holds each pair's replaced samples. A step makes one np.take of
-side 0's rows for every arm, run and side, one np.copyto each for X and Y
-that gives side 1 its replaced samples (where zeta is the pair's perturbed
-index on an affected worker), one gossip per group of arms and one gradient
-call for the whole stack. The runs are stepped in sub-stacks of as many
-runs as keep each stack-sized buffer within STACK_BYTES, and a run's traces
-do not depend on the runs stepped with it.
-Every stack-sized array a step writes (the next W, the gathered samples, the
-gradients, consensus control's result) is a buffer allocated once per
-sub-stack; control allocates only a few buffers of its live runs per call.
-Only run_coupled with risks set evaluates per-worker risks, of the base
-side (the run on S) only, once per arm, shard set and snapshot, in scratch
-the recorder owns. Each run keeps its own seed and index stream, shared by
+side 0's rows for every run and side, which every arm reads (dsgd_step's
+shared samples), one np.copyto each for X and Y that gives side 1 its replaced
+samples (where zeta is the pair's perturbed index on an affected worker),
+one gossip per group of arms and one gradient call for the whole stack.
+The runs are stepped in sub-stacks of as many runs as keep each
+stack-sized buffer within STACK_BYTES, and a run's traces do not depend on
+the runs stepped with it. A sub-stack holds W, its spare (the next W, and
+consensus control's result), one scratch and one arm's share of samples,
+each allocated once: the step writes its gradients in the scratch, and the
+recorder takes its deviations and then its pair differences in it.
+Control allocates only a few buffers of its live runs per call. Only
+run_coupled with risks set evaluates per-worker risks, of the base side
+(the run on S) only, once per arm, shard set and snapshot, in scratch the
+recorder owns. Each run keeps its own seed and index stream, shared by
 its sides and by every arm: its indices are drawn from its own generator in
 blocks of INDEX_DRAW_STEPS steps (fewer when a sub-stack's block would pass
 INDEX_DRAW_BYTES), across snapshot intervals, which are the same indices as
@@ -124,10 +126,11 @@ __all__ = [
 INDEX_DRAW_STEPS = 64
 INDEX_DRAW_BYTES = 2**16
 
-# Most bytes of one stack-sized buffer (the weights, their spare, the
-# gathered samples, the gradients, the recorder's deviations): a stack with
-# more runs is stepped in sub-stacks of as many runs as fit, at least one.
-# A four-kind compare at m = 1024 with 160 pairs would need 210 MB for each.
+# Most bytes of one stack-sized buffer (the weights, their spare, the scratch
+# that holds the gradients, deviations and pair differences; the samples,
+# shared by the arms, take an arm's share): a stack with more runs is stepped
+# in sub-stacks of as many runs as fit, at least one. A four-kind compare at
+# m = 1024 with 160 pairs would need 210 MB for each.
 STACK_BYTES = 16 * 2**20
 
 # Worker count below which every gossip matrix is a dense product; from it
@@ -451,25 +454,34 @@ def dsgd_step(
     P is one gossip matrix for every run, or a list with one matrix per arm:
     W[a]'s runs gossip with P[a], each arm in its matrix's own form. X
     (..., m, d_x) and Y (..., m) hold the sample each worker of each run
-    uses at this step; the gradient is evaluated at the pre-communication
-    model w_k. The updated stack is written into out (C-contiguous, W's
-    shape, sharing no memory with W) and the (W[..., 0].size, d) gradients
-    into grads (sharing no memory with W or out); each is allocated when not
-    given, and the values are the same either way.
+    uses at this step, either per run (X's leading shape is W's) or, for a
+    stack with an arm axis (W of 3 or more dimensions), shared by every arm
+    (X's leading shape is W's without its first axis): one copy of the
+    samples that every arm reads, with the values of per-arm copies. The
+    gradient is evaluated at the pre-communication model w_k. The updated
+    stack is written into out (C-contiguous, W's shape, sharing no memory
+    with W) and the gradients into grads (C-contiguous, W's size, sharing no
+    memory with W or out); each is allocated when not given, and the values
+    are the same either way.
     """
     groups = _arm_groups(P, W)
+    shared = W.ndim >= 3 and X.shape[:-1] == W.shape[1:-1]
     if (
         any(P_a.m != W.shape[-2] for P_a, _ in groups)
-        or X.shape[:-1] != W.shape[:-1]
-        or Y.shape != W.shape[:-1]
+        or not (shared or X.shape[:-1] == W.shape[:-1])
+        or Y.shape != X.shape[:-1]
     ):
         raise InputError("worker counts of W, P and the drawn samples disagree")
     out = _output(W, out)
-    if grads is not None and (np.may_share_memory(grads, W) or np.may_share_memory(grads, out)):
-        raise InputError("grads must share no memory with W or out")
-    grads = loss_gradients(
-        model, W.reshape(-1, W.shape[-1]), X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads
-    )
+    # With shared samples, the gradients of W (A, N, d) at X (N, d_x); else of W (N, d).
+    rows = W.reshape(len(W), -1, W.shape[-1]) if shared else W.reshape(-1, W.shape[-1])
+    if grads is not None:
+        if grads.size != W.size or not grads.flags.c_contiguous:
+            raise InputError(f"grads must be a C-contiguous array of {W.size} entries")
+        if np.may_share_memory(grads, W) or np.may_share_memory(grads, out):
+            raise InputError("grads must share no memory with W or out")
+        grads = grads.reshape(rows.shape)
+    grads = loss_gradients(model, rows, X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads)
     for gossip, operand, arms in _step_gossip(P, groups):
         gossip(operand, W[arms], out[arms])
     grads *= eta_t
@@ -973,12 +985,13 @@ def _step_runs(
     logged = config.snapshot_iterations
     W = np.zeros((len(arms), len(seeds), data.sides, m, model.dim(d_x)))
     # Every array a step writes is allocated once here: stack-sized arrays
-    # freed each step would go back to the OS and be faulted in again.
-    spare = np.empty_like(W)
-    X = np.empty((*W.shape[:-1], d_x))
-    Y = np.empty(W.shape[:-1])
-    grads = np.empty((Y.size, W.shape[-1]))
-    recorder.start(runs, W)
+    # freed each step would go back to the OS and be faulted in again. The
+    # step's gradients and the recorder's deviations and pair differences
+    # take turns in one scratch; every arm reads one copy of the samples.
+    spare, scratch = np.empty_like(W), np.empty_like(W)
+    X = np.empty((*W.shape[1:-1], d_x))
+    Y = np.empty(W.shape[1:-1])
+    recorder.start(runs, W, scratch)
     recorder.record(0, W)
     slot = 1
     block = max(1, min(INDEX_DRAW_STEPS, INDEX_DRAW_BYTES // (8 * len(rngs) * m)))
@@ -989,13 +1002,12 @@ def _step_runs(
         for step, t in enumerate(range(first + 1, first + steps + 1)):
             # The rows are in range, so "clip" never clips; unlike "raise",
             # it writes into out without an intermediate buffer.
-            np.take(data.xs, rows[step], axis=0, out=X[0], mode="clip")
-            np.take(data.ys, rows[step], out=Y[0], mode="clip")
+            np.take(data.xs, rows[step], axis=0, out=X, mode="clip")
+            np.take(data.ys, rows[step], out=Y, mode="clip")
             if hits is not None:
-                data.patch(X[0], Y[0], hits[step], runs)
-            X[1:], Y[1:] = X[0], Y[0]
+                data.patch(X, Y, hits[step], runs)
             rate = config.rate.at(t - 1, total)
-            W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=grads), W
+            W, spare = dsgd_step(W, matrices, X, Y, rate, model, out=spare, grads=scratch), W
             if t > first_onset:
                 now = np.where(onsets < t, targets, np.inf)[:, None, None]
                 controlled, _ = consensus_control_step(
@@ -1129,13 +1141,12 @@ class _TraceRecorder:
         self.risks = np.zeros((arms, runs, len(logged), m)) if risks else None
         self.sq_diffs = np.zeros((arms, runs, len(logged))) if sides == 2 else None
 
-    def start(self, runs: slice, W: np.ndarray) -> None:
-        """Take the sub-stack W (A, K', s, m, d) of `runs`, and scratch of its size
-        for the deviations, the pair differences and the base side's
-        per-sample losses, reused at every snapshot."""
-        self.runs = runs
-        self.deviation = np.empty_like(W)
-        self.pair_diff = np.empty_like(W[:, :, 0]) if W.shape[2] == 2 else None
+    def start(self, runs: slice, W: np.ndarray, scratch: np.ndarray) -> None:
+        """Take the sub-stack W (A, K', s, m, d) of `runs` and scratch, an array of
+        W's shape that holds the deviations and then the pair differences at
+        every snapshot (the step loop writes its gradients there in between);
+        allocates the base side's per-sample losses, reused at every snapshot."""
+        self.runs, self.scratch = runs, scratch
         if self.risks is not None:
             self.groups = self.data.risk_groups(runs)
             self.losses = np.empty((W.shape[1], W.shape[3], self.data.shape[1]))
@@ -1145,7 +1156,7 @@ class _TraceRecorder:
         # A diverging W overflows the sums of squares; that is reported below.
         with np.errstate(over="ignore", invalid="ignore"):
             mean = _worker_mean(W)
-            distances = _distance_from_mean(W, mean, self.deviation)
+            distances = _distance_from_mean(W, mean, self.scratch)
         self._check(distances, "consensus distance", slot)
         self.consensus[:, runs, :, slot] = mean[..., 0, :]
         self.consensus_dist[:, runs, :, slot] = distances
@@ -1160,10 +1171,11 @@ class _TraceRecorder:
                         )
             self._check(risks, "a worker risk", slot)
             self.risks[:, runs, slot] = risks
-        if self.pair_diff is not None:
-            np.subtract(W[:, :, 0], W[:, :, 1], out=self.pair_diff)
-            np.square(self.pair_diff, out=self.pair_diff)
-            self.sq_diffs[:, runs, slot] = self.pair_diff.sum(axis=-1).mean(axis=-1)
+        if self.sq_diffs is not None:
+            pair_diff = self.scratch[:, :, 0]
+            np.subtract(W[:, :, 0], W[:, :, 1], out=pair_diff)
+            np.square(pair_diff, out=pair_diff)
+            self.sq_diffs[:, runs, slot] = pair_diff.sum(axis=-1).mean(axis=-1)
 
     def _check(self, values: np.ndarray, name: str, slot: int) -> None:
         """NumericalError naming the lowest run with a non-finite value, index (arm, run, ...)."""

@@ -339,33 +339,35 @@ def loss_gradients(
     Y: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact gradients matching loss_values, stacked as an (m, d) matrix.
+    """Exact gradients matching loss_values: row k of W (..., N, d) at sample (X[k], Y[k]).
 
-    With out given (a C-contiguous array of W's shape), the gradients are
-    written into it and it is returned; the values are those of the
-    allocating call.
+    X (N, d_x) and Y (N,) are shared by every leading index of W, so a stack
+    of arms reads one copy of a step's samples; each (N, d) slice of the
+    result equals the flat call on that slice, bit for bit. With out given
+    (a C-contiguous array of W's shape), the gradients are written into it
+    and it is returned; the values are those of the allocating call.
     """
     if out is not None and (out.shape != W.shape or not out.flags.c_contiguous):
         raise InputError(f"out must be a C-contiguous array of shape {W.shape}")
     if model.family is ModelFamily.LINEAR_REGRESSION:
-        residual = np.einsum("kd,kd->k", X, W) - Y
-        return np.multiply(residual[:, None], X, out=out)
+        residual = np.einsum("kd,...kd->...k", X, W) - Y
+        return np.einsum("...k,kd->...kd", residual, X, out=out)
     if model.family is ModelFamily.LOGISTIC_REGRESSION:
         sign = 2.0 * Y - 1.0
-        margin = sign * np.einsum("kd,kd->k", X, W)
-        return np.multiply((-sign * _sigmoid(-margin))[:, None], X, out=out)
+        margin = sign * np.einsum("kd,...kd->...k", X, W)
+        return np.einsum("...k,kd->...kd", -sign * _sigmoid(-margin), X, out=out)
     beta = model.softplus_sharpness
     V, a = _unpack_mlp(model, W, X.shape[1])
-    pre = beta * np.einsum("khd,kd->kh", V, X)
+    pre = beta * np.einsum("...khd,kd->...kh", V, X)
     softplus, sigmoid = _softplus_and_sigmoid(pre)
     hidden = softplus / beta
-    residual = np.einsum("kh,kh->k", a, hidden) - Y
+    residual = np.einsum("...kh,...kh->...k", a, hidden) - Y
     if out is None:
         out = np.empty(W.shape)
     # Views of out's V and a blocks: the writes below fill out.
     grad_V, grad_a = _unpack_mlp(model, out, X.shape[1])
-    np.multiply((residual[:, None] * a * sigmoid)[:, :, None], X[:, None, :], out=grad_V)
-    np.multiply(residual[:, None], hidden, out=grad_a)
+    np.multiply((residual[..., None] * a * sigmoid)[..., None], X[:, None, :], out=grad_V)
+    np.multiply(residual[..., None], hidden, out=grad_a)
     return out
 
 

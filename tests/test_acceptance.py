@@ -554,7 +554,7 @@ def test_criterion_13_gaussianity_diagnostic():
     estimate = estimate_stability(
         build_gossip_matrix(TopologyKind.RING, 16), task, LINEAR, config,
         n=10, replicates=30, pairs=1, mode=PerturbationMode.SYNCHRONIZED,
-        jobs=JOBS,
+        jobs=JOBS, final_diffs=True,
     )
     measured = gaussianity_report(estimate.final_diffs)
     elapsed = time.time() - start

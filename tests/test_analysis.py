@@ -160,10 +160,16 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     ]
     task, pairs, mode = make_task(), 2, PerturbationMode.SYNCHRONIZED
     group_fn = partial(_stability_group, arms=arms, task=task, model=LINEAR, config=config,
-                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, risks=True)
+                       n=5, pairs=pairs, mode=mode, gaps=True, holdout=None, risks=True,
+                       final_diffs=True)
     whole = group_fn(range(replicates))
     results = [group_fn(group) for group in groups]
     assert sorted(whole) == ["counters", "final_diffs", "gap", "risks", "stability"]
+    # The final differences are reduced only when asked for; the rest is the same.
+    bare = group_fn(range(replicates), final_diffs=False)
+    assert sorted(bare) == ["counters", "gap", "risks", "stability"]
+    for name, array in bare.items():
+        assert np.array_equal(array, whole[name])
     for name, array in whole.items():
         joined = np.concatenate([group[name] for group in results], axis=1)
         assert joined.dtype == array.dtype and np.array_equal(joined, array)
@@ -178,7 +184,7 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
     for arm, (P, control) in enumerate(arms):
         (estimate,), _ = analysis._stability_sweep(
             [(P, control)], task, LINEAR, config, n=5, replicates=replicates, pairs=pairs,
-            mode=mode, jobs=1, risks=True,
+            mode=mode, jobs=1, risks=True, final_diffs=True,
         )
         assert np.array_equal(whole["stability"][arm], estimate.replicates)
         assert np.array_equal(whole["final_diffs"][arm], estimate.final_diffs)
@@ -256,14 +262,16 @@ def test_sweep_draws_each_replicate_once_in_one_pool(monkeypatch, sweep):
     if sweep == "compare":
         kinds = [TopologyKind.FULLY_CONNECTED, TopologyKind.RING, TopologyKind.DISCONNECTED]
         rows = topology_comparison(kinds, 4, task, LINEAR, config, mc_draws=100, **kwargs)
-        finals = [row.stability.final for row in rows]
+        estimates = [row.stability for row in rows]
         arms = [(build_gossip_matrix(kind, 4), None) for kind in kinds]
     else:
         onsets = [0, 6, 12]
         estimates = consensus_control_sweep(ring, task, LINEAR, config, gamma_sq=1e-4,
                                             t_gamma_values=onsets, **kwargs)
-        finals = [estimate.final for estimate in estimates]
         arms = [(ring, ConsensusControl(gamma_sq=1e-4, t_gamma=t)) for t in onsets]
+    finals = [estimate.final for estimate in estimates]
+    # Only the bound and gaussianity experiments ask for the final differences.
+    assert all(estimate.final_diffs is None for estimate in estimates)
     assert InProcessPool.made == [2]
     assert sorted(drawn) == sorted(
         analysis.derive_seed(config.seed, "stability-data", r) for r in range(5)
@@ -395,14 +403,17 @@ def test_stability_estimates_hold_replicate_major_runs():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=8, rate=ConstantRate(0.1), seed=7)
     estimate = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
-                                  risks=True)
+                                  risks=True, final_diffs=True)
     assert estimate.final_diffs.shape == (6, 3, 2)
     # The base side's risks, per run, snapshot and worker.
     assert estimate.risks.shape == (6, 9, 3)
-    # Without risks (gaussianity reads only final_diffs), nothing records them.
+    # Without risks (gaussianity reads only final_diffs), nothing records them,
+    # and without final_diffs nothing keeps the differences.
+    diffs = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3,
+                               final_diffs=True)
     bare = estimate_stability(P, task, LINEAR, config, n=4, replicates=2, pairs=3)
-    assert bare.risks is None
-    assert np.array_equal(estimate.final_diffs, bare.final_diffs)
+    assert diffs.risks is None and bare.risks is None and bare.final_diffs is None
+    assert np.array_equal(estimate.final_diffs, diffs.final_diffs)
     assert np.array_equal(estimate.replicates, bare.replicates)
     # Replicate-major: run r * pairs + j is pair j of replicate r, and the
     # pairs' curves average to each replicate's curve.
@@ -817,6 +828,18 @@ def test_spearman_hand_cases():
         np.array([1.0, 2.0, 2.0, 3.0]), np.array([10.0, 20.0, 20.0, 30.0])
     )
     assert with_ties == pytest.approx(1.0)
+
+
+@settings(max_examples=100)
+@given(values=st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3), min_size=2, max_size=50))
+def test_average_ranks_equal_the_unique_form(values):
+    # The ranks of a stable sort's tie groups must be those of the np.unique
+    # form, bit for bit: each group gets the mean of its 1-based positions.
+    values = np.array(values, dtype=float)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    reference = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    ranks = analysis._average_ranks(values)
+    assert ranks.dtype == reference.dtype and np.array_equal(ranks, reference)
 
 
 def test_control_sweep_uncontrolled_onset_matches_baseline():

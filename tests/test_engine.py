@@ -238,6 +238,72 @@ def test_step_and_gradients_fill_given_buffers(family, stack, m, d_x, eta, stack
             loss_gradients(model, *flat, out=bad)
 
 
+STEP_KINDS = [
+    TopologyKind.FULLY_CONNECTED,
+    TopologyKind.RING,
+    TopologyKind.GRID_2D_TORUS,
+    TopologyKind.STATIC_EXPONENTIAL,
+    TopologyKind.DISCONNECTED,
+]
+
+
+@settings(max_examples=40)
+@given(
+    family=st.sampled_from(list(ModelFamily)),
+    kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=2, max_size=4),
+    runs=st.lists(st.integers(1, 3), max_size=2),
+    m=st.sampled_from([4, 16, 256]),
+    d_x=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_samples_equal_per_arm_copies(family, kinds, runs, m, d_x, seed):
+    # The trajectory loop gathers one copy of a step's samples that every arm
+    # reads; the step must give the W of per-arm copies, bit for bit, in
+    # every gossip form, into given buffers or new arrays.
+    model = LossModel(family=family, hidden_width=3)
+    rng = np.random.default_rng(seed)
+    matrices = [built(kind, m) for kind in kinds]
+    W = rng.standard_normal((len(kinds), *runs, m, model.dim(d_x)))
+    X = rng.standard_normal((*runs, m, d_x))
+    Y = rng.standard_normal((*runs, m))
+    if family is ModelFamily.LOGISTIC_REGRESSION:
+        Y = (Y > 0).astype(float)
+    copies = [np.broadcast_to(a, (len(kinds), *a.shape)).copy() for a in (X, Y)]
+    expected = dsgd_step(W, matrices, *copies, 0.05, model)
+    assert_same_array(dsgd_step(W, matrices, X, Y, 0.05, model), expected)
+    out, grads = np.full(W.shape, np.nan), np.full(W.shape, np.nan)
+    assert dsgd_step(W, matrices, X, Y, 0.05, model, out=out, grads=grads) is out
+    assert_same_array(out, expected)
+
+
+@pytest.mark.parametrize(
+    "shape, x_shape, y_shape",
+    [
+        # A single run: its samples are per worker, never one sample for all.
+        ((4, 3), (3,), ()),
+        ((4, 3), (1, 3), (1,)),
+        # A stack: X's leading shape is W's, or W's without the arm axis.
+        ((2, 4, 3), (4, 3), (2, 4)),
+        ((2, 5, 4, 3), (2, 5, 4, 3), (5, 4)),
+        ((2, 5, 4, 3), (4, 3), (4,)),
+        ((2, 5, 4, 3), (5, 3, 3), (5, 3)),
+    ],
+)
+def test_step_rejects_samples_that_do_not_fit_the_stack(shape, x_shape, y_shape):
+    W = np.zeros(shape)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    with pytest.raises(InputError, match="worker counts"):
+        dsgd_step(W, P, np.zeros(x_shape), np.zeros(y_shape), 0.1, LINEAR)
+
+
+def test_step_rejects_grads_of_another_size_or_layout():
+    W, X, Y = np.zeros((2, 4, 3)), np.zeros((4, 3)), np.zeros(4)
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    for bad in (np.empty(W.size + 1), np.empty((*W.shape, 2))[..., 0]):
+        with pytest.raises(InputError, match="grads"):
+            dsgd_step(W, P, X, Y, 0.1, LINEAR, grads=bad)
+
+
 # ---------------------------------------------------------------------------
 # Gossip forms
 # ---------------------------------------------------------------------------

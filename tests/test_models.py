@@ -215,6 +215,37 @@ def test_batched_losses_match_single_sample_calls(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60)
+@given(
+    arms=st.integers(1, 4),
+    rows=st.integers(1, 12),
+    d_x=st.integers(1, 6),
+    hidden_width=st.integers(1, 4),
+    scale=st.sampled_from([1e-3, 1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_sample_gradients_equal_the_flat_call(
+    family, arms, rows, d_x, hidden_width, scale, seed
+):
+    # A stack of arms reads one copy of a step's samples: W (A, N, d) against
+    # X (N, d_x) and Y (N,) must give, bit for bit, the flat call on the
+    # samples repeated once per arm, into a given buffer or a new array.
+    model = LossModel(family=family, hidden_width=hidden_width)
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((arms, rows, model.dim(d_x))) * scale
+    X, Y = draw(make_task(family, d_x=d_x), rows, seed)
+    flat = loss_gradients(
+        model, W.reshape(arms * rows, -1), np.tile(X, (arms, 1)), np.tile(Y, arms)
+    )
+    shared = loss_gradients(model, W, X, Y)
+    assert shared.shape == W.shape
+    assert np.array_equal(shared, flat.reshape(W.shape))
+    buffer = np.full(W.shape, np.nan)
+    assert loss_gradients(model, W, X, Y, out=buffer) is buffer
+    assert np.array_equal(buffer, shared)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_worker_risks_match_dataset_risk(family):
     model = make_model(family)
     task = make_task(family)

@@ -44,10 +44,11 @@ defaults (not every experiment consumes every key):
     seed             base seed                                 [0]
     jobs             parallel replicate workers                [env DSGD_LAB_JOBS or 1]
 
-Exit codes: 0 success, 1 rejected input, 2 numerical failure (a divergent
-run, or a NaN or infinity bound for a JSON artifact). Re-running with the
-same config and seed reproduces byte-identical numeric CSV content, at any
---jobs value.
+Exit codes: 0 success, 1 rejected input or an allocation the machine
+cannot make (a MemoryError, reported as one error line), 2 numerical
+failure (a divergent run, or a NaN or infinity bound for a JSON artifact).
+Re-running with the same config and seed reproduces byte-identical numeric
+CSV content, at any --jobs value.
 """
 
 from __future__ import annotations
@@ -751,6 +752,9 @@ def main(argv: list[str] | None = None) -> int:
         return run_experiment(config)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -56,7 +56,8 @@ distances) is an einsum sum over the workers that rounds like numpy's mean
 and takes a third of its time (_worker_mean).
 
 An arm gossips in one of three forms, chosen once per matrix from its
-entries (topology.GossipMatrix.circulant):
+circulant (topology.GossipMatrix.circulant: a built matrix's own form, or
+the one found in a loaded matrix's entries):
 - the worker mean, when every entry is equal (fully connected);
 - shifted slices, when the matrix is a single-weight circulant over the
   worker cycle (ring, exponential, disconnected) or over the torus (grid):
@@ -66,6 +67,8 @@ entries (topology.GossipMatrix.circulant):
   one broadcast product of their entries, stacked once per stack: the four
   compare arms of a (4, 8, 2, 16, 20) stack gossip in 19-20 us, against
   23-26 us for one product per arm.
+Only the dense product reads the entries, so from the crossover the loop
+never materializes a built matrix's m x m array.
 tools/gossip_crossover.py times one gossip of a (8, 2, m, 20) stack in each
 form (microseconds, dense / structured; 2-core box, numpy 2.4.6, one BLAS
 thread):

@@ -12,9 +12,11 @@ graph, 1 for the fully connected one.
 
 Every built kind is circulant: one weight times a sum of cyclic shifts of
 the workers, over the worker cycle (fully connected, ring, exponential,
-disconnected) or over the side x side torus (grid). GossipMatrix.circulant
-finds that structure from the entries alone, for built and loaded matrices
-alike, so that the engine can gossip by shifted slices.
+disconnected) or over the side x side torus (grid). A built matrix is that
+Circulant, taken from node 0's closed neighborhood, and its m x m entries
+are materialized only when something reads them; a loaded matrix holds its
+entries and finds its circulant from them. The engine gossips a circulant
+by shifted slices.
 """
 
 from __future__ import annotations
@@ -84,19 +86,47 @@ class Circulant:
     weight: float
 
 
-@dataclass(frozen=True, eq=False)
 class GossipMatrix:
-    """An m-by-m symmetric doubly stochastic mixing matrix with its topology tag."""
+    """An m-by-m symmetric doubly stochastic mixing matrix with its topology tag.
 
-    m: int
-    entries: np.ndarray
-    kind: TopologyKind
+    A built matrix (build_gossip_matrix) is given as its circulant: its
+    entries are materialized by the dense construction, bit for bit the
+    same, the first time something reads them, and then kept. A loaded
+    matrix holds its entries and finds its circulant from them. A built
+    matrix pickles without its entries, as a few shifts.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        entries: np.ndarray | None = None,
+        kind: TopologyKind = TopologyKind.CUSTOM,
+        circulant: Circulant | None = None,
+    ):
+        self.m = m
+        self.kind = kind
+        # Set values shadow the cached properties below.
+        if entries is not None:
+            self.entries = entries
+        if circulant is not None:
+            self.circulant = circulant
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if self.kind is not TopologyKind.CUSTOM:
+            state.pop("entries", None)
+        return state
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """A built matrix's entries, materialized once on first read."""
+        return _dense_entries(self.kind, self.m)
 
     @cached_property
     def circulant(self) -> Circulant | None:
         """The entries as a Circulant over the worker cycle, else over the
         square torus, with one weight on every nonzero entry; None if they
-        are neither. Found once per matrix, from the entries alone."""
+        are neither. Found once per loaded matrix, from the entries alone."""
         side = math.isqrt(self.m)
         grids = [(self.m,)] + ([(side, side)] if side > 1 and side * side == self.m else [])
         for grid in grids:
@@ -199,21 +229,54 @@ def build_gossip_matrix(kind: TopologyKind, m: int) -> GossipMatrix:
     """Build the gossip matrix of a named topology with uniform weights.
 
     Every node takes weight 1/(degree+1) on itself and on each neighbor.
-    Deterministic in (kind, m).
+    The matrix is the Circulant of node 0's closed neighborhood: its
+    distinct offsets in ascending flat-index order, each with weight
+    1/count (1/m for fully connected), which is the Circulant that
+    _circulant_over finds in the entries. Deterministic in (kind, m).
 
     Raises:
         InputError: if m violates the kind's structural constraint.
     """
     validate_worker_count(kind, m)
     if kind is TopologyKind.FULLY_CONNECTED:
-        entries = np.full((m, m), 1.0 / m)
+        support = np.arange(m)
     else:
-        entries = np.zeros((m, m))
-        entries[np.arange(m)[:, None], _closed_neighborhoods(kind, m)] = 1.0
-        # The graphs are regular: node 0's degree + 1 is every node's.
-        entries *= 1.0 / entries[0].sum()
-    _validate_entries(entries, sum_tol=BUILD_SUM_TOL)
-    return GossipMatrix(m=m, entries=entries, kind=kind)
+        support = np.unique(_closed_neighborhoods(kind, m)[0])
+    grid = (math.isqrt(m),) * 2 if kind is TopologyKind.GRID_2D_TORUS else (m,)
+    shifts = tuple(zip(*(axis.tolist() for axis in np.unravel_index(support, grid))))
+    circulant = Circulant(grid=grid, shifts=shifts, weight=1.0 / len(support))
+    _validate_circulant(circulant)
+    return GossipMatrix(m=m, kind=kind, circulant=circulant)
+
+
+def _dense_entries(kind: TopologyKind, m: int) -> np.ndarray:
+    """The m x m entries of a built kind: 1.0 at every closed neighborhood,
+    scaled by 1/(degree+1); 1/m everywhere for fully connected."""
+    if kind is TopologyKind.FULLY_CONNECTED:
+        return np.full((m, m), 1.0 / m)
+    entries = np.zeros((m, m))
+    entries[np.arange(m)[:, None], _closed_neighborhoods(kind, m)] = 1.0
+    # The graphs are regular: node 0's degree + 1 is every node's.
+    entries *= 1.0 / entries[0].sum()
+    return entries
+
+
+def _validate_circulant(circulant: Circulant) -> None:
+    """Validate the invariants that make a Circulant of distinct shifts a
+    gossip matrix: a finite weight in (0, 1] (entries in [0, 1]), weight *
+    |shifts| within BUILD_SUM_TOL of 1 (row and column sums), and shifts
+    closed under negation on the grid (symmetry). Raise naming the first
+    violation."""
+    weight, grid = circulant.weight, circulant.grid
+    if not (math.isfinite(weight) and 0.0 < weight <= 1.0):
+        raise InputError(f"circulant weight must be finite and in (0, 1], got {weight}")
+    sum_err = abs(weight * len(circulant.shifts) - 1.0)
+    if sum_err > BUILD_SUM_TOL:
+        raise InputError(f"row sums differ from 1 by {sum_err:.3e}")
+    shifts = set(circulant.shifts)
+    for shift in circulant.shifts:
+        if tuple(-s % size for s, size in zip(shift, grid)) not in shifts:
+            raise InputError(f"matrix is asymmetric: shift {shift} has no negation")
 
 
 def _validate_entries(entries: np.ndarray, sum_tol: float) -> None:

@@ -387,6 +387,18 @@ def test_main_maps_numerical_errors_to_exit_two(tmp_path, monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_main_reports_an_impossible_allocation_as_one_error_line(tmp_path, capsys):
+    # n = 10**12 makes the first stack allocation 1.14 PiB, past the 47-bit
+    # address space, so it fails at once under any overcommit policy and
+    # nothing large is ever allocated.
+    path = write_config(tmp_path, experiment="stability", kind="ring", m=4, n=10**12,
+                        T=5, R=2, pairs=1, output_dir=str(tmp_path / "out"))
+    assert main([str(path), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # A RuntimeWarning is an error here, so one raised in this process or in a
 # forked pool worker fails the test even where pytest would capture it.
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsgd_lab import engine
+from dsgd_lab import engine, topology
 from dsgd_lab.cli import main
 from dsgd_lab.engine import (
     ConsensusControl,
@@ -428,6 +428,38 @@ def test_built_kinds_gossip_in_their_structured_form_from_the_crossover():
             forms[kind] if m >= engine.DENSE_GOSSIP_BELOW else engine._dense_gossip
         )
     assert engine._gossip_form(loaded(two_islands(256).entries)) is engine._dense_gossip
+
+
+def test_built_kinds_step_from_the_crossover_without_their_entries():
+    # From the crossover a built matrix gossips as the worker mean or by
+    # shifted slices, so a coupled stack of every built kind materializes no
+    # m x m array: the dense build is never called, and no entries are kept.
+    m = engine.DENSE_GOSSIP_BELOW
+    task = make_task()
+    kinds = dict.fromkeys(kind for kind, _ in BUILT)
+    matrices = [build_gossip_matrix(kind, m) for kind in kinds]
+    config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
+    perturbation = single_worker_perturbation(task, worker=2, index=3, seed=0)
+    with mock.patch.object(topology, "_dense_entries", wraps=topology._dense_entries) as dense:
+        run_coupled([(P, None) for P in matrices], [make_shards(task, 5, m)], LINEAR, config,
+                    [perturbation], [0])
+    assert dense.call_count == 0
+    assert all("entries" not in vars(P) for P in matrices)
+
+
+def test_loaded_circulant_gossips_by_shifted_slices_from_the_crossover():
+    # A circulant loaded from CSV finds the built matrix's circulant in its
+    # entries, and so steps as the built matrix does, bit for bit.
+    m = engine.DENSE_GOSSIP_BELOW
+    rng = np.random.default_rng(m)
+    W = rng.standard_normal((2, 2, m, 3))
+    X, Y = rng.standard_normal((2, 2, m, 3)), rng.standard_normal((2, 2, m))
+    for kind in [TopologyKind.RING, TopologyKind.GRID_2D_TORUS, TopologyKind.STATIC_EXPONENTIAL]:
+        P = built(kind, m)
+        Q = loaded(P.entries)
+        assert Q.circulant == P.circulant
+        assert engine._gossip_form(Q) is engine._shifted_gossip
+        assert_same_array(dsgd_step(W, Q, X, Y, 0.05, LINEAR), dsgd_step(W, P, X, Y, 0.05, LINEAR))
 
 
 @pytest.mark.parametrize("m", [4, 16, 64, engine.DENSE_GOSSIP_BELOW - 1])

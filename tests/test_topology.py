@@ -1,14 +1,17 @@
 """Gossip-matrix builders, spectra, and mixing diagnostics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dsgd_lab import topology
 from dsgd_lab.errors import InputError
 from dsgd_lab.topology import (
     CONNECTED_KINDS,
+    Circulant,
     GossipMatrix,
     TopologyKind,
     build_gossip_matrix,
@@ -16,7 +19,7 @@ from dsgd_lab.topology import (
     load_gossip_matrix,
     mixing_error,
 )
-from dsgd_lab.topology import EIGEN_SNAP_TOL
+from dsgd_lab.topology import BUILD_SUM_TOL, EIGEN_SNAP_TOL
 
 ALL_BUILDABLE = list(CONNECTED_KINDS) + [TopologyKind.DISCONNECTED]
 
@@ -141,6 +144,97 @@ def test_built_entries_equal_the_set_built_entries(kind):
     for m in [1, 2, 3, 4, 8, 9, 16, 64, 100, 256, 1024]:
         if allowed(kind, m):
             assert np.array_equal(build_gossip_matrix(kind, m).entries, reference_entries(kind, m))
+
+
+def dense_reference(kind, m):
+    """The dense build of the built kinds' entries: 1.0 at every closed
+    neighborhood, scaled by 1/(degree+1); 1/m everywhere for fully connected."""
+    if kind is TopologyKind.FULLY_CONNECTED:
+        return np.full((m, m), 1.0 / m)
+    entries = np.zeros((m, m))
+    entries[np.arange(m)[:, None], topology._closed_neighborhoods(kind, m)] = 1.0
+    entries *= 1.0 / entries[0].sum()
+    return entries
+
+
+BUILT_UP_TO_64 = [(kind, m) for kind in ALL_BUILDABLE for m in range(1, 65) if allowed(kind, m)]
+
+
+@settings(max_examples=100)
+@given(kind_m=st.sampled_from(BUILT_UP_TO_64))
+# The degenerate wrap-arounds, whose closed neighborhoods list a node twice.
+@example(kind_m=(TopologyKind.RING, 2))
+@example(kind_m=(TopologyKind.GRID_2D_TORUS, 4))
+@example(kind_m=(TopologyKind.STATIC_EXPONENTIAL, 2))
+@example(kind_m=(TopologyKind.DISCONNECTED, 1))
+@example(kind_m=(TopologyKind.DISCONNECTED, 5))
+@example(kind_m=(TopologyKind.FULLY_CONNECTED, 256))
+@example(kind_m=(TopologyKind.RING, 256))
+@example(kind_m=(TopologyKind.GRID_2D_TORUS, 256))
+@example(kind_m=(TopologyKind.STATIC_EXPONENTIAL, 256))
+@example(kind_m=(TopologyKind.DISCONNECTED, 256))
+@example(kind_m=(TopologyKind.FULLY_CONNECTED, 1024))
+@example(kind_m=(TopologyKind.RING, 1024))
+@example(kind_m=(TopologyKind.GRID_2D_TORUS, 1024))
+@example(kind_m=(TopologyKind.STATIC_EXPONENTIAL, 1024))
+def test_built_circulant_is_the_dense_build(kind_m):
+    # A built matrix is its circulant; its entries, materialized on first
+    # read, are the dense build's bit for bit, the circulant is the one the
+    # entries hold (shift order and weight), which a loaded copy finds too,
+    # and the entries pass the builders' gate.
+    kind, m = kind_m
+    P = build_gossip_matrix(kind, m)
+    assert "entries" not in vars(P)
+    reference = dense_reference(kind, m)
+    entries = P.entries
+    assert entries.dtype == reference.dtype and entries.flags.c_contiguous
+    assert entries.tobytes() == reference.tobytes()
+    assert P.entries is entries
+    assert topology._circulant_over(entries, P.circulant.grid) == P.circulant
+    assert GossipMatrix(m=m, entries=entries.copy()).circulant == P.circulant
+    topology._validate_entries(entries, BUILD_SUM_TOL)
+
+
+@pytest.mark.parametrize(
+    "circulant,fragment",
+    [
+        (Circulant(grid=(4,), shifts=((0,), (1,), (3,)), weight=0.0), "weight"),
+        (Circulant(grid=(4,), shifts=((0,), (1,), (3,)), weight=math.nan), "weight"),
+        (Circulant(grid=(1,), shifts=((0,),), weight=1.5), "weight"),
+        (Circulant(grid=(4,), shifts=((0,), (1,), (3,)), weight=0.25), "row sums"),
+        (Circulant(grid=(4,), shifts=((0,), (1,)), weight=0.5), "asymmetric"),
+        (Circulant(grid=(3, 3), shifts=((0, 0), (0, 1), (1, 0), (2, 0)), weight=0.25),
+         "asymmetric"),
+    ],
+    ids=["zero-weight", "nan-weight", "weight-above-1", "sums", "one-sided", "torus-one-sided"],
+)
+def test_circulant_gate_names_the_violation(circulant, fragment):
+    with pytest.raises(InputError, match=fragment):
+        topology._validate_circulant(circulant)
+
+
+@pytest.mark.parametrize("kind", ALL_BUILDABLE)
+def test_built_matrix_pickles_as_its_circulant(kind):
+    # A pool task carries a built matrix as a few shifts, not its 8 MB of
+    # entries, even once they have been read; the copy materializes the same
+    # entries on its own first read.
+    P = build_gossip_matrix(kind, 1024)
+    before = pickle.dumps(P)
+    assert len(before) < 16_384
+    entries = P.entries
+    assert pickle.dumps(P) == before
+    copy = pickle.loads(before)
+    assert copy.kind is kind and copy.m == 1024 and copy.circulant == P.circulant
+    assert "entries" not in vars(copy)
+    assert np.array_equal(copy.entries, entries)
+
+
+def test_loaded_matrix_pickles_with_its_entries(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("0.5,0.5\n0.5,0.5\n")
+    copy = pickle.loads(pickle.dumps(load_gossip_matrix(path)))
+    assert copy.kind is TopologyKind.CUSTOM
+    assert np.array_equal(copy.entries, np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize(

@@ -455,7 +455,7 @@ def test_loaded_circulant_gossips_by_shifted_slices_from_the_crossover():
     W = rng.standard_normal((2, 2, m, 3))
     X, Y = rng.standard_normal((2, 2, m, 3)), rng.standard_normal((2, 2, m))
     for kind in [TopologyKind.RING, TopologyKind.GRID_2D_TORUS, TopologyKind.STATIC_EXPONENTIAL]:
-        P = built(kind, m)
+        P = build_gossip_matrix(kind, m)
         Q = loaded(P.entries)
         assert Q.circulant == P.circulant
         assert engine._gossip_form(Q) is engine._shifted_gossip

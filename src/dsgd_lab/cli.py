@@ -33,7 +33,7 @@ defaults (not every experiment consumes every key):
     holder_pairs     probes for the Hoelder-constant estimate  [2000]
     holder_radius    probe ball radius                         [5.0]
     gamma_sq         consensus-distance target                 [1e-4]
-    t_gamma          control onsets for the sweep, at least 2  [0, T/4, T/2, 3T/4, T]
+    t_gamma          distinct ascending control onsets, >= 2   [0, T/4, T/2, 3T/4, T]
     max_rounds       gossip-round cap per control step         [200]
     mc_samples       Monte-Carlo holdout size for population   [100000]
                      risks; streamed, so one chunk of memory at
@@ -338,6 +338,9 @@ def _validate_config(config: ExperimentConfig) -> None:
             raise InputError(f"config key 't_gamma' needs at least 2 onsets, got {values}")
         if values != sorted(values):
             raise InputError("config key 't_gamma' must be sorted ascending")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise InputError(f"config key 't_gamma' repeats {', '.join(map(str, repeated))}")
         if any(v < 0 or v > config.T for v in values):
             raise InputError("config key 't_gamma' entries must lie in [0, T]")
         if config.R < 5:

@@ -55,18 +55,16 @@ worker mean (full-averaging gossip, the recorder, control's
 distances) is an einsum sum over the workers that rounds like numpy's mean
 and takes a third of its time (_worker_mean).
 
-An arm gossips in one of three forms, chosen once per matrix from its
-circulant (topology.GossipMatrix.circulant: a built matrix's own form, or
-the one found in a loaded matrix's entries):
+Each group of consecutive arms with one matrix gossips at once, in one of
+three forms chosen per matrix from its circulant
+(topology.GossipMatrix.circulant, which only built matrices have):
 - the worker mean, when every entry is equal (fully connected);
-- shifted slices, when the matrix is a single-weight circulant over the
-  worker cycle (ring, exponential, disconnected) or over the torus (grid):
-  each shift's slices are added into the output, which is then scaled once;
-- the dense product, for every other matrix and for every matrix of fewer
-  than DENSE_GOSSIP_BELOW workers. Below the crossover a step's arms make
-  one broadcast product of their entries, stacked once per stack: the four
-  compare arms of a (4, 8, 2, 16, 20) stack gossip in 19-20 us, against
-  23-26 us for one product per arm.
+- shifted slices, for the other built kinds, single-weight circulants over
+  the worker cycle (ring, exponential, disconnected) or over the torus
+  (grid): each shift's slices are added into the output, which is then
+  scaled once;
+- the dense product, for every loaded matrix and for every matrix of fewer
+  than DENSE_GOSSIP_BELOW workers.
 Only the dense product reads the entries, so from the crossover the loop
 never materializes a built matrix's m x m array.
 tools/gossip_crossover.py times one gossip of a (8, 2, m, 20) stack in each
@@ -137,7 +135,7 @@ INDEX_DRAW_BYTES = 2**16
 STACK_BYTES = 16 * 2**20
 
 # Worker count below which every gossip matrix is a dense product; from it
-# on, a circulant matrix gossips as the worker mean or as shifted slices.
+# on, a built matrix gossips as the worker mean or as shifted slices.
 # The crossover that tools/gossip_crossover.py measured (module docstring).
 DENSE_GOSSIP_BELOW = 256
 
@@ -357,24 +355,6 @@ def _dense_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.matmul(P.entries, W, out=out)
 
 
-def _stacked_gossip(entries: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Arm a of W (A, ..., m, d) times entries[a] of (A, 1, m, m), as one broadcast product.
-
-    numpy multiplies each matrix of a broadcast product on its own, so every
-    arm's values are those of its own product.
-    """
-    shape = (len(W), -1, *W.shape[-2:])
-    np.matmul(entries, W.reshape(shape), out=out.reshape(shape))
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _stacked_entries(matrices: tuple[GossipMatrix, ...]) -> np.ndarray:
-    """The arms' entries as one (A, 1, m, m) array. Cached for the last stack's
-    matrices, so that a stack stacks them once, not once per step."""
-    return np.stack([P.entries for P in matrices])[:, None]
-
-
 def _mean_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
     """P W for a P whose entries all equal 1/m: every worker takes its run's mean."""
     out[...] = _worker_mean(W)
@@ -420,26 +400,11 @@ def _shift_terms(grid: tuple[int, ...], shifts: tuple[tuple[int, ...], ...]) -> 
 
 def _gossip_form(P: GossipMatrix):
     """The function that gossips with P: the dense product below DENSE_GOSSIP_BELOW
-    workers and for non-circulant P, else the worker mean when every entry is
-    equal and the shifted slices otherwise."""
+    workers and for a loaded P (no circulant), else the worker mean when every
+    entry is equal and the shifted slices otherwise."""
     if P.m < DENSE_GOSSIP_BELOW or P.circulant is None:
         return _dense_gossip
     return _mean_gossip if len(P.circulant.shifts) == P.m else _shifted_gossip
-
-
-def _step_gossip(P: Mixing, groups: list[tuple[GossipMatrix, slice]]) -> list[tuple]:
-    """(gossip, operand, arms) triples that gossip a stack W with P's arm groups
-    (_arm_groups): gossip(operand, W[arms], out[arms]).
-
-    Below DENSE_GOSSIP_BELOW every arm is a dense product, so arms with more
-    than one matrix make one broadcast product of their stacked entries: one
-    numpy call, where one per arm costs more than the products themselves at
-    m = 16. Otherwise each run of consecutive arms with one matrix gossips
-    at once, in that matrix's form.
-    """
-    if len(groups) > 1 and groups[0][0].m < DENSE_GOSSIP_BELOW:
-        return [(_stacked_gossip, _stacked_entries(tuple(P)), slice(None))]
-    return [(_gossip_form(P_a), P_a, arms) for P_a, arms in groups]
 
 
 def dsgd_step(
@@ -455,7 +420,8 @@ def dsgd_step(
     """One update of a stack of runs W (..., m, d): gossip with P, then gradient steps.
 
     P is one gossip matrix for every run, or a list with one matrix per arm:
-    W[a]'s runs gossip with P[a], each arm in its matrix's own form. X
+    W[a]'s runs gossip with P[a], each run of consecutive arms with one
+    matrix at once, in that matrix's own form (_gossip_form). X
     (..., m, d_x) and Y (..., m) hold the sample each worker of each run
     uses at this step, either per run (X's leading shape is W's) or, for a
     stack with an arm axis (W of 3 or more dimensions), shared by every arm
@@ -485,8 +451,8 @@ def dsgd_step(
             raise InputError("grads must share no memory with W or out")
         grads = grads.reshape(rows.shape)
     grads = loss_gradients(model, rows, X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads)
-    for gossip, operand, arms in _step_gossip(P, groups):
-        gossip(operand, W[arms], out[arms])
+    for P_a, arms in groups:
+        _gossip_form(P_a)(P_a, W[arms], out[arms])
     grads *= eta_t
     out -= grads.reshape(W.shape)
     return out

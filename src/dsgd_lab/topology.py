@@ -14,9 +14,9 @@ Every built kind is circulant: one weight times a sum of cyclic shifts of
 the workers, over the worker cycle (fully connected, ring, exponential,
 disconnected) or over the side x side torus (grid). A built matrix is that
 Circulant, taken from node 0's closed neighborhood, and its m x m entries
-are materialized only when something reads them; a loaded matrix holds its
-entries and finds its circulant from them. The engine gossips a circulant
-by shifted slices.
+are materialized only when something reads them. A loaded matrix holds its
+entries and no circulant, whatever they hold. The engine gossips a built
+matrix's circulant by shifted slices, and a loaded matrix by its entries.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class GossipMatrix:
     A built matrix (build_gossip_matrix) is given as its circulant: its
     entries are materialized by the dense construction, bit for bit the
     same, the first time something reads them, and then kept. A loaded
-    matrix holds its entries and finds its circulant from them. A built
-    matrix pickles without its entries, as a few shifts.
+    matrix holds its entries, and its circulant is None. A built matrix
+    pickles without its entries, as a few shifts.
     """
 
     def __init__(
@@ -105,11 +105,10 @@ class GossipMatrix:
     ):
         self.m = m
         self.kind = kind
-        # Set values shadow the cached properties below.
+        self.circulant = circulant
+        # Given entries shadow the cached property below.
         if entries is not None:
             self.entries = entries
-        if circulant is not None:
-            self.circulant = circulant
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -121,38 +120,6 @@ class GossipMatrix:
     def entries(self) -> np.ndarray:
         """A built matrix's entries, materialized once on first read."""
         return _dense_entries(self.kind, self.m)
-
-    @cached_property
-    def circulant(self) -> Circulant | None:
-        """The entries as a Circulant over the worker cycle, else over the
-        square torus, with one weight on every nonzero entry; None if they
-        are neither. Found once per loaded matrix, from the entries alone."""
-        side = math.isqrt(self.m)
-        grids = [(self.m,)] + ([(side, side)] if side > 1 and side * side == self.m else [])
-        for grid in grids:
-            found = _circulant_over(self.entries, grid)
-            if found is not None:
-                return found
-        return None
-
-
-def _circulant_over(entries: np.ndarray, grid: tuple[int, ...]) -> Circulant | None:
-    """entries as a Circulant over the cyclic grid, or None."""
-    m = entries.shape[0]
-    position = np.indices(grid).reshape(len(grid), m)
-    # offset[i, j]: the worker at j's position minus i's, per axis modulo the grid.
-    offset = np.ravel_multi_index(
-        tuple((p[None, :] - p[:, None]) % size for p, size in zip(position, grid)), grid
-    )
-    first = entries[0]
-    support = np.flatnonzero(first)
-    if not len(support) or not np.array_equal(entries, first[offset]):
-        return None
-    weight = first[support[0]]
-    if not np.all(first[support] == weight):
-        return None
-    shifts = tuple(zip(*(axis.tolist() for axis in np.unravel_index(support, grid))))
-    return Circulant(grid=grid, shifts=shifts, weight=float(weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +198,7 @@ def build_gossip_matrix(kind: TopologyKind, m: int) -> GossipMatrix:
     Every node takes weight 1/(degree+1) on itself and on each neighbor.
     The matrix is the Circulant of node 0's closed neighborhood: its
     distinct offsets in ascending flat-index order, each with weight
-    1/count (1/m for fully connected), which is the Circulant that
-    _circulant_over finds in the entries. Deterministic in (kind, m).
+    1/count (1/m for fully connected). Deterministic in (kind, m).
 
     Raises:
         InputError: if m violates the kind's structural constraint.

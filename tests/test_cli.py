@@ -95,6 +95,8 @@ def test_missing_file_is_rejected(tmp_path):
         (dict(experiment="bound", alpha=0.0), "alpha"),
         (dict(experiment="compare", kinds=["ring", "ring", "fully_connected"]), "kinds"),
         (dict(experiment="compare", kinds=[], T=10, R=2, pairs=1, m=4), "kinds"),
+        (dict(experiment="consensus-control", m=4, T=8, R=5, pairs=1, t_gamma=[0, 0, 8]),
+         "t_gamma"),
     ],
 )
 def test_constraint_violations_name_the_key(tmp_path, entries, fragment):

@@ -157,6 +157,21 @@ def dense_reference(kind, m):
     return entries
 
 
+def circulant_entries(circulant):
+    """The m x m entries that a Circulant defines: weight at (i, j) when j's
+    position minus i's, per axis modulo the grid, is one of the shifts."""
+    grid = circulant.grid
+    m = math.prod(grid)
+    position = np.indices(grid).reshape(len(grid), m)
+    offset = np.ravel_multi_index(
+        tuple((p[None, :] - p[:, None]) % size for p, size in zip(position, grid)), grid
+    )
+    on_shift = np.zeros(m)
+    for shift in circulant.shifts:
+        on_shift[np.ravel_multi_index(shift, grid)] = circulant.weight
+    return on_shift[offset]
+
+
 BUILT_UP_TO_64 = [(kind, m) for kind in ALL_BUILDABLE for m in range(1, 65) if allowed(kind, m)]
 
 
@@ -179,9 +194,10 @@ BUILT_UP_TO_64 = [(kind, m) for kind in ALL_BUILDABLE for m in range(1, 65) if a
 @example(kind_m=(TopologyKind.STATIC_EXPONENTIAL, 1024))
 def test_built_circulant_is_the_dense_build(kind_m):
     # A built matrix is its circulant; its entries, materialized on first
-    # read, are the dense build's bit for bit, the circulant is the one the
-    # entries hold (shift order and weight), which a loaded copy finds too,
-    # and the entries pass the builders' gate.
+    # read, are the dense build's bit for bit, and so is the circulant's own
+    # expansion. Its shifts are strictly ascending in flat-index order, the
+    # order in which the shifted slices add them up, and the entries pass
+    # the builders' gate.
     kind, m = kind_m
     P = build_gossip_matrix(kind, m)
     assert "entries" not in vars(P)
@@ -190,9 +206,9 @@ def test_built_circulant_is_the_dense_build(kind_m):
     assert entries.dtype == reference.dtype and entries.flags.c_contiguous
     assert entries.tobytes() == reference.tobytes()
     assert P.entries is entries
-    assert topology._circulant_over(entries, P.circulant.grid) == P.circulant
-    loaded = GossipMatrix(m=m, kind=TopologyKind.CUSTOM, entries=entries.copy())
-    assert loaded.circulant == P.circulant
+    assert circulant_entries(P.circulant).tobytes() == entries.tobytes()
+    flat = [int(np.ravel_multi_index(shift, P.circulant.grid)) for shift in P.circulant.shifts]
+    assert all(a < b for a, b in zip(flat, flat[1:]))
     topology._validate_entries(entries, BUILD_SUM_TOL)
 
 

@@ -35,8 +35,6 @@ from .engine import (
     StepDecayRate,
     TrainConfig,
     Traces,
-    consensus_distance,
-    consensus_model,
     dsgd_step,
     run_coupled,
     run_dsgd,

@@ -51,40 +51,18 @@ on that schedule without computing a distance in between, and then checks
 each run's stop in one batched distance call; a run the check cannot vouch
 for is replayed by a loop that checks every round, so each side takes the
 rounds it would take alone, bit for bit (consensus_control_step). Every
-worker mean (full-averaging gossip, the recorder, control's
-distances) is an einsum sum over the workers that rounds like numpy's mean
-and takes a third of its time (_worker_mean).
+worker mean (full-averaging gossip, the recorder, control's distances) is
+topology._worker_mean, an einsum sum over the workers that rounds like
+numpy's mean and takes a third of its time.
 
-Each group of consecutive arms with one matrix gossips at once, in one of
-three forms chosen per matrix from its circulant
-(topology.GossipMatrix.circulant, which only built matrices have):
-- the worker mean, when every entry is equal (fully connected);
-- shifted slices, for the other built kinds, single-weight circulants over
-  the worker cycle (ring, exponential, disconnected) or over the torus
-  (grid): each shift's slices are added into the output, which is then
-  scaled once;
-- the dense product, for every loaded matrix and for every matrix of fewer
-  than DENSE_GOSSIP_BELOW workers.
-Only the dense product reads the entries, so from the crossover the loop
-never materializes a built matrix's m x m array.
-tools/gossip_crossover.py times one gossip of a (8, 2, m, 20) stack in each
-form (microseconds, dense / structured; 2-core box, numpy 2.4.6, one BLAS
-thread):
-
-    m      fully connected   exponential     grid           ring
-    64     51 / 54           72 / 398        70 / 178       70 / 87
-    128    239 / 104         233 / 443       -              240 / 65
-    256    1573 / 213        1633 / 560      1573 / 430     1578 / 106
-    1024   28644 / 893       29683 / 5292    29242 / 2147   29409 / 856
-
-256 is the first of these sizes at which the structured form wins for every
-kind, at (2, 2, m, 20) stacks too.
+Each group of consecutive arms with one matrix gossips at once, by the
+product function that topology._gossip_form gives for that matrix, chosen
+once per group: the engine never reads a matrix's circulant.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -100,7 +78,7 @@ from .models import (
     loss_gradients,
     worker_risks,
 )
-from .topology import GossipMatrix
+from .topology import GossipMatrix, _gossip_form, _worker_mean
 
 __all__ = [
     "ConstantRate",
@@ -111,8 +89,6 @@ __all__ = [
     "Perturbation",
     "ConsensusControl",
     "draw_perturbation",
-    "consensus_model",
-    "consensus_distance",
     "dsgd_step",
     "run_dsgd",
     "run_coupled",
@@ -133,11 +109,6 @@ INDEX_DRAW_BYTES = 2**16
 # in sub-stacks of as many runs as fit, at least one. A four-kind compare at
 # m = 1024 with 160 pairs would need 210 MB for each.
 STACK_BYTES = 16 * 2**20
-
-# Worker count below which every gossip matrix is a dense product; from it
-# on, a built matrix gossips as the worker mean or as shifted slices.
-# The crossover that tools/gossip_crossover.py measured (module docstring).
-DENSE_GOSSIP_BELOW = 256
 
 
 @dataclass(frozen=True)
@@ -294,34 +265,11 @@ def draw_perturbation(
     return Perturbation(index=i, workers=workers, replacement_xs=xs, replacement_ys=ys)
 
 
-def _worker_mean(W: np.ndarray) -> np.ndarray:
-    """W.mean(axis=-2, keepdims=True), bit for bit, for a stack W (..., m, d).
-
-    numpy's mean reduces the worker axis by adding its rows in order, as one
-    einsum sum does, but takes about three times as long per call. At d = 1
-    the worker axis is the contiguous one, which mean sums pairwise, so there
-    it is the mean itself.
-    """
-    if W.shape[-1] == 1:
-        return W.mean(axis=-2, keepdims=True)
-    return np.einsum("...kd->...d", W)[..., None, :] / W.shape[-2]
-
-
-def consensus_model(W: np.ndarray) -> np.ndarray:
-    """Average of the local models, per run of W (m, d) or of a stack W (..., m, d)."""
-    return _worker_mean(W)[..., 0, :]
-
-
-def consensus_distance(W: np.ndarray) -> float | np.ndarray:
-    """Mean squared deviation of the local models from their average, per run of W (..., m, d)."""
-    mean = _worker_mean(W)
-    return _distance_from_mean(W, mean, np.empty_like(W, dtype=mean.dtype))
-
-
 def _distance_from_mean(
     W: np.ndarray, mean: np.ndarray, scratch: np.ndarray
 ) -> float | np.ndarray:
-    """consensus_distance(W) from W's consensus mean (keepdims), squaring in scratch."""
+    """The mean squared deviation of the local models from their average, per
+    run of W (..., m, d), from W's worker mean (keepdims), squaring in scratch."""
     np.subtract(W, mean, out=scratch)
     np.square(scratch, out=scratch)
     return scratch.sum(axis=(-2, -1)) / W.shape[-2]
@@ -350,63 +298,6 @@ def _output(W: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _dense_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """P W as a matrix product per run of W (..., m, d), into out."""
-    return np.matmul(P.entries, W, out=out)
-
-
-def _mean_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """P W for a P whose entries all equal 1/m: every worker takes its run's mean."""
-    out[...] = _worker_mean(W)
-    return out
-
-
-def _shifted_gossip(P: GossipMatrix, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """P W for a circulant P: its weight times the sum of W's shifted slices, into out.
-
-    out must be C-contiguous, so that it reshapes to the worker grid as a view.
-    """
-    circulant = P.circulant
-    grid_shape = (*W.shape[:-2], *circulant.grid, W.shape[-1])
-    source, target = W.reshape(grid_shape), out.reshape(grid_shape)
-    for into, read, add in _shift_terms(circulant.grid, circulant.shifts):
-        if add:
-            np.add(target[into], source[read], out=target[into])
-        else:
-            target[into] = source[read]
-    out *= circulant.weight
-    return out
-
-
-@functools.cache
-def _shift_terms(grid: tuple[int, ...], shifts: tuple[tuple[int, ...], ...]) -> tuple:
-    """(into, read, add) slice pairs that sum W shifted by each shift over the cyclic grid.
-
-    Each shift's pairs place W at position + shift at every position of the
-    grid; the first shift's pairs tile it (add False), and the others add on.
-    """
-    terms = []
-    for term, shift in enumerate(shifts):
-        per_axis = [
-            [(slice(None), slice(None))] if s == 0
-            else [(slice(0, size - s), slice(s, size)), (slice(size - s, size), slice(0, s))]
-            for s, size in zip(shift, grid)
-        ]
-        for pieces in itertools.product(*per_axis):
-            into, read = zip(*pieces)
-            terms.append(((..., *into, slice(None)), (..., *read, slice(None)), term > 0))
-    return tuple(terms)
-
-
-def _gossip_form(P: GossipMatrix):
-    """The function that gossips with P: the dense product below DENSE_GOSSIP_BELOW
-    workers and for a loaded P (no circulant), else the worker mean when every
-    entry is equal and the shifted slices otherwise."""
-    if P.m < DENSE_GOSSIP_BELOW or P.circulant is None:
-        return _dense_gossip
-    return _mean_gossip if len(P.circulant.shifts) == P.m else _shifted_gossip
-
-
 def dsgd_step(
     W: np.ndarray,
     P: Mixing,
@@ -421,7 +312,7 @@ def dsgd_step(
 
     P is one gossip matrix for every run, or a list with one matrix per arm:
     W[a]'s runs gossip with P[a], each run of consecutive arms with one
-    matrix at once, in that matrix's own form (_gossip_form). X
+    matrix at once, in that matrix's own form (topology._gossip_form). X
     (..., m, d_x) and Y (..., m) hold the sample each worker of each run
     uses at this step, either per run (X's leading shape is W's) or, for a
     stack with an arm axis (W of 3 or more dimensions), shared by every arm

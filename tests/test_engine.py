@@ -25,8 +25,6 @@ from dsgd_lab.engine import (
     TrainConfig,
     Traces,
     consensus_control_step,
-    consensus_distance,
-    consensus_model,
     draw_perturbation,
     dsgd_step,
     run_coupled,
@@ -51,6 +49,16 @@ from dsgd_lab.topology import (
 )
 
 LINEAR = LossModel(family=ModelFamily.LINEAR_REGRESSION)
+
+
+def average_model(W):
+    """The average model of each run of W (..., m, d), as the recorder takes it."""
+    return topology._worker_mean(W)[..., 0, :]
+
+
+def consensus_dist(W):
+    """Each run's mean squared deviation from its average model, as the recorder takes it."""
+    return engine._distance_from_mean(W, topology._worker_mean(W), np.empty(W.shape))
 
 
 def custom(entries):
@@ -370,7 +378,7 @@ def gossip_matrices(draw):
 @settings(max_examples=150)
 @given(
     P=gossip_matrices(),
-    crossover=st.sampled_from([1, engine.DENSE_GOSSIP_BELOW]),
+    crossover=st.sampled_from([1, topology.DENSE_GOSSIP_BELOW]),
     stack=st.lists(st.integers(1, 3), max_size=2),
     d=st.integers(1, 3),
     scale=st.sampled_from([1e-3, 1.0, 1e5]),
@@ -383,49 +391,50 @@ def test_gossip_form_equals_the_dense_product(P, crossover, stack, d, scale, see
     # equals entries @ W to a few ulps of max|W|, and leaves W alone.
     W = np.random.default_rng(seed).standard_normal((*stack, P.m, d)) * scale
     before = W.copy()
-    with mock.patch.object(engine, "DENSE_GOSSIP_BELOW", crossover):
-        form = engine._gossip_form(P)
+    with mock.patch.object(topology, "DENSE_GOSSIP_BELOW", crossover):
+        form = topology._gossip_form(P)
         got = form(P, W, np.full(W.shape, np.nan))
     if P.m < crossover or P.kind is TopologyKind.CUSTOM:
-        assert form is engine._dense_gossip
+        assert form is topology._dense_gossip
     elif np.all(P.entries == P.entries[0, 0]):
-        assert form is engine._mean_gossip
+        assert form is topology._mean_gossip
     else:
-        assert form is engine._shifted_gossip
+        assert form is topology._shifted_gossip
     assert np.max(np.abs(got - P.entries @ W)) <= 4 * np.spacing(np.max(np.abs(W)))
     assert_same_array(W, before)
 
 
 def test_built_kinds_gossip_in_their_structured_form_from_the_crossover():
     forms = {
-        TopologyKind.FULLY_CONNECTED: engine._mean_gossip,
-        TopologyKind.RING: engine._shifted_gossip,
-        TopologyKind.GRID_2D_TORUS: engine._shifted_gossip,
-        TopologyKind.STATIC_EXPONENTIAL: engine._shifted_gossip,
-        TopologyKind.DISCONNECTED: engine._shifted_gossip,
+        TopologyKind.FULLY_CONNECTED: topology._mean_gossip,
+        TopologyKind.RING: topology._shifted_gossip,
+        TopologyKind.GRID_2D_TORUS: topology._shifted_gossip,
+        TopologyKind.STATIC_EXPONENTIAL: topology._shifted_gossip,
+        TopologyKind.DISCONNECTED: topology._shifted_gossip,
     }
     for kind, m in BUILT:
         P = built(kind, m)
-        assert engine._gossip_form(P) is (
-            forms[kind] if m >= engine.DENSE_GOSSIP_BELOW else engine._dense_gossip
+        assert topology._gossip_form(P) is (
+            forms[kind] if m >= topology.DENSE_GOSSIP_BELOW else topology._dense_gossip
         )
-    assert engine._gossip_form(loaded(two_islands(256).entries)) is engine._dense_gossip
+    assert topology._gossip_form(loaded(two_islands(256).entries)) is topology._dense_gossip
 
 
 def test_built_kinds_step_from_the_crossover_without_their_entries():
     # From the crossover a built matrix gossips as the worker mean or by
     # shifted slices, so a coupled stack of every built kind materializes no
-    # m x m array: the dense build is never called, and no entries are kept.
-    m = engine.DENSE_GOSSIP_BELOW
+    # m x m array: the expansion never runs, and no entries are kept.
+    m = topology.DENSE_GOSSIP_BELOW
     task = make_task()
     kinds = dict.fromkeys(kind for kind, _ in BUILT)
     matrices = [build_gossip_matrix(kind, m) for kind in kinds]
     config = TrainConfig(iterations=4, rate=ConstantRate(0.1), seed=0)
     perturbation = single_worker_perturbation(task, worker=2, index=3, seed=0)
-    with mock.patch.object(topology, "_dense_entries", wraps=topology._dense_entries) as dense:
+    expansion = vars(GossipMatrix)["entries"]
+    with mock.patch.object(expansion, "func", wraps=expansion.func) as expand:
         run_coupled([(P, None) for P in matrices], [make_shards(task, 5, m)], LINEAR, config,
                     [perturbation], [0])
-    assert dense.call_count == 0
+    assert expand.call_count == 0
     assert all("entries" not in vars(P) for P in matrices)
 
 
@@ -433,7 +442,7 @@ def test_loaded_circulant_gossips_as_the_dense_product_from_the_crossover():
     # A circulant loaded from CSV has no circulant of its own: only the
     # builder knows one. So it gossips as the dense product, and steps
     # within a few ulps of max|W| of the built matrix's shifted slices.
-    m = engine.DENSE_GOSSIP_BELOW
+    m = topology.DENSE_GOSSIP_BELOW
     rng = np.random.default_rng(m)
     W = rng.standard_normal((2, 2, m, 3))
     X, Y = rng.standard_normal((2, 2, m, 3)), rng.standard_normal((2, 2, m))
@@ -441,12 +450,12 @@ def test_loaded_circulant_gossips_as_the_dense_product_from_the_crossover():
         P = build_gossip_matrix(kind, m)
         Q = loaded(P.entries)
         assert Q.circulant is None
-        assert engine._gossip_form(Q) is engine._dense_gossip
+        assert topology._gossip_form(Q) is topology._dense_gossip
         gap = dsgd_step(W, Q, X, Y, 0.05, LINEAR) - dsgd_step(W, P, X, Y, 0.05, LINEAR)
         assert np.max(np.abs(gap)) <= 4 * np.spacing(np.max(np.abs(W)))
 
 
-@pytest.mark.parametrize("m", [4, 16, 64, engine.DENSE_GOSSIP_BELOW - 1])
+@pytest.mark.parametrize("m", [4, 16, 64, topology.DENSE_GOSSIP_BELOW - 1])
 def test_gossip_below_the_crossover_is_each_arms_own_product(m):
     # Below the crossover a step gossips each arm as the dense product of its
     # own matrix, and each arm's values must be those of that product, bit
@@ -474,17 +483,17 @@ def test_gossip_below_the_crossover_is_each_arms_own_product(m):
 
 
 def test_consensus_model_examples():
-    assert np.allclose(consensus_model(np.array([[1.0, 0.0], [-1.0, 0.0]])), [0.0, 0.0])
-    assert consensus_model(np.array([[1.0], [2.0], [3.0]]))[0] == pytest.approx(2.0)
+    assert np.allclose(average_model(np.array([[1.0, 0.0], [-1.0, 0.0]])), [0.0, 0.0])
+    assert average_model(np.array([[1.0], [2.0], [3.0]]))[0] == pytest.approx(2.0)
     W = np.tile([1.5, -2.0], (4, 1))
-    assert np.allclose(consensus_model(W), [1.5, -2.0])
+    assert np.allclose(average_model(W), [1.5, -2.0])
 
 
 def test_consensus_distance_examples():
-    assert consensus_distance(np.tile([3.0, 1.0], (5, 1))) == 0.0
-    assert consensus_distance(np.array([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(1.0)
+    assert consensus_dist(np.tile([3.0, 1.0], (5, 1))) == 0.0
+    assert consensus_dist(np.array([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(1.0)
     W = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-    assert consensus_distance(W) == pytest.approx(1.0)
+    assert consensus_dist(W) == pytest.approx(1.0)
 
 
 @settings(max_examples=60)
@@ -498,10 +507,10 @@ def test_stack_reductions_equal_per_run_reductions(shape, log_scale, seed):
     # The engine records every run of a stack with one reduction; each run's
     # entry must be the value the run alone gives, bit for bit.
     W = np.random.default_rng(seed).standard_normal(shape) * 10.0**log_scale
-    means, distances = consensus_model(W), consensus_distance(W)
+    means, distances = average_model(W), consensus_dist(W)
     for k, side in np.ndindex(shape[:2]):
-        assert np.array_equal(means[k, side], consensus_model(W[k, side]))
-        assert distances[k, side] == consensus_distance(W[k, side])
+        assert np.array_equal(means[k, side], average_model(W[k, side]))
+        assert distances[k, side] == consensus_dist(W[k, side])
 
 
 def test_gossip_preserves_consensus_mean():
@@ -509,7 +518,7 @@ def test_gossip_preserves_consensus_mean():
     for kind in (TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.STATIC_EXPONENTIAL):
         P = build_gossip_matrix(kind, 8)
         W = rng.standard_normal((8, 5))
-        assert np.allclose(consensus_model(P.entries @ W), consensus_model(W), atol=1e-12)
+        assert np.allclose(average_model(P.entries @ W), average_model(W), atol=1e-12)
 
 
 def test_gossip_contracts_disagreement_at_lambda_squared():
@@ -519,8 +528,8 @@ def test_gossip_contracts_disagreement_at_lambda_squared():
         lam = eigenvalues_symmetric(P).lam
         for _ in range(5):
             W = rng.standard_normal((16, 4))
-            before = consensus_distance(W)
-            after = consensus_distance(P.entries @ W)
+            before = consensus_dist(W)
+            after = consensus_dist(P.entries @ W)
             assert after <= lam**2 * before + 1e-12
 
 
@@ -564,7 +573,7 @@ def test_identical_shards_and_indices_keep_workers_in_consensus():
     W = np.zeros((m, task.d_x))
     for index in rng.integers(0, 6, size=40):
         W = dsgd_step(W, P, *drawn(shards, np.full(m, index)), 0.1, LINEAR)
-        assert consensus_distance(W) < 1e-28
+        assert consensus_dist(W) < 1e-28
 
 
 def test_snapshot_cadence_and_final_log():
@@ -641,7 +650,7 @@ def step_loop_snapshots(P, control, side_shards, model, config, seed):
                 )
                 counts[0, side] += used
                 counts[1, side] += (
-                    used == control.max_rounds and consensus_distance(Ws[side]) > control.gamma_sq
+                    used == control.max_rounds and consensus_dist(Ws[side]) > control.gamma_sq
                 )
         if t + 1 in config.snapshot_iterations:
             snapshots.append([W.copy() for W in Ws])
@@ -1058,7 +1067,7 @@ def test_worker_mean_is_numpys_mean(leading, m, d, seed):
     rng = np.random.default_rng(seed)
     shape = (*leading, m, d)
     W = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
-    assert_same_array(engine._worker_mean(W), W.mean(axis=-2, keepdims=True))
+    assert_same_array(topology._worker_mean(W), W.mean(axis=-2, keepdims=True))
 
 
 def test_sparse_snapshots_follow_the_per_step_index_stream():
@@ -1077,7 +1086,7 @@ def test_sparse_snapshots_follow_the_per_step_index_stream():
         assert list(trace.iterations) == list(range(0, 151, cadence))
         assert_same_array(trace.final[0, 0, 0], snapshots[-1, 0])
         for consensus, snapshot in zip(trace.consensus[0, 0, 0], snapshots[:, 0], strict=True):
-            assert_same_array(consensus, consensus_model(snapshot))
+            assert_same_array(consensus, average_model(snapshot))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1230,7 +1239,7 @@ def test_arms_equal_each_arm_run_alone_from_the_crossover(family):
     # worker mean, shifted slices over the cycle and over the torus, and the
     # dense product of a relabeled circulant. Each arm, controlled or not,
     # must still give the traces it gives run alone, bit for bit.
-    m = engine.DENSE_GOSSIP_BELOW
+    m = topology.DENSE_GOSSIP_BELOW
     model = LossModel(family=family, hidden_width=2)
     shards, perturbations, seeds = stack_inputs(family, runs=2, m=m, n=3, d_x=2)
     order = np.random.default_rng(0).permutation(m)
@@ -1243,8 +1252,8 @@ def test_arms_equal_each_arm_run_alone_from_the_crossover(family):
         (built(TopologyKind.RING, m), replace(control, t_gamma=0)),
         (relabeled, control),
     ]
-    assert [engine._gossip_form(P) for P, _ in arms] == [
-        engine._mean_gossip, *[engine._shifted_gossip] * 3, engine._dense_gossip
+    assert [topology._gossip_form(P) for P, _ in arms] == [
+        topology._mean_gossip, *[topology._shifted_gossip] * 3, topology._dense_gossip
     ]
     config = TrainConfig(iterations=6, rate=ConstantRate(0.1), seed=0, snapshot_every=4)
     stacked = run_coupled(arms, shards, model, config, perturbations, seeds, risks=True)
@@ -1295,7 +1304,7 @@ def masked_control_reference(W, P, gamma_sq, max_rounds, gossip=None):
     each round is the dense product, or the given gossip form."""
     runs = W.reshape(-1, *W.shape[-2:]).copy()
     used = np.zeros(len(runs), dtype=int)
-    active = consensus_distance(runs) > gamma_sq
+    active = consensus_dist(runs) > gamma_sq
     rounds = 0
     while rounds < max_rounds and active.any():
         if gossip is None:
@@ -1304,7 +1313,7 @@ def masked_control_reference(W, P, gamma_sq, max_rounds, gossip=None):
             runs[active] = gossip(P, runs[active], np.empty_like(runs[active]))
         used += active
         rounds += 1
-        active = consensus_distance(runs) > gamma_sq
+        active = consensus_dist(runs) > gamma_sq
     return runs.reshape(W.shape), rounds, used.reshape(W.shape[:-2])
 
 
@@ -1360,10 +1369,10 @@ def control_matrix(name, m):
 
 def distance_history(W, P, rounds):
     """One run's computed distances at rounds 0 .. rounds of gossip with P in its form."""
-    gossip, run, history = engine._gossip_form(P), W[None], [consensus_distance(W)]
+    gossip, run, history = topology._gossip_form(P), W[None], [consensus_dist(W)]
     for _ in range(rounds):
         run = gossip(P, run, np.empty_like(run))
-        history.append(consensus_distance(run)[0])
+        history.append(consensus_dist(run)[0])
     return history
 
 
@@ -1414,13 +1423,13 @@ def test_scheduled_control_equals_the_masked_loop(selection, m, name, runs, d, m
             if kind == "below":
                 tight[k] = j
     ref, ref_rounds, used = masked_control_reference(
-        W, P, targets, max_rounds, engine._gossip_form(P)
+        W, P, targets, max_rounds, topology._gossip_form(P)
     )
     # A run that stops right after round j >= 2, whose distance is within a
     # few ulp above the target: no schedule can vouch for round j.
     forced = {k for k, j in tight.items() if j >= 2 and used[k] == j + 1}
     if name == "asymmetric":
-        forced = set(np.flatnonzero(consensus_distance(W) > targets).tolist())
+        forced = set(np.flatnonzero(consensus_dist(W) > targets).tolist())
     counts = np.zeros(runs, dtype=int)
     with (
         mock.patch.object(engine, "_checked_control", wraps=engine._checked_control) as replay,
@@ -1457,7 +1466,7 @@ def test_control_schedules_only_runs_that_need_many_rounds(kind, m, scheduled):
         out, rounds = consensus_control_step(W, P, 1e-6, 200)
     assert predict.called == scheduled
     assert checked.called != scheduled
-    ref, ref_rounds, _ = masked_control_reference(W, P, 1e-6, 200, engine._gossip_form(P))
+    ref, ref_rounds, _ = masked_control_reference(W, P, 1e-6, 200, topology._gossip_form(P))
     assert_same_array(out, ref)
     assert rounds == ref_rounds
 
@@ -1477,7 +1486,7 @@ def masked_stack_control(W, P, gamma_sq, max_rounds, counts=None, out=None, cap_
         if counts is not None:
             counts[arm] += used
         if cap_hits is not None:
-            cap_hits[arm] += (used == max_rounds) & (consensus_distance(ref) > targets[arm])
+            cap_hits[arm] += (used == max_rounds) & (consensus_dist(ref) > targets[arm])
         rounds = max(rounds, arm_rounds)
     return out, rounds
 
@@ -1551,7 +1560,7 @@ def test_control_step_fully_connected_one_round():
     W = rng.standard_normal((4, 3))
     out, rounds = consensus_control_step(W, P, gamma_sq=1e-12, max_rounds=10)
     assert rounds == 1
-    assert consensus_distance(out) < 1e-28
+    assert consensus_dist(out) < 1e-28
 
 
 def test_control_step_disconnected_exhausts_rounds():
@@ -1617,8 +1626,8 @@ def assert_traces_follow(traces, arm, run, weights, counts):
     """Each side of a run of traces against the weights (snapshots, sides, m, d)
     and the counts (2, sides) of a step loop."""
     for s in range(traces.final.shape[2]):
-        assert_same_array(traces.consensus[arm, run, s], consensus_model(weights[:, s]))
-        assert_same_array(traces.consensus_dist[arm, run, s], consensus_distance(weights[:, s]))
+        assert_same_array(traces.consensus[arm, run, s], average_model(weights[:, s]))
+        assert_same_array(traces.consensus_dist[arm, run, s], consensus_dist(weights[:, s]))
         assert_same_array(traces.final[arm, run, s], weights[-1, s])
         assert traces.rounds[arm, run, s] == counts[0, s]
         assert traces.cap_hits[arm, run, s] == counts[1, s]

@@ -1,5 +1,6 @@
 """Gossip-matrix builders, spectra, and mixing diagnostics."""
 
+import itertools
 import math
 import pickle
 
@@ -146,17 +147,6 @@ def test_built_entries_equal_the_set_built_entries(kind):
             assert np.array_equal(build_gossip_matrix(kind, m).entries, reference_entries(kind, m))
 
 
-def dense_reference(kind, m):
-    """The dense build of the built kinds' entries: 1.0 at every closed
-    neighborhood, scaled by 1/(degree+1); 1/m everywhere for fully connected."""
-    if kind is TopologyKind.FULLY_CONNECTED:
-        return np.full((m, m), 1.0 / m)
-    entries = np.zeros((m, m))
-    entries[np.arange(m)[:, None], topology._closed_neighborhoods(kind, m)] = 1.0
-    entries *= 1.0 / entries[0].sum()
-    return entries
-
-
 def circulant_entries(circulant):
     """The m x m entries that a Circulant defines: weight at (i, j) when j's
     position minus i's, per axis modulo the grid, is one of the shifts."""
@@ -194,14 +184,14 @@ BUILT_UP_TO_64 = [(kind, m) for kind in ALL_BUILDABLE for m in range(1, 65) if a
 @example(kind_m=(TopologyKind.STATIC_EXPONENTIAL, 1024))
 def test_built_circulant_is_the_dense_build(kind_m):
     # A built matrix is its circulant; its entries, materialized on first
-    # read, are the dense build's bit for bit, and so is the circulant's own
-    # expansion. Its shifts are strictly ascending in flat-index order, the
-    # order in which the shifted slices add them up, and the entries pass
+    # read, are the set-built entries bit for bit, and so is the circulant's
+    # own expansion. Its shifts are strictly ascending in flat-index order,
+    # the order in which the shifted slices add them up, and the entries pass
     # the builders' gate.
     kind, m = kind_m
     P = build_gossip_matrix(kind, m)
     assert "entries" not in vars(P)
-    reference = dense_reference(kind, m)
+    reference = reference_entries(kind, m)
     entries = P.entries
     assert entries.dtype == reference.dtype and entries.flags.c_contiguous
     assert entries.tobytes() == reference.tobytes()
@@ -222,8 +212,13 @@ def test_built_circulant_is_the_dense_build(kind_m):
         (Circulant(grid=(4,), shifts=((0,), (1,)), weight=0.5), "asymmetric"),
         (Circulant(grid=(3, 3), shifts=((0, 0), (0, 1), (1, 0), (2, 0)), weight=0.25),
          "asymmetric"),
+        (Circulant(grid=(4,), shifts=((0,), (0,), (1,), (3,)), weight=0.25), "repeats"),
+        (Circulant(grid=(4,), shifts=((0,), (4,)), weight=0.5), "outside the grid"),
+        (Circulant(grid=(4,), shifts=((0,), (-1,), (1,)), weight=1 / 3), "outside the grid"),
+        (Circulant(grid=(2, 2), shifts=((0,), (1,)), weight=0.5), "outside the grid"),
     ],
-    ids=["zero-weight", "nan-weight", "weight-above-1", "sums", "one-sided", "torus-one-sided"],
+    ids=["zero-weight", "nan-weight", "weight-above-1", "sums", "one-sided", "torus-one-sided",
+         "repeated", "past-the-grid", "negative", "wrong-rank"],
 )
 def test_circulant_gate_names_the_violation(circulant, fragment):
     with pytest.raises(InputError, match=fragment):
@@ -244,6 +239,52 @@ def test_built_matrix_pickles_as_its_circulant(kind):
     assert copy.kind is kind and copy.m == 1024 and copy.circulant == P.circulant
     assert "entries" not in vars(copy)
     assert np.array_equal(copy.entries, entries)
+
+
+@st.composite
+def circulants(draw):
+    """A valid single-weight Circulant over a grid of rank 1 or 2 of at most 64
+    workers: distinct shifts closed under negation, in any order, weight
+    1/|shifts|."""
+    if draw(st.booleans()):
+        grid = (draw(st.integers(1, 64)),)
+    else:
+        rows = draw(st.integers(1, 8))
+        grid = (rows, draw(st.integers(1, 64 // rows)))
+    positions = list(itertools.product(*map(range, grid)))
+    picked = draw(st.sets(st.sampled_from(positions), min_size=1, max_size=8))
+    shifts = picked | {tuple(-s % size for s, size in zip(shift, grid)) for shift in picked}
+    shifts = draw(st.permutations(sorted(shifts)))
+    return Circulant(grid=grid, shifts=tuple(shifts), weight=1.0 / len(shifts))
+
+
+@settings(max_examples=100)
+@given(circulant=circulants(), seed=st.integers(0, 2**32 - 1))
+@example(
+    circulant=Circulant(
+        grid=(16, 16), shifts=((0, 1), (0, 0), (3, 5), (0, 15), (13, 11)), weight=0.2
+    ),
+    seed=0,
+)
+def test_any_circulant_is_a_gossip_matrix_of_its_own_entries(circulant, seed):
+    # A matrix given as any valid circulant, not only a built kind's, has the
+    # entries its circulant defines: they pass the builders' gate, have a
+    # spectrum, multiply like its shifted slices to a few ulps of max|W|, and
+    # are not pickled.
+    topology._validate_circulant(circulant)
+    m = math.prod(circulant.grid)
+    P = GossipMatrix(m=m, kind=TopologyKind.CUSTOM, circulant=circulant)
+    entries = P.entries
+    assert entries.tobytes() == circulant_entries(circulant).tobytes()
+    topology._validate_entries(entries, BUILD_SUM_TOL)
+    report = eigenvalues_symmetric(P)
+    assert report.eigenvalues.shape == (m,) and 0.0 <= report.lam <= 1.0
+    W = np.random.default_rng(seed).standard_normal((2, m, 3))
+    shifted = topology._shifted_gossip(P, W, np.full(W.shape, np.nan))
+    assert np.max(np.abs(entries @ W - shifted)) <= 4 * np.spacing(np.max(np.abs(W)))
+    copy = pickle.loads(pickle.dumps(P))
+    assert "entries" not in vars(copy) and copy.circulant == circulant
+    assert copy.entries.tobytes() == entries.tobytes()
 
 
 def test_loaded_matrix_pickles_with_its_entries(tmp_path):

@@ -14,6 +14,13 @@ metric both sides' medians and quartiles and the number of pairs in which
 this checkout did better (ties count for neither side); the metrics and
 their better direction come from BENCHMARK.json. Exits 1 if any run failed
 its checks.
+
+The record names each tree by `git describe`, so both trees must be git
+checkouts: the tool exits with an error before any run when git cannot
+describe a tree (one exported with `git archive`, say). compare-m256's peak
+RSS depends on the length of the checkout's path, so make the two trees in
+paths of equal length, with `git clone --shared` or `git worktree add`,
+which keep their commit.
 """
 
 from __future__ import annotations
@@ -32,18 +39,22 @@ SIDES = ("parent", "change")
 
 
 def tree_label(tree: Path) -> dict:
-    """The tree's git description, if it has one, and a digest of its src/ files."""
-    digest = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
+    """The tree's git description and a digest of its src/ files; exits with an
+    error when git cannot describe the tree."""
     git = subprocess.run(
         ["git", "-C", str(tree), "describe", "--always", "--dirty"],
         capture_output=True, text=True,
     )
-    return {
-        "git": git.stdout.strip() if git.returncode == 0 else None,
-        "src_sha256": digest.hexdigest(),
-    }
+    if git.returncode != 0:
+        sys.exit(
+            f"git cannot describe {tree} ({git.stderr.strip()}); make both trees git "
+            "checkouts that keep their commit, in paths of equal length, with "
+            "`git clone --shared` or `git worktree add`"
+        )
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
+    return {"git": git.stdout.strip(), "src_sha256": digest.hexdigest()}
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:

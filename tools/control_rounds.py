@@ -45,7 +45,7 @@ import numpy as np  # noqa: E402
 from dsgd_lab import engine  # noqa: E402
 from dsgd_lab.analysis import consensus_control_sweep  # noqa: E402
 from dsgd_lab.cli import ExperimentConfig  # noqa: E402
-from dsgd_lab.topology import CONNECTED_KINDS, build_gossip_matrix  # noqa: E402
+from dsgd_lab.topology import CONNECTED_KINDS, _worker_mean, build_gossip_matrix  # noqa: E402
 
 SHAPES = {
     "control-sweep": {"R": 5, "pairs": 2},
@@ -108,7 +108,8 @@ def crossover() -> None:
             W = 1.0 + 0.01 * rng.standard_normal((2, 8, 2, m, 20))
             out = np.empty_like(W)
             lam = engine._control_modes(P, 200)[4]
-            ratio = 1e-6 / float(engine.consensus_distance(W).max())
+            distances = engine._distance_from_mean(W, _worker_mean(W), np.empty_like(W))
+            ratio = 1e-6 / float(distances.max())
             if 0 < lam < 1:
                 bound = math.log(ratio) / (2 * math.log(lam))
             else:

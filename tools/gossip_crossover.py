@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Time one gossip of a (K, 2, m, d) stack in each form the engine can use.
+"""Time one gossip of a (K, 2, m, d) stack in each form topology can use.
 
     PYTHONPATH=src python3 tools/gossip_crossover.py [--runs K] [--dim d]
 
 For every built topology kind and m in {16, 64, 128, 256, 1024}, prints the
 microseconds per gossip of the dense product, of the worker mean (fully
 connected only) and of the shifted slices (the other circulant kinds).
-engine.DENSE_GOSSIP_BELOW is the smallest m of this list from which the
+topology.DENSE_GOSSIP_BELOW is the smallest m of this list from which the
 structured form beats the dense product for every kind; the table in the
-comment above it is this script's output. Each time is the median of 7
+topology module docstring is this script's output. Each time is the median of 7
 repeats of as many calls as fill about 20 ms. BLAS runs on one thread unless
 the environment sets its thread count.
 """
@@ -25,9 +25,15 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from dsgd_lab.engine import _dense_gossip, _mean_gossip, _shifted_gossip  # noqa: E402
-from dsgd_lab.topology import TopologyKind, build_gossip_matrix, validate_worker_count  # noqa: E402
 from dsgd_lab.errors import InputError  # noqa: E402
+from dsgd_lab.topology import (  # noqa: E402
+    TopologyKind,
+    _dense_gossip,
+    _mean_gossip,
+    _shifted_gossip,
+    build_gossip_matrix,
+    validate_worker_count,
+)
 
 SIZES = [16, 64, 128, 256, 1024]
 KINDS = [

@@ -4,7 +4,10 @@ Invocation:
 
     dsgd-lab <config.json> [--output-dir DIR] [--jobs K] [--seed S]
 
-The config is a flat JSON object; unknown keys are rejected. Keys and
+The config is a flat JSON object; unknown keys are rejected. A key's type,
+choices and sign follow from its ExperimentConfig field: null is never a
+value, a boolean fits only a bool key, a float key takes an int too, every
+number must be finite, and a list is checked item by item. Keys and
 defaults (not every experiment consumes every key):
 
     experiment       one of topology, stability, gengap, bound, compare,
@@ -22,11 +25,11 @@ defaults (not every experiment consumes every key):
     n                samples per worker                        [50]
     T                iterations                                [2000]
     eta              learning rate                             [0.05]
-    schedule         "constant" or "step_decay"                ["constant"]
+    schedule         one of constant, step_decay               ["constant"]
     snapshot_every   trace cadence                             [max(1, T/200)]
     R                replicates                                [20]
     pairs            perturbations per replicate               [8]
-    mode             "synchronized" or "single_worker"         ["synchronized"]
+    mode             one of synchronized, single_worker        ["synchronized"]
     alpha            Hoelder exponent of the bounds, in (0, 1] [1.0]
     p                free bound parameter                      [1.0]
     optimize_p       minimize the bound over p                 [false]
@@ -44,9 +47,11 @@ defaults (not every experiment consumes every key):
     seed             base seed                                 [0]
     jobs             parallel replicate workers                [env DSGD_LAB_JOBS or 1]
 
-Exit codes: 0 success, 1 rejected input or an allocation the machine
-cannot make (a MemoryError, reported as one error line), 2 numerical
-failure (a divergent run, or a NaN or infinity bound for a JSON artifact).
+Exit codes: 0 success, 1 rejected input, an allocation the machine cannot
+make (a MemoryError) or a file that cannot be read or written (an OSError,
+say an output directory that is an existing file), each reported as one
+error line; 2 numerical failure (a divergent run, or a NaN or infinity
+bound for a JSON artifact).
 Re-running with the same config and seed reproduces byte-identical numeric
 CSV content, at any --jobs value.
 """
@@ -58,6 +63,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 import types
@@ -65,7 +71,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal
 
 import numpy as np
 
@@ -117,9 +123,10 @@ NONNEGATIVE = {"sign": "nonnegative"}
 class ExperimentConfig:
     """A fully validated, defaults-applied experiment description.
 
-    Each field is one config key. The JSON types a key accepts follow from
-    its annotation (see _accepted_types) and its sign constraint from its
-    metadata.
+    Each field is one config key. _convert checks and converts a key's JSON
+    value by the field's annotation, which gives its type, its choices (an
+    Enum or a Literal) and its list items; the field's metadata gives its
+    sign constraint.
     """
 
     experiment: str
@@ -136,7 +143,7 @@ class ExperimentConfig:
     n: int = field(default=50, metadata=POSITIVE)
     T: int = field(default=2000, metadata=NONNEGATIVE)
     eta: float = field(default=0.05, metadata=NONNEGATIVE)
-    schedule: str = "constant"
+    schedule: Literal["constant", "step_decay"] = "constant"
     snapshot_every: int | None = field(default=None, metadata=POSITIVE)
     R: int = field(default=20, metadata=POSITIVE)
     pairs: int = field(default=8, metadata=POSITIVE)
@@ -196,34 +203,43 @@ class ExperimentConfig:
         return build_gossip_matrix(self.kind, self.m)
 
 
-def _accepted_types(hint: Any) -> type | tuple[type, ...]:
-    """The JSON value types a config field accepts, from its type annotation.
+_HINTS = typing.get_type_hints(ExperimentConfig)
 
-    X | None accepts what X accepts (null is never a value), list[X] any list,
-    an enum its value string, and float an int as well.
+
+def _convert(key: str, hint: Any, value: Any) -> Any:
+    """A config key's JSON value, checked and converted by its field's annotation.
+
+    X | None takes what X takes (null is never a value); list[X] converts item
+    by item; a Literal or an Enum takes one of its values, and an Enum yields
+    its member; float takes an int as well; a boolean fits only bool; every
+    number must be finite.
     """
     if isinstance(hint, types.UnionType):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-    hint = typing.get_origin(hint) or hint
-    if issubclass(hint, Enum):
-        return str
-    return (int, float) if hint is float else hint
-
-
-_HINTS = typing.get_type_hints(ExperimentConfig)
-# key: (accepted JSON types, sign constraint or None)
-_SPEC = {
-    f.name: (_accepted_types(_HINTS[f.name]), f.metadata.get("sign"))
-    for f in fields(ExperimentConfig)
-}
-
-
-def _parse_kind(raw: Any, key: str) -> TopologyKind:
-    try:
-        return TopologyKind(raw)
-    except ValueError:
-        valid = ", ".join(k.value for k in TopologyKind)
-        raise InputError(f"config key {key!r}: unknown topology {raw!r} (one of {valid})")
+    origin = typing.get_origin(hint)
+    if isinstance(value, bool) and hint is not bool:
+        raise InputError(f"config key {key!r}: boolean not accepted here")
+    if origin is list:
+        if not isinstance(value, list):
+            raise InputError(f"config key {key!r}: expected a list, got {type(value).__name__}")
+        (item,) = typing.get_args(hint)
+        return [_convert(key, item, v) for v in value]
+    enum = isinstance(hint, type) and issubclass(hint, Enum)
+    if enum or origin is typing.Literal:
+        choices = [c.value for c in hint] if enum else list(typing.get_args(hint))
+        if value not in choices:
+            # An enum is named in words (TopologyKind: "topology kind"), a Literal by its key.
+            noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", hint.__name__).lower() if enum else key
+            raise InputError(
+                f"config key {key!r}: unknown {noun} {value!r} (one of {', '.join(choices)})"
+            )
+        return hint(value) if enum else value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"config key {key!r} must be finite, got {value}")
+    if not isinstance(value, (int, float) if hint is float else hint):
+        got = type(value).__name__
+        raise InputError(f"config key {key!r}: expected {hint.__name__}, got {got}")
+    return value
 
 
 def parse_config(
@@ -244,8 +260,8 @@ def parse_config(
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
@@ -257,50 +273,24 @@ def parse_config(
 
 
 def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
-    unknown = sorted(set(raw) - set(_SPEC))
+    signs = {f.name: f.metadata.get("sign") for f in fields(ExperimentConfig)}
+    unknown = sorted(set(raw) - set(signs))
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(unknown)}")
     if "experiment" not in raw:
         raise InputError("config key 'experiment' is required")
-    for key, value in raw.items():
-        accepted, constraint = _SPEC[key]
-        if isinstance(value, bool) and accepted is not bool:
-            raise InputError(f"config key {key!r}: boolean not accepted here")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"config key {key!r} must be finite, got {value}")
-        if not isinstance(value, accepted):
-            raise InputError(f"config key {key!r}: expected {accepted}, got {type(value).__name__}")
-        if constraint == "positive" and not value > 0:
+    values = {key: _convert(key, _HINTS[key], value) for key, value in raw.items()}
+    for key, value in values.items():
+        if signs[key] == "positive" and not value > 0:
             raise InputError(f"config key {key!r} must be positive, got {value}")
-        if constraint == "nonnegative" and value < 0:
+        if signs[key] == "nonnegative" and value < 0:
             raise InputError(f"config key {key!r} must be nonnegative, got {value}")
-
-    config = ExperimentConfig(**raw)
-    if config.experiment not in RUNNERS:
+    if values["experiment"] not in RUNNERS:
         raise InputError(
-            f"config key 'experiment': unknown experiment {config.experiment!r} "
+            f"config key 'experiment': unknown experiment {values['experiment']!r} "
             f"(one of {', '.join(RUNNERS)})"
         )
-    # Normalise the string-valued keys in place; enum defaults pass through.
-    config.kind = _parse_kind(config.kind, "kind")
-    config.kinds = [_parse_kind(k, "kinds") for k in config.kinds]
-    try:
-        config.family = ModelFamily(config.family)
-    except ValueError:
-        valid = ", ".join(f.value for f in ModelFamily)
-        raise InputError(
-            f"config key 'family': unknown family {config.family!r} (one of {valid})"
-        )
-    try:
-        config.mode = PerturbationMode(config.mode)
-    except ValueError:
-        raise InputError("config key 'mode' must be 'synchronized' or 'single_worker'")
-    if config.schedule not in ("constant", "step_decay"):
-        raise InputError("config key 'schedule' must be 'constant' or 'step_decay'")
-    if config.t_gamma is not None and not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in config.t_gamma
-    ):
-        raise InputError("config key 't_gamma' must be a list of integers")
+    config = ExperimentConfig(**values)
     _validate_config(config)
     return config
 
@@ -747,13 +737,8 @@ def main(argv: list[str] | None = None) -> int:
             print("error: DSGD_LAB_JOBS must be an integer", file=sys.stderr)
             return 1
     try:
-        config = parse_config(args.config, overrides, defaults)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run_experiment(config)
-    except InputError as exc:
+        return run_experiment(parse_config(args.config, overrides, defaults))
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import types
+import typing
+from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 import dsgd_lab.cli as cli
 from dsgd_lab.analysis import topology_comparison
 from dsgd_lab.cli import (
+    ExperimentConfig,
     RunManifest,
     emit_json_summary,
     main,
@@ -70,6 +75,13 @@ def test_bad_json_is_rejected(tmp_path):
         parse_config(path)
 
 
+def test_config_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InputError, match="JSON"):
+        parse_config(path)
+
+
 def test_missing_file_is_rejected(tmp_path):
     with pytest.raises(InputError, match="not found"):
         parse_config(tmp_path / "absent.json")
@@ -102,6 +114,77 @@ def test_missing_file_is_rejected(tmp_path):
 def test_constraint_violations_name_the_key(tmp_path, entries, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_config(write_config(tmp_path, **entries))
+
+
+def _declared(hint):
+    """A field's annotation without its `| None`."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return hint
+
+
+def _choices(hint):
+    """The declared values of an Enum or Literal annotation (or of a list's
+    items) as (JSON value, parsed value) pairs; none for any other type."""
+    hint = _declared(hint)
+    if typing.get_origin(hint) is list:
+        return [([raw], [parsed]) for raw, parsed in _choices(typing.get_args(hint)[0])]
+    if typing.get_origin(hint) is typing.Literal:
+        return [(value, value) for value in typing.get_args(hint)]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return [(member.value, member) for member in hint]
+    return []
+
+
+HINTS = typing.get_type_hints(ExperimentConfig)
+KEYS = [f.name for f in fields(ExperimentConfig)]
+CHOICE_KEYS = [key for key in KEYS if _choices(HINTS[key])]
+
+
+def _wrong_json_type(hint):
+    """A JSON value of a type the key does not take: a string for a number,
+    bool or list key, a number for a string key."""
+    hint = _declared(hint)
+    return "x" if hint in (int, float, bool) or typing.get_origin(hint) is list else 1
+
+
+def _rejects(tmp_path, key, value):
+    entries = {"experiment": "stability", key: value}
+    with pytest.raises(InputError, match=f"config key '{key}'"):
+        parse_config(write_config(tmp_path, **entries))
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_rejects_null_a_boolean_and_a_wrong_json_type(tmp_path, key):
+    hint = HINTS[key]
+    _rejects(tmp_path, key, None)
+    _rejects(tmp_path, key, _wrong_json_type(hint))
+    if _declared(hint) is not bool:
+        _rejects(tmp_path, key, True)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kinds", "ring"),
+    ("kinds", ["ring", 3]),
+    ("t_gamma", [0, True]),
+    ("t_gamma", [0, 1.5]),
+])
+def test_list_keys_reject_a_non_list_and_a_wrong_item(tmp_path, key, value):
+    _rejects(tmp_path, key, value)
+
+
+@pytest.mark.parametrize("key", CHOICE_KEYS)
+def test_choice_keys_take_each_declared_value_and_no_other(tmp_path, key):
+    # matrix_path lets kind "custom" through the cross-key check; the file is
+    # only read when an experiment runs.
+    for raw, parsed in _choices(HINTS[key]):
+        config = parse_config(write_config(
+            tmp_path, experiment="stability", matrix_path="unread.csv", **{key: raw}
+        ))
+        # repr tells an enum member from its value string.
+        assert repr(getattr(config, key)) == repr(parsed)
+    unknown = ["no-such-value"] if isinstance(raw, list) else "no-such-value"
+    _rejects(tmp_path, key, unknown)
 
 
 def test_overrides_replace_config_values(tmp_path):
@@ -398,6 +481,17 @@ def test_main_reports_an_impossible_allocation_as_one_error_line(tmp_path, capsy
     assert main([str(path), "--jobs", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_main_reports_an_unwritable_output_dir_as_one_error_line(tmp_path, capsys):
+    # The output directory is an existing file, so creating it fails.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path = write_config(tmp_path, experiment="topology", kind="ring", m=4)
+    assert main([str(path), "--output-dir", str(afile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -55,6 +55,7 @@ from .models import (
 )
 from .seeding import derive_seed
 from .topology import GossipMatrix, TopologyKind, build_gossip_matrix, eigenvalues_symmetric
+from .topology import _worker_mean
 
 __all__ = [
     "Estimate",
@@ -229,7 +230,7 @@ def _stability_group(
     if final_diffs:
         reduced["final_diffs"] = traces.final[:, :, 0] - traces.final[:, :, 1]
     if gaps:
-        finals = traces.consensus[:, :, 0, -1].reshape(len(arms) * len(group), pairs, -1)
+        finals = _worker_mean(traces.final[:, :, 0]).reshape(len(arms) * len(group), pairs, -1)
         reduced["gap"] = np.array([
             gap.mean()
             for gap in _consensus_gaps(list(finals), task, model, shards * len(arms), holdout)
@@ -251,6 +252,9 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
     """Order-preserving map, optionally fanned out over worker processes.
 
     fn is pickled with each item: pass the shared arguments as a partial.
+    Every item runs to its end, and a divergence is raised as one stack of
+    all the items raises it (_run_stack): the earliest step's, the lowest
+    item's on a tie. Other errors propagate in item order.
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -259,7 +263,16 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+        futures = [pool.submit(fn, item) for item in items]
+    results, diverged = [], []
+    for future in futures:
+        try:
+            results.append(future.result())
+        except NumericalError as error:
+            diverged.append(error)
+    if diverged:
+        raise min(diverged, key=lambda error: error.step)
+    return results
 
 
 def _stability_sweep(
@@ -681,7 +694,12 @@ def generalization_gap(
     on the mc_draws-sample holdout of seed (_draw_holdout), streamed in one
     pass: its memory is one chunk at any mc_draws, its time linear in it.
     The estimate's replicates are the runs' gap curves, arm-major.
+
+    Raises:
+        InputError: traces without consensus models (run_coupled's, not run_dsgd's).
     """
+    if traces.consensus is None:
+        raise InputError("generalization_gap needs traces with consensus models, from run_dsgd")
     stack = traces.consensus[:, :, 0].reshape(-1, traces.consensus.shape[-1])
     (gaps,) = _consensus_gaps([stack], task, model, [shards], _draw_holdout(task, mc_draws, seed))
     return Estimate(traces.iterations.copy(), gaps.reshape(-1, len(traces.iterations)))

@@ -197,8 +197,6 @@ class ExperimentConfig:
 
     def gossip_matrix(self):
         if self.kind is TopologyKind.CUSTOM:
-            if self.matrix_path is None:
-                raise InputError("kind 'custom' requires matrix_path")
             return load_gossip_matrix(self.matrix_path)
         return build_gossip_matrix(self.kind, self.m)
 
@@ -368,12 +366,6 @@ def emit_json_summary(summary: dict[str, Any], path: Path) -> None:
     path.write_text(_json_text(summary, path.name))
 
 
-def _config_digest(config: ExperimentConfig) -> str:
-    # The enum fields are str enums, which json writes as their values.
-    blob = json.dumps(asdict(config), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @dataclass
 class RunManifest:
     """Provenance record emitted alongside every experiment's artifacts.
@@ -404,25 +396,6 @@ class RunManifest:
         temp.replace(target)
 
 
-def _write_manifest(
-    output_dir: Path,
-    config: ExperimentConfig,
-    seeds: dict[str, int],
-    started: float,
-    files: list[Path],
-    counters: dict[str, Any] | None,
-) -> None:
-    RunManifest(
-        config=asdict(config),
-        config_sha256=_config_digest(config),
-        tool_version=__version__,
-        wall_seconds=time.time() - started,
-        seeds=seeds,
-        files={f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
-        counters=counters,
-    ).write(output_dir)
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -434,16 +407,26 @@ def run_experiment(config: ExperimentConfig) -> int:
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     files, summary_extra, seeds, counters = RUNNERS[config.experiment](config, output_dir)
+    # The enum fields are str enums, which json writes as their values.
+    digest = hashlib.sha256(json.dumps(asdict(config), sort_keys=True).encode()).hexdigest()
     summary = {
         "schema_version": SCHEMA_VERSION,
         "experiment": config.experiment,
-        "config_sha256": _config_digest(config),
+        "config_sha256": digest,
         **summary_extra,
     }
     summary_path = output_dir / "summary.json"
     emit_json_summary(summary, summary_path)
     files.append(summary_path)
-    _write_manifest(output_dir, config, seeds, started, files, counters)
+    RunManifest(
+        config=asdict(config),
+        config_sha256=digest,
+        tool_version=__version__,
+        wall_seconds=time.time() - started,
+        seeds=seeds,
+        files={f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
+        counters=counters,
+    ).write(output_dir)
     return 0
 
 
@@ -456,18 +439,10 @@ def _run_topology(config: ExperimentConfig, out: Path) -> Outcome:
     P = config.gossip_matrix()
     spectrum = eigenvalues_symmetric(P)
     kind_label = P.kind.value if config.kind is TopologyKind.CUSTOM else config.kind.value
-    topo_path = out / "topology.csv"
-    emit_csv(
-        [(kind_label, P.m, spectrum.lam, spectrum.spectral_gap)],
-        ["kind", "m", "lambda", "gap"],
-        topo_path,
-    )
-    spectrum_path = out / "spectrum.csv"
-    emit_csv(
-        list(enumerate(spectrum.eigenvalues)),
-        ["index", "eigenvalue"],
-        spectrum_path,
-    )
+    topo_path, spectrum_path = out / "topology.csv", out / "spectrum.csv"
+    row = (kind_label, P.m, spectrum.lam, spectrum.spectral_gap)
+    emit_csv([row], ["kind", "m", "lambda", "gap"], topo_path)
+    emit_csv(list(enumerate(spectrum.eigenvalues)), ["index", "eigenvalue"], spectrum_path)
     summary = {
         "kind": kind_label,
         "m": P.m,
@@ -734,7 +709,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             defaults["jobs"] = int(os.environ["DSGD_LAB_JOBS"])
         except ValueError:
-            print("error: DSGD_LAB_JOBS must be an integer", file=sys.stderr)
+            defaults["jobs"] = 0
+        if defaults["jobs"] < 1:
+            print("error: DSGD_LAB_JOBS must be a positive integer", file=sys.stderr)
             return 1
     try:
         return run_experiment(parse_config(args.config, overrides, defaults))

@@ -21,31 +21,32 @@ One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
 with its own gossip matrix and consensus control, times K runs with s sides
 each (s = 1 for single runs, s = 2 for coupled pairs); run_dsgd and
 run_coupled are its two entry points, and each returns one Traces: the
-recorder's arrays, indexed [arm, run, side, snapshot]. The two data sets of
-a pair differ in one sample per affected worker, and the pairs of one
-replicate share their shards, so the stack holds each distinct shard set
-once: it reads them in place when they are consecutive slices of one array
-(as the estimators draw a group's replicates), else from one copy, and a
-side table holds each pair's replaced samples. A step makes one np.take of
-side 0's rows for every run and side, which every arm reads (dsgd_step's
-shared samples), one np.copyto each for X and Y that gives side 1 its replaced
-samples (where zeta is the pair's perturbed index on an affected worker),
-one gossip per group of arms and one gradient call for the whole stack.
-The runs are stepped in sub-stacks of as many runs as keep each
-stack-sized buffer within STACK_BYTES, and a run's traces do not depend on
-the runs stepped with it. A sub-stack holds W, its spare (the next W, and
-consensus control's result), one scratch and one arm's share of samples,
-each allocated once: the step writes its gradients in the scratch, and the
-recorder takes its deviations and then its pair differences in it.
-Control allocates only a few buffers of its live runs per call. Only
-run_coupled with risks set evaluates per-worker risks, of the base side
-(the run on S) only, once per arm, shard set and snapshot, in scratch the
-recorder owns. Each run keeps its own seed and index stream, shared by
-its sides and by every arm: its indices are drawn from its own generator in
-blocks of INDEX_DRAW_STEPS steps (fewer when a sub-stack's block would pass
-INDEX_DRAW_BYTES), across snapshot intervals, which are the same indices as
-one draw of m per step. Consensus control takes the
-runs whose arm's onset has passed and whose distance is above the target,
+recorder's arrays, indexed [arm, run, side, snapshot]; only single runs keep
+their consensus models (a coupled side's final one is the worker mean of its
+final models). The two data sets of a pair differ in one sample per affected
+worker, and the pairs of one replicate share their shards, so the stack
+holds each distinct shard set once: it reads them in place when they are
+consecutive slices of one array (as the estimators draw a group's
+replicates), else from one copy, and a side table holds each pair's replaced
+samples. A step makes one np.take of side 0's rows for every run and side,
+which every arm reads (dsgd_step's shared samples), one np.copyto each for X
+and Y that gives side 1 its replaced samples (where zeta is the pair's
+perturbed index on an affected worker), one gossip per group of arms and one
+gradient call for the whole stack. The runs are stepped in sub-stacks of as
+many runs as keep each stack-sized buffer within STACK_BYTES, and a run's
+traces do not depend on the runs stepped with it. A sub-stack holds W, its
+spare (the next W, and consensus control's result), one scratch and one
+arm's share of samples, each allocated once: the step writes its gradients
+in the scratch, and the recorder takes its deviations and then its pair
+differences in it. Control allocates only a few buffers of its live runs per
+call. Only run_coupled with risks set evaluates per-worker risks, of the
+base side (the run on S) only, once per arm, shard set and snapshot, in
+scratch the recorder owns. Each run keeps its own seed and index stream,
+shared by its sides and by every arm: its indices are drawn from its own
+generator in blocks of INDEX_DRAW_STEPS steps (fewer when a sub-stack's
+block would pass INDEX_DRAW_BYTES), across snapshot intervals, which are the
+same indices as one draw of m per step. Consensus control takes the runs
+whose arm's onset has passed and whose distance is above the target,
 predicts each one's stop round from its matrix's eigenvectors, gossips them
 on that schedule without computing a distance in between, and then checks
 each run's stop in one batched distance call; a run the check cannot vouch
@@ -187,7 +188,7 @@ class Traces:
     single runs; 2 for coupled pairs, side 1 the run on the perturbed set),
     at S snapshots, for m workers of d parameters:
     - iterations (S,): the completed steps at each snapshot;
-    - consensus (A, K, s, S, d): the average model;
+    - consensus (A, K, 1, S, d): the average model, of single runs only, else None;
     - consensus_dist (A, K, s, S): the workers' mean squared deviation from it;
     - final (A, K, s, m, d): the final models;
     - rounds (A, K, s): consensus-control rounds, and cap_hits (A, K, s):
@@ -200,7 +201,7 @@ class Traces:
     """
 
     iterations: np.ndarray
-    consensus: np.ndarray
+    consensus: np.ndarray | None
     consensus_dist: np.ndarray
     final: np.ndarray
     rounds: np.ndarray
@@ -745,10 +746,10 @@ def run_coupled(
 
     Both sides of a pair share the seed, hence the same zeta sequence on
     every worker. Returns the Traces of every arm and pair, as run_dsgd
-    does, with two sides and each pair's worker mean of the squared weight
-    differences at each snapshot (sq_diffs); with risks set, also the base side's
-    per-worker empirical risks at every snapshot, and a non-finite risk is
-    a divergence.
+    does, with two sides, no consensus models, and each pair's worker mean of
+    the squared weight differences at each snapshot (sq_diffs); with risks set,
+    also the base side's per-worker empirical risks at every snapshot, and a
+    non-finite risk is a divergence.
 
     Raises:
         InputError: as run_dsgd's, or a perturbation whose index lies outside
@@ -976,13 +977,13 @@ class _TraceRecorder:
     """Snapshot rows of every arm, run and side of a stack, at the logged iterations.
 
     Records one sub-stack at a time (start, then record per snapshot) into
-    arrays that hold every run: each side's consensus model and distance,
-    each pair's worker-mean squared difference, and, when risks are asked
-    for, the base side's per-worker risks. Raises NumericalError at the
-    first snapshot where some consensus distance, or some recorded risk, is
-    not finite, naming the lowest such run's seed: a non-finite W stays
-    non-finite under W' = P W - eta G, so a divergent run is always caught by
-    the final snapshot at the latest.
+    arrays that hold every run: each side's consensus distance, a single
+    run's consensus model, each pair's worker-mean squared difference, and,
+    when risks are asked for, the base side's per-worker risks. Raises
+    NumericalError at the first snapshot where some consensus distance, or
+    some recorded risk, is not finite, naming the lowest such run's seed: a
+    non-finite W stays non-finite under W' = P W - eta G, so a divergent run
+    is always caught by the final snapshot at the latest.
     """
 
     def __init__(
@@ -996,7 +997,8 @@ class _TraceRecorder:
     ):
         (m, _, d_x), sides, runs = data.shape, data.sides, len(data.replicate)
         self.model, self.data, self.logged, self.seeds = model, data, logged, seeds
-        self.consensus = np.zeros((arms, runs, sides, len(logged), model.dim(d_x)))
+        shape = (arms, runs, sides, len(logged), model.dim(d_x))
+        self.consensus = np.zeros(shape) if sides == 1 else None
         self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
         self.risks = np.zeros((arms, runs, len(logged), m)) if risks else None
         self.sq_diffs = np.zeros((arms, runs, len(logged))) if sides == 2 else None
@@ -1018,7 +1020,8 @@ class _TraceRecorder:
             mean = _worker_mean(W)
             distances = _distance_from_mean(W, mean, self.scratch)
         self._check(distances, "consensus distance", slot)
-        self.consensus[:, runs, :, slot] = mean[..., 0, :]
+        if self.consensus is not None:
+            self.consensus[:, runs, :, slot] = mean[..., 0, :]
         self.consensus_dist[:, runs, :, slot] = distances
         if self.risks is not None:
             base = W[:, :, 0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsgd_lab import analysis, engine
+from dsgd_lab import analysis, engine, topology
 from dsgd_lab.analysis import (
     BoundInputs,
     estimate_epsilon_s,
@@ -141,6 +141,14 @@ def coupled_alone(arm, task, model, config, n, mode, replicate, pair, risks=Fals
     return engine.run_coupled([arm], [shards], model, config, [perturbation], [seed], risks=risks)
 
 
+def base_alone(arm, task, model, config, n, replicate, pair):
+    """The base side of that pair run alone by run_dsgd, which keeps its
+    consensus models: the sweep's shards and run seed, one arm."""
+    shards = _make_shards(task, n, arm[0].m, replicate_data_seed(config.seed, replicate))
+    seed = derive_seed(config.seed, "stability-run", replicate, pair)
+    return engine.run_dsgd([arm], [shards], model, config, [seed])
+
+
 @settings(max_examples=20)
 @given(replicates=st.integers(2, 5), data=st.data())
 def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
@@ -203,7 +211,16 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
         counts = [sum(t.rounds.sum() for t in alone), sum(t.cap_hits.sum() for t in alone)]
         assert np.array_equal(totals[arm], counts)
         assert counts == [estimate.extra_gossip_rounds, estimate.control_cap_hits]
-        finals = np.array([t.consensus[0, 0, 0, -1] for t in alone]).reshape(replicates, pairs, -1)
+        # A coupled pair keeps no consensus models. The worker mean of its
+        # base side's final models is the final consensus model that base
+        # side records when run_dsgd runs it alone, and the gap scores it.
+        finals = []
+        for run, traces in enumerate(alone):
+            assert traces.consensus is None
+            base = base_alone((P, control), task, LINEAR, config, 5, *divmod(run, pairs))
+            finals.append(base.consensus[0, 0, 0, -1])
+            assert np.array_equal(topology._worker_mean(traces.final[0, 0, 0])[0], finals[-1])
+        finals = np.array(finals).reshape(replicates, pairs, -1)
         gaps = analysis._consensus_gaps(list(finals), task, LINEAR, shards, None)
         assert np.array_equal(whole["gap"][arm], [gap.mean() for gap in gaps])
 
@@ -225,7 +242,7 @@ def test_estimates_do_not_depend_on_the_replicate_grouping(replicates, data):
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: counts constructions, maps in this process."""
+    """Stands in for ProcessPoolExecutor: counts constructions, runs in this process."""
 
     made: list = []
 
@@ -238,8 +255,13 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(item))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 @pytest.mark.parametrize("sweep", ["compare", "control"])
@@ -342,6 +364,27 @@ def test_mlp_gap_memory_does_not_grow_with_the_holdout():
             tracemalloc.stop()
     assert peaks[100_000] < 16.8e6 / 4
     assert peaks[400_000] < 1.25 * peaks[100_000]
+
+
+def test_mlp_comparison_memory_holds_no_per_snapshot_models():
+    # A coupled stack keeps no consensus models: at 201 snapshots both sides'
+    # models of every arm and pair, (A, K, 2, S, d), would take 10.8 MB here.
+    task = SyntheticTask(ModelFamily.TWO_LAYER_MLP, 20, np.full(20, 0.2), 0.3)
+    model = LossModel(family=ModelFamily.TWO_LAYER_MLP, hidden_width=8)
+    config = TrainConfig(iterations=200, rate=ConstantRate(0.05), seed=3)
+    kinds, replicates, pairs = [TopologyKind.RING, TopologyKind.FULLY_CONNECTED], 2, 5
+    models = len(kinds) * replicates * pairs * 2 * len(config.snapshot_iterations)
+    per_snapshot_bytes = models * model.dim(task.d_x) * 8
+    assert per_snapshot_bytes >= 10e6
+    for _ in range(2):  # the first call warms up
+        tracemalloc.start()
+        try:
+            topology_comparison(kinds, 4, task, model, config, n=5, replicates=replicates,
+                                pairs=pairs, mc_draws=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < per_snapshot_bytes
 
 
 @pytest.mark.parametrize("estimator", ["gengap", "compare"])
@@ -757,6 +800,18 @@ def test_gap_is_zero_at_truth_for_noiseless_task():
     assert report.mean[0] == pytest.approx(0.0, abs=1e-25)
 
 
+def test_gap_rejects_coupled_traces():
+    # A coupled stack keeps no consensus models, so it has no gap curve to score.
+    task = make_task()
+    shards = _make_shards(task, 4, 2, 19)
+    perturbation = engine.draw_perturbation(task, 4, 2, PerturbationMode.SYNCHRONIZED, 1)
+    P = build_gossip_matrix(TopologyKind.RING, 2)
+    config = TrainConfig(iterations=3, rate=ConstantRate(0.1), seed=0)
+    traces = engine.run_coupled([(P, None)], [shards], LINEAR, config, [perturbation], [0])
+    with pytest.raises(InputError, match="run_dsgd"):
+        generalization_gap(traces, task, LINEAR, shards)
+
+
 def test_gap_at_initialization_matches_direct_computation():
     task = make_task(noise_std=0.4)
     shards = _make_shards(task, 5, 2, 23)
@@ -941,12 +996,13 @@ def test_mlp_comparison_gaps_match_full_curve_gaps():
         [TopologyKind.RING], 4, task, model, config, n=5, replicates=replicates,
         pairs=pairs, mc_draws=1001,
     )
-    # The sweep keeps no consensus curves: each pair is coupled again alone.
+    # The sweep keeps no consensus curves: each pair's base side is run again
+    # alone by run_dsgd, whose traces keep them.
     ring = (build_gossip_matrix(TopologyKind.RING, 4), None)
     full_curve = [
         np.mean([
             generalization_gap(
-                coupled_alone(ring, task, model, config, 5, PerturbationMode.SYNCHRONIZED, r, j),
+                base_alone(ring, task, model, config, 5, r, j),
                 task, model,
                 _make_shards(task, 5, 4, derive_seed(config.seed, "stability-data", r)),
                 mc_draws=1001,

@@ -512,6 +512,22 @@ def test_divergent_run_exits_two_without_summary(tmp_path, capfd, jobs):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_line_does_not_depend_on_jobs(tmp_path, capfd):
+    # At --jobs 2 replicates 0-2 and 3-5 are two groups, and a run of the
+    # later group diverges first. Every group runs to its end, so both --jobs
+    # values name that run, as one stack of all six replicates does.
+    path = write_config(tmp_path, experiment="stability", m=4, n=10, T=400, R=6, pairs=1,
+                        eta=0.6, d_x=5, feature_variance=2.0, snapshot_every=1,
+                        output_dir=str(tmp_path / "out"))
+    lines = {}
+    for jobs in ("1", "2"):
+        assert main([str(path), "--jobs", jobs]) == 2
+        lines[jobs] = capfd.readouterr().err
+    assert lines["1"] == lines["2"]
+    assert lines["1"].endswith("consensus distance is inf at step 313\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_ring_gossiped_by_shifted_slices_exits_two(tmp_path, capfd):
     # At m = 256 the ring gossips as shifted slices, not a dense product; a
     # divergent run must still stop at its first non-finite snapshot with
@@ -591,6 +607,10 @@ def test_config_and_flag_jobs_win_over_the_env(tmp_path, monkeypatch, flag, expe
 
 
 def test_jobs_env_invalid(tmp_path, monkeypatch, capsys):
+    # A non-positive value is rejected as the variable's, like a non-integer
+    # one, not as a config key 'jobs' that the config does not hold.
     path = write_config(tmp_path, experiment="topology", kind="ring", m=4)
-    monkeypatch.setenv("DSGD_LAB_JOBS", "many")
-    assert main([str(path)]) == 1
+    for value in ("many", "1.5", "0", "-2"):
+        monkeypatch.setenv("DSGD_LAB_JOBS", value)
+        assert main([str(path)]) == 1
+        assert capsys.readouterr().err == "error: DSGD_LAB_JOBS must be a positive integer\n"

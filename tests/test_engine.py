@@ -105,11 +105,13 @@ def part(traces, arm, run):
 
 
 def side(traces, index):
-    """One side of coupled traces, as a single-run stack records it: no pair
-    differences and no risks."""
+    """One side of coupled traces, as a single-run stack records it but for the
+    consensus models, which a coupled stack does not keep: no pair differences
+    and no risks."""
+    assert traces.consensus is None
     return replace(traces, sq_diffs=None, risks=None, **{
         name: getattr(traces, name)[:, :, index : index + 1]
-        for name in ("consensus", "consensus_dist", "final", "rounds", "cap_hits")
+        for name in ("consensus_dist", "final", "rounds", "cap_hits")
     })
 
 
@@ -879,9 +881,11 @@ def test_coupled_base_equals_plain_run(family, control):
     P = build_gossip_matrix(TopologyKind.RING, 3)
     config = TrainConfig(iterations=35, rate=ConstantRate(0.08), seed=19)
     coupled = coupled_one(P, shards, model, config, pert, control)
-    assert_same_traces(side(coupled, 0), run_one(P, shards, model, config, control))
-    perturbed = neighbor_shards(shards, pert)
-    assert_same_traces(side(coupled, 1), run_one(P, perturbed, model, config, control))
+    for index, side_shards in enumerate([shards, neighbor_shards(shards, pert)]):
+        alone = run_one(P, side_shards, model, config, control)
+        assert_same_traces(side(coupled, index), replace(alone, consensus=None))
+        # The side's final consensus model is the worker mean of its final models.
+        assert_same_array(average_model(coupled.final[:, :, index]), alone.consensus[:, :, 0, -1])
     if control is not None:
         assert np.all(coupled.rounds > 0)
 
@@ -1624,9 +1628,13 @@ def test_controlled_run_rejects_bad_onset():
 
 def assert_traces_follow(traces, arm, run, weights, counts):
     """Each side of a run of traces against the weights (snapshots, sides, m, d)
-    and the counts (2, sides) of a step loop."""
-    for s in range(traces.final.shape[2]):
-        assert_same_array(traces.consensus[arm, run, s], average_model(weights[:, s]))
+    and the counts (2, sides) of a step loop; only single-run traces keep
+    consensus models."""
+    sides = traces.final.shape[2]
+    assert (traces.consensus is None) == (sides == 2)
+    for s in range(sides):
+        if sides == 1:
+            assert_same_array(traces.consensus[arm, run, s], average_model(weights[:, s]))
         assert_same_array(traces.consensus_dist[arm, run, s], consensus_dist(weights[:, s]))
         assert_same_array(traces.final[arm, run, s], weights[-1, s])
         assert traces.rounds[arm, run, s] == counts[0, s]
@@ -1674,6 +1682,9 @@ def test_loop_equals_an_independent_step_loop(family, iterations, cadence):
                 coupled.sq_diffs[arm, k],
                 np.sum((weights[:, 0] - weights[:, 1]) ** 2, axis=-1).mean(axis=-1),
             )
+        # The worker mean of the base sides' final models, over the whole
+        # coupled stack as the gap takes it, is run_dsgd's final consensus.
+        assert_same_array(average_model(coupled.final[:, :, 0]), single.consensus[:, :, 0, -1])
 
     assert_traces_follow_the_step_loop()
     # The mid-run onset and the islands arm did gossip extra rounds, and the

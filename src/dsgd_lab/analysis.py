@@ -231,10 +231,8 @@ def _stability_group(
         reduced["final_diffs"] = traces.final[:, :, 0] - traces.final[:, :, 1]
     if gaps:
         finals = _worker_mean(traces.final[:, :, 0]).reshape(len(arms) * len(group), pairs, -1)
-        reduced["gap"] = np.array([
-            gap.mean()
-            for gap in _consensus_gaps(list(finals), task, model, shards * len(arms), holdout)
-        ]).reshape(len(arms), len(group))
+        gaps = _consensus_gaps(finals, task, model, shards * len(arms), holdout)
+        reduced["gap"] = gaps.mean(axis=-1).reshape(len(arms), len(group))
     if risks:
         reduced["risks"] = traces.risks
     return reduced
@@ -528,6 +526,12 @@ class BoundInputs:
                 stacklevel=3,
             )
 
+    def with_p(self, p: float) -> BoundInputs:
+        """These inputs at splitting parameter p, without repeating their validity warning."""
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "initial learning rate", UserWarning)
+            return replace(self, p=p)
+
     @property
     def c_alpha(self) -> float:
         return c_alpha_constant(self.alpha, self.L)
@@ -654,7 +658,7 @@ def optimize_bound_p(inputs: BoundInputs, risk_curve: np.ndarray, t_max: int) ->
     """Golden-section minimizer of the final stability bound over p in (0, 100]."""
 
     def value(p: float) -> float:
-        return float(stability_bound_curve(replace(inputs, p=p), risk_curve, t_max)[-1])
+        return float(stability_bound_curve(inputs.with_p(p), risk_curve, t_max)[-1])
 
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 1e-6, 100.0
@@ -701,7 +705,7 @@ def generalization_gap(
     if traces.consensus is None:
         raise InputError("generalization_gap needs traces with consensus models, from run_dsgd")
     stack = traces.consensus[:, :, 0].reshape(-1, traces.consensus.shape[-1])
-    (gaps,) = _consensus_gaps([stack], task, model, [shards], _draw_holdout(task, mc_draws, seed))
+    gaps = _consensus_gaps(stack[None], task, model, [shards], _draw_holdout(task, mc_draws, seed))
     return Estimate(traces.iterations.copy(), gaps.reshape(-1, len(traces.iterations)))
 
 
@@ -721,13 +725,13 @@ def _draw_holdout(task: SyntheticTask, mc_draws: int, seed: int) -> Holdout | No
 
 
 def _consensus_gaps(
-    stacks: list[np.ndarray],
+    W: np.ndarray,
     task: SyntheticTask,
     model: LossModel,
     shards: list[Shards],
     holdout: Holdout | None,
-) -> list[np.ndarray]:
-    """F(w) - F_S(w) for each row of each stack (S, d), stacks[i] trained on shards[i].
+) -> np.ndarray:
+    """F(w) - F_S(w) (K, S) for each model of the stacks W (K, S, d), W[k] trained on shards[k].
 
     The population risk uses the closed form for linear regression and
     otherwise the mean loss on the holdout from _draw_holdout, one pass over
@@ -735,14 +739,13 @@ def _consensus_gaps(
     the stack's full training set.
     """
     if task.family is ModelFamily.LINEAR_REGRESSION:
-        population = [population_risk(task, W) for W in stacks]
+        gaps = population_risk(task, W)
     else:
         empty = np.empty((0, task.d_x)), np.empty(0)
-        population = dataset_risk(model, stacks, *empty, holdout.chunks())
-    return [
-        risk - dataset_risk(model, W, *data.flat())
-        for risk, W, data in zip(population, stacks, shards)
-    ]
+        gaps = dataset_risk(model, W, *empty, holdout.chunks())
+    for gap, stack, data in zip(gaps, W, shards):
+        gap -= dataset_risk(model, stack, *data.flat())
+    return gaps
 
 
 def _gengap_group(
@@ -754,16 +757,16 @@ def _gengap_group(
     config: TrainConfig,
     n: int,
     holdout: Holdout | None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Replicates `group`: fresh shards and one run each, stepped as one stack.
 
-    Returns each replicate's gap curve; every replicate's snapshot stack is
-    scored in one pass over the holdout.
+    Returns the replicates' gap curves (G, snapshots); every replicate's
+    snapshot stack is scored in one pass over the holdout.
     """
     shards = _group_shards(task, n, P.m, [replicate_data_seed(config.seed, r) for r in group])
     seeds = [derive_seed(config.seed, "gengap-run", r) for r in group]
     traces = run_dsgd([(P, None)], shards, model, config, seeds)
-    return _consensus_gaps(list(traces.consensus[0, :, 0]), task, model, shards, holdout)
+    return _consensus_gaps(traces.consensus[0, :, 0], task, model, shards, holdout)
 
 
 def replicated_generalization_gap(
@@ -792,8 +795,7 @@ def replicated_generalization_gap(
         holdout=_draw_holdout(task, mc_draws, config.seed),
     )
     groups = _parallel_map(group_fn, _replicate_groups(replicates, jobs), jobs)
-    curves = np.stack([curve for group in groups for curve in group])
-    return Estimate(config.snapshot_iterations, curves)
+    return Estimate(config.snapshot_iterations, np.concatenate(groups))
 
 
 @dataclass(frozen=True, eq=False)

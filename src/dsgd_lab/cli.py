@@ -68,7 +68,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Literal
@@ -529,7 +529,7 @@ def _run_bound(config: ExperimentConfig, out: Path) -> Outcome:
     )
     risk_curve = np.full(config.T, epsilon_s)
     if config.optimize_p:
-        inputs = replace(inputs, p=optimize_bound_p(inputs, risk_curve, config.T))
+        inputs = inputs.with_p(optimize_bound_p(inputs, risk_curve, config.T))
     curve = stability_bound_curve(inputs, risk_curve, config.T)
     path = out / "bound.csv"
     logged = curve[estimate.iterations]

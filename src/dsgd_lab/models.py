@@ -237,7 +237,10 @@ def draw_dataset_arrays(
     if task.family is ModelFamily.LOGISTIC_REGRESSION:
         ys = (rng.random(count) < _sigmoid(margins)).astype(float)
     else:
-        ys = margins + task.noise_std * rng.standard_normal(count)
+        # A noise_std near the float range overflows to inf labels here, which
+        # the trace recorder then reports as a numerical failure.
+        with np.errstate(over="ignore"):
+            ys = margins + task.noise_std * rng.standard_normal(count)
     return xs, ys
 
 
@@ -373,123 +376,105 @@ def loss_gradients(
 
 def dataset_risk(
     model: LossModel,
-    W: np.ndarray | list[np.ndarray],
+    W: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     more: Iterable[tuple[np.ndarray, np.ndarray]] = (),
-) -> np.ndarray | list[np.ndarray]:
-    """Mean loss over a dataset of each row of a weight stack W (S, d), or of each stack in a list.
+) -> np.ndarray:
+    """Mean loss over a dataset of each model of the stacks W (..., S, d), of shape W.shape[:-1].
 
     The dataset is the rows of xs (N, d_x) and ys (N,), then those of each
     (xs, ys) chunk that `more` yields; N may be 0. The chunks are read once,
     in order, and each is released before the next is drawn, so a Holdout's
     chunks are scored in one pass that holds one chunk of them at any size
-    (its time still grows linearly with the size). Returns one (S,) array of
-    risks, or, for a list, one per stack.
+    (its time still grows linearly with the size).
 
-    Each stack takes the samples _risk_block_rows(model, S) at a time, in
-    blocks counted from the dataset's first row; a block that spans chunks
-    is joined from them, so a stack's risks depend on neither the chunking
-    nor the other stacks. Each block is one matrix product against the
-    whole stack: W X_block^T for the linear families, and for the MLP the
-    (S*h, d_x) stack of hidden weights, pre-scaled by the sharpness b, times
-    X_block^T; the 1/b of the activation goes into a. Every block of every
-    stack is computed in the same buffers, sized for the largest block;
-    a shorter block uses their leading elements.
+    The samples go _risk_block_rows(model, S) at a time, in blocks counted
+    from the dataset's first row; a block that spans chunks is joined from
+    them, so the risks do not depend on the chunking, and each (S, d) stack
+    of W gets those of the call on that stack alone, bit for bit. Each block
+    is one matrix product against each stack: W X_block^T for the linear
+    families, and for the MLP the (S*h, d_x) stack of hidden weights,
+    pre-scaled by the sharpness b, times X_block^T; the 1/b of the activation
+    goes into a. Every block is computed in the same buffers, sized once for
+    a whole block; a shorter block uses their leading elements.
 
     Raises:
-        InputError: a weight array that is not a stack (S, d), or no samples.
+        InputError: weights that are not stacks (..., S, d), or no samples.
     """
-    stacks = [W] if isinstance(W, np.ndarray) else list(W)
-    for stack in stacks:
-        if stack.ndim != 2:
-            raise InputError(f"weights must be a stack of shape (S, d), got {stack.shape}")
-    sums = [_BlockSums(model, stack, xs.shape[1]) for stack in stacks]
-    buffers: dict[str, np.ndarray] = {}
-    # Rows tail_start..end-1 not yet scored by every stack, copied out of their chunks.
-    tail, tail_start, end = (xs[:0], ys[:0]), 0, 0
+    if W.ndim < 2:
+        raise InputError(f"weights must be stacks of shape (..., S, d), got {W.shape}")
+    sums = _BlockSums(model, W, xs.shape[1])
+    rows, count = sums.rows, 0
+    # The rows after the last whole block, fewer than a block, copied out of their chunks.
+    pending = xs[:0], ys[:0]
     for chunk in itertools.chain([(xs, ys)], more):
-        start, end = end, end + len(chunk[0])
-        for stack in sums:
-            while stack.next + stack.rows <= end:
-                stack.add(*_joined(tail, tail_start, chunk, start, stack.next, stack.rows), buffers)
-        keep = min(stack.next for stack in sums)
-        tail = tuple(part.copy() for part in _joined(tail, tail_start, chunk, start, keep, end - keep))
-        tail_start = keep
+        count += len(chunk[0])
+        head = min(-len(pending[0]) % rows, len(chunk[0]))  # rows that go to the pending block
+        if head:
+            pending = tuple(np.concatenate([old, new[:head]]) for old, new in zip(pending, chunk))
+        if len(pending[0]) in (0, rows):  # no pending rows, or a whole block of them
+            if head:
+                sums.add(*pending)
+            whole = head + (len(chunk[0]) - head) // rows * rows
+            for start in range(head, whole, rows):
+                sums.add(*(part[start : start + rows] for part in chunk))
+            pending = tuple(part[whole:].copy() for part in chunk)
         del chunk  # before `more` draws the next one
-    if end == 0:
+    if count == 0:
         raise InputError("the dataset holds no samples")
-    for stack in sums:
-        if stack.next < end:
-            stack.add(*(part[stack.next - tail_start :] for part in tail), buffers)
-    risks = [stack.total / end for stack in sums]
-    return risks[0] if isinstance(W, np.ndarray) else risks
-
-
-def _joined(
-    tail: tuple[np.ndarray, np.ndarray], tail_start: int,
-    chunk: tuple[np.ndarray, np.ndarray], start: int, first: int, count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows first..first+count-1 of tail (from row tail_start) followed by chunk (from row start).
-
-    A view of one of them where the rows lie in it, else a joined copy.
-    """
-    if first >= start:
-        return tuple(part[first - start : first - start + count] for part in chunk)
-    if first + count <= start:
-        return tuple(part[first - tail_start : first - tail_start + count] for part in tail)
-    return tuple(
-        np.concatenate([old[first - tail_start :], new[: first + count - start]])
-        for old, new in zip(tail, chunk)
-    )
+    if len(pending[0]):
+        sums.add(*pending)
+    return sums.total / count
 
 
 class _BlockSums:
-    """One stack's loss sums in dataset_risk, one block of _risk_block_rows samples at a time."""
+    """dataset_risk's loss sums of each stack of W (..., S, d), one block of samples at a time."""
 
     def __init__(self, model: LossModel, W: np.ndarray, d_x: int):
         self.family = model.family
-        self.S = W.shape[0]
-        self.rows = _risk_block_rows(model, self.S)
-        self.next = 0  # first row of the next block
-        self.total = np.zeros(self.S)
-        # The matrix each block's features multiply: W, or the MLP's (S*h, d_x)
-        # hidden weights pre-scaled by b, with a / b applied after the activation.
-        self.weights = W
+        S = W.shape[-2]
+        self.rows = _risk_block_rows(model, S)
+        self.total = np.zeros(W.shape[:-1])
+        # The matrix each block's features multiply: a stack of W, or the MLP's
+        # (S*h, d_x) hidden weights pre-scaled by b, with a / b applied after the activation.
+        weights, a = W, None
         if self.family is ModelFamily.TWO_LAYER_MLP:
             beta = model.softplus_sharpness
             V, a = _unpack_mlp(model, W, d_x)
-            self.weights = beta * V.reshape(-1, d_x)
-            self.a = a[:, None, :] / beta
+            weights = (beta * V).reshape(*W.shape[:-2], -1, d_x)
+            a = a[..., None, :] / beta
+        self.stacks = [
+            (weights[i], None if a is None else a[i], self.total[i])
+            for i in np.ndindex(W.shape[:-2])
+        ]
+        # A whole block's (S, rows) outputs, and its (S*h, rows) MLP
+        # pre-activations and activations, or the logistic losses' scratch.
+        self.S, self.width = S, weights.shape[-2]
+        self.outputs = np.empty(S * self.rows)
+        self.pre = np.empty(self.width * self.rows)
+        self.act = np.empty(self.width * self.rows)
 
-    def add(self, X: np.ndarray, Y: np.ndarray, buffers: dict[str, np.ndarray]) -> None:
-        """Add the losses of block (X, Y), computed in `buffers`, which grow as needed."""
-        S, r, width = self.S, X.shape[0], self.weights.shape[0]
-        out = _buffer(buffers, "outputs", S * r).reshape(S, r)
-        if self.family is ModelFamily.TWO_LAYER_MLP:
-            pre = _buffer(buffers, "pre", width * r).reshape(width, r)
-            np.matmul(self.weights, X.T, out=pre)
-            if pre.max() <= SOFTPLUS_EXP_LIMIT:
-                hidden = _log1p_exp(pre)
+    def add(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Add the losses of block (X, Y) to each stack's sums."""
+        S, r, width = self.S, X.shape[0], self.width
+        out = self.outputs[: S * r].reshape(S, r)
+        pre = self.pre[: width * r].reshape(width, r)
+        act = self.act[: width * r].reshape(width, r)
+        for weights, a, total in self.stacks:
+            if a is not None:
+                np.matmul(weights, X.T, out=pre)
+                if pre.max() <= SOFTPLUS_EXP_LIMIT:
+                    hidden = _log1p_exp(pre)
+                else:
+                    # Some exp(pre) would overflow, or pre holds a NaN.
+                    hidden = _softplus(pre, out=act, scratch=pre)
+                np.matmul(a, hidden.reshape(S, -1, r), out=out.reshape(S, 1, r))
+                losses = _losses(self.family, out, Y, into=out)
             else:
-                # Some exp(pre) would overflow, or pre holds a NaN.
-                act = _buffer(buffers, "act", width * r).reshape(width, r)
-                hidden = _softplus(pre, out=act, scratch=pre)
-            np.matmul(self.a, hidden.reshape(S, -1, r), out=out.reshape(S, 1, r))
-            losses = _losses(self.family, out, Y, into=out)
-        else:
-            np.matmul(self.weights, X.T, out=out)
-            scratch = _buffer(buffers, "act", S * r).reshape(S, r)
-            losses = _losses(self.family, out, Y, into=out, scratch=scratch)
-        self.total += losses.sum(axis=1)
-        self.next += r
-
-
-def _buffer(buffers: dict[str, np.ndarray], name: str, size: int) -> np.ndarray:
-    """The first `size` elements of buffers[name], replaced by a larger array if it is shorter."""
-    if name not in buffers or buffers[name].size < size:
-        buffers[name] = np.empty(size)
-    return buffers[name][:size]
+                np.matmul(weights, X.T, out=out)
+                losses = _losses(self.family, out, Y, into=out, scratch=act)
+            total += losses.sum(axis=1)
 
 
 def _risk_block_rows(model: LossModel, stack: int) -> int:

@@ -388,6 +388,18 @@ def test_bound_experiment_summary_and_domination_flag(tmp_path):
         assert key in summary
 
 
+def test_optimized_bound_gives_its_validity_warning_once_from_the_cli(tmp_path):
+    # Choosing p evaluates the bound at 92 trial values of p; the warning is
+    # given once, where the CLI builds the bound's inputs.
+    path = write_config(tmp_path, experiment="bound", optimize_p=True, R=2, pairs=1, T=20,
+                        n=5, m=4, d_x=3, output_dir=str(tmp_path / "out"))
+    with pytest.warns(UserWarning, match="validity limit") as record:
+        assert main([str(path), "--jobs", "1"]) == 0
+    validity = [w for w in record if "validity limit" in str(w.message)]
+    assert len(validity) == 1
+    assert validity[0].filename == cli.__file__
+
+
 def test_consensus_control_experiment(tmp_path):
     out = tmp_path / "out"
     config = parse_config(
@@ -500,15 +512,18 @@ def test_main_reports_an_unwritable_output_dir_as_one_error_line(tmp_path, capsy
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_divergent_run_exits_two_without_summary(tmp_path, capfd, jobs):
-    out = tmp_path / "out"
-    path = write_config(tmp_path, experiment="stability", kind="ring", m=4, eta=50,
-                        T=200, R=2, pairs=1, n=10, output_dir=str(out))
-    assert main([str(path), "--jobs", jobs]) == 2
-    # capfd, not capsys: pool workers write their warnings to file descriptor 2.
-    err = capfd.readouterr().err
-    assert "diverged" in err and "seed" in err and "step" in err
-    assert "RuntimeWarning" not in err
-    assert not (out / "summary.json").exists()
+    # A learning rate far past stability, and label noise so large that its
+    # draw overflows to infinite labels.
+    for diverging in ({"eta": 50}, {"noise_std": 1e308}):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, experiment="stability", kind="ring", m=4, T=200, R=2,
+                            pairs=1, n=10, output_dir=str(out), **diverging)
+        assert main([str(path), "--jobs", jobs]) == 2
+        # capfd, not capsys: pool workers write their warnings to file descriptor 2.
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "diverged" in lines[0] and "seed" in lines[0] and "step" in lines[0]
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

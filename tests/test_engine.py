@@ -812,17 +812,36 @@ def test_side_one_rows_equal_the_per_side_gather(mode, position):
                 assert np.array_equal((X[k, 0] != X[k, 1]).all(axis=-1), hit)
 
 
-def test_coupled_identical_replacement_gives_zero_difference():
-    task = make_task()
-    shards = make_shards(task, 4, 3)
-    pert = Perturbation(
-        index=1, workers=np.arange(3),
-        replacement_xs=shards.xs[:, 1].copy(), replacement_ys=shards.ys[:, 1].copy(),
-    )
-    P = build_gossip_matrix(TopologyKind.RING, 3)
-    coupled = coupled_one(P, shards, LINEAR, TrainConfig(iterations=30, rate=ConstantRate(0.1), seed=5), pert)
-    assert np.max(coupled.sq_diffs) == 0.0
-    assert np.array_equal(coupled.final[:, :, 0], coupled.final[:, :, 1])
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(list(ModelFamily)),
+    kind_m=st.sampled_from([(kind, m) for kind, m in BUILT if m <= 16]),
+    mode=st.sampled_from(list(PerturbationMode)),
+    control=st.sampled_from([None, ConsensusControl(gamma_sq=1e-8, t_gamma=5, max_rounds=20)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupled_identical_replacement_gives_zero_difference(family, kind_m, mode, control, seed):
+    # Replacing samples by themselves is the null perturbation: the two sides
+    # must stay the same run, bit for bit, in every family, topology and mode,
+    # with or without consensus control.
+    P = built(*kind_m)
+    model = LossModel(family=family, hidden_width=3)
+    task = SyntheticTask(family, 3, np.full(3, 1.0 / math.sqrt(3)), 0.1)
+    shards = make_shards(task, 4, P.m, seed=seed)
+    rng = np.random.default_rng(seed)
+    index = int(rng.integers(4))
+    if mode is PerturbationMode.SYNCHRONIZED:
+        workers = np.arange(P.m)
+    else:
+        workers = np.array([int(rng.integers(P.m))])
+    pert = Perturbation(index, workers, shards.xs[workers, index], shards.ys[workers, index])
+    config = TrainConfig(iterations=20, rate=ConstantRate(0.1), seed=seed, snapshot_every=5)
+    coupled = coupled_one(P, shards, model, config, pert, control)
+    assert coupled.sq_diffs.shape == (1, 1, len(config.snapshot_iterations))
+    assert np.all(coupled.sq_diffs == 0.0)
+    final = coupled.final.view(np.uint64)
+    assert np.array_equal(final[:, :, 0], final[:, :, 1])
+    assert np.array_equal(coupled.rounds[:, :, 0], coupled.rounds[:, :, 1])
 
 
 def test_coupled_zero_rate_gives_zero_difference():

@@ -415,26 +415,29 @@ def test_holdout_rejects_an_empty_draw():
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),
-    sizes=st.lists(st.sampled_from([1, 3, 40, 300]), min_size=1, max_size=4),
+    stacks=st.integers(1, 4),
+    size=st.sampled_from([1, 3, 40, 300]),
     count=st.integers(1, 2500),
     data=st.data(),
 )
-def test_streamed_dataset_risk_is_bit_equal_to_each_stack_in_memory(family, sizes, count, data):
-    # Every stack keeps its own blocks, counted from the first row, whatever
-    # the chunks; blocks of 1 to 21,845 rows here span zero to many chunk
-    # boundaries, and the first "chunk" may be empty.
+def test_streamed_dataset_risk_is_bit_equal_to_each_stack_in_memory(
+    family, stacks, size, count, data
+):
+    # Each stack of W (G, S, d) is scored in blocks counted from the first
+    # row, whatever the chunks; blocks of 1 to 21,845 rows here span zero to
+    # many chunk boundaries, and the first "chunk" may be empty.
     model = LossModel(family=family, hidden_width=3)
     task = make_task(family, d_x=4)
     rng = np.random.default_rng(count)
     xs, ys = draw_dataset_arrays(task, count, rng)
-    stacks = [0.5 * rng.standard_normal((size, model.dim(4))) for size in sizes]
+    W = 0.5 * rng.standard_normal((stacks, size, model.dim(4)))
     cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6)))
     bounds = [0, *cuts, count]
     chunks = iter([(xs[a:b].copy(), ys[a:b].copy()) for a, b in zip(bounds, bounds[1:])])
-    streamed = dataset_risk(model, stacks, *next(chunks), chunks)
-    assert len(streamed) == len(stacks)
-    for W, risks in zip(stacks, streamed):
-        assert_same_bits(risks, dataset_risk(model, W, xs, ys))
+    streamed = dataset_risk(model, W, *next(chunks), chunks)
+    assert streamed.shape == (stacks, size)
+    for stack, risks in zip(W, streamed):
+        assert_same_bits(risks, dataset_risk(model, stack, xs, ys))
 
 
 def test_dataset_risk_rejects_an_empty_dataset():

@@ -231,8 +231,8 @@ def _stability_group(
         reduced["final_diffs"] = traces.final[:, :, 0] - traces.final[:, :, 1]
     if gaps:
         finals = _worker_mean(traces.final[:, :, 0]).reshape(len(arms) * len(group), pairs, -1)
-        gaps = _consensus_gaps(finals, task, model, shards * len(arms), holdout)
-        reduced["gap"] = gaps.mean(axis=-1).reshape(len(arms), len(group))
+        gap = _consensus_gaps(finals, task, model, shards * len(arms), holdout)
+        reduced["gap"] = gap.mean(axis=-1).reshape(len(arms), len(group))
     if risks:
         reduced["risks"] = traces.risks
     return reduced

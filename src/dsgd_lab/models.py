@@ -505,7 +505,7 @@ def worker_risks(
 
 
 def population_risk(task: SyntheticTask, W: np.ndarray) -> float | np.ndarray:
-    """Closed-form linear-regression risk of w (d,), or of each row of W (S, d).
+    """Closed-form linear-regression risk of w (d,), or of each model of W (..., d).
 
     F(w) = sigma_x^2 ||w - w*||^2 / 2 + noise_std^2 / 2 for features
     x ~ N(0, sigma_x^2 I). Other families have no closed form; estimate

@@ -388,9 +388,9 @@ def stability_exhaustive(
     Averages (1/m) sum_k ||w_k - w~_k||^2 uniformly over every sampling
     sequence (n^(m*T) of them) and every perturbation position, with the
     replacement for position (k, i) fixed to replacement_shards[k, i]. Each
-    position steps all its sequences, both sides, as one (S, 2, m, d) stack
-    through dsgd_step. Only feasible for tiny systems; S is guarded by
-    EXHAUSTIVE_SEQUENCE_LIMIT.
+    position steps all its sequences, both sides, as one one-arm stack
+    (1, S, 2, m, d) through dsgd_step. Only feasible for tiny systems; S is
+    guarded by EXHAUSTIVE_SEQUENCE_LIMIT.
     """
     m, n = shards.m, shards.n
     total = config.iterations
@@ -419,12 +419,13 @@ def stability_exhaustive(
         ys = np.stack([shards.ys, shards.ys])
         xs[1, workers, index] = replacement_shards.xs[workers, index]
         ys[1, workers, index] = replacement_shards.ys[workers, index]
-        W = np.zeros((count, 2, m, model.dim(shards.d_x)))
+        W = np.zeros((1, count, 2, m, model.dim(shards.d_x)))
         for t in range(total):
             rows = (side, worker, sequences[:, :, t])  # (S, 2, m)
-            W = dsgd_step(W, P, xs[rows], ys[rows], config.rate.at(t, total), model)
+            W = dsgd_step(W, [P], xs[rows], ys[rows], config.rate.at(t, total), model)
             if t + 1 in slots:
-                curve[slots[t + 1]] += np.sum((W[:, 0] - W[:, 1]) ** 2, axis=-1).mean(axis=1).sum()
+                pair_diffs = W[0, :, 0] - W[0, :, 1]
+                curve[slots[t + 1]] += np.sum(pair_diffs**2, axis=-1).mean(axis=1).sum()
     return curve / (len(positions) * count)
 
 

@@ -19,15 +19,16 @@ estimators.
 
 One loop serves every run. It steps a stack W (A, K, s, m, d): A arms, each
 with its own gossip matrix and consensus control, times K runs with s sides
-each (s = 1 for single runs, s = 2 for coupled pairs); run_dsgd and
-run_coupled are its two entry points, and each returns one Traces: the
-recorder's arrays, indexed [arm, run, side, snapshot]; only single runs keep
-their consensus models (a coupled side's final one is the worker mean of its
-final models). The two data sets of a pair differ in one sample per affected
-worker, and the pairs of one replicate share their shards, so the stack
-holds each distinct shard set once: it reads them in place when they are
-consecutive slices of one array (as the estimators draw a group's
-replicates), else from one copy, and a side table holds each pair's replaced
+each (s = 1 for single runs, s = 2 for coupled pairs), the one form that
+dsgd_step and consensus_control_step take; run_dsgd and run_coupled are its
+two entry points, and each returns one Traces: the recorder's arrays, indexed
+[arm, run, side, snapshot]; only single runs keep their consensus models (a
+coupled side's final one is the worker mean of its final models). The two
+data sets of a pair differ in one sample per affected worker, and the pairs
+of one replicate share their shards, so the stack holds each distinct shard
+set once: it reads them in place when they are consecutive slices of one
+array (as the estimators draw a group's replicates), else from one copy, and
+a side table holds each pair's replaced
 samples. A step makes one np.take of side 0's rows for every run and side,
 which every arm reads (dsgd_step's shared samples), one np.copyto each for X
 and Y that gives side 1 its replaced samples (where zeta is the pair's
@@ -189,7 +190,6 @@ class Traces:
     at S snapshots, for m workers of d parameters:
     - iterations (S,): the completed steps at each snapshot;
     - consensus (A, K, 1, S, d): the average model, of single runs only, else None;
-    - consensus_dist (A, K, s, S): the workers' mean squared deviation from it;
     - final (A, K, s, m, d): the final models;
     - rounds (A, K, s): consensus-control rounds, and cap_hits (A, K, s):
       control calls in which the side used all max_rounds rounds and stayed
@@ -202,7 +202,6 @@ class Traces:
 
     iterations: np.ndarray
     consensus: np.ndarray | None
-    consensus_dist: np.ndarray
     final: np.ndarray
     rounds: np.ndarray
     cap_hits: np.ndarray
@@ -276,18 +275,17 @@ def _distance_from_mean(
     return scratch.sum(axis=(-2, -1)) / W.shape[-2]
 
 
-Mixing = GossipMatrix | list[GossipMatrix]
-
-
-def _arm_groups(P: Mixing, W: np.ndarray) -> list[tuple[GossipMatrix, slice]]:
-    """(matrix, arms) pairs covering W: one matrix mixes all of W, or each run of
-    consecutive arms W[a] with one matrix P[a] is mixed at once."""
-    if isinstance(P, GossipMatrix):
-        return [(P, slice(None))]
-    if W.ndim < 3 or len(P) != len(W):
-        raise InputError(f"{len(P)} gossip matrices do not match a stack of shape {W.shape}")
-    starts = [a for a in range(len(P)) if a == 0 or P[a] is not P[a - 1]]
-    return [(P[a], slice(a, end)) for a, end in zip(starts, starts[1:] + [len(P)])]
+def _arm_groups(P: list[GossipMatrix], W: np.ndarray) -> list[tuple]:
+    """(matrix, gossip form, first arm, end arm) of each run of consecutive arms of
+    the stack W (A, ..., m, d) with one matrix in P, one per arm: they mix at once."""
+    sizes = [P_a.m for P_a in P] if isinstance(P, list) else type(P).__name__
+    if W.ndim < 3 or sizes != [W.shape[-2]] * len(W):
+        raise InputError(
+            "P must be a list of one GossipMatrix of m workers per arm of a stack "
+            f"W (A, ..., m, d); got {sizes} for W of shape {W.shape}"
+        )
+    bounds = [a for a in range(len(P) + 1) if a in (0, len(P)) or P[a] is not P[a - 1]]
+    return [(P[a], _gossip_form(P[a]), a, end) for a, end in zip(bounds, bounds[1:])]
 
 
 def _output(W: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -301,7 +299,7 @@ def _output(W: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 def dsgd_step(
     W: np.ndarray,
-    P: Mixing,
+    P: list[GossipMatrix],
     X: np.ndarray,
     Y: np.ndarray,
     eta_t: float,
@@ -309,33 +307,28 @@ def dsgd_step(
     out: np.ndarray | None = None,
     grads: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One update of a stack of runs W (..., m, d): gossip with P, then gradient steps.
+    """One update of a stack W (A, ..., m, d) of A arms: gossip with P, then gradient steps.
 
-    P is one gossip matrix for every run, or a list with one matrix per arm:
-    W[a]'s runs gossip with P[a], each run of consecutive arms with one
-    matrix at once, in that matrix's own form (topology._gossip_form). X
-    (..., m, d_x) and Y (..., m) hold the sample each worker of each run
-    uses at this step, either per run (X's leading shape is W's) or, for a
-    stack with an arm axis (W of 3 or more dimensions), shared by every arm
-    (X's leading shape is W's without its first axis): one copy of the
-    samples that every arm reads, with the values of per-arm copies. The
-    gradient is evaluated at the pre-communication model w_k. The updated
-    stack is written into out (C-contiguous, W's shape, sharing no memory
-    with W) and the gradients into grads (C-contiguous, W's size, sharing no
-    memory with W or out); each is allocated when not given, and the values
-    are the same either way.
+    P is a list of one gossip matrix per arm: W[a]'s runs gossip with P[a],
+    each run of consecutive arms with one matrix at once, in that matrix's
+    own form (topology._gossip_form). X (..., m, d_x) and Y (..., m) hold
+    the sample each worker of each run uses at this step, shared by every
+    arm: their leading shape is W's without its arm axis. The gradient is
+    evaluated at the pre-communication model w_k. The updated stack is
+    written into out (C-contiguous, W's shape, sharing no memory with W)
+    and the gradients into grads (C-contiguous, W's size, sharing no memory
+    with W or out); each is allocated when not given, and the values are the
+    same either way.
     """
     groups = _arm_groups(P, W)
-    shared = W.ndim >= 3 and X.shape[:-1] == W.shape[1:-1]
-    if (
-        any(P_a.m != W.shape[-2] for P_a, _ in groups)
-        or not (shared or X.shape[:-1] == W.shape[:-1])
-        or Y.shape != X.shape[:-1]
-    ):
-        raise InputError("worker counts of W, P and the drawn samples disagree")
+    if X.shape[:-1] != W.shape[1:-1] or Y.shape != X.shape[:-1]:
+        raise InputError(
+            f"samples X {X.shape} and Y {Y.shape} do not fit W {W.shape}: X is "
+            "(..., m, d_x) and Y (..., m), of W's leading shape without its arm axis"
+        )
     out = _output(W, out)
-    # With shared samples, the gradients of W (A, N, d) at X (N, d_x); else of W (N, d).
-    rows = W.reshape(len(W), -1, W.shape[-1]) if shared else W.reshape(-1, W.shape[-1])
+    # The gradients of W (A, N, d) at the samples X (N, d_x) that every arm reads.
+    rows = W.reshape(len(W), -1, W.shape[-1])
     if grads is not None:
         if grads.size != W.size or not grads.flags.c_contiguous:
             raise InputError(f"grads must be a C-contiguous array of {W.size} entries")
@@ -343,8 +336,8 @@ def dsgd_step(
             raise InputError("grads must share no memory with W or out")
         grads = grads.reshape(rows.shape)
     grads = loss_gradients(model, rows, X.reshape(-1, X.shape[-1]), Y.reshape(-1), out=grads)
-    for P_a, arms in groups:
-        _gossip_form(P_a)(P_a, W[arms], out[arms])
+    for P_a, gossip, first, end in groups:
+        gossip(P_a, W[first:end], out[first:end])
     grads *= eta_t
     out -= grads.reshape(W.shape)
     return out
@@ -352,7 +345,7 @@ def dsgd_step(
 
 def consensus_control_step(
     W: np.ndarray,
-    P: Mixing,
+    P: list[GossipMatrix],
     gamma_sq: float | np.ndarray,
     max_rounds: int,
     counts: np.ndarray | None = None,
@@ -361,19 +354,19 @@ def consensus_control_step(
 ) -> tuple[np.ndarray, int]:
     """Extra pure-gossip rounds until consensus distance <= gamma_sq.
 
-    W is one run (m, d) or a stack of runs (..., m, d); P is one gossip
-    matrix or one per arm, as in dsgd_step, and gamma_sq one target or an
-    array of targets, each broadcast against the runs (an infinite target
-    leaves its runs untouched). Each run gossips only while its own distance
-    exceeds its target, for at most max_rounds rounds, and takes the rounds
-    it would take alone. Returns the models, written into out (checked as
-    dsgd_step's; a new array when not given), and the rounds the loop took,
-    the most that any run used; with counts (shape W.shape[:-2]) given, each
-    run's own rounds are added to it, and with cap_hits (the same shape)
-    given, 1 for each run that used all max_rounds rounds and stayed above
-    its target. If the target is unreachable (disconnected components with
-    disagreeing means), a run reports max_rounds exhaustion instead of
-    raising.
+    W is a stack (A, ..., m, d) of A arms and P a list of one gossip matrix
+    per arm, as in dsgd_step; gamma_sq is one target or an array of
+    targets, each broadcast against the runs W.shape[:-2] (an infinite
+    target leaves its runs untouched). Each run gossips only while its own
+    distance exceeds its target, for at most max_rounds rounds, and takes
+    the rounds it would take alone. Returns the models, written into out
+    (checked as dsgd_step's; a new array when not given), and the rounds the
+    loop took, the most that any run used; with counts (shape W.shape[:-2])
+    given, each run's own rounds are added to it, and with cap_hits (the
+    same shape) given, 1 for each run that used all max_rounds rounds and
+    stayed above its target. If the target is unreachable (disconnected
+    components with disagreeing means), a run reports max_rounds exhaustion
+    instead of raising.
 
     The rounds follow a schedule, and a check decides every stop:
     - Schedule. A run's deviations D from its worker mean have energy
@@ -440,15 +433,10 @@ def consensus_control_step(
         criterion-12   per-round check        12937     1829732      13538         -     1.74
         criterion-12   schedule               12937     1829732       1001         0     0.87
     """
+    groups = _arm_groups(P, W)
     targets = np.broadcast_to(np.asarray(gamma_sq, dtype=float), W.shape[:-2]).reshape(-1)
     if not np.all(targets > 0):
         raise InputError("gamma_sq must be positive")
-    arm_count = 1 if isinstance(P, GossipMatrix) else len(P)
-    # Each group of arms as (matrix, form, first arm, end arm).
-    groups = [
-        (P_a, _gossip_form(P_a), *arms.indices(arm_count)[:2])
-        for P_a, arms in _arm_groups(P, W)
-    ]
     out = _output(W, out)
     start = W.reshape(-1, *W.shape[-2:])
     runs = out.reshape(start.shape)
@@ -458,7 +446,7 @@ def consensus_control_step(
     block = start if len(rows) == len(start) else start[rows]
     distances = _distance_from_mean(block, _worker_mean(block), runs[: len(rows)])
     np.copyto(out, W)
-    per_arm = len(runs) // arm_count
+    per_arm = len(runs) // len(P)
     # Per run: its rounds, and 1 if it used every round and stayed above target.
     used = np.zeros((2, len(runs)), dtype=int)
     above = distances > targets[rows]
@@ -934,9 +922,10 @@ class _StackData:
     def risk_groups(self, runs: slice) -> list[tuple[Shards, np.ndarray]]:
         """Per shard set that runs in `runs` use: those shards and the runs'
         indices within the slice."""
+        # A set, not np.unique, which imports numpy.ma.
         return [
             (self.replicates[r], np.flatnonzero(self.replicate[runs] == r))
-            for r in np.unique(self.replicate[runs])
+            for r in sorted(set(self.replicate[runs].tolist()))
         ]
 
 
@@ -977,11 +966,12 @@ class _TraceRecorder:
     """Snapshot rows of every arm, run and side of a stack, at the logged iterations.
 
     Records one sub-stack at a time (start, then record per snapshot) into
-    arrays that hold every run: each side's consensus distance, a single
-    run's consensus model, each pair's worker-mean squared difference, and,
-    when risks are asked for, the base side's per-worker risks. Raises
-    NumericalError at the first snapshot where some consensus distance, or
-    some recorded risk, is not finite, naming the lowest such run's seed: a
+    arrays that hold every run: a single run's consensus model, each pair's
+    worker-mean squared difference, and, when risks are asked for, the base
+    side's per-worker risks. Each side's consensus distance is computed at
+    every snapshot and not kept. Raises NumericalError at the first snapshot
+    where some consensus distance, or some recorded risk, is not finite,
+    naming the lowest such run's seed: a
     non-finite W stays non-finite under W' = P W - eta G, so a divergent run
     is always caught by the final snapshot at the latest.
     """
@@ -999,7 +989,6 @@ class _TraceRecorder:
         self.model, self.data, self.logged, self.seeds = model, data, logged, seeds
         shape = (arms, runs, sides, len(logged), model.dim(d_x))
         self.consensus = np.zeros(shape) if sides == 1 else None
-        self.consensus_dist = np.zeros((arms, runs, sides, len(logged)))
         self.risks = np.zeros((arms, runs, len(logged), m)) if risks else None
         self.sq_diffs = np.zeros((arms, runs, len(logged))) if sides == 2 else None
 
@@ -1022,7 +1011,6 @@ class _TraceRecorder:
         self._check(distances, "consensus distance", slot)
         if self.consensus is not None:
             self.consensus[:, runs, :, slot] = mean[..., 0, :]
-        self.consensus_dist[:, runs, :, slot] = distances
         if self.risks is not None:
             base = W[:, :, 0]
             risks = np.empty(base.shape[:-1])
@@ -1057,7 +1045,6 @@ class _TraceRecorder:
         return Traces(
             iterations=np.array(self.logged),
             consensus=self.consensus,
-            consensus_dist=self.consensus_dist,
             final=W,
             rounds=control[0],
             cap_hits=control[1],

@@ -151,12 +151,10 @@ RISK_BLOCK_ELEMENTS = 2**16
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # Stable on both tails.
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    # Stable on both tails: with e = exp(-|t|), 1/(1 + e) where t >= 0, else e/(1 + e).
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -173,10 +171,10 @@ def _softplus(
     the result goes into out and max(s, 0) into scratch, and nothing is
     allocated; the values are those of the allocating call.
 
-    Training (loss_gradients, through _softplus_and_sigmoid), loss_values,
-    worker_risks and the logistic loss use this form. dataset_risk's MLP
-    blocks use _log1p_exp, and this form only for a block where that one
-    could overflow or meets a NaN.
+    Training (loss_gradients, through _softplus_and_sigmoid), worker_risks
+    (and loss_values through it) and the logistic loss use this form.
+    dataset_risk's MLP blocks use _log1p_exp, and this form only for a block
+    where that one could overflow or meets a NaN.
     """
     out = np.abs(s, out=out)
     np.negative(out, out=out)
@@ -202,12 +200,8 @@ def _log1p_exp(s: np.ndarray) -> np.ndarray:
 
 
 def _softplus_and_sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_softplus(s) and _sigmoid(s), bit for bit, from one exp(-|s|).
-
-    With e = exp(-|s|), the sigmoid is 1/(1 + e) where s >= 0 and e/(1 + e)
-    elsewhere: the same operations _sigmoid applies to the same exp, without
-    its masked reads and writes.
-    """
+    """_softplus(s) and _sigmoid(s), bit for bit, from one exp(-|s|): the
+    operations of the two, with the exp they share computed once."""
     e = np.exp(-np.abs(s))
     softplus = np.log1p(e)
     softplus += np.maximum(s, 0.0)
@@ -326,13 +320,9 @@ def _losses(
 
 
 def loss_values(model: LossModel, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Losses of per-worker weights W (m, d) at per-worker samples (X, Y)."""
-    if model.family is not ModelFamily.TWO_LAYER_MLP:
-        return _losses(model.family, np.einsum("kd,kd->k", X, W), Y)
-    beta = model.softplus_sharpness
-    V, a = _unpack_mlp(model, W, X.shape[1])
-    hidden = _softplus(beta * np.einsum("khd,kd->kh", V, X)) / beta
-    return _losses(model.family, np.einsum("kh,kh->k", a, hidden), Y)
+    """Losses of per-worker weights W (m, d) at per-worker samples X (m, d_x), Y (m,):
+    worker_risks on shards of one sample each."""
+    return worker_risks(model, W, Shards(xs=X[:, None], ys=Y[:, None]))
 
 
 def loss_gradients(

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import typing
 from dataclasses import fields
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +402,22 @@ def test_optimized_bound_gives_its_validity_warning_once_from_the_cli(tmp_path):
     validity = [w for w in record if "validity limit" in str(w.message)]
     assert len(validity) == 1
     assert validity[0].filename == cli.__file__
+
+
+def test_bound_run_does_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, which adds about 1.5 MB to a bound run's
+    # peak RSS; only a fresh interpreter shows whether a run loads it.
+    path = write_config(tmp_path, experiment="bound", R=2, pairs=2, T=20, n=5, m=4, d_x=3,
+                        output_dir=str(tmp_path / "out"))
+    script = (
+        "import sys, warnings; from dsgd_lab.cli import main; warnings.simplefilter('ignore'); "
+        f"print(main([{str(path)!r}, '--jobs', '1']), 'numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["0", "False"]
 
 
 def test_consensus_control_experiment(tmp_path):

@@ -111,7 +111,7 @@ def side(traces, index):
     assert traces.consensus is None
     return replace(traces, sq_diffs=None, risks=None, **{
         name: getattr(traces, name)[:, :, index : index + 1]
-        for name in ("consensus_dist", "final", "rounds", "cap_hits")
+        for name in ("final", "rounds", "cap_hits")
     })
 
 
@@ -165,13 +165,24 @@ def drawn(shards, zeta):
     return shards.xs[rows, zeta], shards.ys[rows, zeta]
 
 
+def step_alone(W, P, X, Y, eta, model):
+    """dsgd_step of W as a one-arm stack: W[None] with [P] and the samples X, Y; arm 0."""
+    return dsgd_step(W[None], [P], X, Y, eta, model)[0]
+
+
+def control_alone(W, P, gamma_sq, max_rounds, counts=None):
+    """consensus_control_step of W as a one-arm stack W[None] with [P]: arm 0, and the rounds."""
+    out, rounds = consensus_control_step(W[None], [P], gamma_sq, max_rounds, counts)
+    return out[0], rounds
+
+
 def test_step_hand_example_two_workers():
     # Uniform pair averaging, d = 1: gossip lands both on 1.0, then the
     # gradients (1, -1) at eta = 0.1 split them to (0.9, 1.1).
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 2)
     shards = Shards(xs=np.ones((2, 1, 1)), ys=np.ones((2, 1)))
     W = np.array([[2.0], [0.0]])
-    stepped = dsgd_step(W, P, *drawn(shards, np.array([0, 0])), 0.1, LINEAR)
+    stepped = step_alone(W, P, *drawn(shards, np.array([0, 0])), 0.1, LINEAR)
     assert np.allclose(stepped.ravel(), [0.9, 1.1])
 
 
@@ -181,7 +192,7 @@ def test_step_zero_rate_is_pure_gossip():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     rng = np.random.default_rng(1)
     W = rng.standard_normal((3, 3))
-    stepped = dsgd_step(W, P, *drawn(shards, np.array([0, 1, 2])), 0.0, LINEAR)
+    stepped = step_alone(W, P, *drawn(shards, np.array([0, 1, 2])), 0.0, LINEAR)
     assert np.allclose(stepped, P.entries @ W, atol=0)
 
 
@@ -192,7 +203,7 @@ def test_step_identity_matrix_is_independent_sgd():
     rng = np.random.default_rng(2)
     W = rng.standard_normal((3, 3))
     zeta = np.array([1, 2, 0])
-    stepped = dsgd_step(W, P, *drawn(shards, zeta), 0.05, LINEAR)
+    stepped = step_alone(W, P, *drawn(shards, zeta), 0.05, LINEAR)
     for k in range(3):
         x, y = shards.xs[k, zeta[k]], shards.ys[k, zeta[k]]
         expected = W[k] - 0.05 * linear_gradient(W[k], x, y)
@@ -202,39 +213,40 @@ def test_step_identity_matrix_is_independent_sgd():
 @settings(max_examples=60)
 @given(
     family=st.sampled_from(list(ModelFamily)),
-    stack=st.lists(st.integers(1, 3), max_size=3),
+    arms=st.integers(1, 3),
+    stack=st.lists(st.integers(1, 3), max_size=2),
     m=st.integers(1, 5),
     d_x=st.integers(1, 4),
     eta=st.sampled_from([0.0, 0.05, 0.5]),
-    stacked_mixing=st.booleans(),
+    one_matrix=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_and_gradients_fill_given_buffers(family, stack, m, d_x, eta, stacked_mixing, seed):
+def test_step_and_gradients_fill_given_buffers(family, arms, stack, m, d_x, eta, one_matrix, seed):
     # The trajectory loop passes buffers it allocated once per stack; what
     # lands in them must be the allocating calls' values, bit for bit, and a
     # buffer that would read W while it is written is refused.
     model = LossModel(family=family, hidden_width=3)
     rng = np.random.default_rng(seed)
     d = model.dim(d_x)
-    W = rng.standard_normal((*stack, m, d))
+    W = rng.standard_normal((arms, *stack, m, d))
     X = rng.standard_normal((*stack, m, d_x))
     Y = rng.standard_normal((*stack, m))
     if family is ModelFamily.LOGISTIC_REGRESSION:
         Y = (Y > 0).astype(float)
-    # One matrix for every run, or with a stack, one per arm W[a].
-    P = custom(rng.random((m, m)))
-    if stacked_mixing and stack:
-        P = [custom(rng.random((m, m))) for _ in range(stack[0])]
+    # One matrix object for every arm, which gossip as one group, or one per arm.
+    P = [custom(rng.random((m, m))) for _ in range(arms)]
+    if one_matrix:
+        P = P[:1] * arms
     before = W.copy()
-    flat = (W.reshape(-1, d), X.reshape(-1, d_x), Y.reshape(-1))
+    flat = (W[0].reshape(-1, d), X.reshape(-1, d_x), Y.reshape(-1))
     buffer = np.full((Y.size, d), np.nan)
     assert loss_gradients(model, *flat, out=buffer) is buffer
     assert_same_array(buffer, loss_gradients(model, *flat))
-    out, grads = np.full(W.shape, np.nan), np.full((Y.size, d), np.nan)
+    out, grads = np.full(W.shape, np.nan), np.full((arms * Y.size, d), np.nan)
     assert dsgd_step(W, P, X, Y, eta, model, out=out, grads=grads) is out
     assert_same_array(out, dsgd_step(W, P, X, Y, eta, model))
     assert_same_array(W, before)
-    for bad in (W, W[...], W[..., ::-1, :], np.empty((*stack, m, d + 1)), np.empty(m * d)):
+    for bad in (W, W[...], W[..., ::-1, :], np.empty((*W.shape[:-1], d + 1)), np.empty(W.size)):
         with pytest.raises(InputError, match="out"):
             dsgd_step(W, P, X, Y, eta, model, out=bad)
     for bad in (W.reshape(-1, d), out.reshape(-1, d)):
@@ -266,10 +278,12 @@ STEP_KINDS = [
     d_x=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_shared_samples_equal_per_arm_copies(family, kinds, runs, m, d_x, seed):
+def test_each_arm_steps_as_it_steps_alone(family, kinds, runs, m, d_x, seed):
     # The trajectory loop gathers one copy of a step's samples that every arm
-    # reads; the step must give the W of per-arm copies, bit for bit, in
-    # every gossip form, into given buffers or new arrays.
+    # reads, and consecutive arms of one matrix gossip as one group; every
+    # arm must step to the W it steps to alone, as a one-arm stack on the
+    # same samples, bit for bit, in every gossip form, into given buffers or
+    # new arrays.
     model = LossModel(family=family, hidden_width=3)
     rng = np.random.default_rng(seed)
     matrices = [built(kind, m) for kind in kinds]
@@ -278,8 +292,7 @@ def test_shared_samples_equal_per_arm_copies(family, kinds, runs, m, d_x, seed):
     Y = rng.standard_normal((*runs, m))
     if family is ModelFamily.LOGISTIC_REGRESSION:
         Y = (Y > 0).astype(float)
-    copies = [np.broadcast_to(a, (len(kinds), *a.shape)).copy() for a in (X, Y)]
-    expected = dsgd_step(W, matrices, *copies, 0.05, model)
+    expected = np.stack([step_alone(W_a, P, X, Y, 0.05, model) for W_a, P in zip(W, matrices)])
     assert_same_array(dsgd_step(W, matrices, X, Y, 0.05, model), expected)
     out, grads = np.full(W.shape, np.nan), np.full(W.shape, np.nan)
     assert dsgd_step(W, matrices, X, Y, 0.05, model, out=out, grads=grads) is out
@@ -289,10 +302,10 @@ def test_shared_samples_equal_per_arm_copies(family, kinds, runs, m, d_x, seed):
 @pytest.mark.parametrize(
     "shape, x_shape, y_shape",
     [
-        # A single run: its samples are per worker, never one sample for all.
-        ((4, 3), (3,), ()),
-        ((4, 3), (1, 3), (1,)),
-        # A stack: X's leading shape is W's, or W's without the arm axis.
+        # Samples are per worker, never one sample for all.
+        ((2, 4, 3), (3,), ()),
+        ((2, 4, 3), (1, 3), (1,)),
+        # X's leading shape is W's without the arm axis, and Y's is X's.
         ((2, 4, 3), (4, 3), (2, 4)),
         ((2, 5, 4, 3), (2, 5, 4, 3), (5, 4)),
         ((2, 5, 4, 3), (4, 3), (4,)),
@@ -302,8 +315,33 @@ def test_shared_samples_equal_per_arm_copies(family, kinds, runs, m, d_x, seed):
 def test_step_rejects_samples_that_do_not_fit_the_stack(shape, x_shape, y_shape):
     W = np.zeros(shape)
     P = build_gossip_matrix(TopologyKind.RING, 4)
-    with pytest.raises(InputError, match="worker counts"):
-        dsgd_step(W, P, np.zeros(x_shape), np.zeros(y_shape), 0.1, LINEAR)
+    with pytest.raises(InputError, match="without its arm axis"):
+        dsgd_step(W, [P, P], np.zeros(x_shape), np.zeros(y_shape), 0.1, LINEAR)
+
+
+@pytest.mark.parametrize("form", ["bare matrix", "no arm axis", "samples like W"])
+def test_step_and_control_refuse_every_form_but_the_stack(form):
+    # Both take a stack W (A, ..., m, d) and a list of one matrix per arm,
+    # and the step samples shared by the arms. A bare matrix, a W without
+    # its arm axis (a single run, or runs of one arm), or samples with W's
+    # arm axis do not broadcast quietly or fail on a missing method: each
+    # is refused by name.
+    P = build_gossip_matrix(TopologyKind.RING, 4)
+    W, X, Y = np.ones((2, 5, 4, 3)), np.ones((5, 4, 3)), np.ones((5, 4))
+    calls = {
+        "bare matrix": [(W, P, X, Y)],
+        "no arm axis": [(W[0, 0], P, X[0], Y[0]), (W[0, 0], [P], X[0], Y[0]), (W[0], [P], X, Y)],
+        "samples like W": [(W, [P, P], np.ones(W.shape), np.ones(W.shape[:-1]))],
+    }[form]
+    expected = "without its arm axis" if form == "samples like W" else (
+        r"list of one GossipMatrix of m workers per arm of a stack W \(A, \.\.\., m, d\)"
+    )
+    for stack, mixing, samples_x, samples_y in calls:
+        with pytest.raises(InputError, match=expected):
+            dsgd_step(stack, mixing, samples_x, samples_y, 0.1, LINEAR)
+        if form != "samples like W":
+            with pytest.raises(InputError, match=expected):
+                consensus_control_step(stack, mixing, 1e-6, 5)
 
 
 def test_step_rejects_grads_of_another_size_or_layout():
@@ -311,7 +349,7 @@ def test_step_rejects_grads_of_another_size_or_layout():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     for bad in (np.empty(W.size + 1), np.empty((*W.shape, 2))[..., 0]):
         with pytest.raises(InputError, match="grads"):
-            dsgd_step(W, P, X, Y, 0.1, LINEAR, grads=bad)
+            dsgd_step(W, [P, P], X, Y, 0.1, LINEAR, grads=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +485,13 @@ def test_loaded_circulant_gossips_as_the_dense_product_from_the_crossover():
     m = topology.DENSE_GOSSIP_BELOW
     rng = np.random.default_rng(m)
     W = rng.standard_normal((2, 2, m, 3))
-    X, Y = rng.standard_normal((2, 2, m, 3)), rng.standard_normal((2, 2, m))
+    X, Y = rng.standard_normal((2, m, 3)), rng.standard_normal((2, m))
     for kind in [TopologyKind.RING, TopologyKind.GRID_2D_TORUS, TopologyKind.STATIC_EXPONENTIAL]:
         P = build_gossip_matrix(kind, m)
         Q = loaded(P.entries)
         assert Q.circulant is None
         assert topology._gossip_form(Q) is topology._dense_gossip
-        gap = dsgd_step(W, Q, X, Y, 0.05, LINEAR) - dsgd_step(W, P, X, Y, 0.05, LINEAR)
+        gap = dsgd_step(W, [Q, Q], X, Y, 0.05, LINEAR) - dsgd_step(W, [P, P], X, Y, 0.05, LINEAR)
         assert np.max(np.abs(gap)) <= 4 * np.spacing(np.max(np.abs(W)))
 
 
@@ -470,13 +508,13 @@ def test_gossip_below_the_crossover_is_each_arms_own_product(m):
     matrices = [build_gossip_matrix(kind, m) for kind in kinds]
     rng = np.random.default_rng(m)
     W = rng.standard_normal((len(kinds), 3, 2, m, 11))
-    X, Y = rng.standard_normal((*W.shape[:-1], 11)), rng.standard_normal(W.shape[:-1])
+    X, Y = rng.standard_normal((*W.shape[1:-1], 11)), rng.standard_normal(W.shape[1:-1])
     products = np.stack([np.matmul(P.entries, W_a) for P, W_a in zip(matrices, W)])
-    grads = loss_gradients(LINEAR, W.reshape(-1, 11), X.reshape(-1, 11), Y.reshape(-1))
+    grads = loss_gradients(LINEAR, W.reshape(len(W), -1, 11), X.reshape(-1, 11), Y.reshape(-1))
     expected = products - (0.05 * grads).reshape(W.shape)
     assert_same_array(dsgd_step(W, matrices, X, Y, 0.05, LINEAR), expected)
     for P in matrices:
-        assert_same_array(dsgd_step(W, P, X, Y, 0.0, LINEAR), np.matmul(P.entries, W))
+        assert_same_array(dsgd_step(W, [P] * len(W), X, Y, 0.0, LINEAR), np.matmul(P.entries, W))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +584,7 @@ def test_zero_iterations_logs_only_initialization():
     P = build_gossip_matrix(TopologyKind.RING, 3)
     trace = run_one(P, shards, LINEAR, TrainConfig(iterations=0, rate=ConstantRate(0.1), seed=0))
     assert list(trace.iterations) == [0]
-    assert trace.consensus_dist[0, 0, 0, 0] == 0.0
+    assert np.array_equal(trace.consensus[0, 0, 0], np.zeros((1, 3)))
     assert np.array_equal(trace.final[0, 0, 0], np.zeros((3, 3)))
 
 
@@ -574,7 +612,7 @@ def test_identical_shards_and_indices_keep_workers_in_consensus():
     rng = np.random.default_rng(7)
     W = np.zeros((m, task.d_x))
     for index in rng.integers(0, 6, size=40):
-        W = dsgd_step(W, P, *drawn(shards, np.full(m, index)), 0.1, LINEAR)
+        W = step_alone(W, P, *drawn(shards, np.full(m, index)), 0.1, LINEAR)
         assert consensus_dist(W) < 1e-28
 
 
@@ -631,9 +669,10 @@ def step_loop_snapshots(P, control, side_shards, model, config, seed):
     """Weights at the logged iterations, (snapshots, sides, m, d), and each side's
     extra rounds and cap hits, (2, sides).
 
-    Every side is stepped alone with allocating dsgd_step calls on the seed's
-    per-step index draws, followed by consensus control once the onset has
-    passed: the loop the trajectory engine stacks and buffers. A cap hit is
+    Every side is stepped alone, as a one-arm stack of one run, with
+    allocating dsgd_step calls on the seed's per-step index draws, each
+    followed by a consensus_control_step call once the onset has passed:
+    the loop the trajectory engine stacks and buffers. A cap hit is
     a control call that used every round and left the side above target.
     """
     rng = np.random.default_rng(seed)
@@ -645,11 +684,9 @@ def step_loop_snapshots(P, control, side_shards, model, config, seed):
         zeta = rng.integers(0, n, size=m)
         rate = config.rate.at(t, config.iterations)
         for side, shards in enumerate(side_shards):
-            Ws[side] = dsgd_step(Ws[side], P, *drawn(shards, zeta), rate, model)
+            Ws[side] = step_alone(Ws[side], P, *drawn(shards, zeta), rate, model)
             if control is not None and control.t_gamma < t + 1:
-                Ws[side], used = consensus_control_step(
-                    Ws[side], P, control.gamma_sq, control.max_rounds
-                )
+                Ws[side], used = control_alone(Ws[side], P, control.gamma_sq, control.max_rounds)
                 counts[0, side] += used
                 counts[1, side] += (
                     used == control.max_rounds and consensus_dist(Ws[side]) > control.gamma_sq
@@ -1349,8 +1386,9 @@ def masked_control_reference(W, P, gamma_sq, max_rounds, gossip=None):
     data=st.data(),
 )
 def test_compacted_control_equals_the_masked_loop(names, shared, runs, max_rounds, data):
-    # Per arm: its own matrix, or one matrix for the whole stack, and its own
-    # target, or an infinite target for an arm whose onset has not passed.
+    # Per arm: its own matrix, or one matrix object for every arm, which
+    # gossip as one group, and its own target, or an infinite target for an
+    # arm whose onset has not passed.
     # Runs span scales from already below the target to ones that need more
     # rounds than the cap allows; the islands matrix leaves some targets
     # unreachable.
@@ -1362,7 +1400,7 @@ def test_compacted_control_equals_the_masked_loop(names, shared, runs, max_round
     targets = np.array([
         data.draw(st.sampled_from([math.inf, 1e-6, 1e-3])) for _ in names
     ])
-    mixing = ARM_MATRICES[names[0]] if shared else [ARM_MATRICES[name] for name in names]
+    mixing = [ARM_MATRICES[name] for name in names]
     counts = np.zeros(W.shape[:3], dtype=int)
     out, rounds = consensus_control_step(W, mixing, targets[:, None, None], max_rounds, counts)
     expected_rounds = 0
@@ -1458,7 +1496,7 @@ def test_scheduled_control_equals_the_masked_loop(selection, m, name, runs, d, m
         mock.patch.object(engine, "_checked_control", wraps=engine._checked_control) as replay,
         mock.patch.object(engine, "_schedule_pays", **selection),
     ):
-        out, rounds = consensus_control_step(W, P, targets, max_rounds, counts)
+        out, rounds = control_alone(W, P, targets, max_rounds, counts)
     assert_same_array(out, ref)
     assert_same_array(counts, used)
     assert rounds == ref_rounds
@@ -1486,7 +1524,7 @@ def test_control_schedules_only_runs_that_need_many_rounds(kind, m, scheduled):
         mock.patch.object(engine, "_predicted_stops", wraps=engine._predicted_stops) as predict,
         mock.patch.object(engine, "_checked_control", wraps=engine._checked_control) as checked,
     ):
-        out, rounds = consensus_control_step(W, P, 1e-6, 200)
+        out, rounds = control_alone(W, P, 1e-6, 200)
     assert predict.called == scheduled
     assert checked.called != scheduled
     ref, ref_rounds, _ = masked_control_reference(W, P, 1e-6, 200, topology._gossip_form(P))
@@ -1556,9 +1594,9 @@ def test_stacked_control_counts_each_runs_rounds():
     rng = np.random.default_rng(3)
     W = rng.standard_normal((3, 4, 2)) * np.array([1e-4, 1.0, 10.0])[:, None, None]
     counts = np.zeros(3, dtype=int)
-    out, rounds = consensus_control_step(W, P, gamma_sq=1e-6, max_rounds=50, counts=counts)
+    out, rounds = control_alone(W, P, gamma_sq=1e-6, max_rounds=50, counts=counts)
     for k in range(3):
-        alone, used = consensus_control_step(W[k], P, gamma_sq=1e-6, max_rounds=50)
+        alone, used = control_alone(W[k], P, gamma_sq=1e-6, max_rounds=50)
         assert counts[k] == used
         assert_same_array(out[k], alone)
     assert counts[0] == 0 and rounds == counts.max() > 0
@@ -1572,7 +1610,7 @@ def test_stacked_control_counts_each_runs_rounds():
 def test_control_step_no_work_below_target():
     P = build_gossip_matrix(TopologyKind.RING, 4)
     W = np.tile([1.0, 2.0], (4, 1))
-    out, rounds = consensus_control_step(W, P, gamma_sq=1e-6, max_rounds=10)
+    out, rounds = control_alone(W, P, gamma_sq=1e-6, max_rounds=10)
     assert rounds == 0
     assert np.array_equal(out, W)
 
@@ -1581,7 +1619,7 @@ def test_control_step_fully_connected_one_round():
     P = build_gossip_matrix(TopologyKind.FULLY_CONNECTED, 4)
     rng = np.random.default_rng(8)
     W = rng.standard_normal((4, 3))
-    out, rounds = consensus_control_step(W, P, gamma_sq=1e-12, max_rounds=10)
+    out, rounds = control_alone(W, P, gamma_sq=1e-12, max_rounds=10)
     assert rounds == 1
     assert consensus_dist(out) < 1e-28
 
@@ -1589,7 +1627,7 @@ def test_control_step_fully_connected_one_round():
 def test_control_step_disconnected_exhausts_rounds():
     P = build_gossip_matrix(TopologyKind.DISCONNECTED, 3)
     W = np.array([[1.0], [0.0], [-1.0]])
-    out, rounds = consensus_control_step(W, P, gamma_sq=1e-6, max_rounds=7)
+    out, rounds = control_alone(W, P, gamma_sq=1e-6, max_rounds=7)
     assert rounds == 7
     assert np.array_equal(out, W)
 
@@ -1616,6 +1654,7 @@ def test_controlled_run_with_infinite_target_matches_plain_run():
 
 
 def test_controlled_run_keeps_logged_distance_below_target():
+    # The logged final models: control ran after the last step.
     task = make_task()
     shards = make_shards(task, 10, 4, seed=2)
     P = build_gossip_matrix(TopologyKind.RING, 4)
@@ -1623,7 +1662,7 @@ def test_controlled_run_keeps_logged_distance_below_target():
     gamma_sq = 1e-5
     control = ConsensusControl(gamma_sq=gamma_sq, t_gamma=0, max_rounds=400)
     trace = run_one(P, shards, LINEAR, config, control)
-    assert np.all(trace.consensus_dist <= gamma_sq + 1e-15)
+    assert consensus_dist(trace.final[0, 0, 0]) <= gamma_sq
     assert trace.rounds[0, 0, 0] > 0
 
 
@@ -1654,7 +1693,6 @@ def assert_traces_follow(traces, arm, run, weights, counts):
     for s in range(sides):
         if sides == 1:
             assert_same_array(traces.consensus[arm, run, s], average_model(weights[:, s]))
-        assert_same_array(traces.consensus_dist[arm, run, s], consensus_dist(weights[:, s]))
         assert_same_array(traces.final[arm, run, s], weights[-1, s])
         assert traces.rounds[arm, run, s] == counts[0, s]
         assert traces.cap_hits[arm, run, s] == counts[1, s]

@@ -502,8 +502,8 @@ def test_two_pass_limit_is_the_largest_finite_exp():
 
 
 def assert_same_bits(a, b):
-    """Equal bit for bit, except that a NaN only has to meet a NaN: the fused
-    form's exp(-|NaN|) carries the sign bit that _sigmoid's exp(NaN) lacks."""
+    """Equal bit for bit, except that a NaN only has to meet a NaN: which of
+    two NaNs an operation keeps, and so its sign, depends on operand order."""
     nan = np.isnan(a)
     assert np.array_equal(nan, np.isnan(b))
     assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))

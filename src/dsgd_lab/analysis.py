@@ -559,6 +559,17 @@ def _overflow(name: str, C: float, steps: int) -> NumericalError:
     )
 
 
+def _checked_risk_curve(risk_curve: np.ndarray, t_max: int) -> np.ndarray:
+    if t_max < 0:
+        raise InputError("t_max must be >= 0")
+    risk_curve = np.asarray(risk_curve, dtype=float)
+    if risk_curve.ndim != 1 or risk_curve.shape[0] < t_max:
+        raise InputError(f"risk_curve must cover steps 0..{t_max - 1}")
+    if np.any(risk_curve < 0):
+        raise InputError("risk_curve entries must be nonnegative")
+    return risk_curve
+
+
 def stability_bound_curve(
     inputs: BoundInputs, risk_curve: np.ndarray, t_max: int
 ) -> np.ndarray:
@@ -568,13 +579,7 @@ def stability_bound_curve(
     pre-update iterate at step tau and must cover 0..t_max-1; a constant
     epsilon_s envelope is the conservative choice.
     """
-    if t_max < 0:
-        raise InputError("t_max must be >= 0")
-    risk_curve = np.asarray(risk_curve, dtype=float)
-    if risk_curve.ndim != 1 or risk_curve.shape[0] < t_max:
-        raise InputError(f"risk_curve must cover steps 0..{t_max - 1}")
-    if np.any(risk_curve < 0):
-        raise InputError("risk_curve entries must be nonnegative")
+    risk_curve = _checked_risk_curve(risk_curve, t_max)
     C = inputs.contraction
     risk_coeff = _risk_coefficient(inputs)
     bound = np.zeros(t_max + 1)
@@ -656,26 +661,25 @@ def generalization_bound_closed(inputs: BoundInputs, t: int) -> float:
 
 
 def optimize_bound_p(inputs: BoundInputs, risk_curve: np.ndarray, t_max: int) -> float:
-    """Golden-section minimizer of the final stability bound over p in (0, 100]."""
+    """The p in [1e-6, 100] that minimizes stability_bound_curve's final entry.
 
-    def value(p: float) -> float:
-        return float(stability_bound_curve(inputs.with_p(p), risk_curve, t_max)[-1])
-
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-6, 100.0
-    a = hi - ratio * (hi - lo)
-    b = lo + ratio * (hi - lo)
-    fa, fb = value(a), value(b)
-    for _ in range(90):
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = hi - ratio * (hi - lo)
-            fa = value(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + ratio * (hi - lo)
-            fb = value(b)
-    return (lo + hi) / 2.0
+    p enters each step's term as (p/n) K in the topology term (1 + p/n + ...) K
+    and as (2/n)(1/p) c^2 eta_t^2 risk_curve[t] in the risk term. Discounted by
+    C as the recursion discounts them, these sum to x p and y / p, so the final
+    bound a + x p + y / p is least at p = sqrt(y / x), clipped to the interval
+    (100 when x = 0).
+    """
+    risks = _checked_risk_curve(risk_curve, t_max).tolist()
+    C = inputs.contraction
+    slope = _topology_term(inputs, 0.0) / (inputs.n + inputs.p)  # (1 + p/n) K at eta 0: K / n
+    risk_coeff = 2.0 / inputs.n * inputs.c_alpha**2
+    x = y = 0.0
+    for t in range(t_max):
+        x = C * x + slope
+        y = C * y + risk_coeff * inputs.rate.at(t, t_max) ** 2 * risks[t]
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise _overflow("stability bound", C, t_max)
+    return min(max(math.sqrt(y / x), 1e-6), 100.0) if x > 0 else 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ defaults (not every experiment consumes every key):
     mode             one of synchronized, single_worker        ["synchronized"]
     alpha            Hoelder exponent of the bounds, in (0, 1] [1.0]
     p                free bound parameter                      [1.0]
-    optimize_p       minimize the bound over p                 [false]
+    optimize_p       set p to the final bound's minimizer      [false]
     holder_pairs     probes for the Hoelder-constant estimate  [2000]
     holder_radius    probe ball radius                         [5.0]
     gamma_sq         consensus-distance target                 [1e-4]
@@ -298,13 +298,6 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise InputError("config key 'alpha' must lie in [0, 1]")
     if config.experiment == "bound" and config.alpha == 0.0:
         raise InputError("config key 'alpha' must be positive for the bound experiment")
-    if config.kind is not TopologyKind.CUSTOM:
-        try:
-            validate_worker_count(config.kind, config.m)
-        except InputError as exc:
-            raise InputError(f"config key 'm': {exc}") from exc
-    elif config.matrix_path is None:
-        raise InputError("config key 'matrix_path' is required for kind 'custom'")
     if config.experiment == "compare":
         if not config.kinds:
             raise InputError("config key 'kinds' must list at least one kind")
@@ -318,6 +311,13 @@ def _validate_config(config: ExperimentConfig) -> None:
                 validate_worker_count(kind, config.m)
             except InputError as exc:
                 raise InputError(f"config key 'kinds': {exc}") from exc
+    elif config.kind is not TopologyKind.CUSTOM:
+        try:
+            validate_worker_count(config.kind, config.m)
+        except InputError as exc:
+            raise InputError(f"config key 'm': {exc}") from exc
+    elif config.matrix_path is None:
+        raise InputError("config key 'matrix_path' is required for kind 'custom'")
     if config.experiment != "topology" and config.R < 2:
         raise InputError("config key 'R' must be >= 2")
     if config.experiment == "consensus-control":
@@ -438,17 +438,11 @@ Outcome = tuple[list[Path], dict, dict, dict | None]
 def _run_topology(config: ExperimentConfig, out: Path) -> Outcome:
     P = config.gossip_matrix()
     spectrum = eigenvalues_symmetric(P)
-    kind_label = P.kind.value if config.kind is TopologyKind.CUSTOM else config.kind.value
     topo_path, spectrum_path = out / "topology.csv", out / "spectrum.csv"
-    row = (kind_label, P.m, spectrum.lam, spectrum.spectral_gap)
+    row = (config.kind.value, P.m, spectrum.lam, spectrum.spectral_gap)
     emit_csv([row], ["kind", "m", "lambda", "gap"], topo_path)
     emit_csv(list(enumerate(spectrum.eigenvalues)), ["index", "eigenvalue"], spectrum_path)
-    summary = {
-        "kind": kind_label,
-        "m": P.m,
-        "lambda": spectrum.lam,
-        "spectral_gap": spectrum.spectral_gap,
-    }
+    summary = dict(zip(("kind", "m", "lambda", "spectral_gap"), row))
     return [topo_path, spectrum_path], summary, {}, None
 
 

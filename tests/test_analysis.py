@@ -786,6 +786,78 @@ def test_optimize_bound_p_does_not_increase_value():
     assert tuned <= default + 1e-12
 
 
+_P_GRID = np.geomspace(1e-6, 100.0, 401)
+
+
+@pytest.mark.filterwarnings("ignore:initial learning rate")
+@settings(max_examples=40)
+@given(
+    step_decay=st.booleans(),
+    eta=st.floats(0.001, 0.3),
+    t_max=st.integers(1, 40),
+    lam=st.floats(0.0, 1.0),
+    sigma_sq=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    mu_sq=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimize_bound_p_minimizes_the_final_bound(
+    step_decay, eta, t_max, lam, sigma_sq, mu_sq, n, seed
+):
+    rate = StepDecayRate(eta) if step_decay else ConstantRate(eta)
+    inputs = make_inputs(rate=rate, lam=lam, sigma_sq=sigma_sq, mu_sq=mu_sq, n=n)
+    # Risk curves with zero stretches, so the risk coefficient y can vanish.
+    rng = np.random.default_rng(seed)
+    risk = rng.uniform(0.0, 3.0, t_max) * (rng.random(t_max) < rng.random())
+    p = optimize_bound_p(inputs, risk, t_max)
+    assert 1e-6 <= p <= 100.0
+
+    def final(q):
+        return stability_bound_curve(inputs.with_p(q), risk, t_max)[-1]
+
+    best = final(p)
+    for q in (p * (1 - 1e-3), p * (1 + 1e-3), 1e-6, 1.0, 100.0):
+        if 1e-6 <= q <= 100.0:
+            assert best <= final(q) * (1 + 1e-12)
+    values = np.array([final(q) for q in _P_GRID])
+    if values.max() > values.min():
+        spacing = math.log(_P_GRID[1] / _P_GRID[0])
+        grid_best = _P_GRID[np.argmin(values)]
+        assert abs(math.log(p / grid_best)) <= spacing * (1 + 1e-9)
+
+
+def test_optimize_bound_p_is_stable_under_last_bit_changes_of_lambda():
+    # The final bound is flat at its minimum, so a p found by comparing bound
+    # values moves with their rounding (9e-8 relative here); p from the
+    # bound's coefficients moves by a few ulps.
+    risk = np.ones(40)
+    p, p_moved = (optimize_bound_p(make_inputs(lam=lam), risk, 40) for lam in (0.5, 0.5 + 7e-16))
+    assert p_moved == pytest.approx(p, rel=1e-12, abs=0)
+
+
+def test_optimize_bound_p_at_a_constant_rate_is_the_ratio_of_the_two_terms():
+    # x and y share the geometric weights, so p = sqrt(2 c^2 eta^2 risk / K) at any T,
+    # with K = d (sigma^2 + mu^2) ((1 - 1/m) lam^2 + 1/m) = 2 (1/3).
+    inputs = make_inputs()
+    expected = math.sqrt(2 * inputs.c_alpha**2 * 0.1**2 * 1.0 / (2.0 / 3.0))
+    for t_max in (1, 40, 2000):
+        p = optimize_bound_p(inputs, np.ones(t_max), t_max)
+        assert p == pytest.approx(expected, rel=1e-13)
+
+
+def test_optimize_bound_p_keeps_the_curve_checks():
+    with pytest.raises(InputError, match="cover"):
+        optimize_bound_p(make_inputs(), np.ones(5), 10)
+    with pytest.raises(InputError, match="nonnegative"):
+        optimize_bound_p(make_inputs(), -np.ones(5), 5)
+    with pytest.warns(UserWarning, match="validity limit"):
+        divergent = make_inputs(rate=ConstantRate(10.0))
+    with pytest.raises(NumericalError, match="contraction C = 18 compounded over 400 steps"):
+        optimize_bound_p(divergent, np.ones(400), 400)
+    # No topology term to pay for p: the largest p.
+    assert optimize_bound_p(make_inputs(sigma_sq=0.0), np.ones(10), 10) == 100.0
+
+
 # ---------------------------------------------------------------------------
 # Generalization gap
 # ---------------------------------------------------------------------------

@@ -287,6 +287,20 @@ def test_compare_experiment_four_topologies(tmp_path):
     assert len(ring) == config.R and any(value != 0.0 for value in ring)
 
 
+@pytest.mark.parametrize("kind", [{}, {"kind": "custom"}])
+def test_compare_checks_only_the_kinds_it_reads(tmp_path, kind):
+    # compare steps its kinds alone: its unread kind, ring by default, is not
+    # checked against m, and kind "custom" asks for no matrix_path.
+    out = tmp_path / "out"
+    config = parse_config(
+        write_config(tmp_path, experiment="compare", kinds=["disconnected"], m=1, T=10,
+                     R=2, pairs=1, n=4, d_x=2, mc_samples=2000, output_dir=str(out), **kind)
+    )
+    assert run_experiment(config) == 0
+    _, rows = read_csv(out / "compare.csv")
+    assert [row[:2] for row in rows] == [["disconnected", "1"]]
+
+
 def test_gaussianity_experiment_histogram_schema(tmp_path):
     out = tmp_path / "out"
     config = parse_config(
@@ -393,8 +407,8 @@ def test_bound_experiment_summary_and_domination_flag(tmp_path):
 
 
 def test_optimized_bound_gives_its_validity_warning_once_from_the_cli(tmp_path):
-    # Choosing p evaluates the bound at 92 trial values of p; the warning is
-    # given once, where the CLI builds the bound's inputs.
+    # Choosing p builds the bound's inputs once more, at the chosen p; the
+    # warning is given once, where the CLI first builds them.
     path = write_config(tmp_path, experiment="bound", optimize_p=True, R=2, pairs=1, T=20,
                         n=5, m=4, d_x=3, output_dir=str(tmp_path / "out"))
     with pytest.warns(UserWarning, match="validity limit") as record:

@@ -4,6 +4,9 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -1585,6 +1588,21 @@ def test_control_counters_equal_the_masked_loop(tmp_path, monkeypatch, kind):
         assert rounds["0"] > 3 * cap_hits["0"]
     else:
         assert all(rounds[onset] == 3 * cap_hits[onset] for onset in rounds)
+
+
+def test_control_rounds_tool_counts_the_control_sweep_shape():
+    # tools/control_rounds.py wraps consensus_control_step and must pass on
+    # every argument the trajectory loop gives it. Its counts are
+    # deterministic: those of consensus_control_step's docstring table.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, str(root / "tools" / "control_rounds.py"), "--repeats", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    calls, loop_rounds, run_rounds = result.stdout.splitlines()[-1].split()[:3]
+    assert (calls, loop_rounds, run_rounds) == ("400", "7891", "268601")
 
 
 def test_stacked_control_counts_each_runs_rounds():

@@ -15,9 +15,9 @@ control calls, the loop rounds (the rounds the calls returned), the
 run-rounds (the rounds the runs used), the _distance_from_mean calls of the
 whole sweep (control's, and the trace recorder's one per snapshot), the
 runs handed to the per-round loop, engine._checked_control (replays, and
-the runs of groups not scheduled; "-" where the engine has none), the
-control time (the median of the repeats) and the microseconds per loop
-round. The counts do not change from repeat to repeat.
+the runs of groups not scheduled), the control time (the median of the
+repeats) and the microseconds per loop round. The counts do not change from
+repeat to repeat.
 
 With --crossover it times one control call on a (2, 8, 2, m, 20) stack of
 models 1 + 0.01 N(0, 1), target 1e-6, cap 200, for every connected kind and m in
@@ -62,24 +62,22 @@ class ControlCounter:
         self.seconds = 0.0
         self.control = engine.consensus_control_step
         self.distance = engine._distance_from_mean
-        self.checked = getattr(engine, "_checked_control", None)
+        self.checked = engine._checked_control
 
     def install(self) -> None:
         engine.consensus_control_step = self.timed_control
         engine._distance_from_mean = self.counted_distance
-        if self.checked is not None:
-            engine._checked_control = self.counted_checked
+        engine._checked_control = self.counted_checked
 
     def remove(self) -> None:
         engine.consensus_control_step = self.control
         engine._distance_from_mean = self.distance
-        if self.checked is not None:
-            engine._checked_control = self.checked
+        engine._checked_control = self.checked
 
-    def timed_control(self, W, P, gamma_sq, max_rounds, counts=None, out=None):
+    def timed_control(self, W, P, gamma_sq, max_rounds, counts=None, **kwargs):
         before = None if counts is None else int(counts.sum())
         start = time.perf_counter()
-        models, rounds = self.control(W, P, gamma_sq, max_rounds, counts, out)
+        models, rounds = self.control(W, P, gamma_sq, max_rounds, counts, **kwargs)
         self.seconds += time.perf_counter() - start
         self.calls += 1
         self.loop_rounds += rounds
@@ -157,13 +155,12 @@ def main() -> None:
             counter.remove()
         seconds.append(counter.seconds)
     control_s = statistics.median(seconds)
-    replayed = counter.replayed if counter.checked is not None else "-"
     print(f"{args.shape} at seed {args.seed}, jobs 1; numpy {np.__version__}, "
           f"{os.cpu_count()} cores; median of {args.repeats}")
     print(f"{'calls':>7}{'loop rounds':>13}{'run-rounds':>12}{'distances':>11}"
           f"{'replayed':>10}{'control s':>11}{'us/round':>10}")
     print(f"{counter.calls:>7}{counter.loop_rounds:>13}{counter.run_rounds:>12}"
-          f"{counter.distances:>11}{replayed:>10}{control_s:>11.3f}"
+          f"{counter.distances:>11}{counter.replayed:>10}{control_s:>11.3f}"
           f"{control_s / max(1, counter.loop_rounds) * 1e6:>10.1f}")
 
 
